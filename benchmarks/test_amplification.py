@@ -1,9 +1,8 @@
 """Amplification study: the Related Work's compaction trade-offs,
 measured on our engines and cross-checked against the analytic model."""
 
-from repro.baselines.tiered import TieredConfig, TieredTree
 from repro.bench.reporting import paper_vs_measured, print_header, print_table
-from repro.lsm.amplification import measure_lsm_tree, measure_tiered_tree
+from repro.lsm.amplification import measure_lsm_tree
 from repro.lsm.tree import LSMConfig, LSMTree
 from repro.lsm.tuning import (
     LSMShape,
@@ -14,15 +13,14 @@ from repro.lsm.tuning import (
 
 
 def run_engines(ops=12_000, keys=800):
-    leveled = LSMTree(
-        LSMConfig(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
-    )
-    tiered = TieredTree(TieredConfig(memtable_entries=32, run_count_trigger=10))
+    shape = dict(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
+    leveled = LSMTree(LSMConfig(**shape))
+    tiered = LSMTree(LSMConfig(compaction_policy="tiering", **shape))
     for i in range(ops):
         key = i % keys
         leveled.put(key, b"v-%d" % i)
         tiered.put(key, b"v-%d" % i)
-    return measure_lsm_tree(leveled), measure_tiered_tree(tiered)
+    return measure_lsm_tree(leveled), measure_lsm_tree(tiered)
 
 
 def test_compaction_tradeoffs(run_once, show):

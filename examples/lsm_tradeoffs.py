@@ -8,7 +8,6 @@ deployment's compaction waves through the cluster monitor.
 Run with:  python examples/lsm_tradeoffs.py
 """
 
-from repro.baselines.tiered import TieredConfig, TieredTree
 from repro.core import ClusterMonitor, ClusterSpec, CooLSMConfig, build_cluster
 from repro.lsm import (
     LSMConfig,
@@ -17,7 +16,6 @@ from repro.lsm import (
     expected_zero_result_probes,
     leveled_write_cost,
     measure_lsm_tree,
-    measure_tiered_tree,
     optimal_bloom_allocation,
     tiered_write_cost,
     uniform_bloom_allocation,
@@ -27,17 +25,16 @@ from repro.workloads import Trace, replay_trace
 
 def compaction_tradeoffs() -> None:
     print("== Compaction trade-offs: leveled vs universal ==")
-    leveled = LSMTree(
-        LSMConfig(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
-    )
-    tiered = TieredTree(TieredConfig(memtable_entries=32, run_count_trigger=10))
+    shape = dict(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
+    leveled = LSMTree(LSMConfig(**shape))
+    tiered = LSMTree(LSMConfig(compaction_policy="tiering", **shape))
     for i in range(10_000):
         key = i % 600
         leveled.put(key, b"v-%d" % i)
         tiered.put(key, b"v-%d" % i)
     for name, report in (
         ("leveled  ", measure_lsm_tree(leveled)),
-        ("universal", measure_tiered_tree(tiered)),
+        ("universal", measure_lsm_tree(tiered)),
     ):
         print(
             f"   {name}: write-amp {report.write_amplification:5.2f}  "

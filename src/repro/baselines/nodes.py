@@ -18,28 +18,60 @@ from repro.sim.kernel import Kernel
 from repro.sim.machine import Machine
 from repro.sim.rpc import RpcNode
 
-from .tiered import TieredConfig, TieredTree
-
 
 class _SingleMachineEngineNode(RpcNode):
-    """Common RPC plumbing and cost charging for baseline engines."""
+    """An :class:`~repro.lsm.tree.LSMTree` behind the RPC surface, with
+    cost charging; subclasses choose the compaction policy.  The shape
+    is LevelDB's (L0 compaction at 4 files, 10x level ratio), and "we
+    run both with configuration to persist and sync to disk", so every
+    write also pays a modelled WAL fsync, which dominates point-write
+    latency."""
+
+    #: Modelled fsync cost per write batch (synchronous WAL).
+    WAL_SYNC_COST = 50e-6
+    COMPACTION_POLICY: str
 
     def __init__(self, kernel, network, machine, name, config: CooLSMConfig, clock):
         super().__init__(kernel, network, machine, name)
         self.config = config
         self.clock = clock
         self._seqno = 0
+        self.tree = LSMTree(
+            LSMConfig(
+                memtable_entries=config.memtable_entries,
+                sstable_entries=config.sstable_entries,
+                level_thresholds=(4, 10, config.l2_threshold, config.l3_threshold),
+                compaction_policy=self.COMPACTION_POLICY,
+            )
+        )
         self.on("upsert", self._handle_upsert)
         self.on("read", self._handle_read)
 
-    # Subclasses provide the engine-specific pieces:
     def _apply_write(self, entry: Entry) -> float:
         """Apply the write; return the storage compute cost triggered."""
-        raise NotImplementedError
+        flushes = self.tree.stats.flushes
+        compactions = len(self.tree.stats.compactions)
+        self.tree.put_entry(entry)
+        cost = self.WAL_SYNC_COST
+        if self.tree.stats.flushes > flushes:
+            cost += self.config.costs.flush_cost(self.config.memtable_entries)
+        for event in self.tree.stats.compactions[compactions:]:
+            cost += self.config.costs.merge_cost(event.stats.entries_in)
+        return cost
 
     def _lookup(self, key: bytes) -> tuple[Entry | None, int]:
-        """Return (entry, probe_count)."""
-        raise NotImplementedError
+        """Return (entry, probe_count): one probe per bloom-positive
+        table whose range holds the key (at most one table of a disjoint
+        level, every run of a stacked one)."""
+        entry = self.tree.get_entry(key)
+        manifest = self.tree.manifest
+        probes = sum(
+            1
+            for level in range(manifest.num_levels)
+            for table in manifest.tables_for_key(level, key)
+            if table.bloom.might_contain(key)
+        )
+        return entry, probes
 
     def _handle_upsert(self, src: str, request: UpsertRequest):
         yield from self.compute(self.config.costs.upsert_cpu)
@@ -47,9 +79,7 @@ class _SingleMachineEngineNode(RpcNode):
         entry = Entry(
             request.key, self._seqno, self.clock.now(), request.value, request.tombstone
         )
-        cost = self._apply_write(entry)
-        if cost:
-            yield from self.compute(cost)
+        yield from self.compute(self._apply_write(entry))
         return UpsertReply(entry.timestamp, entry.seqno)
 
     def _handle_read(self, src: str, request: ReadRequest):
@@ -60,87 +90,17 @@ class _SingleMachineEngineNode(RpcNode):
 
 
 class LevelDBLikeNode(_SingleMachineEngineNode):
-    """Leveled compaction engine (LevelDB-style) on one machine.
+    """Leveled compaction engine (LevelDB-style) on one machine."""
 
-    LevelDB triggers L0 compaction at 4 files and sizes levels by a
-    10x ratio; the engine is our LSMTree with those parameters, plus a
-    per-write WAL-fsync cost ("we run both with configuration to
-    persist and sync to disk") that dominates its point-write latency.
-    """
-
-    #: Modelled fsync cost per write batch (synchronous WAL).
-    WAL_SYNC_COST = 50e-6
-
-    def __init__(self, kernel, network, machine, name, config, clock):
-        super().__init__(kernel, network, machine, name, config, clock)
-        self.tree = LSMTree(
-            LSMConfig(
-                memtable_entries=config.memtable_entries,
-                sstable_entries=config.sstable_entries,
-                level_thresholds=(4, 10, config.l2_threshold, config.l3_threshold),
-            )
-        )
-
-    def _apply_write(self, entry: Entry) -> float:
-        flushes = self.tree.stats.flushes
-        compactions = len(self.tree.stats.compactions)
-        self.tree.put_entry(entry)
-        cost = self.WAL_SYNC_COST
-        if self.tree.stats.flushes > flushes:
-            cost += self.config.costs.flush_cost(self.config.memtable_entries)
-        for event in self.tree.stats.compactions[compactions:]:
-            cost += self.config.costs.merge_cost(event.stats.entries_in)
-        return cost
-
-    def _lookup(self, key: bytes):
-        entry = self.tree.get_entry(key)
-        probes = 0
-        manifest = self.tree.manifest
-        for table in manifest.level(0):
-            if table.key_in_range(key) and table.bloom.might_contain(key):
-                probes += 1
-        for level in range(1, manifest.num_levels):
-            if any(
-                t.key_in_range(key) and t.bloom.might_contain(key)
-                for t in manifest.level(level)
-            ):
-                probes += 1
-        return entry, probes
+    COMPACTION_POLICY = "leveling"
 
 
 class RocksDBLikeNode(_SingleMachineEngineNode):
-    """Universal compaction engine (RocksDB-style) on one machine."""
+    """Universal (size-tiered) compaction engine (RocksDB-style) on one
+    machine: runs stack at every level and a full level merges into one
+    run below."""
 
-    WAL_SYNC_COST = 50e-6
-
-    def __init__(self, kernel, network, machine, name, config, clock):
-        super().__init__(kernel, network, machine, name, config, clock)
-        self.tree = TieredTree(
-            TieredConfig(
-                memtable_entries=config.memtable_entries,
-                run_count_trigger=8,
-            )
-        )
-
-    def _apply_write(self, entry: Entry) -> float:
-        flushes = self.tree.stats.flushes
-        compactions = len(self.tree.stats.compactions)
-        self.tree.put_entry(entry)
-        cost = self.WAL_SYNC_COST
-        if self.tree.stats.flushes > flushes:
-            cost += self.config.costs.flush_cost(self.config.memtable_entries)
-        for event in self.tree.stats.compactions[compactions:]:
-            cost += self.config.costs.merge_cost(event.stats.entries_in)
-        return cost
-
-    def _lookup(self, key: bytes):
-        entry = self.tree.get_entry(key)
-        probes = sum(
-            1
-            for run in self.tree.runs
-            if run.key_in_range(key) and run.bloom.might_contain(key)
-        )
-        return entry, probes
+    COMPACTION_POLICY = "tiering"
 
 
 def build_baseline_node(kind: str, config: CooLSMConfig, seed: int = 0):

@@ -33,13 +33,13 @@ from __future__ import annotations
 import asyncio
 import bisect
 import json
-import math
 import platform
 import sys
 import tempfile
 import time
 from dataclasses import replace
 
+from repro.bench.metrics import LatencySummary
 from repro.core.config import CooLSMConfig
 from repro.core.history import History
 from repro.live.chaos import ChaosControl
@@ -52,15 +52,6 @@ SLA_FRACTION = 0.5
 SLA_WINDOW_S = 0.5
 #: Give up scanning for recovery after this long past the heal.
 SLA_HORIZON_S = 20.0
-
-
-def _percentile(samples: list[float], fraction: float) -> float | None:
-    """Nearest-rank percentile; None on an empty sample set."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    index = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return round(ordered[min(index, len(ordered) - 1)], 5)
 
 
 def _recovery_to_sla(
@@ -153,7 +144,7 @@ def run(ops: int = 400, seed: int = 0) -> dict:
                     await asyncio.sleep(phase_seconds)
                     duration = time.perf_counter() - started
                     done = len(acks) - before
-                    window_lats = lats[before:before + done]
+                    summary = LatencySummary.from_samples(lats[before:before + done])
                     # Recovery clocks start when healing *begins*: for
                     # a crash the heal is the blocking restart, so WAL
                     # replay and relaunch count toward time-to-SLA.
@@ -164,8 +155,8 @@ def run(ops: int = 400, seed: int = 0) -> dict:
                         "ops": done,
                         "duration_s": round(duration, 4),
                         "throughput": round(done / duration, 2),
-                        "ack_p50_s": _percentile(window_lats, 0.50),
-                        "ack_p99_s": _percentile(window_lats, 0.99),
+                        "ack_p50_s": round(summary.p50, 5),
+                        "ack_p99_s": round(summary.p99, 5),
                         "healed_at": healed_at,
                     }
 

@@ -15,8 +15,9 @@ transfer across machines; absolute ops/s do not).
 
 Pipelined points write through :class:`~repro.core.client.ClientPipeline`
 (auto-batching into ``UpsertBatchRequest``, up to ``depth`` batches in
-flight) against a cluster running WAL group commit, so one fsync and
-one wire round-trip amortise over many acks.
+flight), so one wire round-trip amortises over many acks.  The clusters
+run without ``--data-dir``; the durable write path is measured by
+``benchmarks/e2e``.
 
 These are *real seconds on whatever machine runs the bench*, not the
 simulator's modelled seconds: use them to track live-runtime overhead
@@ -27,7 +28,6 @@ simulator's job).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import os
 import platform
@@ -176,9 +176,7 @@ def run_shard_sweep(
     ``cpus`` rides along in the document and the ``--check`` gate
     scales its floor by it.
     """
-    config = dataclasses.replace(
-        CooLSMConfig().scaled_down(10), wal_group_commit=True
-    )
+    config = CooLSMConfig().scaled_down(10)
     points = []
     for num_shards in shard_counts:
         spec = localhost_spec(
@@ -252,9 +250,7 @@ def run(
     """Run the saturation sweep; returns the BENCH_live.json document."""
     client_counts = list(client_counts or DEFAULT_CLIENTS)
     depths = list(depths if depths is not None else DEFAULT_DEPTHS)
-    config = dataclasses.replace(
-        CooLSMConfig().scaled_down(10), wal_group_commit=True
-    )
+    config = CooLSMConfig().scaled_down(10)
     points = []
     for depth in depths:
         for num_clients in client_counts:
@@ -303,11 +299,6 @@ def run(
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "sweep": {"clients": client_counts, "depths": depths, "max_batch": max_batch},
-        "wal_group_commit": {
-            "enabled": config.wal_group_commit,
-            "max_batch": config.group_commit_max_batch,
-            "max_delay": config.group_commit_max_delay,
-        },
         "points": points,
         "best": {
             "clients": best["clients"],
@@ -414,8 +405,7 @@ def run_and_report(
     )
     print(
         f"live bench — {document['topology']} — {ops_per_client} ops/client, "
-        f"cpus={document['cpus']}, group_commit="
-        f"{document['wal_group_commit']['enabled']}"
+        f"cpus={document['cpus']}"
     )
     header = (
         f"{'clients':>8} {'depth':>6} {'thru ops/s':>11} {'upsert p50':>11} "

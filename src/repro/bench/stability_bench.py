@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import platform
 import sys
 import tempfile
 import time
 from dataclasses import replace
 
+from repro.bench.metrics import LatencySummary
 from repro.core import ClusterSpec, CooLSMConfig, build_cluster
 from repro.core.history import History
 from repro.sim.rpc import RemoteError, RpcTimeout
@@ -85,15 +85,6 @@ SIM_BURST_PACE_S = 0.0002
 SIM_GAP_S = 0.1
 
 
-def _percentile(samples: list[float], fraction: float) -> float | None:
-    """Nearest-rank percentile; None on an empty sample set."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    index = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return round(ordered[min(index, len(ordered) - 1)], 6)
-
-
 def _window_stats(
     acks: list[tuple[float, float]], window_s: float
 ) -> list[dict]:
@@ -120,23 +111,24 @@ def _window_stats(
 
 
 def _one_window(index: int, latencies: list[float], window_s: float) -> dict:
+    summary = LatencySummary.from_samples(latencies)
     return {
         "window": index,
-        "ops": len(latencies),
-        "throughput": round(len(latencies) / window_s, 2),
-        "p50_s": _percentile(latencies, 0.50),
-        "p99_s": _percentile(latencies, 0.99),
-        "p999_s": _percentile(latencies, 0.999),
+        "ops": summary.count,
+        "throughput": round(summary.count / window_s, 2),
+        "p50_s": round(summary.p50, 6),
+        "p99_s": round(summary.p99, 6),
+        "p999_s": round(summary.p999, 6),
     }
 
 
 def _summarise(acks: list[tuple[float, float]], window_s: float) -> dict:
     """Windows + the headline stability numbers derived from them."""
     windows = _window_stats(acks, window_s)
-    latencies = [latency for __, latency in acks]
+    overall = LatencySummary.from_samples([latency for __, latency in acks])
     full = [w for w in windows if w["ops"] >= MIN_WINDOW_OPS]
     worst_p999 = max((w["p999_s"] for w in full), default=None)
-    overall_p50 = _percentile(latencies, 0.50)
+    overall_p50 = round(overall.p50, 6)
     tail_ratio = None
     if worst_p999 is not None and overall_p50:
         tail_ratio = round(worst_p999 / overall_p50, 3)
@@ -144,8 +136,8 @@ def _summarise(acks: list[tuple[float, float]], window_s: float) -> dict:
         "acked_ops": len(acks),
         "duration_s": round(acks[-1][0] - acks[0][0], 4) if acks else 0.0,
         "overall_p50_s": overall_p50,
-        "overall_p99_s": _percentile(latencies, 0.99),
-        "overall_p999_s": _percentile(latencies, 0.999),
+        "overall_p99_s": round(overall.p99, 6),
+        "overall_p999_s": round(overall.p999, 6),
         "worst_window_p999_s": worst_p999,
         "tail_ratio": tail_ratio,
         "windows": windows,

@@ -260,21 +260,6 @@ def _cmd_stability_bench(args) -> int:
     )
 
 
-def _cmd_scan_bench(args) -> int:
-    from repro.bench.scan_bench import run_and_report
-
-    return run_and_report(
-        out=args.out,
-        num_scans=args.scans,
-        sim_ops=args.sim_ops,
-        live_scans=args.live_scans,
-        seed=args.seed,
-        smoke=args.smoke,
-        check=args.check,
-        max_regression=args.max_regression,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -464,43 +449,6 @@ def main(argv: list[str] | None = None) -> int:
         default=2.5,
         help="allowed tail-ratio degradation vs baseline (default 2.5)",
     )
-    scan_parser = subparsers.add_parser(
-        "scan-bench",
-        help="Reader scan benchmark: sorted view vs streaming merge",
-    )
-    scan_parser.add_argument(
-        "--out", default="BENCH_scan.json", help="output JSON path"
-    )
-    scan_parser.add_argument(
-        "--scans", type=int, default=600, help="direct-phase scan count"
-    )
-    scan_parser.add_argument(
-        "--sim-ops", type=int, default=150, help="sim-phase workload ops per run"
-    )
-    scan_parser.add_argument(
-        "--live-scans",
-        type=int,
-        default=120,
-        help="live-phase scan count (0 skips the live phase)",
-    )
-    scan_parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    scan_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrunken direct phase, live phase skipped (CI)",
-    )
-    scan_parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline BENCH_scan.json and fail on regression",
-    )
-    scan_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="allowed speedup-ratio degradation vs baseline (default 2.0)",
-    )
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -518,8 +466,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_chaos_bench(args)
     if args.command == "stability-bench":
         return _cmd_stability_bench(args)
-    if args.command == "scan-bench":
-        return _cmd_scan_bench(args)
     return _cmd_run(args.names, args.ops, args.scale)
 
 

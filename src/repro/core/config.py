@@ -65,18 +65,6 @@ class CooLSMConfig:
             results keyed by immutable sstable id, so cached entries
             never go stale; see :mod:`repro.lsm.cache`).  0 disables
             node-side caching.  Volatile state: cleared on crash.
-        wal_group_commit: When an Ingestor has a durable store attached,
-            batch concurrent WAL appends so one fsync covers many acks
-            (DESIGN.md §13).  Ack-time durability is preserved — no op
-            is acked before the fsync covering its record — only the
-            fsync count is amortised.  Off by default so store
-            attachment stays byte-identical with the sim schedule.
-        group_commit_max_batch: Entries one group-commit fsync may
-            cover; a fuller buffer flushes in several records.
-        group_commit_max_delay: Extra seconds the group-commit flusher
-            may wait for stragglers before fsyncing a non-full buffer.
-            0 flushes at the next scheduler tick (pure coalescing of
-            already-concurrent appends, no added latency).
         compaction_policy: Which :mod:`repro.lsm.policy` strategy the
             Ingestors and Compactors dispatch compactions through.
             ``"leveling"`` (the paper's hybrid: tiering L0->L1, leveled
@@ -102,16 +90,6 @@ class CooLSMConfig:
         flow_max_delay: Delay, seconds, one admitted write pays when
             debt reaches ``flow_stall_debt`` (scales linearly from 0 at
             ``flow_slowdown_debt``).
-        sorted_view: Serve Reader range queries from a REMIX-style
-            persisted sorted view over the per-Compactor areas
-            (:mod:`repro.lsm.sortedview`), incrementally rebuilt on each
-            ``BackupUpdate`` install.  Off by default: the streaming
-            k-way merge stays the byte-identical historical path, and
-            every view-backed scan is required (and tested) to be
-            bit-identical to it.
-        sorted_view_segment_entries: Anchors per sorted-view segment —
-            the granularity at which an install invalidates and a
-            rebuild reuses view pieces.
         costs: The compute cost model.
     """
 
@@ -132,16 +110,11 @@ class CooLSMConfig:
     client_timeout: float | None = None
     client_retry_budget: int = 4
     read_cache_capacity: int = 4_096
-    wal_group_commit: bool = False
-    group_commit_max_batch: int = 256
-    group_commit_max_delay: float = 0.0
     compaction_policy: str = "leveling"
     flow_control: bool = False
     flow_slowdown_debt: float = 1.5
     flow_stall_debt: float = 2.5
     flow_max_delay: float = 0.01
-    sorted_view: bool = False
-    sorted_view_segment_entries: int = 256
     costs: CostModel = DEFAULT_COSTS
 
     def __post_init__(self) -> None:
@@ -169,10 +142,6 @@ class CooLSMConfig:
             raise InvalidConfigError("client_timeout must be positive")
         if self.read_cache_capacity < 0:
             raise InvalidConfigError("read_cache_capacity must be non-negative")
-        if self.group_commit_max_batch <= 0:
-            raise InvalidConfigError("group_commit_max_batch must be positive")
-        if self.group_commit_max_delay < 0:
-            raise InvalidConfigError("group_commit_max_delay must be non-negative")
         from repro.lsm.policy import normalize_policy_name
 
         normalize_policy_name(self.compaction_policy)  # raises if unknown
@@ -182,10 +151,6 @@ class CooLSMConfig:
             raise InvalidConfigError("flow_stall_debt must exceed flow_slowdown_debt")
         if self.flow_max_delay < 0:
             raise InvalidConfigError("flow_max_delay must be non-negative")
-        if self.sorted_view_segment_entries <= 0:
-            raise InvalidConfigError(
-                "sorted_view_segment_entries must be positive"
-            )
 
     @property
     def request_timeout(self) -> float:

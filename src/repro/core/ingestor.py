@@ -67,14 +67,20 @@ from .messages import (
 from .shard import ShardMap, WrongShardError
 
 
+#: Entries one group-commit WAL record may cover; a fuller buffer is
+#: written as several records, one per successive leader.
+MAX_RECORD_ENTRIES = 256
+
+#: Value a parked follower is woken with when leadership passes to it.
+_LEAD = object()
+
+
 @dataclass(slots=True)
 class IngestorStats:
     """Counters and timings exposed for the evaluation harness."""
 
     upserts: int = 0
     batch_upserts: int = 0
-    group_commits: int = 0
-    group_commit_entries: int = 0
     reads: int = 0
     flushes: int = 0
     minor_compactions: int = 0
@@ -174,18 +180,17 @@ class Ingestor(RpcNode):
         # simulation this in-memory list *models* the WAL — durable
         # state is everything except the memtable, and recovery replays
         # it.  With a NodeStore attached the same entries are also in a
-        # real fsynced write-ahead log before every ack.
+        # real fsynced write-ahead log (or a persisted L0 table) before
+        # every ack.
         self._unflushed: list[Entry] = []
         # Optional durable storage (live runtime); None under the
         # simulator, where all persistence stays modelled.
         self._store = None
-        # WAL group commit (config.wal_group_commit): pending
-        # (entries, ack-event) groups awaiting the shared fsync, the
-        # total entry count buffered, and the single flusher's state.
+        # WAL group commit: (entries, waiter) groups not yet in a WAL
+        # record, oldest first.  The head group's handler is the leader
+        # (its waiter is None until leadership is handed to it); a
+        # non-empty buffer therefore means "a leader exists".
         self._gc_buffer: list = []
-        self._gc_buffered = 0
-        self._gc_flusher_active = False
-        self._gc_wake = None
         # Highest timestamp this node ever stamped: persisted so a
         # restarted process (whose kernel clock restarts at zero) keeps
         # issuing strictly newer timestamps.
@@ -253,8 +258,6 @@ class Ingestor(RpcNode):
             "forward_retries": self.stats.forward_retries,
             "forward_failovers": self.stats.forward_failovers,
             "batch_upserts": self.stats.batch_upserts,
-            "wal_group_commits": self.stats.group_commits,
-            "wal_group_commit_entries": self.stats.group_commit_entries,
             "flow_control": int(self.config.flow_control),
             "compaction_stall_time": round(self.stats.stall_time, 6),
         }
@@ -302,25 +305,26 @@ class Ingestor(RpcNode):
             yield from self._admit_write()
         yield from self.compute(self.config.costs.upsert_cpu)
         entry = self._stamp(request)
-        # Log-then-ack: the reply below is only sent once the entry is
-        # fsynced, so "acked" means "survives SIGKILL".  Under group
-        # commit the wait parks this handler until the shared fsync
-        # covering its record completes.
-        yield from self._log_durable([entry])
         self.stats.upserts += 1
         if self._memtable.is_full():
             # The batch is full: this request pays for the flush (and any
             # cascading minor compaction + forwarding stall) — the
-            # occasional slow writes of Table II.
+            # occasional slow writes of Table II.  Flushing right after
+            # the stamp, not after the durability wait, keeps what one
+            # L0 table holds independent of how handlers group below.
             yield from self._flush_and_compact()
+        # Durable-then-ack: the reply below is only sent once the fsync
+        # covering the entry's WAL record (or the L0 table it was just
+        # flushed into) completes, so "acked" means "survives SIGKILL".
+        yield from self._log_durable([entry])
         return UpsertReply(entry.timestamp, entry.seqno)
 
     def _handle_upsert_batch(self, src: str, request: UpsertBatchRequest):
         """Apply a whole client batch with one durability wait.
 
-        Ops are stamped and applied in order; with WAL group commit one
-        fsync (shared with any concurrent batches) covers every ack in
-        the reply, which is what makes the pipelined write path cheap.
+        Ops are stamped and applied in order; one fsync (shared with any
+        concurrent batches) covers every ack in the reply, which is what
+        makes the pipelined write path cheap.
         Externally equivalent to the same ops sent one at a time.
         """
         if not request.ops:
@@ -336,13 +340,13 @@ class Ingestor(RpcNode):
             yield from self._admit_write()
         yield from self.compute(len(request.ops) * self.config.costs.upsert_cpu)
         entries = [self._stamp(op) for op in request.ops]
-        yield from self._log_durable(entries)
         self.stats.upserts += len(entries)
         self.stats.batch_upserts += 1
         if self._memtable.is_full():
             # The memtable tolerates overshoot, so the whole batch lands
             # in one generation and pays for at most one flush.
             yield from self._flush_and_compact()
+        yield from self._log_durable(entries)
         return UpsertBatchReply(
             tuple(UpsertReply(e.timestamp, e.seqno) for e in entries)
         )
@@ -362,82 +366,49 @@ class Ingestor(RpcNode):
         """Make ``entries`` durable (WAL) before the caller acks.
 
         Without a store this is a no-op *with zero yields*, so the sim
-        schedule is untouched.  Without ``wal_group_commit`` it is the
-        synchronous log-then-ack path: one fsynced record per call.
-        With group commit the entries join the shared buffer and the
-        caller parks until the flusher's fsync covers them — one fsync
-        then acks every handler that contributed to the buffer.
+        schedule is untouched; so it is for entries a flush has already
+        put in a persisted L0 table (the WAL floor is past them and
+        recovery would skip their record).  Otherwise handlers share
+        fsyncs leader/follower style: the first handler into an empty
+        buffer is the leader — it waits one scheduler tick so everything
+        already runnable can pile on (no added latency beyond the tick),
+        then writes whole groups (a handler's entries are never split
+        across records) up to :data:`MAX_RECORD_ENTRIES` as ONE fsynced
+        record and wakes the handlers it covered.  Later arrivals park
+        as followers; groups the record had no room for stay buffered
+        and the oldest of them is handed leadership.  A handler that is
+        alone spawns nothing and parks on nothing.
         """
-        if self._store is None:
+        if self._store is None or entries[-1].seqno <= self._store.wal_floor:
             return
-        if not self.config.wal_group_commit:
-            self._store.log_entries(entries)
-            return
-        waiter = self.kernel.event()
-        self._gc_buffer.append((entries, waiter))
-        self._gc_buffered += len(entries)
-        if not self._gc_flusher_active:
-            self._gc_flusher_active = True
-            self.kernel.spawn(self._group_commit_loop(), f"{self.name}.group-commit")
-        elif (
-            self._gc_wake is not None
-            and not self._gc_wake.triggered
-            and self._gc_buffered >= self.config.group_commit_max_batch
-        ):
-            self._gc_wake.succeed()  # full buffer: cut the delay short
-        yield waiter
-
-    def _group_commit_loop(self):
-        """The single group-commit flusher.
-
-        Spawned lazily by the first buffered append and exits once the
-        buffer drains (a later append spawns a fresh one).  Each round
-        waits one scheduler tick (plus up to ``group_commit_max_delay``
-        while the buffer is short) so concurrent handlers can pile on,
-        then writes up to ``group_commit_max_batch`` entries as ONE
-        fsynced WAL record and wakes every handler it covered.
-        """
+        buffer = self._gc_buffer
+        if buffer:
+            waiter = self.kernel.event()
+            buffer.append((entries, waiter))
+            if (yield waiter) is not _LEAD:
+                return  # a leader's record covered these entries
+        else:
+            buffer.append((entries, None))
+            yield self.kernel.timeout(0.0)
+        # Leading: this handler's group is the buffer's head, so the
+        # record always holds at least it — oversized batches still flush.
+        groups = [buffer.pop(0)]
+        taken = len(entries)
+        while buffer and taken + len(buffer[0][0]) <= MAX_RECORD_ENTRIES:
+            groups.append(buffer.pop(0))
+            taken += len(groups[-1][0])
         try:
-            while self._gc_buffer:
-                delay = self.config.group_commit_max_delay
-                if delay > 0 and self._gc_buffered < self.config.group_commit_max_batch:
-                    self._gc_wake = self.kernel.event()
-                    yield self.kernel.any_of(
-                        [self._gc_wake, self.kernel.timeout(delay)]
-                    )
-                    self._gc_wake = None
-                else:
-                    # One tick: everything already runnable gets to
-                    # append before the fsync, at no added latency.
-                    yield self.kernel.timeout(0.0)
-                while self._gc_buffer:
-                    # Take whole groups (a handler's entries are never
-                    # split across fsyncs) up to max_batch — always at
-                    # least one group, so oversized batches still flush.
-                    groups = [self._gc_buffer.pop(0)]
-                    taken = len(groups[0][0])
-                    while (
-                        self._gc_buffer
-                        and taken + len(self._gc_buffer[0][0])
-                        <= self.config.group_commit_max_batch
-                    ):
-                        group = self._gc_buffer.pop(0)
-                        groups.append(group)
-                        taken += len(group[0])
-                    self._gc_buffered -= taken
-                    record = [e for entries, __ in groups for e in entries]
-                    try:
-                        self._store.log_entries(record)
-                    except Exception as error:
-                        for __, waiter in groups:
-                            waiter.fail(error)
-                        raise
-                    self.stats.group_commits += 1
-                    self.stats.group_commit_entries += taken
-                    for __, waiter in groups:
-                        waiter.succeed()
+            self._store.log_entries([e for group, __ in groups for e in group])
+        except Exception as error:
+            for __, waiter in groups[1:]:
+                waiter.fail(error)
+            raise
+        else:
+            for __, waiter in groups[1:]:
+                waiter.succeed()
         finally:
-            self._gc_flusher_active = False
+            if buffer:
+                buffer[0][1].succeed(_LEAD)
 
     def _flush_and_compact(self):
         yield self._compact_lock.request()

@@ -38,8 +38,8 @@ class UpsertBatchRequest:
     """Client -> Ingestor: many upserts in one wire message.
 
     The pipelined write path coalesces concurrent client ops into one
-    batch so a single RPC (and, with WAL group commit, a single fsync)
-    covers all of them.  Ops are applied in order; each gets its own
+    batch so a single RPC (and, on a durable node, a single group-commit
+    fsync) covers all of them.  Ops are applied in order; each gets its own
     stamped reply so the batch is externally equivalent to sending the
     same :class:`UpsertRequest` sequence back to back.
     """

@@ -121,7 +121,6 @@ class ClusterMonitor:
         for reader in self.cluster.readers:
             timeline.add(now, reader.name, "entries", reader.manifest.total_entries())
             self._sample_cache(now, reader)
-            self._sample_view(now, reader)
         for node in (
             *self.cluster.ingestors,
             *self.cluster.compactors,
@@ -164,19 +163,6 @@ class ClusterMonitor:
         timeline.add(now, node.name, "cache_hit_rate", stats.hit_rate)
         timeline.add(now, node.name, "bloom_probes", stats.bloom_probes)
         timeline.add(now, node.name, "bloom_negatives", stats.bloom_negatives)
-        timeline.add(now, node.name, "block_range_hits", stats.block_range_hits)
-        timeline.add(now, node.name, "block_range_misses", stats.block_range_misses)
-
-    def _sample_view(self, now: float, node) -> None:
-        """Sorted-view gauges for Readers running with
-        ``config.sorted_view`` (DESIGN.md §19): segment count, rebuild
-        and reuse counters, recovery invalidations."""
-        manager = getattr(node, "view_mgr", None)
-        if manager is None:
-            return
-        timeline = self.timeline
-        for gauge, value in manager.gauges().items():
-            timeline.add(now, node.name, gauge, value)
 
     def _sample_transport(self, now: float, node) -> None:
         """TCP transport gauges (live runtime only — the sim fabric has

@@ -30,10 +30,8 @@ from typing import Iterable
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry
-from repro.lsm.errors import CorruptionError
 from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.manifest import LevelEdit, Manifest
-from repro.lsm.sortedview import SortedView, SortedViewManager
 from repro.lsm.sstable import SSTable
 from repro.sim.rpc import RemoteError, RpcNode, RpcTimeout
 
@@ -49,9 +47,6 @@ from .messages import (
 )
 
 _L2, _L3 = 0, 1
-
-#: NodeStore sidecar holding the persisted sorted view (DESIGN.md §19).
-SORTED_VIEW_NAME = "SORTED_VIEW.json"
 
 
 @dataclass(slots=True)
@@ -138,15 +133,6 @@ class Reader(RpcNode):
         # Optional durable storage (live runtime); None under the
         # simulator, where persistence stays modelled.
         self._store = None
-        # REMIX-style sorted view over the areas (repro.lsm.sortedview):
-        # refreshed synchronously inside every install, so between
-        # installs scans serve from it lock-free.  None when the flag is
-        # off — the streaming merge below stays the only path.
-        self.view_mgr: SortedViewManager | None = (
-            SortedViewManager(config.sorted_view_segment_entries)
-            if config.sorted_view
-            else None
-        )
         self.on("backup_update", self._handle_backup_update)
         self.on("ingestor_update", self._handle_ingestor_update)
         self.on("read", self._handle_read)
@@ -173,15 +159,12 @@ class Reader(RpcNode):
         return self.manifest.level(_L3)
 
     def health_gauges(self) -> dict:
-        gauges = {
+        return {
             "areas": len(self._areas),
             "gaps_detected": self.stats.gaps_detected,
             "catchups": self.stats.catchups,
             "updates_received": self.stats.updates_received,
         }
-        if self.view_mgr is not None:
-            gauges.update(self.view_mgr.gauges())
-        return gauges
 
     # ------------------------------------------------------------------
     # Update path
@@ -246,7 +229,6 @@ class Reader(RpcNode):
             ]
             edit.remove(_L2, moved_down)
         area.apply(edit)
-        self._refresh_view()
         if update.seq is not None:
             self._applied_seq[update.compactor] = update.seq
         if self._store is not None:
@@ -294,7 +276,6 @@ class Reader(RpcNode):
                 edit.add(_L3, list(snapshot.l3))
             area.apply(edit)
             self._areas[source] = area
-            self._refresh_view()
             self._next_seq[source] = snapshot.seq + 1
             self._applied_seq[source] = snapshot.seq
             if self._store is not None:
@@ -342,14 +323,6 @@ class Reader(RpcNode):
             "applied_seq": dict(self._applied_seq),
         }
         self._store.commit(tables.values(), state)
-        # The sorted view rides along as a sidecar.  Written *after* the
-        # manifest commit, so a crash between the two leaves a sidecar
-        # whose source set no longer matches the recovered areas —
-        # recovery validates and rebuilds (refuse-and-rebuild).
-        if self.view_mgr is not None and self.view_mgr.view is not None:
-            self._store.save_sidecar(
-                SORTED_VIEW_NAME, self.view_mgr.view.to_document()
-            )
 
     def attach_store(self, store) -> None:
         """Attach a :class:`~repro.store.node_store.NodeStore`,
@@ -381,55 +354,19 @@ class Reader(RpcNode):
         self._next_seq = {
             source: seq + 1 for source, seq in self._applied_seq.items()
         }
-        if self.view_mgr is not None:
-            self._restore_view(store)
         self.resync()
-
-    def _restore_view(self, store) -> None:
-        """Revive the persisted sorted view, or refuse and rebuild.
-
-        A sidecar is only adopted if every anchor resolves into the
-        recovered tables and its source table-id set matches the
-        recovered areas exactly — a crash landing between the manifest
-        commit and the sidecar write (or a partially-applied install)
-        fails that check, in which case the stale sidecar is deleted and
-        the view rebuilt from the recovered areas, mirroring the
-        manifest's :class:`CorruptionError` refuse-don't-guess rule.
-        """
-        runs = self._scan_runs()
-        document = store.load_sidecar(SORTED_VIEW_NAME)
-        if document is not None:
-            try:
-                view = SortedView.from_document(
-                    document,
-                    {t.table_id: t for t in runs},
-                    self.view_mgr.segment_entries,
-                )
-            except CorruptionError:
-                store.remove_sidecar(SORTED_VIEW_NAME)
-                self.view_mgr.invalidations += 1
-            else:
-                self.view_mgr.adopt(view, runs)
-                return
-        self.view_mgr.refresh(runs)
-        store.save_sidecar(SORTED_VIEW_NAME, self.view_mgr.view.to_document())
 
     def crash(self) -> None:
         """Fail-stop.  The read cache models volatile memory and is
-        wiped, and the in-memory sorted view is torn down with it; the
-        installed areas survive (durable snapshot state)."""
+        wiped; the installed areas survive (durable snapshot state)."""
         super().crash()
         if self.read_cache is not None:
             self.read_cache.clear()
-        if self.view_mgr is not None:
-            self.view_mgr.teardown()
 
     def recover(self) -> None:
         """Restart after a crash: updates cast while down were lost, so
-        proactively resynchronise every source area.  The sorted view is
-        rebuilt from scratch over the surviving areas (it was volatile)."""
+        proactively resynchronise every source area."""
         super().recover()
-        self._refresh_view()
         self.resync()
 
     def _handle_ingestor_update(self, src: str, update: IngestorL1Update):
@@ -505,77 +442,22 @@ class Reader(RpcNode):
         self, lo: bytes, hi: bytes, limit: int | None = None
     ) -> list[tuple[bytes, bytes]]:
         """The range-read engine behind the RPC handler (synchronous —
-        the handler charges the modelled compute around it; the scan
-        bench wall-clocks it directly).  Dispatches to the sorted view
-        when one is standing, else the streaming merge; both are
-        required to be bit-identical."""
-        if self.view_mgr is not None and self.view_mgr.ready:
-            return self._view_scan(lo, hi, limit)
-        return self._streaming_scan(lo, hi, limit)
-
-    def _streaming_scan(
-        self, lo: bytes, hi: bytes, limit: int | None
-    ) -> list[tuple[bytes, bytes]]:
-        """The historical path: a k-way merge over lazy per-table
-        cursors.  Each area's fence index prunes the tables outside
-        [lo, hi), and nothing is materialised, so a limited query stops
-        after O(limit) merged entries.  Areas are overlap-tolerant, so
-        tables stay separate merge streams."""
+        the handler charges the modelled compute around it): a k-way
+        merge over lazy per-table cursors.  Each area's fence index
+        prunes the tables outside [lo, hi), and nothing is materialised,
+        so a limited query stops after O(limit) merged entries.  Areas
+        are overlap-tolerant, so tables stay separate merge streams."""
         fresh_tables = [t for run in self.fresh_area.values() for t in run]
         sources = [t.scan(lo, hi) for t in fresh_tables]
         for area in self._areas.values():
             for level in (_L2, _L3):
                 for table in area.tables_for_range(level, lo, hi):
                     sources.append(table.scan(lo, hi))
-        return self._collect_pairs(dedup_newest(k_way_merge(sources)), limit)
-
-    def _view_scan(
-        self, lo: bytes, hi: bytes, limit: int | None
-    ) -> list[tuple[bytes, bytes]]:
-        """Serve the areas' share of the scan from the sorted view: one
-        segment bisect and a forward anchor walk, resolved through the
-        block-range cache.  The fresh area (Ingestor L1 snapshots) is
-        not part of the view; its tables merge in front of the view
-        stream — fresh streams listed first, like the streaming path, so
-        exact-version ties resolve identically."""
-        fresh_tables = [t for run in self.fresh_area.values() for t in run]
-        view_stream = self.view_mgr.scan(lo, hi, self.read_cache)
-        if fresh_tables:
-            sources: list = [t.scan(lo, hi) for t in fresh_tables]
-            sources.append(view_stream)
-            stream = dedup_newest(k_way_merge(sources))
-        else:
-            stream = view_stream  # already one winner per key
-        return self._collect_pairs(stream, limit)
-
-    @staticmethod
-    def _collect_pairs(stream, limit: int | None) -> list[tuple[bytes, bytes]]:
         pairs: list[tuple[bytes, bytes]] = []
-        for entry in stream:
+        for entry in dedup_newest(k_way_merge(sources)):
             if entry.tombstone:
                 continue
             pairs.append((entry.key, entry.value))
             if limit is not None and len(pairs) >= limit:
                 break
         return pairs
-
-    # ------------------------------------------------------------------
-    # Sorted view plumbing
-    # ------------------------------------------------------------------
-    def _scan_runs(self) -> list[SSTable]:
-        """Every area table, in exactly the order `_streaming_scan`
-        enumerates its merge streams — the order that fixes
-        exact-version tie-breaks, so the view anchors the same winners."""
-        runs: list[SSTable] = []
-        for area in self._areas.values():
-            for level in (_L2, _L3):
-                runs.extend(area.tables_for_range(level, None, None))
-        return runs
-
-    def _refresh_view(self) -> None:
-        """Rebuild the sorted view over the current areas (incremental
-        when one is standing).  Synchronous — called inside the install
-        step after ``area.apply``, so cooperative scheduling never lets
-        a scan observe a view/area mismatch."""
-        if self.view_mgr is not None:
-            self.view_mgr.refresh(self._scan_runs())

@@ -11,7 +11,6 @@ from .amplification import (
     AmplificationReport,
     measure_cluster,
     measure_lsm_tree,
-    measure_tiered_tree,
 )
 from .bloom import BloomFilter
 from .cache import MISS, CacheStats, ReadCache
@@ -45,7 +44,6 @@ from .iterators import (
 )
 from .manifest import LevelEdit, LevelFenceIndex, Manifest
 from .memtable import Memtable, SkipList
-from .sortedview import SortedView, SortedViewManager, ViewSegment
 from .sstable import SSTable, sort_run
 from .sstable_io import SSTableReader, read_sstable, write_sstable
 from .tree import CompactionEvent, LSMConfig, LSMTree, Snapshot, TreeStats
@@ -93,10 +91,7 @@ __all__ = [
     "SSTableReader",
     "SkipList",
     "Snapshot",
-    "SortedView",
-    "SortedViewManager",
     "TreeStats",
-    "ViewSegment",
     "TuningComparison",
     "WriteAheadLog",
     "bloom_false_positive_rate",
@@ -115,7 +110,6 @@ __all__ = [
     "make_upsert",
     "measure_cluster",
     "measure_lsm_tree",
-    "measure_tiered_tree",
     "merge_tables",
     "minor_compaction",
     "optimal_bloom_allocation",

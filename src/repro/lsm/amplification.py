@@ -10,9 +10,9 @@ compaction ... suffers from space amplification", "leveled compaction
   (obsolete versions and tombstones are the overhead).
 * **read amplification** — sstables a point lookup may touch.
 
-Works over both the leveled :class:`~repro.lsm.tree.LSMTree` and the
-universal :class:`~repro.baselines.tiered.TieredTree`, and over CooLSM
-deployments (aggregate across Ingestors and Compactors).
+Works over an :class:`~repro.lsm.tree.LSMTree` under any compaction
+policy (``"leveling"`` vs ``"tiering"`` is the comparison above), and
+over CooLSM deployments (aggregate across Ingestors and Compactors).
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class AmplificationReport:
 
 
 def measure_lsm_tree(tree) -> AmplificationReport:
-    """Amplification of a (leveled) :class:`~repro.lsm.tree.LSMTree`."""
+    """Amplification of an :class:`~repro.lsm.tree.LSMTree`, whatever
+    its compaction policy."""
     stats = tree.stats
     entries_flushed = stats.flushes * tree.config.memtable_entries
     entries_rewritten = sum(e.stats.entries_out for e in stats.compactions)
@@ -73,21 +74,6 @@ def measure_lsm_tree(tree) -> AmplificationReport:
         entries_stored=entries_stored,
         live_keys=live_keys,
         max_tables_probed=max_probed,
-    )
-
-
-def measure_tiered_tree(tree) -> AmplificationReport:
-    """Amplification of a universal :class:`~repro.baselines.tiered.TieredTree`."""
-    stats = tree.stats
-    entries_flushed = stats.flushes * tree.config.memtable_entries
-    entries_rewritten = sum(e.stats.entries_out for e in stats.compactions)
-    return AmplificationReport(
-        user_entries=stats.puts,
-        entries_flushed=entries_flushed,
-        entries_rewritten=entries_rewritten,
-        entries_stored=tree.total_entries(),
-        live_keys=tree.live_keys(),
-        max_tables_probed=len(tree.runs),
     )
 
 

@@ -44,7 +44,6 @@ MISS = object()
 #: Cache-key namespaces.
 ROW = "row"
 BLOCK = "block"
-BLOCK_RANGE = "brange"
 
 
 @dataclass(slots=True)
@@ -65,11 +64,6 @@ class CacheStats:
     evictions: int = 0
     bloom_probes: int = 0
     bloom_negatives: int = 0
-    #: Block-range lookups (sorted-view scans), counted separately so
-    #: the scan bench and monitor can tell span reuse from row traffic;
-    #: these lookups also count into the generic hits/misses above.
-    block_range_hits: int = 0
-    block_range_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -88,8 +82,6 @@ class CacheStats:
         self.evictions = 0
         self.bloom_probes = 0
         self.bloom_negatives = 0
-        self.block_range_hits = 0
-        self.block_range_misses = 0
 
 
 class ReadCache:
@@ -205,20 +197,3 @@ class ReadCache:
 
     def put_block(self, table_id: int, block_index: int, entries: list) -> None:
         self.put((BLOCK, table_id, block_index), entries)
-
-    def get_block_range(self, table_id: int, block_range: tuple[int, int]):
-        """Cached contiguous block span ``(first_block, last_block)`` of
-        one table — the sorted view's per-(segment, table) fetch unit —
-        or MISS.  Immutability keeps span entries permanently valid, same
-        as rows and single blocks."""
-        value = self.get((BLOCK_RANGE, table_id, block_range))
-        if value is MISS:
-            self.stats.block_range_misses += 1
-        else:
-            self.stats.block_range_hits += 1
-        return value
-
-    def put_block_range(
-        self, table_id: int, block_range: tuple[int, int], entries: list
-    ) -> None:
-        self.put((BLOCK_RANGE, table_id, block_range), entries)

@@ -1,59 +1,23 @@
-"""REMIX-style cross-run sorted views (arXiv:2010.12734) for Readers.
+"""A REMIX-style sorted view (arXiv:2010.12734) over immutable runs.
 
-A Reader's snapshot is a set of immutable sorted runs (per-Compactor
-areas, two overlap-tolerant levels each).  The streaming read path
-answers every range query with a k-way merge over per-table cursors:
-correct, lazy, but each short scan re-pays cursor priming, heap
-shuffling, and per-key dedup over the same never-changing runs.  REMIX's
-observation is that between run-set changes this work is pure
-recomputation — a *persisted globally-sorted view* over the runs lets a
-scan binary-search once and walk forward, touching only winners.
+**Leftover, kept for one caller.**  Readers once served range queries
+from this structure behind a config flag.  Measured end to end
+it lost: the merge it saves is ~100 µs of a 1.07 ms scan round trip,
+while every ``BackupUpdate`` install paid a view refresh (DESIGN.md
+§19), so the Reader integration, incremental rebuild, persistence and
+block-range caching were removed.  What remains is exactly what
+``benchmarks/e2e/layers.py`` imports and times at module scope —
+:meth:`SortedView.build` and :meth:`SortedView.scan` — because that
+directory is frozen for non-benchmark PRs.  A later ``benchmark`` PR
+that drops the two ``lsm.sortedview.*`` rows can delete this module.
 
-:class:`SortedView` is that structure, adapted to CooLSM's Reader:
-
-* The view is a list of :class:`ViewSegment`\\ s, each a bounded run of
-  ``(key, table_id, offset)`` anchors — one per distinct key, pointing
-  at the entry a streaming merge would have yielded for that key (the
-  globally newest version, ties broken by stream order).  Tombstone
-  winners are anchored too: the view must *shadow* older live versions,
-  so filtering deletes is scan-time work, exactly as in the streaming
-  path.
-* Segments carry fence keys (``lo``/``hi``, the first and last anchored
-  key) and the set of tables they reference, so a scan bisects straight
-  to its entry point and an install invalidates only the segments it
-  actually touches.
-* :meth:`SortedView.rebuild` is the incremental path run on every
-  ``BackupUpdate`` install: a segment is reused verbatim iff it
-  references only still-live tables and its key span intersects no
-  newly added table's span; the gaps between kept segments are re-merged
-  from the new run set.  Both conditions are necessary — a dropped
-  table can only change winners for keys it anchored (caught by the
-  reference check), and a new table can only change winners inside its
-  own key span (caught by the span check).
-* :meth:`SortedView.to_document` / :meth:`SortedView.from_document`
-  serialise the view for the Reader's ``NodeStore`` sidecar;
-  ``from_document`` *refuses* (raises
-  :class:`~repro.lsm.errors.CorruptionError`) unless every anchor
-  resolves into the recovered tables and the source table-id set matches
-  exactly — recovery then deletes the sidecar and rebuilds, mirroring
-  the manifest's refuse-don't-guess rule.
-
-Scans resolve anchors through the shared
-:class:`~repro.lsm.cache.ReadCache` as *block-range* entries: per
-segment and table, the contiguous block span covering that segment's
-anchors is fetched (and cached) as one unit, so a re-scan of a warm
-segment does one cache hit per (segment, table) instead of one entry
-probe per key.
-
-Bit-identity with the streaming path is a hard requirement, not an
-aspiration: the view is built with exactly
-:func:`~repro.lsm.iterators.k_way_merge`'s ordering — ``(key,
--timestamp, -seqno, stream index)`` — over the runs enumerated in the
-same order the Reader lists its merge sources, so the anchored winner is
-the entry the streaming merge's dedup would keep.  (When two live
-tables hold byte-equal copies of one version — the L2→L3 overlap window
-— a rebuild may re-anchor to the other copy; both carry the same key
-and value, so scan output is unaffected.)
+The view is a list of :class:`ViewSegment`\\ s, each a bounded run of
+``(key, table_id, offset)`` anchors — one per distinct key, pointing at
+the entry ``dedup_newest(k_way_merge(...))`` would have yielded for that
+key (the globally newest version, ties broken by stream order).
+Tombstone winners are anchored too, so a scan shadows older live
+versions exactly as the streaming merge does.  A scan bisects the
+segment fence keys once and walks anchors forward.
 """
 
 from __future__ import annotations
@@ -63,26 +27,16 @@ import heapq
 import itertools
 from typing import Iterable, Iterator
 
-from .cache import MISS, ReadCache
 from .entry import Entry
-from .errors import CorruptionError, InvalidConfigError
 from .sstable import SSTable
 
-#: Anchors per segment (rebuild/invalidate granularity).  Segments cut
-#: from a gap re-merge may be smaller; reused segments keep their size.
-DEFAULT_SEGMENT_ENTRIES = 256
-
-#: On-disk sidecar format version.
-SIDECAR_FORMAT = 1
+#: Anchors per segment.
+SEGMENT_ENTRIES = 256
 
 
-def _merge_winners(
-    runs: list[SSTable],
-    lo: bytes | None = None,
-    hi: bytes | None = None,
-) -> Iterator[tuple[Entry, int, int]]:
-    """Yield ``(entry, table_id, offset)`` for the newest version of
-    each distinct key in ``[lo, hi)`` across ``runs``.
+def _merge_winners(runs: list[SSTable]) -> Iterator[tuple[bytes, int, int]]:
+    """Yield the ``(key, table_id, offset)`` anchor of the newest
+    version of each distinct key across ``runs``.
 
     The heap ordering replicates :func:`~repro.lsm.iterators.k_way_merge`
     exactly — key ascending, version descending, then stream index (so
@@ -91,233 +45,85 @@ def _merge_winners(
     """
     heap: list = []
     for index, table in enumerate(runs):
-        if lo is not None and table.max_key < lo:
-            continue
-        if hi is not None and table.min_key >= hi:
-            continue
-        iterator = table.scan_with_offsets(lo, hi)
+        iterator = enumerate(table.entries)
         first = next(iterator, None)
         if first is not None:
             offset, entry = first
             heap.append(
-                (
-                    entry.key,
-                    -entry.timestamp,
-                    -entry.seqno,
-                    index,
-                    offset,
-                    entry,
-                    table.table_id,
-                    iterator,
-                )
+                (entry.key, -entry.timestamp, -entry.seqno, index, offset,
+                 table.table_id, iterator)
             )
     heapq.heapify(heap)
     last_key: bytes | None = None
     while heap:
-        key, __, __, index, offset, entry, table_id, iterator = heapq.heappop(heap)
+        key, __, __, index, offset, table_id, iterator = heapq.heappop(heap)
         if key != last_key:
-            yield entry, table_id, offset
+            yield key, table_id, offset
             last_key = key
         nxt = next(iterator, None)
         if nxt is not None:
-            next_offset, next_entry = nxt
+            offset, entry = nxt
             heapq.heappush(
                 heap,
-                (
-                    next_entry.key,
-                    -next_entry.timestamp,
-                    -next_entry.seqno,
-                    index,
-                    next_offset,
-                    next_entry,
-                    table_id,
-                    iterator,
-                ),
+                (entry.key, -entry.timestamp, -entry.seqno, index, offset,
+                 table_id, iterator),
             )
 
 
 def _cut_segments(
-    winners: Iterable[tuple[Entry, int, int]], segment_entries: int
+    anchors: Iterable[tuple[bytes, int, int]]
 ) -> Iterator["ViewSegment"]:
-    """Chunk a winner stream into segments of ``segment_entries`` anchors
+    """Chunk an anchor stream into segments of ``SEGMENT_ENTRIES``
     (one anchor per key, so segments never split a key)."""
-    pointers: list[tuple[bytes, int, int]] = []
-    for entry, table_id, offset in winners:
-        pointers.append((entry.key, table_id, offset))
-        if len(pointers) >= segment_entries:
-            yield ViewSegment(pointers)
-            pointers = []
-    if pointers:
+    anchors = iter(anchors)
+    while pointers := list(itertools.islice(anchors, SEGMENT_ENTRIES)):
         yield ViewSegment(pointers)
 
 
 class ViewSegment:
-    """A bounded, immutable run of ``(key, table_id, offset)`` anchors.
+    """A bounded, immutable, non-empty run of ``(key, table_id,
+    offset)`` anchors; ``lo`` / ``hi`` are its fence keys (first and
+    last anchored key, both inclusive)."""
 
-    ``lo`` / ``hi`` are the segment's fence keys (first and last
-    anchored key, both inclusive); ``source_ids`` the tables any anchor
-    references — the two facts the incremental rebuild's reuse test
-    needs.
-    """
-
-    __slots__ = ("pointers", "lo", "hi", "source_ids", "_keys", "_spans")
+    __slots__ = ("pointers", "lo", "hi", "_keys")
 
     def __init__(self, pointers: list[tuple[bytes, int, int]]) -> None:
-        if not pointers:
-            raise InvalidConfigError("a view segment must hold at least one anchor")
         self.pointers = pointers
         self.lo = pointers[0][0]
         self.hi = pointers[-1][0]
-        self.source_ids = frozenset(table_id for __, table_id, __ in pointers)
         self._keys = [key for key, __, __ in pointers]
-        self._spans: dict[int, tuple[int, int]] | None = None
-
-    def __len__(self) -> int:
-        return len(self.pointers)
-
-    def block_spans(self, tables: dict[int, SSTable]) -> dict[int, tuple[int, int]]:
-        """Per referenced table, the contiguous ``(first_block,
-        last_block)`` span covering this segment's anchors — the unit the
-        block-range cache stores."""
-        if self._spans is None:
-            offsets: dict[int, tuple[int, int]] = {}
-            for __, table_id, offset in self.pointers:
-                current = offsets.get(table_id)
-                if current is None:
-                    offsets[table_id] = (offset, offset)
-                else:
-                    offsets[table_id] = (
-                        min(current[0], offset),
-                        max(current[1], offset),
-                    )
-            self._spans = {
-                table_id: (first // tables[table_id].block_entries,
-                           last // tables[table_id].block_entries)
-                for table_id, (first, last) in offsets.items()
-            }
-        return self._spans
 
     def resolve(
-        self,
-        lo: bytes | None,
-        hi: bytes | None,
-        tables: dict[int, SSTable],
-        cache: ReadCache | None = None,
+        self, lo: bytes | None, hi: bytes | None, tables: dict[int, SSTable]
     ) -> Iterator[Entry]:
-        """Yield the anchored entries with lo <= key < hi.
-
-        With a cache, anchors are resolved through block-range entries:
-        one fetch per (segment, table) covers every anchor into that
-        table, and a warm re-scan touches no sstable at all.
-        """
+        """Yield the anchored entries with lo <= key < hi."""
         start = 0 if lo is None else bisect.bisect_left(self._keys, lo)
-        fetched: dict[int, tuple[int, list[Entry]]] = {}
         for key, table_id, offset in itertools.islice(self.pointers, start, None):
             if hi is not None and key >= hi:
                 return
-            table = tables[table_id]
-            if cache is None:
-                yield table.entries[offset]
-                continue
-            span = fetched.get(table_id)
-            if span is None:
-                first_block, last_block = self.block_spans(tables)[table_id]
-                entries = cache.get_block_range(table_id, (first_block, last_block))
-                if entries is MISS:
-                    base = first_block * table.block_entries
-                    entries = table.entries[
-                        base : (last_block + 1) * table.block_entries
-                    ]
-                    cache.put_block_range(
-                        table_id, (first_block, last_block), entries
-                    )
-                span = (first_block * table.block_entries, entries)
-                fetched[table_id] = span
-            base, entries = span
-            yield entries[offset - base]
+            yield tables[table_id].entries[offset]
 
 
 class SortedView:
     """An immutable compacted sorted view over a fixed set of runs."""
 
-    __slots__ = ("segments", "source_ids", "segment_entries", "_segment_his")
+    __slots__ = ("segments", "_segment_his")
 
-    def __init__(
-        self,
-        segments: list[ViewSegment],
-        source_ids: Iterable[int],
-        segment_entries: int,
-    ) -> None:
-        if segment_entries <= 0:
-            raise InvalidConfigError("segment_entries must be positive")
+    def __init__(self, segments: list[ViewSegment]) -> None:
         self.segments = segments
-        self.source_ids = frozenset(source_ids)
-        self.segment_entries = segment_entries
         self._segment_his = [segment.hi for segment in segments]
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        runs: list[SSTable],
-        segment_entries: int = DEFAULT_SEGMENT_ENTRIES,
-    ) -> "SortedView":
-        """Full build over ``runs`` (in the Reader's merge-source order,
-        which fixes exact-version tie-breaks)."""
-        segments = list(_cut_segments(_merge_winners(runs), segment_entries))
-        return cls(segments, (t.table_id for t in runs), segment_entries)
+    def build(cls, runs: list[SSTable]) -> "SortedView":
+        """Build over ``runs``, listed in merge-source order (which
+        fixes exact-version tie-breaks)."""
+        return cls(list(_cut_segments(_merge_winners(runs))))
 
-    def rebuild(self, runs: list[SSTable]) -> tuple["SortedView", int]:
-        """Incrementally rebuild against a changed run set.
-
-        Returns ``(new_view, reused_segments)``.  A segment survives iff
-        it references only still-live tables *and* no newly added table's
-        key span intersects its fence span; everything between surviving
-        segments is re-merged from ``runs``.
-        """
-        live_ids = frozenset(t.table_id for t in runs)
-        added = [t for t in runs if t.table_id not in self.source_ids]
-        dirty = [(t.min_key, t.max_key) for t in added]
-        kept = [
-            segment
-            for segment in self.segments
-            if segment.source_ids <= live_ids
-            and not any(d_lo <= segment.hi and segment.lo <= d_hi for d_lo, d_hi in dirty)
-        ]
-        if not kept:
-            return SortedView.build(runs, self.segment_entries), 0
-        segments: list[ViewSegment] = []
-        previous_hi: bytes | None = None
-        for segment in kept:
-            gap_lo = None if previous_hi is None else previous_hi + b"\x00"
-            segments.extend(
-                _cut_segments(
-                    _merge_winners(runs, gap_lo, segment.lo), self.segment_entries
-                )
-            )
-            segments.append(segment)
-            previous_hi = segment.hi
-        segments.extend(
-            _cut_segments(
-                _merge_winners(runs, previous_hi + b"\x00", None),
-                self.segment_entries,
-            )
-        )
-        return SortedView(segments, live_ids, self.segment_entries), len(kept)
-
-    # ------------------------------------------------------------------
-    # Scanning
-    # ------------------------------------------------------------------
     def scan(
-        self,
-        lo: bytes | None,
-        hi: bytes | None,
-        tables: dict[int, SSTable],
-        cache: ReadCache | None = None,
+        self, lo: bytes | None, hi: bytes | None, tables: dict[int, SSTable]
     ) -> Iterator[Entry]:
-        """Winner entries with lo <= key < hi, in key order.
+        """Winner entries with lo <= key < hi, in key order, resolved
+        through ``tables`` (table id -> the run it names).
 
         One bisect finds the entry segment; from there the scan walks
         anchors forward.  Tombstone winners are yielded (callers filter),
@@ -327,156 +133,4 @@ class SortedView:
         for segment in itertools.islice(self.segments, start, None):
             if hi is not None and segment.lo >= hi:
                 return
-            yield from segment.resolve(lo, hi, tables, cache)
-
-    def total_anchors(self) -> int:
-        return sum(len(segment) for segment in self.segments)
-
-    # ------------------------------------------------------------------
-    # Persistence (NodeStore sidecar)
-    # ------------------------------------------------------------------
-    def to_document(self) -> dict:
-        """A JSON-safe document for the ``SORTED_VIEW.json`` sidecar."""
-        return {
-            "format": SIDECAR_FORMAT,
-            "segment_entries": self.segment_entries,
-            "source_ids": sorted(self.source_ids),
-            "segments": [
-                [[key.hex(), table_id, offset] for key, table_id, offset in seg.pointers]
-                for seg in self.segments
-            ],
-        }
-
-    @classmethod
-    def from_document(
-        cls,
-        document: dict,
-        tables: dict[int, SSTable],
-        segment_entries: int,
-    ) -> "SortedView":
-        """Revive a persisted view against recovered tables.
-
-        Raises :class:`CorruptionError` — the caller's cue to delete the
-        sidecar and rebuild — unless the persisted source table-id set
-        matches ``tables`` exactly, the configured segment granularity is
-        unchanged, and **every** anchor resolves to an entry with its
-        recorded key.  Guessing is never cheaper than rebuilding.
-        """
-        if document.get("format") != SIDECAR_FORMAT:
-            raise CorruptionError(
-                f"unknown sorted-view format {document.get('format')!r}"
-            )
-        if int(document.get("segment_entries", 0)) != segment_entries:
-            raise CorruptionError(
-                "sorted view was persisted with a different segment granularity"
-            )
-        source_ids = frozenset(int(i) for i in document.get("source_ids", []))
-        if source_ids != frozenset(tables):
-            raise CorruptionError(
-                "sorted view source tables do not match the recovered areas"
-            )
-        segments: list[ViewSegment] = []
-        previous_hi: bytes | None = None
-        for raw_segment in document.get("segments", []):
-            pointers: list[tuple[bytes, int, int]] = []
-            for key_hex, table_id, offset in raw_segment:
-                key = bytes.fromhex(key_hex)
-                table_id = int(table_id)
-                offset = int(offset)
-                table = tables.get(table_id)
-                if (
-                    table is None
-                    or not 0 <= offset < len(table.entries)
-                    or table.entries[offset].key != key
-                ):
-                    raise CorruptionError(
-                        "sorted view anchor does not resolve into its sstable"
-                    )
-                if pointers and key <= pointers[-1][0]:
-                    raise CorruptionError("sorted view anchors out of order")
-                pointers.append((key, table_id, offset))
-            if not pointers:
-                raise CorruptionError("sorted view holds an empty segment")
-            if previous_hi is not None and pointers[0][0] <= previous_hi:
-                raise CorruptionError("sorted view segments out of order")
-            previous_hi = pointers[-1][0]
-            segments.append(ViewSegment(pointers))
-        return cls(segments, source_ids, segment_entries)
-
-
-class SortedViewManager:
-    """The Reader-side owner of one :class:`SortedView`.
-
-    Tracks the table map scans resolve anchors through, and the rebuild
-    statistics (``view_rebuild_count`` / ``view_reused_segments`` /
-    ``view_invalidations``) surfaced by ``health_gauges()`` and the
-    cluster monitor.  ``view`` is ``None`` until the first refresh and
-    after :meth:`teardown` (crash) — callers fall back to the streaming
-    merge while it is down.
-    """
-
-    __slots__ = (
-        "segment_entries",
-        "view",
-        "tables",
-        "rebuild_count",
-        "reused_segments",
-        "invalidations",
-    )
-
-    def __init__(self, segment_entries: int = DEFAULT_SEGMENT_ENTRIES) -> None:
-        if segment_entries <= 0:
-            raise InvalidConfigError("segment_entries must be positive")
-        self.segment_entries = segment_entries
-        self.view: SortedView | None = None
-        self.tables: dict[int, SSTable] = {}
-        self.rebuild_count = 0
-        self.reused_segments = 0
-        self.invalidations = 0
-
-    @property
-    def ready(self) -> bool:
-        return self.view is not None
-
-    def refresh(self, runs: Iterable[SSTable]) -> None:
-        """(Re)build the view over ``runs`` — incrementally when a view
-        is standing, from scratch otherwise.  Synchronous: the Reader
-        calls this inside the install step, so no scan ever observes a
-        view/area mismatch."""
-        run_list = list(runs)
-        if self.view is None:
-            self.view = SortedView.build(run_list, self.segment_entries)
-        else:
-            self.view, reused = self.view.rebuild(run_list)
-            self.reused_segments += reused
-        self.tables = {t.table_id: t for t in run_list}
-        self.rebuild_count += 1
-
-    def adopt(self, view: SortedView, runs: Iterable[SSTable]) -> None:
-        """Install a recovered (already-validated) view without paying a
-        rebuild."""
-        self.view = view
-        self.tables = {t.table_id: t for t in runs}
-
-    def teardown(self) -> None:
-        """Drop the view (crash path: the in-memory view is volatile)."""
-        self.view = None
-        self.tables = {}
-
-    def scan(
-        self,
-        lo: bytes | None,
-        hi: bytes | None,
-        cache: ReadCache | None = None,
-    ) -> Iterator[Entry]:
-        if self.view is None:
-            raise InvalidConfigError("sorted view is not built")
-        return self.view.scan(lo, hi, self.tables, cache)
-
-    def gauges(self) -> dict:
-        return {
-            "sorted_view_segments": len(self.view.segments) if self.view else 0,
-            "view_rebuild_count": self.rebuild_count,
-            "view_reused_segments": self.reused_segments,
-            "view_invalidations": self.invalidations,
-        }
+            yield from segment.resolve(lo, hi, tables)

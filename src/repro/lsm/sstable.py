@@ -247,29 +247,6 @@ class SSTable:
                 return
             yield entry
 
-    @property
-    def block_entries(self) -> int:
-        """Entries per data block (fence-pointer granularity)."""
-        return self._block_entries
-
-    def scan_with_offsets(
-        self, lo: bytes | None = None, hi: bytes | None = None
-    ) -> Iterator[tuple[int, Entry]]:
-        """Like :meth:`scan`, but yields ``(offset, entry)`` where
-        ``offset`` indexes :attr:`entries` — a stable anchor, since the
-        table is immutable and the on-disk format round-trips entries in
-        order.  The sorted view records these anchors instead of values.
-        """
-        self.opens += 1
-        start = 0
-        if lo is not None:
-            start = bisect.bisect_left(self._keys, lo)
-        for offset in range(start, len(self.entries)):
-            entry = self.entries[offset]
-            if hi is not None and entry.key >= hi:
-                return
-            yield offset, entry
-
     # ------------------------------------------------------------------
     # Splitting (used when an sstable straddles compactor partitions)
     # ------------------------------------------------------------------

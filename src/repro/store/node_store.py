@@ -96,8 +96,8 @@ class NodeStore:
         self._wal: WriteAheadLog | None = None
         self._closed = False
         #: Fsynced WAL records written / entries they covered.  Their
-        #: ratio is the group-commit amortisation factor (1.0 without
-        #: group commit: every acked upsert paid its own fsync).
+        #: ratio is the group-commit amortisation factor (1.0 when no
+        #: two handlers ever shared a record).
         self.wal_records = 0
         self.wal_entries_logged = 0
 
@@ -215,9 +215,9 @@ class NodeStore:
         """Durably append entries to the role WAL (one fsynced record).
 
         The Ingestor calls this for every upsert *before* acking, which
-        is what makes "acked" mean "will survive SIGKILL".  With WAL
-        group commit one call — one fsync — covers the entries of many
-        concurrent handlers (DESIGN.md §13)."""
+        is what makes "acked" mean "will survive SIGKILL".  One call —
+        one fsync — covers the entries of every concurrent handler in
+        the group-commit leader's record (DESIGN.md §13)."""
         self._check_open()
         self._wal.append_batch(entries)
         self.wal_records += 1
@@ -256,15 +256,17 @@ class NodeStore:
                 }
             live[table.table_id] = meta
         self.version += 1
-        if wal_floor is not None:
-            self.wal_floor = max(self.wal_floor, wal_floor)
+        # ``self.wal_floor`` only moves once the manifest carrying it is
+        # installed: the Ingestor skips the WAL for entries at-or-below
+        # it, which is only sound if a persisted sstable holds them.
+        floor = self.wal_floor if wal_floor is None else max(self.wal_floor, wal_floor)
         self._state = dict(state)
         document = {
             "format": FORMAT,
             "version": self.version,
             "node": self.node_name,
             "role": self.role,
-            "wal_floor": self.wal_floor,
+            "wal_floor": floor,
             "tables": {str(tid): meta for tid, meta in live.items()},
             "state": self._state,
         }
@@ -273,6 +275,7 @@ class NodeStore:
         atomic_write_json(
             os.path.join(self.directory, MANIFEST_NAME), document
         )
+        self.wal_floor = floor
         dropped = [tid for tid in self._table_meta if tid not in live]
         for tid in dropped:
             path = os.path.join(self.directory, self._table_meta[tid]["file"])
@@ -284,43 +287,6 @@ class NodeStore:
         if wal_floor is not None:
             self._wal.truncate()
         return self.version
-
-    # ------------------------------------------------------------------
-    # Sidecars
-    # ------------------------------------------------------------------
-    # Auxiliary derived state (e.g. the Reader's sorted view) lives in
-    # named JSON documents beside the manifest.  Sidecars are installed
-    # atomically but are *not* covered by the manifest's crash
-    # atomicity with respect to ``commit`` — a crash between commit and
-    # sidecar write leaves a stale document, so every consumer must
-    # validate a loaded sidecar against the recovered state and treat a
-    # mismatch as "rebuild", never as truth.  ``_clean_orphans`` leaves
-    # them alone (it only removes ``sst-*.sst`` and ``*.tmp``).
-
-    def save_sidecar(self, name: str, document: dict) -> None:
-        """Atomically install the named sidecar document."""
-        self._check_open()
-        atomic_write_json(os.path.join(self.directory, name), document)
-
-    def load_sidecar(self, name: str) -> dict | None:
-        """The named sidecar's document, or None when absent/unreadable
-        (an unparseable sidecar is indistinguishable from a torn write,
-        and consumers rebuild in both cases)."""
-        path = os.path.join(self.directory, name)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return json.load(f)
-        except (OSError, ValueError):
-            return None
-
-    def remove_sidecar(self, name: str) -> None:
-        """Delete the named sidecar (refuse-and-rebuild path)."""
-        path = os.path.join(self.directory, name)
-        if os.path.exists(path):
-            os.remove(path)
-            fsync_dir(self.directory)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -24,7 +24,6 @@ from .explorer import (
     BUGS,
     LIVE_SHAPES,
     POLICY_SHAPES,
-    SCAN_SHAPES,
     SHAPES,
     VERIFY_CONFIG,
     ExplorationReport,
@@ -57,7 +56,6 @@ __all__ = [
     "ModelReport",
     "POLICY_SHAPES",
     "PlannedOp",
-    "SCAN_SHAPES",
     "SHAPES",
     "ScheduleOutcome",
     "ScheduleSpec",

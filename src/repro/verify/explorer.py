@@ -111,12 +111,6 @@ class ShapeSpec:
     #: default).  Appended last, defaulted, so the long-standing
     #: positional construction of the main corpus is untouched.
     policy: str | None = None
-    #: Run Readers with the REMIX-style sorted view (DESIGN.md §19) and
-    #: turn the shape's backup-read slots into analytics range scans, so
-    #: scans race ``BackupUpdate`` installs and Reader crashes.  After
-    #: quiescence the view-backed scan is checked bit-identical to the
-    #: streaming merge.  Appended last, defaulted, like ``policy``.
-    sorted_view: bool = False
 
     @property
     def label(self) -> str:
@@ -128,8 +122,6 @@ class ShapeSpec:
             tag += f"!{self.fault_focus}"
         if self.policy:
             tag += f"@{self.policy}"
-        if self.sorted_view:
-            tag += "~view"
         return tag
 
     @property
@@ -180,22 +172,6 @@ POLICY_SHAPES: tuple[ShapeSpec, ...] = (
     ShapeSpec(1, 2, 0, clients=2, fault_focus="crash", policy="tiering"),
     ShapeSpec(1, 2, 1, clients=2, fault_focus="crash", policy="lazy_leveling"),
     ShapeSpec(1, 2, 0, clients=2, fault_focus="crash", policy="one_leveling"),
-)
-
-#: Sorted-view shapes: analytics scans racing ``BackupUpdate`` installs
-#: and Reader crash/recover cycles (view teardown + rebuild), including
-#: the stacked lazy-leveling source levels whose replacement-set updates
-#: drive the segment-invalidation rule.  A separate corpus, like
-#: :data:`LIVE_SHAPES`, so the main corpus fingerprints stay stable.
-SCAN_SHAPES: tuple[ShapeSpec, ...] = (
-    # Scans racing installs under pure load — the coherence protocol.
-    ShapeSpec(1, 2, 1, clients=2, fault_focus="none", sorted_view=True),
-    # Scans racing Reader/Ingestor crash cycles: teardown, rebuild,
-    # catch-up-triggered full refreshes.
-    ShapeSpec(1, 2, 1, clients=2, fault_focus="crash", sorted_view=True),
-    # Stacked source runs: replaced_ids-keyed installs under crashes.
-    ShapeSpec(1, 2, 1, clients=2, fault_focus="crash",
-              policy="lazy_leveling", sorted_view=True),
 )
 
 
@@ -262,10 +238,7 @@ def generate_schedule(
         if roll < 0.55:
             kind = "write"
         elif shape.num_readers and roll < 0.70:
-            # Sorted-view shapes spend the Reader slot on range scans
-            # (same rng draws, so other corpora's schedules are
-            # byte-identical to before this kind existed).
-            kind = "scan" if shape.sorted_view else "backup_read"
+            kind = "backup_read"
         else:
             kind = "read"
         planned.append(
@@ -405,24 +378,6 @@ def _client_driver(cluster, strong, analyst, spec, ops, executed):
                     ExecutedOp(op.index, strong.name, "read", op.key, got,
                                invoked, cluster.kernel.now, "ok")
                 )
-            elif op.kind == "scan":
-                # Analytics range scan racing installs/crashes.  Bounded
-                # failure is the contract (a crashed Reader times out);
-                # the recorded value is a digest of the returned pairs,
-                # which pins the executed schedule into the fingerprint.
-                outcome = "ok"
-                digest = None
-                try:
-                    pairs = yield from analyst.analytics_query(
-                        op.key, op.key + 1 + op.tag % 8
-                    )
-                    digest = hashlib.sha256(repr(pairs).encode()).digest()[:8]
-                except (RpcTimeout, RemoteError):
-                    outcome = "timeout"
-                executed.append(
-                    ExecutedOp(op.index, analyst.name, "scan", op.key, digest,
-                               invoked, cluster.kernel.now, outcome)
-                )
             else:  # backup_read
                 outcome = "ok"
                 got = None
@@ -480,8 +435,6 @@ def run_schedule(
     shape = spec.shape
     if shape.policy is not None:
         config = replace(config, compaction_policy=shape.policy)
-    if shape.sorted_view:
-        config = replace(config, sorted_view=True)
     cluster = build_cluster(
         ClusterSpec(
             config=config,
@@ -590,26 +543,6 @@ def run_schedule(
     outcome.counters.operations = len(spec.ops)
     outcome.counters.faults = len(spec.faults)
     outcome.counters.reconfigs = 1 if shape.reconfig else 0
-    if shape.sorted_view:
-        # Quiescence scan-identity check: after every install, crash,
-        # and rebuild the schedule threw at it, the view-backed scan
-        # must still be bit-identical to the streaming merge.
-        outcome.counters.checker_calls += 1
-        for reader in cluster.readers:
-            manager = reader.view_mgr
-            if manager is None or not manager.ready:
-                continue
-            if reader._view_scan(None, None, None) != reader._streaming_scan(
-                None, None, None
-            ):
-                outcome.violations.append(
-                    (
-                        "scan-identity",
-                        f"{reader.name}: view-backed scan diverged from "
-                        "the streaming merge",
-                    )
-                )
-                outcome.counters.violations += 1
     _check_outcome(outcome, config)
     return outcome
 

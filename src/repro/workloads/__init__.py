@@ -12,7 +12,6 @@ from .generators import (
     run_workload,
     write_only,
 )
-from .scan_heavy import scan_heavy, scan_ranges
 from .smart_traffic import (
     CityModel,
     TaskResult,
@@ -47,8 +46,6 @@ __all__ = [
     "real_time_action",
     "replay_trace",
     "run_workload",
-    "scan_heavy",
-    "scan_ranges",
     "update_and_explore",
     "write_only",
 ]

@@ -1,39 +1,22 @@
-"""Tests for the universal-compaction (RocksDB-like) engine."""
+"""The universal-compaction (RocksDB-like) reference engine is an
+:class:`~repro.lsm.tree.LSMTree` under the ``tiering`` policy.  Its
+read/scan results are pinned against a dict model, with every other
+policy, by ``tests/test_compaction_policies.py::TestTreeDifferential``;
+these tests cover what is particular to stacking runs."""
 
-import random
+from repro.lsm.tree import LSMConfig, LSMTree
 
-import pytest
-
-from repro.baselines.tiered import TieredConfig, TieredTree
-from repro.lsm.errors import InvalidConfigError
-
-SMALL = TieredConfig(memtable_entries=16, run_count_trigger=4)
-
-
-class TestConfig:
-    def test_rejects_bad_params(self):
-        with pytest.raises(InvalidConfigError):
-            TieredConfig(memtable_entries=0)
-        with pytest.raises(InvalidConfigError):
-            TieredConfig(run_count_trigger=1)
-        with pytest.raises(InvalidConfigError):
-            TieredConfig(size_ratio=0.5)
+SMALL = LSMConfig(
+    memtable_entries=16,
+    sstable_entries=8,
+    level_thresholds=(4, 4, 4, 0),
+    compaction_policy="tiering",
+)
 
 
-class TestBasicOps:
-    def test_put_get(self):
-        tree = TieredTree(SMALL)
-        tree.put(b"k", b"v")
-        assert tree.get(b"k") == b"v"
-
-    def test_overwrite_newest_wins(self):
-        tree = TieredTree(SMALL)
-        tree.put("k", "v1")
-        tree.put("k", "v2")
-        assert tree.get("k") == b"v2"
-
+class TestAcrossRuns:
     def test_overwrite_across_runs(self):
-        tree = TieredTree(SMALL)
+        tree = LSMTree(SMALL)
         tree.put("k", "old")
         for i in range(100):
             tree.put(i, "fill")
@@ -42,8 +25,8 @@ class TestBasicOps:
             tree.put(100 + i, "fill")
         assert tree.get("k") == b"new"
 
-    def test_delete(self):
-        tree = TieredTree(SMALL)
+    def test_delete_across_runs(self):
+        tree = LSMTree(SMALL)
         tree.put("k", "v")
         for i in range(50):
             tree.put(i, "fill")
@@ -52,57 +35,27 @@ class TestBasicOps:
             tree.put(50 + i, "fill")
         assert tree.get("k") is None
 
-    def test_missing(self):
-        assert TieredTree(SMALL).get("nope") is None
-
 
 class TestCompaction:
-    def test_run_count_bounded(self):
-        tree = TieredTree(SMALL)
+    def test_upper_levels_bounded(self):
+        tree = LSMTree(SMALL)
         for i in range(2_000):
             tree.put(i % 300, "v%d" % i)
-        assert len(tree.runs) <= SMALL.run_count_trigger
+        for level, threshold in enumerate(SMALL.level_thresholds[:-1]):
+            assert len(tree.manifest.level(level)) <= threshold
 
     def test_compactions_recorded(self):
-        tree = TieredTree(SMALL)
+        tree = LSMTree(SMALL)
         for i in range(2_000):
             tree.put(i % 300, "v%d" % i)
         assert tree.stats.compactions
-        assert all(e.runs_merged >= 2 for e in tree.stats.compactions)
-
-    def test_runs_newest_first_disjoint_in_time(self):
-        tree = TieredTree(SMALL)
-        for i in range(1_000):
-            tree.put(i % 200, "v%d" % i)
-        # Every entry in a newer run has a higher timestamp bound than
-        # any entry in an older run (time-range disjointness).
-        max_ts = [max(e.timestamp for e in run.entries) for run in tree.runs]
-        min_ts = [min(e.timestamp for e in run.entries) for run in tree.runs]
-        for newer in range(len(tree.runs) - 1):
-            assert min_ts[newer] > max_ts[newer + 1]
+        assert all(e.stats.tables_in >= 2 for e in tree.stats.compactions)
 
     def test_space_amplification_exists(self):
         """Tiering retains duplicate versions across runs (the trade-off
         the paper's Related Work describes)."""
-        tree = TieredTree(TieredConfig(memtable_entries=16, run_count_trigger=12))
+        tree = LSMTree(SMALL)
         for i in range(3_000):
             tree.put(i % 50, "v%d" % i)  # heavy overwrites
-        assert tree.total_entries() > tree.live_keys()
-
-
-class TestCorrectness:
-    def test_matches_dict_model(self):
-        rng = random.Random(13)
-        tree = TieredTree(SMALL)
-        model = {}
-        for i in range(4_000):
-            key = rng.randrange(400)
-            if rng.random() < 0.08:
-                tree.delete(key)
-                model.pop(key, None)
-            else:
-                value = b"t-%d" % i
-                tree.put(key, value)
-                model[key] = value
-        for key in range(400):
-            assert tree.get(key) == model.get(key)
+        live_keys = sum(1 for __ in tree.scan())
+        assert tree.manifest.total_entries() > live_keys

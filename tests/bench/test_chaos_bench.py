@@ -1,4 +1,4 @@
-"""Chaos-bench pure helpers: SLA scan, percentiles, regression gate.
+"""Chaos-bench pure helpers: SLA scan, regression gate.
 
 The full benchmark (real subprocesses behind the proxy) runs in the CI
 chaos-smoke job; these tests pin the analysis and gating logic on
@@ -7,7 +7,6 @@ synthetic documents so a gate bug cannot hide behind a slow run.
 
 from repro.bench.chaos_bench import (
     SLA_WINDOW_S,
-    _percentile,
     _recovery_to_sla,
     check_regression,
 )
@@ -66,19 +65,6 @@ class TestRecoveryToSla:
         needed = int(100.0 * 0.5 * SLA_WINDOW_S)
         acks = [5.0 + i * 1e-4 for i in range(needed // 2)]
         assert _recovery_to_sla(acks, healed_at=0.0, baseline_rate=100.0) is None
-
-
-class TestPercentile:
-    def test_empty_is_none(self):
-        assert _percentile([], 0.5) is None
-
-    def test_median_and_tail(self):
-        samples = [float(i) for i in range(1, 101)]
-        assert _percentile(samples, 0.5) == 50.0
-        assert _percentile(samples, 0.99) == 99.0
-
-    def test_unsorted_input(self):
-        assert _percentile([3.0, 1.0, 2.0], 0.5) == 2.0
 
 
 class TestCheckRegression:

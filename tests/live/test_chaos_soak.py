@@ -66,16 +66,13 @@ def _schedule(spec):
 
 @pytest.fixture(scope="module")
 def soak_run(tmp_path_factory):
-    # Group commit + batched writes stay on for the whole soak: the
-    # fault schedule must not be able to turn shared fsyncs into
-    # acked-write loss.
+    # Batched writers share fsyncs (group commit) for the whole soak:
+    # the fault schedule must not be able to turn that into acked-write
+    # loss.
     config = dataclasses.replace(
         CooLSMConfig().scaled_down(10),
         ack_timeout=1.0,
         client_timeout=1.5,
-        wal_group_commit=True,
-        group_commit_max_batch=64,
-        group_commit_max_delay=0.002,
     )
     spec = localhost_spec(
         num_ingestors=1,
@@ -383,9 +380,6 @@ def sharded_soak_run(tmp_path_factory):
         CooLSMConfig().scaled_down(10),
         ack_timeout=1.0,
         client_timeout=1.5,
-        wal_group_commit=True,
-        group_commit_max_batch=64,
-        group_commit_max_delay=0.002,
     )
     spec = localhost_spec(
         num_ingestors=2,

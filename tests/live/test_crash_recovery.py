@@ -183,10 +183,10 @@ class TestCrashRecovery:
 #
 # Group commit opens a window between a record entering the shared WAL
 # buffer and the fsync that covers it; an ack must never be sent inside
-# that window (DESIGN.md §13).  A wide 5 ms flush delay plus concurrent
-# UpsertBatchRequest writers keeps the Ingestor perpetually inside that
-# window, so a SIGKILL lands between buffer-append and group fsync with
-# high probability — and still no *acked* write may be lost.
+# that window (DESIGN.md §13).  Concurrent UpsertBatchRequest writers
+# keep groups buffered behind the leader's tick, so a SIGKILL can land
+# between buffer-append and group fsync — and still no *acked* write may
+# be lost.
 # ----------------------------------------------------------------------
 
 #: Batches per group-commit chaos writer (of BATCH_OPS ops each).
@@ -223,9 +223,6 @@ def group_commit_crash_run(tmp_path_factory):
         CooLSMConfig().scaled_down(10),
         ack_timeout=2.0,
         client_timeout=2.0,
-        wal_group_commit=True,
-        group_commit_max_batch=64,
-        group_commit_max_delay=0.005,
     )
     spec = localhost_spec(
         num_ingestors=1,

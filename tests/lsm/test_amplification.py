@@ -2,13 +2,14 @@
 claims: leveling has higher write amplification, tiering higher space
 amplification."""
 
-from repro.baselines.tiered import TieredConfig, TieredTree
-from repro.lsm.amplification import (
-    AmplificationReport,
-    measure_lsm_tree,
-    measure_tiered_tree,
-)
+from repro.lsm.amplification import AmplificationReport, measure_lsm_tree
 from repro.lsm.tree import LSMConfig, LSMTree
+
+SHAPE = dict(memtable_entries=16, sstable_entries=8, level_thresholds=(2, 2, 4, 0))
+
+
+def tiered_tree() -> LSMTree:
+    return LSMTree(LSMConfig(compaction_policy="tiering", **SHAPE))
 
 
 def overwrite_workload(tree, ops=4_000, keys=300):
@@ -55,9 +56,9 @@ class TestLeveledMeasurement:
 class TestTieredMeasurement:
     def test_space_amplification_above_one(self):
         """Tiering retains duplicates across runs."""
-        tree = TieredTree(TieredConfig(memtable_entries=16, run_count_trigger=10))
+        tree = tiered_tree()
         overwrite_workload(tree)
-        report = measure_tiered_tree(tree)
+        report = measure_lsm_tree(tree)
         assert report.space_amplification > 1.2
 
 
@@ -66,14 +67,12 @@ class TestRelatedWorkClaims:
         """Section V: 'size-tiered compaction ... suffers from space
         amplification'; 'leveled compaction ... suffers from high write
         amplification'."""
-        leveled = LSMTree(
-            LSMConfig(memtable_entries=16, sstable_entries=8, level_thresholds=(2, 2, 4, 0))
-        )
-        tiered = TieredTree(TieredConfig(memtable_entries=16, run_count_trigger=10))
+        leveled = LSMTree(LSMConfig(**SHAPE))
+        tiered = tiered_tree()
         overwrite_workload(leveled, ops=6_000, keys=400)
         overwrite_workload(tiered, ops=6_000, keys=400)
         leveled_report = measure_lsm_tree(leveled)
-        tiered_report = measure_tiered_tree(tiered)
+        tiered_report = measure_lsm_tree(tiered)
         assert leveled_report.write_amplification > tiered_report.write_amplification
         assert tiered_report.space_amplification > leveled_report.space_amplification
 

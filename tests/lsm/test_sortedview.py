@@ -1,36 +1,34 @@
-"""Unit tests for the REMIX-style sorted view (repro.lsm.sortedview).
+"""Unit tests for what is left of ``repro.lsm.sortedview``: the full
+build and the scan ``benchmarks/e2e/layers.py`` times.
 
-The contract under test is brutal on purpose: for any run set and any
-range, the view's winner stream must be **bit-identical** to
-``dedup_newest(k_way_merge(...))`` over the same runs in the same order
-— after full builds, after incremental rebuilds, after sidecar
-round-trips, with and without the block-range cache.
+The contract: for any run set and any range, the view's winner stream is
+**bit-identical** to ``dedup_newest(k_way_merge(...))`` over the same
+runs in the same order.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.lsm.cache import ReadCache
 from repro.lsm.entry import encode_key
-from repro.lsm.errors import CorruptionError, InvalidConfigError
 from repro.lsm.iterators import dedup_newest, k_way_merge
-from repro.lsm.sortedview import SortedView, SortedViewManager, ViewSegment
+from repro.lsm.sortedview import SEGMENT_ENTRIES, SortedView
 from repro.lsm.sstable import SSTable
 
 from tests.conftest import entry
 
+KEY_SPACE = 1_200
 
-def make_runs(seed: int, num_runs: int = 6, key_space: int = 400, per_run: int = 120):
+
+def make_runs(seed: int, num_runs: int = 6, per_run: int = 300):
     """Overlapping runs with colliding keys, distinct versions, and a
-    sprinkle of tombstones — the Reader-area regime."""
+    sprinkle of tombstones — the Reader-area regime, several segments
+    wide."""
     rng = random.Random(seed)
     runs = []
     seqno = 0
     for r in range(num_runs):
-        keys = sorted(rng.sample(range(key_space), per_run))
+        keys = sorted(rng.sample(range(KEY_SPACE), per_run))
         entries = []
         for key in keys:
             seqno += 1
@@ -50,24 +48,21 @@ def reference(runs, lo=None, hi=None):
     return list(dedup_newest(k_way_merge([t.scan(lo, hi) for t in runs])))
 
 
-def view_winners(view, runs, lo=None, hi=None, cache=None):
-    return list(view.scan(lo, hi, {t.table_id: t for t in runs}, cache))
-
-
-def random_ranges(rng, key_space, count=40):
-    ranges = [(None, None)]
-    for __ in range(count):
-        a, b = sorted(rng.sample(range(key_space + 1), 2))
-        ranges.append((encode_key(a), encode_key(b)))
-    return ranges
+def view_winners(view, runs, lo=None, hi=None):
+    return list(view.scan(lo, hi, {t.table_id: t for t in runs}))
 
 
 class TestBuild:
     def test_bit_identity_over_random_ranges(self):
         rng = random.Random(11)
         runs = make_runs(1)
-        view = SortedView.build(runs, segment_entries=32)
-        for lo, hi in random_ranges(rng, 400):
+        view = SortedView.build(runs)
+        assert len(view.segments) > 2
+        ranges = [(None, None)]
+        for __ in range(40):
+            a, b = sorted(rng.sample(range(KEY_SPACE + 1), 2))
+            ranges.append((encode_key(a), encode_key(b)))
+        for lo, hi in ranges:
             assert view_winners(view, runs, lo, hi) == reference(runs, lo, hi)
 
     def test_tombstone_winners_are_anchored(self):
@@ -75,213 +70,20 @@ class TestBuild:
         deletes = SSTable.from_entries(
             [entry(k, seqno=10, ts=2.0, tombstone=True) for k in range(4)]
         )
-        view = SortedView.build([deletes, live], segment_entries=4)
+        view = SortedView.build([deletes, live])
         winners = view_winners(view, [deletes, live])
         assert [w.tombstone for w in winners] == [True] * 4 + [False] * 4
 
     def test_empty_run_set(self):
-        view = SortedView.build([], segment_entries=8)
+        view = SortedView.build([])
         assert view.segments == []
         assert view_winners(view, []) == []
 
     def test_segment_fences_ordered_and_sized(self):
         runs = make_runs(2)
-        view = SortedView.build(runs, segment_entries=50)
-        fences = [(s.lo, s.hi) for s in view.segments]
-        flat = [k for lo_hi in fences for k in lo_hi]
+        view = SortedView.build(runs)
+        flat = [k for s in view.segments for k in (s.lo, s.hi)]
         assert flat == sorted(flat)
-        assert all(len(s) <= 50 for s in view.segments)
-        assert view.total_anchors() == len(reference(runs))
-
-    def test_rejects_nonpositive_granularity(self):
-        with pytest.raises(InvalidConfigError):
-            SortedView.build([], segment_entries=0)
-
-    def test_rejects_empty_segment(self):
-        with pytest.raises(InvalidConfigError):
-            ViewSegment([])
-
-
-class TestRebuild:
-    def test_disjoint_append_reuses_untouched_segments(self):
-        runs = make_runs(3, key_space=300)
-        view = SortedView.build(runs, segment_entries=32)
-        # New run strictly above every existing key: nothing overlaps.
-        above = SSTable.from_entries(
-            [entry(k, seqno=10_000 + k, ts=50.0) for k in range(1_000, 1_050)]
-        )
-        new_runs = runs + [above]
-        rebuilt, reused = view.rebuild(new_runs)
-        assert reused == len(view.segments)
-        assert view_winners(rebuilt, new_runs) == reference(new_runs)
-
-    def test_overlapping_add_invalidates_only_intersecting_segments(self):
-        runs = make_runs(4, key_space=400)
-        view = SortedView.build(runs, segment_entries=32)
-        overlay = SSTable.from_entries(
-            [entry(k, seqno=20_000 + k, ts=60.0) for k in range(100, 140)]
-        )
-        new_runs = runs + [overlay]
-        rebuilt, reused = view.rebuild(new_runs)
-        untouched = [
-            s
-            for s in view.segments
-            if not (overlay.min_key <= s.hi and s.lo <= overlay.max_key)
-        ]
-        assert reused == len(untouched) > 0
-        assert view_winners(rebuilt, new_runs) == reference(new_runs)
-
-    def test_dropped_table_invalidates_referencing_segments(self):
-        runs = make_runs(5)
-        view = SortedView.build(runs, segment_entries=32)
-        dropped = runs[0].table_id
-        survivors = runs[1:]
-        rebuilt, reused = view.rebuild(survivors)
-        assert all(dropped not in s.source_ids for s in rebuilt.segments)
-        referencing = sum(1 for s in view.segments if dropped in s.source_ids)
-        assert reused == len(view.segments) - referencing
-        assert view_winners(rebuilt, survivors) == reference(survivors)
-
-    def test_noop_rebuild_reuses_everything(self):
-        runs = make_runs(6)
-        view = SortedView.build(runs, segment_entries=32)
-        rebuilt, reused = view.rebuild(list(runs))
-        assert reused == len(view.segments)
-        assert view_winners(rebuilt, runs) == reference(runs)
-
-    def test_chained_rebuilds_stay_identical(self):
-        """Grow the run set one table at a time through rebuilds — the
-        incremental path composed with itself must match a fresh merge at
-        every step."""
-        rng = random.Random(77)
-        runs = make_runs(7, num_runs=2)
-        view = SortedView.build(runs, segment_entries=16)
-        seqno = 1_000_000
-        for step in range(6):
-            start = rng.randrange(350)
-            seqno += 100
-            added = SSTable.from_entries(
-                [
-                    entry(k, seqno=seqno + k - start, ts=100.0 + step)
-                    for k in range(start, start + 40)
-                ]
-            )
-            runs = runs + [added]
-            view, __ = view.rebuild(runs)
-            assert view_winners(view, runs) == reference(runs)
-
-
-class TestPersistence:
-    def test_document_round_trip(self):
-        runs = make_runs(8)
-        tables = {t.table_id: t for t in runs}
-        view = SortedView.build(runs, segment_entries=32)
-        revived = SortedView.from_document(view.to_document(), tables, 32)
-        assert view_winners(revived, runs) == view_winners(view, runs)
-        assert revived.source_ids == view.source_ids
-
-    def test_refuses_unknown_format(self):
-        runs = make_runs(9)
-        view = SortedView.build(runs, segment_entries=32)
-        document = view.to_document() | {"format": 99}
-        with pytest.raises(CorruptionError):
-            SortedView.from_document(document, {t.table_id: t for t in runs}, 32)
-
-    def test_refuses_changed_granularity(self):
-        runs = make_runs(9)
-        view = SortedView.build(runs, segment_entries=32)
-        with pytest.raises(CorruptionError):
-            SortedView.from_document(
-                view.to_document(), {t.table_id: t for t in runs}, 64
-            )
-
-    def test_refuses_source_set_mismatch(self):
-        """The recovery rule: a sidecar whose source table-id set differs
-        from the recovered areas is refused, never patched."""
-        runs = make_runs(10)
-        view = SortedView.build(runs, segment_entries=32)
-        recovered = {t.table_id: t for t in runs[:-1]}  # one table gone
-        with pytest.raises(CorruptionError):
-            SortedView.from_document(view.to_document(), recovered, 32)
-
-    def test_refuses_dangling_anchor(self):
-        runs = make_runs(11)
-        view = SortedView.build(runs, segment_entries=32)
-        document = view.to_document()
-        key_hex, table_id, __ = document["segments"][0][0]
-        document["segments"][0][0] = [key_hex, table_id, 10_000_000]
-        with pytest.raises(CorruptionError):
-            SortedView.from_document(document, {t.table_id: t for t in runs}, 32)
-
-    def test_refuses_out_of_order_anchors(self):
-        runs = make_runs(12)
-        view = SortedView.build(runs, segment_entries=32)
-        document = view.to_document()
-        segment = document["segments"][0]
-        segment[0], segment[1] = segment[1], segment[0]
-        with pytest.raises(CorruptionError):
-            SortedView.from_document(document, {t.table_id: t for t in runs}, 32)
-
-
-class TestBlockRangeCache:
-    def test_cached_scan_is_identical_and_hits(self):
-        rng = random.Random(13)
-        runs = make_runs(14)
-        view = SortedView.build(runs, segment_entries=32)
-        cache = ReadCache(4_096)
-        ranges = random_ranges(rng, 400, count=30)
-        for lo, hi in ranges:
-            assert view_winners(view, runs, lo, hi, cache) == reference(runs, lo, hi)
-        stats = cache.stats
-        assert stats.block_range_misses > 0
-        assert stats.block_range_hits > 0
-        # A fully warm repeat touches only the cache.
-        before = stats.block_range_misses
-        for lo, hi in ranges:
-            view_winners(view, runs, lo, hi, cache)
-        assert stats.block_range_misses == before
-
-    def test_one_fetch_per_segment_table(self):
-        runs = make_runs(15, num_runs=3)
-        view = SortedView.build(runs, segment_entries=64)
-        cache = ReadCache(4_096)
-        view_winners(view, runs, cache=cache)
-        expected = sum(len(s.block_spans({t.table_id: t for t in runs}))
-                       for s in view.segments)
-        assert cache.stats.block_range_misses == expected
-        assert cache.stats.block_range_hits == 0
-
-
-class TestManager:
-    def test_lifecycle(self):
-        manager = SortedViewManager(segment_entries=32)
-        assert not manager.ready
-        with pytest.raises(InvalidConfigError):
-            manager.scan(None, None)
-        runs = make_runs(16)
-        manager.refresh(runs)
-        assert manager.ready
-        assert list(manager.scan(None, None)) == reference(runs)
-        assert manager.rebuild_count == 1
-        manager.refresh(runs)  # incremental no-op
-        assert manager.rebuild_count == 2
-        assert manager.reused_segments == len(manager.view.segments)
-        manager.teardown()
-        assert not manager.ready
-        assert manager.tables == {}
-
-    def test_gauges(self):
-        manager = SortedViewManager(segment_entries=32)
-        gauges = manager.gauges()
-        assert gauges == {
-            "sorted_view_segments": 0,
-            "view_rebuild_count": 0,
-            "view_reused_segments": 0,
-            "view_invalidations": 0,
-        }
-        manager.refresh(make_runs(17))
-        assert manager.gauges()["sorted_view_segments"] > 0
-
-    def test_rejects_nonpositive_granularity(self):
-        with pytest.raises(InvalidConfigError):
-            SortedViewManager(segment_entries=0)
+        sizes = [len(s.pointers) for s in view.segments]
+        assert all(size == SEGMENT_ENTRIES for size in sizes[:-1])
+        assert sum(sizes) == len(reference(runs))

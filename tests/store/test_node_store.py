@@ -85,6 +85,23 @@ def test_crash_between_manifest_and_truncate_filters_flushed_entries(
         assert [e.seqno for e in store.recovered.wal_entries] == [3]
 
 
+def test_failed_commit_does_not_move_the_floor(tmp_path, monkeypatch):
+    # The Ingestor skips the WAL for entries at-or-below ``wal_floor``,
+    # so the attribute may only move with an installed manifest.
+    import repro.store.node_store as node_store
+
+    with open_store(tmp_path / "n") as store:
+        store.commit([], {}, wal_floor=3)
+
+        def disk_full(path, document):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(node_store, "atomic_write_json", disk_full)
+        with pytest.raises(OSError):
+            store.commit([], {}, wal_floor=9)
+        assert store.wal_floor == 3
+
+
 def test_open_cleans_orphan_tables_and_tmp_files(tmp_path):
     with open_store(tmp_path / "n") as store:
         store.commit([table(1)], {})
