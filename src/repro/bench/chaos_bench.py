@@ -24,8 +24,7 @@ Two families of numbers land in ``BENCH_chaos.json``:
 
 The absolute gate is zero acked-write loss across every phase; speed
 gates are ratio-of-ratios against a baseline document, so
-heterogeneous CI machines do not flake (same convention as
-:mod:`repro.bench.recovery_bench`).
+heterogeneous CI machines do not flake.
 """
 
 from __future__ import annotations

@@ -67,21 +67,6 @@ def throughput(ops: int, duration: float) -> float:
     return ops / duration
 
 
-def cache_summary(stats) -> dict[str, float]:
-    """A :class:`~repro.lsm.cache.CacheStats` flattened to a plain dict
-    (the shape ``BENCH_read_path.json`` and reports embed)."""
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "lookups": stats.lookups,
-        "hit_rate": stats.hit_rate,
-        "inserts": stats.inserts,
-        "evictions": stats.evictions,
-        "bloom_probes": stats.bloom_probes,
-        "bloom_negatives": stats.bloom_negatives,
-    }
-
-
 @dataclass(slots=True)
 class ExplorationCounters:
     """Work counters for the model-checking harness (repro.verify).

@@ -10,7 +10,8 @@ Usage::
     python -m repro.cli run fig3 --scale 1   # paper-sized configuration
     python -m repro.cli verify --seed 42     # model-checking exploration
     python -m repro.cli serve --spec cluster.toml --node ingestor-0
-    python -m repro.cli live-bench --out BENCH_live.json
+    python -m repro.cli chaos-proxy --links links.json
+    python -m repro.cli chaos-bench --check BENCH_chaos.json
 
 Each experiment prints its series/tables in the paper's shape followed
 by paper-vs-measured checks (see EXPERIMENTS.md).
@@ -193,36 +194,6 @@ def _cmd_serve(args) -> int:
     return serve_main(args.spec, args.node, data_dir=args.data_dir)
 
 
-def _cmd_live_bench(args) -> int:
-    from repro.bench.live_bench import run_and_report
-
-    return run_and_report(
-        out=args.out,
-        client_counts=[int(c) for c in args.clients.split(",")],
-        ops_per_client=args.ops,
-        seed=args.seed,
-        depths=[int(d) for d in args.depths.split(",")],
-        max_batch=args.batch,
-        check=args.check,
-        max_regression=args.max_regression,
-        shard_counts=(
-            [int(s) for s in args.shards.split(",")] if args.shards else None
-        ),
-    )
-
-
-def _cmd_recovery_bench(args) -> int:
-    from repro.bench.recovery_bench import run_and_report
-
-    return run_and_report(
-        out=args.out,
-        ops=args.ops,
-        seed=args.seed,
-        check=args.check,
-        max_regression=args.max_regression,
-    )
-
-
 def _cmd_chaos_proxy(args) -> int:
     import logging
 
@@ -247,20 +218,7 @@ def _cmd_chaos_bench(args) -> int:
     )
 
 
-def _cmd_stability_bench(args) -> int:
-    from repro.bench.stability_bench import run_and_report
-
-    return run_and_report(
-        out=args.out,
-        ops=args.ops,
-        seed=args.seed,
-        live_seconds=args.live_seconds,
-        check=args.check,
-        max_regression=args.max_regression,
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Regenerate the CooLSM paper's tables and figures.",
@@ -323,70 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         help="durable storage root; the node persists to <data-dir>/<node> "
         "and recovers from it on restart (default: in-memory only)",
     )
-    live_bench_parser = subparsers.add_parser(
-        "live-bench", help="benchmark a real localhost cluster"
-    )
-    live_bench_parser.add_argument(
-        "--out", default="BENCH_live.json", help="output JSON path"
-    )
-    live_bench_parser.add_argument(
-        "--clients", default="1,2,4,8,16", help="comma-separated client counts"
-    )
-    live_bench_parser.add_argument(
-        "--ops", type=int, default=400, help="operations per client"
-    )
-    live_bench_parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    live_bench_parser.add_argument(
-        "--depths",
-        default="0,4,16",
-        help="comma-separated pipelining depths (0 = synchronous reference path)",
-    )
-    live_bench_parser.add_argument(
-        "--batch", type=int, default=128, help="max upserts per pipelined batch"
-    )
-    live_bench_parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline BENCH_live.json; exit 1 on regression",
-    )
-    live_bench_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="allowed pipelined_speedup shrink factor vs baseline (default 2.0)",
-    )
-    live_bench_parser.add_argument(
-        "--shards",
-        default=None,
-        metavar="COUNTS",
-        help="also sweep sharded Ingestor fleets (comma-separated counts, "
-        "e.g. 1,2,4): aggregate pipelined write throughput per shard "
-        "count, gated machine-relatively against min(shards, cpus)",
-    )
-    recovery_parser = subparsers.add_parser(
-        "recovery-bench",
-        help="benchmark crash recovery of a real durable cluster",
-    )
-    recovery_parser.add_argument(
-        "--out", default="BENCH_recovery.json", help="output JSON path"
-    )
-    recovery_parser.add_argument(
-        "--ops", type=int, default=600, help="acked upserts before the crash"
-    )
-    recovery_parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    recovery_parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline BENCH_recovery.json and fail on regression",
-    )
-    recovery_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="allowed ratio-of-ratios slowdown vs baseline (default 2.0)",
-    )
     chaos_proxy_parser = subparsers.add_parser(
         "chaos-proxy",
         help="run the per-link TCP fault proxy until SIGTERM",
@@ -420,52 +314,21 @@ def main(argv: list[str] | None = None) -> int:
         default=2.5,
         help="allowed ratio-of-ratios degradation vs baseline (default 2.5)",
     )
-    stability_parser = subparsers.add_parser(
-        "stability-bench",
-        help="windowed write-stability benchmark: flow control on vs off",
-    )
-    stability_parser.add_argument(
-        "--out", default="BENCH_stability.json", help="output JSON path"
-    )
-    stability_parser.add_argument(
-        "--ops", type=int, default=12000, help="sim-phase writes per run"
-    )
-    stability_parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    stability_parser.add_argument(
-        "--live-seconds",
-        type=float,
-        default=4.0,
-        help="live-phase duration in seconds (0 skips the live phase)",
-    )
-    stability_parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline BENCH_stability.json and fail on regression",
-    )
-    stability_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.5,
-        help="allowed tail-ratio degradation vs baseline (default 2.5)",
-    )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "live-bench":
-        return _cmd_live_bench(args)
-    if args.command == "recovery-bench":
-        return _cmd_recovery_bench(args)
     if args.command == "chaos-proxy":
         return _cmd_chaos_proxy(args)
     if args.command == "chaos-bench":
         return _cmd_chaos_bench(args)
-    if args.command == "stability-bench":
-        return _cmd_stability_bench(args)
     return _cmd_run(args.names, args.ops, args.scale)
 
 

@@ -18,15 +18,13 @@ Two kinds of entries share one capacity budget:
 * **block entries** ``(BLOCK, table_id, block_index) -> list[Entry]`` —
   a decoded data block (used by the on-disk reader to skip file I/O).
 
-Two eviction policies are provided: classic **LRU** (ordered-dict
-move-to-end) and **CLOCK** (second-chance ring), selectable per cache.
-LRU is the default; CLOCK trades a little hit rate for O(1) updates on
-hit, which matters when the cache front-runs every single read.
+Eviction is classic **LRU** (ordered-dict move-to-end): O(1) on hit,
+insert, and evict.
 
 Counters (:class:`CacheStats`) record hits, misses, insertions, and
 evictions, plus bloom-filter probe accounting filled in by
 :meth:`~repro.lsm.sstable.SSTable.versions` — the observability surface
-for ``BENCH_read_path.json`` and the cluster monitor.
+for the cluster monitor and the e2e benchmark's ``lsm.cache.*`` metrics.
 """
 
 from __future__ import annotations
@@ -85,34 +83,23 @@ class CacheStats:
 
 
 class ReadCache:
-    """A bounded cache over hashable keys with pluggable eviction.
+    """A bounded LRU cache over hashable keys.
 
     Args:
         capacity: Maximum number of cached entries (> 0).
-        policy: ``"lru"`` (default) or ``"clock"``.
         stats: Optionally share an external :class:`CacheStats` (the
             tree embeds the same object in :class:`~repro.lsm.tree.TreeStats`).
     """
 
-    __slots__ = ("capacity", "policy", "stats", "_entries", "_hand")
+    __slots__ = ("capacity", "stats", "_entries")
 
-    def __init__(
-        self,
-        capacity: int,
-        policy: str = "lru",
-        stats: CacheStats | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, stats: CacheStats | None = None) -> None:
         if capacity <= 0:
             raise InvalidConfigError("cache capacity must be positive")
-        if policy not in ("lru", "clock"):
-            raise InvalidConfigError(f"unknown cache policy: {policy!r}")
         self.capacity = capacity
-        self.policy = policy
         self.stats = stats if stats is not None else CacheStats()
-        # LRU: key -> value, ordered oldest-first.
-        # CLOCK: key -> [value, referenced_bit], insertion-ordered ring.
+        # key -> value, ordered least-recently-used first.
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._hand = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -130,56 +117,24 @@ class ReadCache:
             self.stats.misses += 1
             return MISS
         self.stats.hits += 1
-        if self.policy == "lru":
-            self._entries.move_to_end(key)
-            return entry
-        entry[1] = True  # CLOCK: second chance
-        return entry[0]
+        self._entries.move_to_end(key)
+        return entry
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh ``key``; evicts per policy when full."""
+        """Insert or refresh ``key``; evicts the LRU entry when full."""
         if key in self._entries:
-            if self.policy == "lru":
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-            else:
-                self._entries[key][0] = value
-                self._entries[key][1] = True
+            self._entries[key] = value
+            self._entries.move_to_end(key)
             return
         while len(self._entries) >= self.capacity:
-            self._evict_one()
-        self._entries[key] = value if self.policy == "lru" else [value, False]
-        self.stats.inserts += 1
-
-    def _evict_one(self) -> None:
-        if self.policy == "lru":
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-            return
-        # CLOCK: sweep the ring from the hand, clearing referenced bits
-        # until an unreferenced victim is found.  Bounded: after one full
-        # sweep every bit is clear.
-        keys = list(self._entries.keys())
-        hand = self._hand % len(keys)
-        for _ in range(2 * len(keys)):
-            key = keys[hand]
-            slot = self._entries[key]
-            if slot[1]:
-                slot[1] = False
-                hand = (hand + 1) % len(keys)
-                continue
-            del self._entries[key]
-            self._hand = hand
-            self.stats.evictions += 1
-            return
-        # Unreachable, but never loop forever on an inconsistent ring.
-        self._entries.popitem(last=False)  # pragma: no cover
-        self.stats.evictions += 1  # pragma: no cover
+        self._entries[key] = value
+        self.stats.inserts += 1
 
     def clear(self) -> None:
         """Drop every entry (counters survive; crash/recovery path)."""
         self._entries.clear()
-        self._hand = 0
 
     # ------------------------------------------------------------------
     # Namespaced helpers

@@ -61,7 +61,6 @@ class LSMConfig:
         cache_capacity: Entries in the shared read cache (row results
             keyed by immutable table id, so the cache never needs
             invalidation).  0 disables caching.
-        cache_policy: Eviction policy, ``"lru"`` or ``"clock"``.
         compaction_policy: Which :mod:`repro.lsm.policy` strategy runs
             the compaction cascade (``"leveling"`` — the paper's hybrid
             and the historical behaviour — ``"tiering"``,
@@ -75,7 +74,6 @@ class LSMConfig:
     wal_sync: bool = True
     enable_snapshots: bool = False
     cache_capacity: int = 4_096
-    cache_policy: str = "lru"
     compaction_policy: str = "leveling"
 
     def __post_init__(self) -> None:
@@ -205,11 +203,7 @@ class LSMTree:
         )
         self.stats = TreeStats()
         self._cache: ReadCache | None = (
-            ReadCache(
-                self.config.cache_capacity,
-                policy=self.config.cache_policy,
-                stats=self.stats.cache,
-            )
+            ReadCache(self.config.cache_capacity, stats=self.stats.cache)
             if self.config.cache_capacity > 0
             else None
         )

@@ -1,4 +1,4 @@
-"""Unit tests for the read cache: eviction order, policies, stats."""
+"""Unit tests for the read cache: LRU eviction order, stats."""
 
 import pytest
 
@@ -14,10 +14,6 @@ class TestConstruction:
     def test_rejects_negative_capacity(self):
         with pytest.raises(InvalidConfigError):
             ReadCache(-1)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(InvalidConfigError):
-            ReadCache(4, policy="fifo")
 
     def test_shares_external_stats(self):
         stats = CacheStats()
@@ -65,7 +61,7 @@ class TestBasics:
 
 class TestLRU:
     def test_evicts_least_recently_used(self):
-        cache = ReadCache(2, policy="lru")
+        cache = ReadCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # b is now the LRU victim
@@ -75,7 +71,7 @@ class TestLRU:
         assert cache.get("c") == 3
 
     def test_eviction_order_without_touches_is_insertion_order(self):
-        cache = ReadCache(2, policy="lru")
+        cache = ReadCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)
@@ -83,40 +79,13 @@ class TestLRU:
         assert cache.get("b") == 2
 
     def test_put_refresh_counts_as_use(self):
-        cache = ReadCache(2, policy="lru")
+        cache = ReadCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh makes b the victim
         cache.put("c", 3)
         assert cache.get("b") is MISS
         assert cache.get("a") == 10
-
-
-class TestClock:
-    def test_second_chance_protects_referenced_entry(self):
-        cache = ReadCache(2, policy="clock")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # sets a's reference bit
-        cache.put("c", 3)  # sweep clears a, evicts b
-        assert cache.get("b") is MISS
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_unreferenced_entries_evict_in_ring_order(self):
-        cache = ReadCache(2, policy="clock")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.get("a") is MISS
-
-    def test_capacity_bound_under_churn(self):
-        cache = ReadCache(4, policy="clock")
-        for i in range(100):
-            cache.put(i, i)
-            if i % 3 == 0:
-                cache.get(i)
-        assert len(cache) == 4
 
 
 class TestStats:

@@ -3,9 +3,10 @@ beyond the merge frontier, and the streaming path must return exactly
 what the old materialising path returned."""
 
 import random
+from typing import Iterator
 
-from repro.bench.read_path import legacy_get_entry, legacy_scan
-from repro.lsm.iterators import level_scan
+from repro.lsm.entry import Entry, encode_key
+from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.sstable import SSTable
 from repro.lsm.tree import LSMConfig, LSMTree
 
@@ -85,8 +86,6 @@ class TestTreeScanLaziness:
         assert all(table.opens == 0 for table in untouched)
 
     def test_bounded_scan_only_opens_overlapping_tables(self):
-        from repro.lsm.entry import encode_key
-
         tree = deep_tree()
         for level in range(tree.manifest.num_levels):
             for table in tree.manifest.level(level):
@@ -107,6 +106,56 @@ class TestTreeScanLaziness:
     def test_approximate_len_upper_bounds_exact(self):
         tree = deep_tree(num_keys=800)
         assert tree.approximate_len() >= len(tree)
+
+
+# ----------------------------------------------------------------------
+# The legacy read path (pre-overhaul): the reference implementation
+# TestLegacyEquivalence compares the tree's read path against
+# ----------------------------------------------------------------------
+def legacy_get_entry(tree: LSMTree, key: bytes | str | int) -> Entry | None:
+    """The pre-overhaul point lookup: linear probe over every table of
+    every level (range-checked), no fence-index bisect, no cache."""
+    encoded = encode_key(key)
+    best = tree._memtable.get(encoded)
+    for table in reversed(tree.manifest.level(0)):
+        if not table.key_in_range(encoded):
+            continue
+        found = table.get(encoded)
+        if found is not None and (best is None or found.version > best.version):
+            best = found
+        if best is not None:
+            break
+    if best is not None:
+        return best
+    for level in range(1, tree.manifest.num_levels):
+        for table in tree.manifest.level(level):
+            if not table.key_in_range(encoded):
+                continue
+            found = table.get(encoded)
+            if found is not None:
+                return found
+    return None
+
+
+def legacy_scan(
+    tree: LSMTree,
+    lo: bytes | str | int | None = None,
+    hi: bytes | str | int | None = None,
+) -> Iterator[tuple[bytes, bytes]]:
+    """The pre-overhaul scan: every overlapping table's slice is
+    materialised into a list up front, so even a scan consuming one
+    result pays for the whole range in every level."""
+    lo_b = encode_key(lo) if lo is not None else None
+    hi_b = encode_key(hi) if hi is not None else None
+    sources: list = [tree._memtable.range(lo_b, hi_b)]
+    for table in reversed(tree.manifest.level(0)):
+        sources.append(list(table.scan(lo_b, hi_b)))
+    for level in range(1, tree.manifest.num_levels):
+        for table in tree.manifest.level(level):
+            sources.append(list(table.scan(lo_b, hi_b)))
+    for entry in dedup_newest(k_way_merge(sources)):
+        if not entry.tombstone:
+            yield entry.key, entry.value
 
 
 class TestLegacyEquivalence:

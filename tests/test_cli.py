@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, build_parser, main
 
 
 def test_list_shows_all_experiments(capsys):
@@ -43,3 +45,24 @@ def test_registry_covers_every_table_and_figure():
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_subcommands_are_exactly_the_supported_set():
+    """``chaos-bench`` is the only bench entry point: every other
+    measurement belongs to ``benchmarks/e2e``, not to a subcommand."""
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == {
+        "list", "run", "verify", "serve", "chaos-proxy", "chaos-bench",
+    }
+
+
+@pytest.mark.parametrize("removed", ["live-bench", "recovery-bench", "stability-bench"])
+def test_removed_bench_subcommands_rejected(removed, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([removed])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
