@@ -14,7 +14,10 @@ paper's client-side protocols:
 * **read_from_backup / analytics_query** — served by a Reader without
   touching the ingestion path (Sections III-D, IV-E).
 
-Every completed operation is appended to the client's
+Every operation above — single or batched, failover-ordered or routed
+by the shard map — is driven by one retry loop, :meth:`Client._routed`,
+which owns timeouts, failover, WrongShard re-routing and backpressure
+backoff.  Every completed operation is appended to the client's
 :class:`~repro.core.history.History` and its latency recorded, feeding
 both the consistency checkers and the benchmark harness.
 """
@@ -116,75 +119,102 @@ class Client(RpcNode):
         self.stats = ClientStats()
 
     # ------------------------------------------------------------------
-    # Fault handling: timeouts and failover
+    # Fault handling: the one routed-retry loop
     # ------------------------------------------------------------------
-    def _target_order(self, preferred: str | None, pool: list[str]) -> list[str]:
-        """Preferred target first, then the remaining pool as alternates."""
-        first = preferred or (pool[0] if pool else None)
-        if first is None:
-            raise ValueError("no target available")
-        return [first] + [t for t in pool if t != first]
+    def _shard_routed(self, preferred: str | None) -> bool:
+        """Owner routing applies when the client holds a shard map and
+        the caller pinned no target."""
+        return self.shard_map is not None and preferred is None
 
-    def _failover_call(
-        self,
-        preferred: str | None,
-        pool: list[str],
-        method: str,
-        request,
-        size_bytes: int = 256,
-    ):
-        """Issue an RPC with the config-derived timeout, failing over to
-        alternate targets.
+    def _routed(self, send, preferred: str | None, pool: list[str], key: bytes | None = None):
+        """Drive ``send(target)`` — a generator making one attempt — to
+        success or a spent budget; returns ``(serving_target, result)``.
+        Every client operation goes through here, so a crashed node
+        surfaces as :class:`~repro.sim.rpc.RpcTimeout` after the retry
+        budget — never as a driver hung forever on ``timeout=None``.
 
-        Every client RPC goes through here (or the equivalent loop in
-        :meth:`read`), so a crashed node surfaces as
-        :class:`~repro.sim.rpc.RpcTimeout` after the retry budget —
-        never as a driver hung forever on ``timeout=None``.  Returns
-        ``(serving_target, reply)``.
+        *Target.*  With ``key`` under shard routing, the key's owner in
+        the current map, re-read every attempt; otherwise the attempt
+        count rotates through ``preferred`` then the rest of ``pool``.
 
-        Backpressure replies (admission control shedding writes) are
-        retried against the *same* target with exponential backoff and
-        their own, much larger budget — the node is healthy and asking
-        the client to slow down, so failing over or burning the failover
-        budget would defeat flow control.
+        *Failures.*  A backpressure reply (admission control shedding
+        writes) retries the *same* target with exponential backoff and
+        its own, much larger budget — the node is healthy and asking
+        the client to slow down, so failing over or burning the retry
+        budget would defeat flow control.  A WrongShard bounce refreshes
+        the map and re-routes; during a split's fence→activate window no
+        node serves the moving range, so a bounce that finds nothing
+        fresher backs off (bounded) until the new owner goes live.
+        Anything else counts against ``client_retry_budget``: a failover
+        order rotates at once, a shard-routed call — which has no
+        alternate target, only a fresher map — refreshes and backs off.
         """
-        order = self._target_order(preferred, pool)
-        last_error: Exception | None = None
-        attempt = 0
-        bp_retries = 0
+        sharded = key is not None and self._shard_routed(preferred)
+        if not sharded:
+            first = preferred or (pool[0] if pool else None)
+            if first is None:
+                raise ValueError("no target available")
+            order = [first] + [t for t in pool if t != first]
+        budget = self.config.client_retry_budget
+        attempt = redirects = bp_retries = 0
         backoff = self.config.forward_backoff_base
-        prev_target: str | None = None
-        while attempt < self.config.client_retry_budget:
-            target = order[attempt % len(order)]
-            if prev_target is not None and target != prev_target:
-                self.stats.failovers += 1
-            prev_target = target
+        target = None
+        while True:
+            if sharded:
+                target = self.shard_map.owner_of(key)
+            else:
+                previous, target = target, order[attempt % len(order)]
+                if previous is not None and target != previous:
+                    self.stats.failovers += 1
             try:
-                reply = yield self.call(
-                    target,
-                    method,
-                    request,
-                    size_bytes=size_bytes,
-                    timeout=self.config.request_timeout,
-                )
-                return target, reply
+                return target, (yield from send(target))
             except (RpcTimeout, RemoteError) as error:
-                last_error = error
                 if is_backpressure(error):
                     self.stats.backpressure_retries += 1
                     bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                self.stats.timeouts += 1
-                attempt += 1
-        raise last_error
+                    if bp_retries > 8 * budget:
+                        raise
+                elif sharded and is_wrong_shard(error):
+                    self.stats.shard_redirects += 1
+                    redirects += 1
+                    if redirects > 8 * budget:
+                        raise
+                    if (yield from self._refresh_shard_map()):
+                        continue
+                else:
+                    self.stats.timeouts += 1
+                    attempt += 1
+                    if attempt >= budget:
+                        raise
+                    if not sharded:
+                        continue
+                    yield from self._refresh_shard_map()
+            yield self.kernel.timeout(backoff)
+            backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
 
-    # ------------------------------------------------------------------
-    # Sharded routing (live scale-out)
-    # ------------------------------------------------------------------
+    def _call(
+        self,
+        method: str,
+        request,
+        preferred: str | None,
+        pool: list[str],
+        key: bytes | None = None,
+        size_bytes: int = 256,
+    ):
+        """One RPC through :meth:`_routed`."""
+
+        def send(target: str):
+            return (yield self._rpc(target, method, request, size_bytes))
+
+        return self._routed(send, preferred, pool, key)
+
+    def _rpc(self, target: str, method: str, request, size_bytes: int = 256):
+        """A single attempt, bounded by the config-derived timeout."""
+        return self.call(
+            target, method, request,
+            size_bytes=size_bytes, timeout=self.config.request_timeout,
+        )
+
     def _refresh_shard_map(self):
         """Try to fetch a strictly newer shard map from any live node.
 
@@ -200,11 +230,8 @@ class Client(RpcNode):
                 candidates.append(name)
         for target in candidates:
             try:
-                reply = yield self.call(
-                    target,
-                    "shard_map",
-                    ShardMapRequest(self.shard_map.epoch),
-                    timeout=self.config.request_timeout,
+                reply = yield self._rpc(
+                    target, "shard_map", ShardMapRequest(self.shard_map.epoch)
                 )
             except (RpcTimeout, RemoteError):
                 continue
@@ -215,75 +242,25 @@ class Client(RpcNode):
                 return True
         return False
 
-    def _sharded_call(self, key: bytes, method: str, request, size_bytes: int = 256):
-        """Owner-routed RPC: WrongShard bounces refresh the map and
-        re-route instead of burning the failover budget.
-
-        During a split's fence→activate window no node serves the
-        moving range; redirects that find no fresher map back off
-        (bounded) until the new owner goes live.  Other failures retry
-        the owner — in sharded mode there is no alternate target, only
-        a fresher map.
-        """
-        failures = 0
-        redirects = 0
-        bp_retries = 0
-        backoff = self.config.forward_backoff_base
-        last_error: Exception | None = None
-        while True:
-            target = self.shard_map.owner_of(key)
-            try:
-                reply = yield self.call(
-                    target,
-                    method,
-                    request,
-                    size_bytes=size_bytes,
-                    timeout=self.config.request_timeout,
-                )
-                return target, reply
-            except (RpcTimeout, RemoteError) as error:
-                last_error = error
-                if is_backpressure(error):
-                    self.stats.backpressure_retries += 1
-                    bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                if is_wrong_shard(error):
-                    self.stats.shard_redirects += 1
-                    redirects += 1
-                    if redirects > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    refreshed = yield from self._refresh_shard_map()
-                    if not refreshed:
-                        yield self.kernel.timeout(backoff)
-                        backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                self.stats.timeouts += 1
-                failures += 1
-                if failures >= self.config.client_retry_budget:
-                    raise last_error
-                yield from self._refresh_shard_map()
-                yield self.kernel.timeout(backoff)
-                backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-
-    def _member_read(self, member: str, request: ReadRequest):
-        """Phase-2 helper: bounded-retry read against one Compactor.
-        Raises after the budget — a missing member's answer could hide
-        the newest version, so the read must fail, not degrade."""
-        last_error: Exception | None = None
-        for __ in range(self.config.client_retry_budget):
-            try:
-                reply = yield self.call(
-                    member, "read", request, timeout=self.config.request_timeout
-                )
-                return reply
-            except (RpcTimeout, RemoteError) as error:
-                last_error = error
-                self.stats.timeouts += 1
-        raise last_error
+    def _record(
+        self,
+        stat: str,
+        key: bytes,
+        value: bytes | None,
+        invoked: float,
+        completed: float,
+        timestamp: float,
+        server: str = "",
+    ) -> None:
+        """Account one completed operation: its latency under ``stat``
+        and, in the shared history, a write or (any other ``stat``) a read."""
+        self.stats.record(stat, completed - invoked)
+        if self.history is not None:
+            self.history.record(
+                "write" if stat == "write" else "read",
+                key, value, invoked, completed, timestamp,
+                client=self.name, server=server,
+            )
 
     # ------------------------------------------------------------------
     # Writes
@@ -302,40 +279,25 @@ class Client(RpcNode):
 
     def _do_upsert(self, request: UpsertRequest, ingestor: str | None):
         invoked = self.kernel.now
-        if self.shard_map is not None and ingestor is None:
-            target, reply = yield from self._sharded_call(
-                request.key, "upsert", request,
-                size_bytes=64 + len(request.value),
-            )
-        else:
-            target, reply = yield from self._failover_call(
-                ingestor, self.ingestors, "upsert", request,
-                size_bytes=64 + len(request.value),
-            )
+        target, reply = yield from self._call(
+            "upsert", request, ingestor, self.ingestors,
+            key=request.key, size_bytes=64 + len(request.value),
+        )
         assert isinstance(reply, UpsertReply)
-        latency = self.kernel.now - invoked
-        self.stats.record("write", latency)
-        if self.history is not None:
-            self.history.record(
-                "write",
-                request.key,
-                None if request.tombstone else request.value,
-                invoked,
-                self.kernel.now,
-                reply.timestamp,
-                client=self.name,
-                server=target,
-            )
+        self._record(
+            "write", request.key, None if request.tombstone else request.value,
+            invoked, self.kernel.now, reply.timestamp, target,
+        )
         return reply
 
     def upsert_many(self, items, ingestor: str | None = None):
-        """Insert or overwrite many keys with ONE batched RPC.
+        """Insert or overwrite many keys with batched RPCs.
 
         ``items`` is an iterable of ``(key, value)`` pairs; they are
         applied by the Ingestor in order and each gets its own stamped
-        :class:`UpsertReply` (returned as a list, in order).  The whole
-        batch retries/fails over as a unit — safe because re-upserting
-        the same values is idempotent, the same argument that covers a
+        :class:`UpsertReply` (returned as a list, in order).  A batch
+        retries/fails over as a unit — safe because re-upserting the
+        same values is idempotent, the same argument that covers a
         single upsert whose ack was lost.
         """
         requests = tuple(
@@ -345,115 +307,44 @@ class Client(RpcNode):
         return (yield from self._do_upsert_batch(requests, ingestor))
 
     def _do_upsert_batch(self, requests: tuple[UpsertRequest, ...], ingestor: str | None):
-        if not requests:
-            return []
-        if self.shard_map is not None and ingestor is None:
-            return (yield from self._do_upsert_batch_sharded(requests))
-        invoked = self.kernel.now
-        size = 64 + sum(32 + len(r.key) + len(r.value) for r in requests)
-        target, reply = yield from self._failover_call(
-            ingestor, self.ingestors, "upsert_batch",
-            UpsertBatchRequest(requests), size_bytes=size,
-        )
-        assert isinstance(reply, UpsertBatchReply)
-        completed = self.kernel.now
-        latency = completed - invoked
-        for request, op_reply in zip(requests, reply.replies):
-            self.stats.record("write", latency)
-            if self.history is not None:
-                self.history.record(
-                    "write",
-                    request.key,
-                    None if request.tombstone else request.value,
-                    invoked,
-                    completed,
-                    op_reply.timestamp,
-                    client=self.name,
-                    server=target,
-                )
-        return list(reply.replies)
+        """One ``upsert_batch`` RPC per target, replies in op order.
 
-    def _do_upsert_batch_sharded(self, requests: tuple[UpsertRequest, ...]):
-        """Apply a mixed batch under shard routing.
-
-        The batch is grouped per shard owner *under the current map*
-        and each group goes out as one ``upsert_batch`` RPC.  A
-        WrongShard bounce refreshes the map and the still-unacked ops
-        are regrouped — after a split a group that used to be one
-        owner's keys legitimately straddles two owners, so regrouping
-        (not blind retry) is what terminates.  Replies come back in the
-        original op order.
+        Unrouted, the whole batch is one group.  Under shard routing
+        each attempt sends the still-unacked ops its target owns *under
+        the current map*: after a split a group that used to be one
+        owner's keys legitimately straddles two, so regrouping on every
+        WrongShard-driven refresh (not blind retry) is what terminates,
+        and whatever the acked group left behind goes out next.
         """
         invoked = self.kernel.now
+        sharded = self._shard_routed(ingestor)
         replies: list[UpsertReply | None] = [None] * len(requests)
         pending = list(range(len(requests)))
-        failures = 0
-        redirects = 0
-        bp_retries = 0
-        backoff = self.config.forward_backoff_base
-        last_error: Exception | None = None
+
+        def send(target: str):
+            group = pending
+            if sharded:
+                owner_of = self.shard_map.owner_of
+                group = [i for i in pending if owner_of(requests[i].key) == target]
+            batch = tuple(requests[i] for i in group)
+            size = 64 + sum(32 + len(r.key) + len(r.value) for r in batch)
+            reply = yield self._rpc(target, "upsert_batch", UpsertBatchRequest(batch), size)
+            return group, reply
+
         while pending:
-            owner = self.shard_map.owner_of(requests[pending[0]].key)
-            group = [
-                i for i in pending
-                if self.shard_map.owner_of(requests[i].key) == owner
-            ]
-            group_requests = tuple(requests[i] for i in group)
-            size = 64 + sum(32 + len(r.key) + len(r.value) for r in group_requests)
-            try:
-                reply = yield self.call(
-                    owner,
-                    "upsert_batch",
-                    UpsertBatchRequest(group_requests),
-                    size_bytes=size,
-                    timeout=self.config.request_timeout,
-                )
-            except (RpcTimeout, RemoteError) as error:
-                last_error = error
-                if is_backpressure(error):
-                    self.stats.backpressure_retries += 1
-                    bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                if is_wrong_shard(error):
-                    self.stats.shard_redirects += 1
-                    redirects += 1
-                    if redirects > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    refreshed = yield from self._refresh_shard_map()
-                    if not refreshed:
-                        yield self.kernel.timeout(backoff)
-                        backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                self.stats.timeouts += 1
-                failures += 1
-                if failures >= self.config.client_retry_budget:
-                    raise last_error
-                yield from self._refresh_shard_map()
-                yield self.kernel.timeout(backoff)
-                backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                continue
+            target, (group, reply) = yield from self._routed(
+                send, ingestor, self.ingestors, key=requests[pending[0]].key
+            )
             assert isinstance(reply, UpsertBatchReply)
             completed = self.kernel.now
             for index, op_reply in zip(group, reply.replies):
                 replies[index] = op_reply
                 request = requests[index]
-                self.stats.record("write", completed - invoked)
-                if self.history is not None:
-                    self.history.record(
-                        "write",
-                        request.key,
-                        None if request.tombstone else request.value,
-                        invoked,
-                        completed,
-                        op_reply.timestamp,
-                        client=self.name,
-                        server=owner,
-                    )
-            pending = [i for i in pending if i not in set(group)]
+                self._record(
+                    "write", request.key, None if request.tombstone else request.value,
+                    invoked, completed, op_reply.timestamp, target,
+                )
+            pending = [i for i in pending if replies[i] is None]
         return replies
 
     # ------------------------------------------------------------------
@@ -469,53 +360,26 @@ class Client(RpcNode):
         encoded = encode_key(key)
         invoked = self.kernel.now
         if self.multi_ingestor:
-            order = self._target_order(coordinator, self.ingestors)
-            last_error: Exception | None = None
-            entry = stamp = None
-            for attempt in range(self.config.client_retry_budget):
-                target = order[attempt % len(order)]
-                if attempt and target != order[(attempt - 1) % len(order)]:
-                    self.stats.failovers += 1
-                try:
-                    entry, stamp = yield from self._two_phase_read(encoded, target)
-                    last_error = None
-                    break
-                except (RpcTimeout, RemoteError) as error:
-                    last_error = error
-                    self.stats.timeouts += 1
-            if last_error is not None:
-                raise last_error
-        elif self.shard_map is not None and coordinator is None:
-            # Sharded: exactly one Ingestor serves this key, so the
-            # single-Ingestor read path applies per shard.
-            __, reply = yield from self._sharded_call(
-                encoded, "read", ReadRequest(encoded)
+            __, (entry, stamp) = yield from self._routed(
+                lambda target: self._two_phase_read(encoded, target),
+                coordinator, self.ingestors,
             )
-            entry = reply.entry
-            stamp = entry.timestamp if entry is not None else 0.0
         else:
-            __, reply = yield from self._failover_call(
-                coordinator, self.ingestors, "read", ReadRequest(encoded)
+            # Single Ingestor, or sharded — where exactly one Ingestor
+            # serves this key, so the same read path applies per shard.
+            __, reply = yield from self._call(
+                "read", ReadRequest(encoded), coordinator, self.ingestors, key=encoded
             )
             entry = reply.entry
             stamp = entry.timestamp if entry is not None else 0.0
-        latency = self.kernel.now - invoked
-        self.stats.record("read", latency)
         value = self._value_of(entry)
-        if self.history is not None:
-            self.history.record(
-                "read", encoded, value, invoked, self.kernel.now, stamp,
-                client=self.name,
-            )
+        self._record("read", encoded, value, invoked, self.kernel.now, stamp)
         return value
 
     def _two_phase_read(self, key: bytes, coordinator: str | None):
         """Section III-E.2's two-phase multi-Ingestor read."""
         target = coordinator or self.ingestors[0]
-        phase1 = yield self.call(
-            target, "read_phase1", Phase1Request(key),
-            timeout=self.config.request_timeout,
-        )
+        phase1 = yield self._rpc(target, "read_phase1", Phase1Request(key))
         assert isinstance(phase1, Phase1Reply)
         found = [r.entry for r in phase1.results if r.entry is not None]
         # Freshness proof: every record at the Compactors was forwarded by
@@ -532,12 +396,15 @@ class Client(RpcNode):
             self.stats.phase2_reads += 1
             partition = self.partitioning.partition_for(key)
             request = ReadRequest(key, as_of=phase1.read_ts)
+            # Each member gets the full retry budget and the read fails
+            # if one stays silent: a missing member's answer could hide
+            # the newest version, so the read must fail, not degrade.
             calls = [
-                self.kernel.spawn(self._member_read(m, request))
-                for m in partition.members
+                self.kernel.spawn(self._call("read", request, member, []))
+                for member in partition.members
             ]
             replies = yield self.kernel.all_of(calls)
-            for reply in replies:
+            for __, reply in replies:
                 assert isinstance(reply, ReadReply)
                 if reply.entry is not None and (
                     best is None or reply.entry.version > best.version
@@ -551,19 +418,15 @@ class Client(RpcNode):
             raise ValueError("deployment has no Readers")
         encoded = encode_key(key)
         invoked = self.kernel.now
-        target, reply = yield from self._failover_call(
-            reader, self.readers, "read", ReadRequest(encoded)
+        target, reply = yield from self._call(
+            "read", ReadRequest(encoded), reader, self.readers
         )
-        latency = self.kernel.now - invoked
-        self.stats.record("backup_read", latency)
         entry = reply.entry
         value = self._value_of(entry)
-        if self.history is not None:
-            self.history.record(
-                "read", encoded, value, invoked, self.kernel.now,
-                entry.timestamp if entry is not None else 0.0,
-                client=self.name, server=target,
-            )
+        self._record(
+            "backup_read", encoded, value, invoked, self.kernel.now,
+            entry.timestamp if entry is not None else 0.0, target,
+        )
         return value
 
     def scan(self, lo, hi, limit: int | None = None, ingestor: str | None = None):
@@ -574,26 +437,22 @@ class Client(RpcNode):
         lagging Reader snapshot) but interferes with the ingestion path.
         Returns sorted (key, value) pairs, tombstones elided.
         """
-        request = RangeQuery(encode_key(lo), encode_key(hi), limit)
-        invoked = self.kernel.now
-        __, reply = yield from self._failover_call(
-            ingestor, self.ingestors, "range_query", request, size_bytes=64
-        )
-        assert isinstance(reply, RangeQueryReply)
-        self.stats.record("scan", self.kernel.now - invoked)
-        return list(reply.pairs)
+        return (yield from self._range_query("scan", lo, hi, limit, ingestor, self.ingestors))
 
     def analytics_query(self, lo, hi, limit: int | None = None, reader: str | None = None):
         """Range query served by a Reader (the paper's analytics task)."""
         if not self.readers and reader is None:
             raise ValueError("deployment has no Readers")
+        return (yield from self._range_query("analytics", lo, hi, limit, reader, self.readers))
+
+    def _range_query(self, stat: str, lo, hi, limit, preferred: str | None, pool: list[str]):
         request = RangeQuery(encode_key(lo), encode_key(hi), limit)
         invoked = self.kernel.now
-        __, reply = yield from self._failover_call(
-            reader, self.readers, "range_query", request, size_bytes=64
+        __, reply = yield from self._call(
+            "range_query", request, preferred, pool, size_bytes=64
         )
         assert isinstance(reply, RangeQueryReply)
-        self.stats.record("analytics", self.kernel.now - invoked)
+        self.stats.record(stat, self.kernel.now - invoked)
         return list(reply.pairs)
 
     @staticmethod

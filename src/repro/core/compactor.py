@@ -33,7 +33,6 @@ from repro.lsm.compaction import (
     merge_tables,
 )
 from repro.lsm.entry import Entry
-from repro.lsm.errors import CorruptionError
 from repro.lsm.iterators import level_scan
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.policy import make_policy
@@ -423,23 +422,9 @@ class Compactor(RpcNode):
         if recovered is None:
             self._persist()
             return
+        self.manifest.apply(recovered.levels_for(self.name, self._policy.name))
         state = recovered.state
-        persisted_policy = state.get("policy")
-        if persisted_policy is not None and persisted_policy != self._policy.name:
-            # A tiered store holds overlapping runs a leveled node would
-            # mis-merge on the next forward; refuse the mismatch.
-            raise CorruptionError(
-                f"{self.name}: store written by compaction policy "
-                f"{persisted_policy!r}, refusing to recover as "
-                f"{self._policy.name!r}"
-            )
-        tables = recovered.tables
         self._backup_seq = int(state.get("backup_seq", 0))
-        edit = LevelEdit()
-        for level, ids in enumerate(state.get("levels", ())):
-            if ids:
-                edit.add(level, [tables[tid] for tid in ids])
-        self.manifest.apply(edit)
         for ingestor, batch_id, merged in state.get("completed", ()):
             self._completed_batches[(str(ingestor), int(batch_id))] = ForwardReply(
                 int(batch_id), int(merged)

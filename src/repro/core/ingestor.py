@@ -30,7 +30,6 @@ from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
 from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, merge_tables
 from repro.lsm.entry import Entry
-from repro.lsm.errors import CorruptionError
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.memtable import Memtable
 from repro.lsm.policy import make_policy
@@ -764,16 +763,8 @@ class Ingestor(RpcNode):
         if recovered is None:
             self._persist()
             return
+        self.manifest.apply(recovered.levels_for(self.name, self._policy.name))
         state = recovered.state
-        persisted_policy = state.get("policy")
-        if persisted_policy is not None and persisted_policy != self._policy.name:
-            # A tiered store holds overlapping L1 runs a leveled node
-            # would corrupt on its first minor compaction; refuse.
-            raise CorruptionError(
-                f"{self.name}: store written by compaction policy "
-                f"{persisted_policy!r}, refusing to recover as "
-                f"{self._policy.name!r}"
-            )
         tables = recovered.tables
         self._seqno = int(state.get("seqno", 0))
         self._batch_seq = int(state.get("batch_seq", 0))
@@ -786,11 +777,6 @@ class Ingestor(RpcNode):
             # a deposed owner comes back up still fenced.
             if self.shard_map is None or restored.epoch > self.shard_map.epoch:
                 self.shard_map = restored
-        edit = LevelEdit()
-        for level, ids in enumerate(state.get("levels", ())):
-            if ids:
-                edit.add(level, [tables[tid] for tid in ids])
-        self.manifest.apply(edit)
         relaunch = []
         for batch_str, meta in state.get("in_flight", {}).items():
             batch_id = int(batch_str)

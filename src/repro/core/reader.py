@@ -341,11 +341,7 @@ class Reader(RpcNode):
         state = recovered.state
         tables = recovered.tables
         for source, level_ids in state.get("areas", {}).items():
-            edit = LevelEdit()
-            for level, ids in enumerate(level_ids):
-                if ids:
-                    edit.add(level, [tables[tid] for tid in ids])
-            self._area(source).apply(edit)
+            self._area(source).apply(recovered.level_edit(level_ids))
         for ingestor, ids in state.get("fresh", {}).items():
             self.fresh_area[ingestor] = tuple(tables[tid] for tid in ids)
         self._applied_seq = {

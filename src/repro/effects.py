@@ -92,9 +92,8 @@ class ComputeHost(Protocol):
     """A host with bounded compute that nodes charge costs against.
 
     The simulator turns ``execute`` into queueing on a core pool in
-    virtual time; the live runtime turns it into a cooperative yield
-    (optionally scaled into a real sleep for emulation experiments) —
-    the actual Python work of a merge or probe runs at hardware speed
+    virtual time; the live runtime turns it into one cooperative yield
+    — the actual Python work of a merge or probe runs at hardware speed
     either way.
     """
 

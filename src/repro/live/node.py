@@ -69,8 +69,6 @@ class LiveSpec:
             every driver-side client name the run will use (all client
             names may share the driver's one address).
         seed: Seeds per-node RNG streams (clock skew, retry jitter).
-        compute_scale: Real seconds slept per modelled compute second
-            (0 = cooperative yield only; the real CPU work is the cost).
         drain_timeout: Seconds a node waits at shutdown for in-flight
             work to drain before giving up with exit code 3.
         data_dir: Base directory for durable node storage; each node
@@ -105,7 +103,6 @@ class LiveSpec:
     spare_ingestors: int = 0
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict)
     seed: int = 0
-    compute_scale: float = 0.0
     drain_timeout: float = 30.0
     data_dir: str | None = None
     transport_max_queued: int = 10_000
@@ -268,7 +265,6 @@ def spec_to_dict(spec: LiveSpec) -> dict[str, Any]:
         "sharded": spec.sharded,
         "spare_ingestors": spec.spare_ingestors,
         "seed": spec.seed,
-        "compute_scale": spec.compute_scale,
         "drain_timeout": spec.drain_timeout,
         "data_dir": spec.data_dir,
         "transport_max_queued": spec.transport_max_queued,
@@ -313,9 +309,7 @@ class LiveNode:
             overflow=spec.transport_overflow,
             compress_min_bytes=spec.transport_compress_min_bytes,
         )
-        self.machine = LiveMachine(
-            self.kernel, f"m-{name}", compute_scale=spec.compute_scale
-        )
+        self.machine = LiveMachine(self.kernel, f"m-{name}")
         self.node = _build_node(spec, name, self.kernel, self.network, self.machine)
         # Durable storage: open-or-recover this node's slice of the
         # data dir (CLI flag wins over the spec's), then hand the store

@@ -1,25 +1,26 @@
 """The asyncio effect interpreter: the live backend of the kernel protocol.
 
 :class:`AsyncioKernel` implements the same effect surface as the
-simulation kernel (:mod:`repro.effects`), with the asyncio event loop
-in place of the virtual-time heap:
+simulation kernel (:mod:`repro.effects`) by running the sim kernel's
+own waitable classes (:mod:`repro.sim.kernel`: ``Event``, ``Timeout``,
+``Process``, ``AllOf``, ``AnyOf``) over the asyncio event loop.  Those
+classes reach their kernel through three methods only, and this module
+supplies the live versions:
 
-* ``event()`` — a one-shot waitable dispatched via ``loop.call_soon``;
-* ``timeout(delay)`` — ``loop.call_later`` (i.e. real ``asyncio.sleep``);
-* ``spawn(generator)`` — the generator is *driven by callbacks*, one
-  resume per fired waitable, identical to the sim's Process semantics
-  (including interrupts and exception propagation);
-* ``all_of`` / ``any_of`` — gather/first-of barriers.
+* ``_schedule_now(cb)`` — ``loop.call_soon``;
+* ``_schedule_after(delay, cb)`` — ``loop.call_later`` (i.e. real
+  ``asyncio.sleep``);
+* ``_unhandled_failure(exc)`` — log and keep serving, where the sim
+  escalates out of ``Kernel.run()``.
 
-Because the driving discipline is the same, node code cannot tell the
-backends apart: ``yield self.call(...)`` waits on a reply event either
-way; only *what fires the event* differs (a heap pop vs a TCP frame).
+Because the resume / interrupt / barrier code is the same code, node
+code cannot tell the backends apart: ``yield self.call(...)`` waits on
+a reply event either way; only *what fires the event* differs (a heap
+pop vs a TCP frame).
 
 :class:`LiveMachine` satisfies the compute protocol.  The modelled cost
-becomes a measured await: scaled by ``compute_scale`` into a real sleep
-held under a core slot (for emulation experiments), or — the default,
-``compute_scale=0`` — a plain cooperative yield, since on real hardware
-the merge/probe work inside the generator already costs real CPU time.
+becomes a plain cooperative yield, since on real hardware the
+merge/probe work inside the generator already costs real CPU time.
 
 :class:`LiveNetwork` satisfies the fabric protocol: local destinations
 get loopback delivery on the loop; remote destinations are serialised
@@ -33,228 +34,19 @@ import itertools
 import logging
 import random
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.effects import ProcessGen
-from repro.sim.resources import Resource, Store
+from repro.sim.kernel import Event, Scheduler
+from repro.sim.resources import Store
 
 from . import wire
 from .transport import RetryPolicy, Transport
 
 logger = logging.getLogger("repro.live.runtime")
 
-#: Core count mirroring the sim default (t2.xlarge).
-DEFAULT_CORES = 4
 
-
-class LiveError(Exception):
-    """Live-runtime usage errors (double trigger, bad yield, ...)."""
-
-
-class Interrupted(LiveError):
-    """Raised inside a process another process interrupted."""
-
-
-class LiveEvent:
-    """One-shot waitable with the same contract as the sim Event."""
-
-    __slots__ = ("kernel", "callbacks", "triggered", "ok", "value", "defused")
-
-    def __init__(self, kernel: "AsyncioKernel") -> None:
-        self.kernel = kernel
-        self.callbacks: list[Callable[["LiveEvent"], None]] = []
-        self.triggered = False
-        self.ok = True
-        self.value: Any = None
-        self.defused = False
-
-    def succeed(self, value: Any = None) -> "LiveEvent":
-        if self.triggered:
-            raise LiveError("event already triggered")
-        self.triggered = True
-        self.value = value
-        self.kernel._soon(self._dispatch)
-        return self
-
-    def fail(self, exception: BaseException) -> "LiveEvent":
-        if self.triggered:
-            raise LiveError("event already triggered")
-        self.triggered = True
-        self.ok = False
-        self.value = exception
-        self.kernel._soon(self._dispatch)
-        return self
-
-    def _dispatch(self) -> None:
-        callbacks, self.callbacks = self.callbacks, []
-        if not callbacks and not self.ok and not self.defused:
-            # The sim escalates into Kernel.run(); a live node logs and
-            # keeps serving (one failed background process must not take
-            # the whole process down).
-            logger.error("unhandled event failure: %r", self.value)
-            return
-        for callback in callbacks:
-            callback(self)
-
-    def _add_callback(self, callback: Callable[["LiveEvent"], None]) -> None:
-        if self.triggered:
-            self.kernel._soon(lambda: callback(self))
-        else:
-            self.callbacks.append(callback)
-
-
-class LiveTimeout(LiveEvent):
-    """Fires after a real-time delay (``loop.call_later``)."""
-
-    __slots__ = ()
-
-    def __init__(self, kernel: "AsyncioKernel", delay: float, value: Any = None) -> None:
-        super().__init__(kernel)
-        if delay < 0:
-            raise LiveError(f"negative timeout: {delay}")
-        kernel._later(delay, lambda: self._fire(value))
-
-    def _fire(self, value: Any) -> None:
-        if self.triggered:  # pragma: no cover - defensive
-            return
-        self.triggered = True
-        self.value = value
-        self._dispatch()
-
-
-class LiveProcess(LiveEvent):
-    """A generator driven by event callbacks; fires when it returns.
-
-    The resume discipline is copied from the sim kernel's Process so
-    interrupt/exception semantics are identical across backends.
-    """
-
-    __slots__ = ("generator", "name", "_waiting_on", "_interrupt")
-
-    def __init__(
-        self, kernel: "AsyncioKernel", generator: ProcessGen, name: str = ""
-    ) -> None:
-        super().__init__(kernel)
-        self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: LiveEvent | None = None
-        self._interrupt: BaseException | None = None
-        kernel._soon(lambda: self._resume(None, None))
-
-    @property
-    def alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, reason: str = "") -> None:
-        if self.triggered:
-            return
-        exc = Interrupted(reason)
-        if self._waiting_on is not None:
-            waiting, self._waiting_on = self._waiting_on, None
-            try:
-                waiting.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-            self.kernel._soon(lambda: self._resume(None, exc))
-        else:
-            self._interrupt = exc
-
-    def _on_event(self, event: LiveEvent) -> None:
-        self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
-        else:
-            self._resume(None, event.value)
-
-    def _resume(self, value: Any, exc: BaseException | None) -> None:
-        if self.triggered:
-            return
-        if self._interrupt is not None and exc is None:
-            exc, self._interrupt = self._interrupt, None
-        try:
-            if exc is not None:
-                target = self.generator.throw(exc)
-            else:
-                target = self.generator.send(value)
-        except StopIteration as stop:
-            self.triggered = True
-            self.value = stop.value
-            self.kernel._soon(self._dispatch)
-            return
-        except Interrupted:
-            self.triggered = True
-            self.value = None
-            self.kernel._soon(self._dispatch)
-            return
-        except BaseException as error:  # noqa: BLE001 - deliver to waiters
-            self.triggered = True
-            self.ok = False
-            self.value = error
-            self.kernel._soon(self._dispatch)
-            return
-        if not isinstance(target, LiveEvent):
-            raise LiveError(
-                f"process {self.name!r} yielded {type(target).__name__}, "
-                "not a live-kernel event"
-            )
-        self._waiting_on = target
-        target._add_callback(self._on_event)
-
-
-class LiveAllOf(LiveEvent):
-    """Fires when every child fires; value is the list of values."""
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, kernel: "AsyncioKernel", events: Iterable[LiveEvent]) -> None:
-        super().__init__(kernel)
-        events = list(events)
-        self._pending = len(events)
-        self._values: list[Any] = [None] * len(events)
-        if not events:
-            self.succeed([])
-            return
-        for index, event in enumerate(events):
-            event._add_callback(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[LiveEvent], None]:
-        def on_fire(event: LiveEvent) -> None:
-            if self.triggered:
-                return
-            if not event.ok:
-                self.fail(event.value)
-                return
-            self._values[index] = event.value
-            self._pending -= 1
-            if self._pending == 0:
-                self.succeed(list(self._values))
-
-        return on_fire
-
-
-class LiveAnyOf(LiveEvent):
-    """Fires with (index, value) of the first child to fire."""
-
-    __slots__ = ()
-
-    def __init__(self, kernel: "AsyncioKernel", events: Iterable[LiveEvent]) -> None:
-        super().__init__(kernel)
-        for index, event in enumerate(events):
-            event._add_callback(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[LiveEvent], None]:
-        def on_fire(event: LiveEvent) -> None:
-            if self.triggered:
-                return
-            if event.ok:
-                self.succeed((index, event.value))
-            else:
-                self.fail(event.value)
-
-        return on_fire
-
-
-class AsyncioKernel:
+class AsyncioKernel(Scheduler):
     """The live implementation of the effect-kernel protocol.
 
     ``now`` is monotonic wall time, measured from kernel creation, so
@@ -267,40 +59,26 @@ class AsyncioKernel:
         self._loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
         self.events_dispatched = 0
-        self._processes_spawned = 0
 
     # ------------------------------------------------------------------
-    # Scheduling primitives
+    # Scheduling primitives (``Scheduler``'s three abstract methods)
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def _soon(self, callback: Callable[[], None]) -> None:
+    def _schedule_now(self, callback: Callable[[], None]) -> None:
         self.events_dispatched += 1
         self._loop.call_soon(callback)
 
-    def _later(self, delay: float, callback: Callable[[], None]) -> None:
+    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         self._loop.call_later(delay, callback)
 
-    # ------------------------------------------------------------------
-    # Effect surface
-    # ------------------------------------------------------------------
-    def event(self) -> LiveEvent:
-        return LiveEvent(self)
-
-    def timeout(self, delay: float, value: Any = None) -> LiveTimeout:
-        return LiveTimeout(self, delay, value)
-
-    def spawn(self, generator: ProcessGen, name: str = "") -> LiveProcess:
-        self._processes_spawned += 1
-        return LiveProcess(self, generator, name)
-
-    def all_of(self, events: Iterable[LiveEvent]) -> LiveAllOf:
-        return LiveAllOf(self, events)
-
-    def any_of(self, events: Iterable[LiveEvent]) -> LiveAnyOf:
-        return LiveAnyOf(self, events)
+    def _unhandled_failure(self, exception: BaseException) -> None:
+        # The sim escalates into Kernel.run(); a live node logs and
+        # keeps serving (one failed background process must not take
+        # the whole process down).
+        logger.error("unhandled event failure: %r", exception)
 
     # ------------------------------------------------------------------
     # Driving from async code
@@ -310,7 +88,7 @@ class AsyncioKernel:
         process = self.spawn(generator, name)
         future: asyncio.Future = self._loop.create_future()
 
-        def on_done(event: LiveEvent) -> None:
+        def on_done(event: Event) -> None:
             if future.cancelled():
                 return
             if event.ok:
@@ -325,31 +103,15 @@ class AsyncioKernel:
 class LiveMachine:
     """Compute host for the live backend.
 
-    ``execute`` holds a slot in a core pool for the modelled cost scaled
-    by ``compute_scale`` real seconds.  With the default scale of 0 it
-    degenerates to a single cooperative yield: the real CPU work of the
+    ``execute`` is a single cooperative yield: the real CPU work of the
     surrounding generator code *is* the cost, and the yield keeps long
     merges from starving the event loop between entries of the effect
-    protocol.
+    protocol.  ``busy_time`` still accumulates the modelled seconds.
     """
 
-    def __init__(
-        self,
-        kernel: AsyncioKernel,
-        name: str,
-        cores: int = DEFAULT_CORES,
-        speed: float = 1.0,
-        compute_scale: float = 0.0,
-    ) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if compute_scale < 0:
-            raise ValueError("compute_scale must be non-negative")
+    def __init__(self, kernel: AsyncioKernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
-        self.speed = speed
-        self.compute_scale = compute_scale
-        self.cores = Resource(kernel, cores)
         self.busy_time = 0.0  # cumulative modelled core-seconds
 
     def execute(self, cost_seconds: float):
@@ -357,12 +119,8 @@ class LiveMachine:
             raise ValueError("cost must be non-negative")
         if cost_seconds == 0:
             return
-        self.busy_time += cost_seconds / self.speed
-        scaled = cost_seconds * self.compute_scale / self.speed
-        if scaled <= 0:
-            yield self.kernel.timeout(0.0)
-            return
-        yield from self.cores.use(scaled)
+        self.busy_time += cost_seconds
+        yield self.kernel.timeout(0.0)
 
 
 class LiveNetwork:
@@ -419,7 +177,7 @@ class LiveNetwork:
         if inbox is not None:
             # Loopback: deliver on the next loop tick so the send/receive
             # asynchrony the node layer assumes is preserved in-process.
-            self.kernel._soon(lambda: inbox.put((src, message)))
+            self.kernel._schedule_now(lambda: inbox.put((src, message)))
             return
         payload = wire.encode_envelope_buffer(next(self._frame_ids), src, dst, message)
         self.transport.post(dst, payload)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
-from ..compaction import major_compaction, select_overflow_rotating
+from ..compaction import major_compaction
 from ..manifest import LevelEdit
-from .base import CompactionPolicy, register_policy
+from .base import register_policy
+from .leveling import LevelingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sstable import SSTable
@@ -22,23 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @register_policy
-class OneLevelingPolicy(CompactionPolicy):
-    """Single leveled level below L0; L2 is the distributed bottom."""
+class OneLevelingPolicy(LevelingPolicy):
+    """Single leveled level below L0; L2 is the distributed bottom.
+
+    Leveling with the levels below the first one cut off: the level
+    shapes, the minor-compaction movement (L0 + L1 fold into a fresh
+    leveled L1 run) and the forward selection are inherited.
+    """
 
     name: ClassVar[str] = "one_leveling"
-    merges_on_absorb: ClassVar[bool] = True
     l2_is_bottom: ClassVar[bool] = True
     overflow_enabled: ClassVar[bool] = False
-    merges_on_overflow: ClassVar[bool] = True
-
-    def tree_overlapping(self, num_levels: int) -> frozenset[int]:
-        return frozenset({0})
-
-    def ingestor_overlapping(self) -> frozenset[int]:
-        return frozenset({0})
-
-    def compactor_overlapping(self) -> frozenset[int]:
-        return frozenset()
 
     def compact_tree(self, tree: "LSMTree") -> None:
         config = tree.config
@@ -61,24 +56,6 @@ class OneLevelingPolicy(CompactionPolicy):
         )
         tree.manifest.apply(edit)
         tree._record_compaction(1, result.stats)
-
-    def minor_plan(
-        self, l0_newest_first: list["SSTable"], l1_tables: list["SSTable"]
-    ) -> tuple[list["SSTable"], list["SSTable"]]:
-        # Same movement as leveling's minor compaction: L0 + L1 fold
-        # into a fresh leveled L1 run.
-        return list(l0_newest_first) + list(l1_tables), list(l1_tables)
-
-    def select_forward(
-        self,
-        l1_tables: list["SSTable"],
-        threshold: int,
-        pointer: bytes | None,
-    ) -> tuple[list["SSTable"], bytes | None]:
-        _kept, overflow, new_pointer = select_overflow_rotating(
-            list(l1_tables), threshold, pointer
-        )
-        return overflow, new_pointer
 
     def select_l2_overflow(
         self,

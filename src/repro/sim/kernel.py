@@ -17,6 +17,13 @@ Processes are Python generators that ``yield`` waitables::
 
 Spawn with :meth:`Kernel.spawn`; a :class:`Process` is itself an event
 that fires with the generator's return value, so processes compose.
+
+The waitable classes are the only implementation in the repository:
+they reach the kernel that owns them through the three abstract methods
+of :class:`Scheduler`, which :class:`Kernel` implements on its heap and
+:class:`repro.live.runtime.AsyncioKernel` on the asyncio event loop —
+so the resume / interrupt / barrier code a live node runs is the code
+the model checker's schedules execute.
 """
 
 from __future__ import annotations
@@ -45,14 +52,15 @@ class Event:
 
     __slots__ = ("kernel", "callbacks", "triggered", "ok", "value", "defused")
 
-    def __init__(self, kernel: "Kernel") -> None:
+    def __init__(self, kernel: "Scheduler") -> None:
         self.kernel = kernel
         self.callbacks: list[Callable[[Event], None]] = []
         self.triggered = False
         self.ok = True
         self.value: Any = None
-        # A failed event with no waiters re-raises inside Kernel.run()
-        # so bugs cannot pass silently; set defused=True to suppress.
+        # A failed event with no waiters goes to the kernel's
+        # _unhandled_failure so bugs cannot pass silently; set
+        # defused=True to suppress.
         self.defused = False
 
     def succeed(self, value: Any = None) -> "Event":
@@ -77,7 +85,8 @@ class Event:
     def _dispatch(self) -> None:
         callbacks, self.callbacks = self.callbacks, []
         if not callbacks and not self.ok and not self.defused:
-            raise self.value
+            self.kernel._unhandled_failure(self.value)
+            return
         for callback in callbacks:
             callback(self)
 
@@ -94,11 +103,11 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, kernel: "Kernel", delay: float, value: Any = None) -> None:
+    def __init__(self, kernel: "Scheduler", delay: float, value: Any = None) -> None:
         super().__init__(kernel)
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        kernel._schedule_at(kernel.now + delay, lambda: self._fire(value))
+        kernel._schedule_after(delay, lambda: self._fire(value))
 
     def _fire(self, value: Any) -> None:
         self.triggered = True
@@ -111,7 +120,7 @@ class Process(Event):
 
     __slots__ = ("generator", "name", "_waiting_on", "_interrupt")
 
-    def __init__(self, kernel: "Kernel", generator: ProcessGen, name: str = "") -> None:
+    def __init__(self, kernel: "Scheduler", generator: ProcessGen, name: str = "") -> None:
         super().__init__(kernel)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
@@ -185,7 +194,7 @@ class AllOf(Event):
 
     __slots__ = ("_pending", "_values")
 
-    def __init__(self, kernel: "Kernel", events: Iterable[Event]) -> None:
+    def __init__(self, kernel: "Scheduler", events: Iterable[Event]) -> None:
         super().__init__(kernel)
         events = list(events)
         self._pending = len(events)
@@ -216,7 +225,7 @@ class AnyOf(Event):
 
     __slots__ = ()
 
-    def __init__(self, kernel: "Kernel", events: Iterable[Event]) -> None:
+    def __init__(self, kernel: "Scheduler", events: Iterable[Event]) -> None:
         super().__init__(kernel)
         for index, event in enumerate(events):
             event._add_callback(self._make_callback(index))
@@ -233,14 +242,53 @@ class AnyOf(Event):
         return on_fire
 
 
-class Kernel:
+class Scheduler:
+    """What the waitables ask of a kernel, and the waitables it builds.
+
+    A kernel supplies the three scheduling methods below — nothing else
+    of it is called (or read) by :class:`Event` and its subclasses — and
+    inherits the effect surface (:class:`repro.effects.EffectKernel`,
+    short of ``now``) that constructs them.
+    """
+
+    def _schedule_now(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` on the next tick, after everything already due."""
+        raise NotImplementedError
+
+    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` ``delay`` seconds from now."""
+        raise NotImplementedError
+
+    def _unhandled_failure(self, exception: BaseException) -> None:
+        """An un-defused event failed with nobody waiting on it."""
+        raise NotImplementedError
+
+    def event(self) -> Event:
+        """A fresh untriggered event."""
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event that fires ``delay`` seconds from now."""
+        return Timeout(self, delay, value)
+
+    def spawn(self, generator: ProcessGen, name: str = "") -> Process:
+        """Start a process; returns the (awaitable) Process handle."""
+        return Process(self, generator, name)
+
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
+
+class Kernel(Scheduler):
     """The event loop: a time-ordered heap of callbacks."""
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
-        self._processes_spawned = 0
         self.events_dispatched = 0
         # Schedule hooks: observers called with the dispatch time of
         # every executed event.  The verification harness uses them to
@@ -262,6 +310,13 @@ class Kernel:
     def _schedule_now(self, callback: Callable[[], None]) -> None:
         self._schedule_at(self.now, callback)
 
+    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
+        self._schedule_at(self.now + delay, callback)
+
+    def _unhandled_failure(self, exception: BaseException) -> None:
+        """A failed event nobody waited on: escalate out of :meth:`run`."""
+        raise exception
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -280,25 +335,6 @@ class Kernel:
             for hook in self._schedule_hooks:
                 hook(time)
         callback()
-
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
-
-    def spawn(self, generator: ProcessGen, name: str = "") -> Process:
-        """Start a process; returns the (awaitable) Process handle."""
-        self._processes_spawned += 1
-        return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def run(self, until: float | None = None) -> float:
         """Execute events until the heap drains or ``until`` is reached.

@@ -35,6 +35,7 @@ from typing import Iterable
 
 from repro.lsm.entry import Entry
 from repro.lsm.errors import CorruptionError
+from repro.lsm.manifest import LevelEdit
 from repro.lsm.sstable import SSTable
 from repro.lsm.sstable_io import SSTableReader, write_sstable
 from repro.lsm.wal import WriteAheadLog, replay
@@ -65,6 +66,28 @@ class RecoveredState:
     wal_entries: list[Entry] = field(default_factory=list)
     wal_floor: int = 0
     max_table_id: int = 0
+
+    def level_edit(self, level_ids: Iterable[Iterable[int]]) -> LevelEdit:
+        """The edit that installs ``level_ids`` — one sequence of table
+        ids per level, top level first — from the recovered tables."""
+        edit = LevelEdit()
+        for level, ids in enumerate(level_ids):
+            if ids:
+                edit.add(level, [self.tables[tid] for tid in ids])
+        return edit
+
+    def levels_for(self, node: str, policy: str) -> LevelEdit:
+        """The edit restoring the role state's ``levels``, refused when
+        the state was written under another compaction policy: a tiered
+        store holds overlapping runs that a leveled node would corrupt
+        on its next merge."""
+        persisted = self.state.get("policy")
+        if persisted is not None and persisted != policy:
+            raise CorruptionError(
+                f"{node}: store written by compaction policy "
+                f"{persisted!r}, refusing to recover as {policy!r}"
+            )
+        return self.level_edit(self.state.get("levels", ()))
 
 
 class NodeStore:

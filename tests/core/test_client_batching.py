@@ -15,6 +15,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.client import ClientPipeline
+from repro.core.flow import BackpressureError
+from repro.live.membership import split_ingestor_shard
+from repro.lsm.entry import encode_key
 from repro.sim.rpc import RemoteError, RpcTimeout
 
 from tests.core.conftest import TINY, tiny_cluster
@@ -160,3 +163,84 @@ class TestClientPipeline:
             ClientPipeline(client, max_batch=0)
         with pytest.raises(ValueError):
             ClientPipeline(client, depth=0)
+
+
+class TestShardRoutedBatches:
+    """``upsert_many`` under shard routing, in the simulator: the
+    regroup-per-attempt path of :meth:`Client._do_upsert_batch` that
+    the pipelined live client drives when a split lands mid-flight."""
+
+    @staticmethod
+    def sharded_cluster(**overrides):
+        return tiny_cluster(num_ingestors=2, sharded=True, **overrides)
+
+    def test_batch_straddling_two_owners_acks_every_op_in_order(self):
+        cluster = self.sharded_cluster()
+        client = cluster.add_client(colocate_with="ingestor-0")
+        keys = [10, 1500, 20, 1600, 30]  # uniform map: boundary at 1000
+
+        def driver():
+            return (yield from client.upsert_many([(k, b"v%d" % k) for k in keys]))
+
+        replies = cluster.run_process(driver())
+        assert len(replies) == len(keys) and None not in replies
+        recorded = {op.key: op for op in cluster.history.operations}
+        assert len(recorded) == len(keys)
+        for key, reply in zip(keys, replies):
+            op = recorded[encode_key(key)]
+            assert op.timestamp == reply.timestamp
+            assert op.server == client.shard_map.owner_of(key)
+        assert {op.server for op in recorded.values()} == {"ingestor-0", "ingestor-1"}
+        assert client.stats.shard_redirects == client.stats.timeouts == 0
+
+    def test_stale_map_batch_across_a_split_boundary_regroups(self):
+        cluster = self.sharded_cluster(spare_ingestors=1)
+        client = cluster.add_client(colocate_with="ingestor-0")
+        admin = cluster.add_client(colocate_with="ingestor-0", record_history=False)
+        keys = [100, 600, 200, 700]  # all ingestor-0's until 500 is cut off
+
+        def driver():
+            yield from split_ingestor_shard(
+                admin, cluster.spec.initial_shard_map(), 500, "ingestor-2",
+                others=[node.name for node in cluster.ingestors],
+            )
+            assert client.shard_map.epoch == 1  # clients never poll
+            replies = yield from client.upsert_many([(k, b"v%d" % k) for k in keys])
+            got = []
+            for key in keys:
+                got.append((yield from client.read(key)))
+            return replies, got
+
+        replies, got = cluster.run_process(driver())
+        assert None not in replies
+        assert got == [b"v%d" % k for k in keys]
+        assert client.stats.shard_redirects >= 1
+        assert client.stats.map_refreshes >= 1
+        servers = {op.key: op.server for op in cluster.history.operations if op.is_write}
+        assert servers[encode_key(100)] == servers[encode_key(200)] == "ingestor-0"
+        assert servers[encode_key(600)] == servers[encode_key(700)] == "ingestor-2"
+
+    def test_backpressure_on_a_batch_retries_the_same_owner(self):
+        cluster = self.sharded_cluster()
+        client = cluster.add_client(colocate_with="ingestor-0")
+        owner = cluster.ingestors[1]
+        real_handler = owner._handlers["upsert_batch"]
+        seen = []
+
+        def shedding(src, request):
+            seen.append(len(request.ops))
+            if len(seen) <= 2:
+                raise BackpressureError(owner.name, 3.0, "l0")
+            return (yield from real_handler(src, request))
+
+        owner.on("upsert_batch", shedding)
+
+        def driver():
+            return (yield from client.upsert_many([(k, b"bp") for k in (1500, 1600)]))
+
+        replies = cluster.run_process(driver())
+        assert None not in replies
+        assert seen == [2, 2, 2]
+        assert client.stats.backpressure_retries == 2
+        assert client.stats.timeouts == client.stats.failovers == 0
+        assert {op.server for op in cluster.history.operations} == {owner.name}

@@ -13,14 +13,10 @@ from repro.core.history import History
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.live.harness import ClientPool, localhost_spec
 from repro.live.node import LiveNode, LiveSpec, load_spec, spec_from_dict, spec_to_dict
-from repro.live.runtime import (
-    AsyncioKernel,
-    Interrupted,
-    LiveError,
-    LiveMachine,
-    LiveNetwork,
-)
+from repro.live.runtime import AsyncioKernel, LiveMachine, LiveNetwork
 from repro.lsm.errors import InvalidConfigError
+from repro.sim import kernel as sim_kernel
+from repro.sim.kernel import Interrupted, SimError
 from repro.sim.resources import Resource, Store
 
 
@@ -44,13 +40,36 @@ class TestKernelSemantics:
 
         run_async(main())
 
+    def test_waitables_are_the_sim_kernel_classes(self):
+        """One waitable core: the live kernel builds the very classes
+        the explorer's corpora execute, not look-alikes."""
+        async def main():
+            kernel = AsyncioKernel()
+
+            def wait_for(waitable):
+                yield waitable
+
+            tick = kernel.timeout(0.0)
+            child = kernel.spawn(wait_for(tick))
+            built = [
+                kernel.event(), tick, child,
+                kernel.all_of([child]), kernel.any_of([child]),
+            ]
+            await kernel.run(wait_for(built[3]))
+            return [type(waitable) for waitable in built]
+
+        assert run_async(main()) == [
+            sim_kernel.Event, sim_kernel.Timeout, sim_kernel.Process,
+            sim_kernel.AllOf, sim_kernel.AnyOf,
+        ]
+
     def test_event_send_value(self):
         async def main():
             kernel = AsyncioKernel()
 
             def proc():
                 event = kernel.event()
-                kernel._soon(lambda: event.succeed("payload"))
+                kernel._schedule_now(lambda: event.succeed("payload"))
                 value = yield event
                 return value
 
@@ -64,7 +83,7 @@ class TestKernelSemantics:
 
             def proc():
                 event = kernel.event()
-                kernel._soon(lambda: event.fail(RuntimeError("boom")))
+                kernel._schedule_now(lambda: event.fail(RuntimeError("boom")))
                 try:
                     yield event
                 except RuntimeError as error:
@@ -79,7 +98,7 @@ class TestKernelSemantics:
             kernel = AsyncioKernel()
             event = kernel.event()
             event.succeed(1)
-            with pytest.raises(LiveError):
+            with pytest.raises(SimError):
                 event.succeed(2)
 
         run_async(main())
@@ -181,11 +200,11 @@ class TestKernelSemantics:
             def proc():
                 yield 42
 
-            with pytest.raises(LiveError, match="yielded"):
+            with pytest.raises(SimError, match="yielded"):
                 # The resume runs on the loop; run() surfaces the error.
                 await kernel.run(proc())
 
-        # LiveError escapes via the loop's exception handling path: the
+        # SimError escapes via the loop's exception handling path: the
         # first resume happens inside a callback, so assert it at least
         # does not hang and the process never completes normally.
         with pytest.raises(Exception):
@@ -236,7 +255,7 @@ class TestKernelSemantics:
     def test_machine_execute_counts_busy_time(self):
         async def main():
             kernel = AsyncioKernel()
-            machine = LiveMachine(kernel, "m", compute_scale=0.0)
+            machine = LiveMachine(kernel, "m")
 
             def proc():
                 yield from machine.execute(2.0)
@@ -245,20 +264,6 @@ class TestKernelSemantics:
             return await kernel.run(proc())
 
         assert run_async(main()) == 2.0
-
-    def test_machine_compute_scale_sleeps_real_time(self):
-        async def main():
-            kernel = AsyncioKernel()
-            machine = LiveMachine(kernel, "m", compute_scale=0.01)
-
-            def proc():
-                yield from machine.execute(1.0)  # 10ms real
-
-            started = kernel.now
-            await kernel.run(proc())
-            return kernel.now - started
-
-        assert run_async(main()) >= 0.009
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,13 @@ write lost, dedup intact, counters monotone.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.lsm.errors import CorruptionError
 from repro.store import NodeStore
-from tests.core.conftest import fill, tiny_cluster
+from tests.core.conftest import TINY, fill, tiny_cluster
 
 
 def attach_all(cluster, root) -> list[NodeStore]:
@@ -166,3 +169,21 @@ def test_simulation_identical_with_and_without_store(tmp_path):
     for with_store, without in zip(durable.compactors, plain.compactors):
         assert with_store.stats == without.stats
         assert with_store._backup_seq == without._backup_seq
+
+
+@pytest.mark.parametrize("role", ["ingestor", "compactor"])
+def test_role_refuses_a_store_another_policy_wrote(tmp_path, role):
+    """``NodeStore.open(policy=None)`` checks nothing, so the policy the
+    role itself persisted in its state is the last line of defence: a
+    leveled node must not adopt a tiered node's overlapping runs."""
+    tiered = tiny_cluster(config=replace(TINY, compaction_policy="tiering"))
+    attach_all(tiered, tmp_path)
+    client = tiered.add_client(colocate_with="ingestor-0")
+    tiered.run_process(fill(tiered, client, 300, key_range=120))
+
+    leveled = tiny_cluster()
+    node = getattr(leveled, role + "s")[0]
+    store = NodeStore.open(str(tmp_path / node.name), node_name=node.name, role=role)
+    assert store.recovered is not None
+    with pytest.raises(CorruptionError, match="'tiering'.*'leveling'"):
+        node.attach_store(store)

@@ -5,11 +5,14 @@ The CI corpus here is intentionally small (seconds, not minutes); the
 ``verify-smoke`` CI job runs the full fixed-seed corpus via the CLI.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.verify import (
     BUGS,
     LIVE_SHAPES,
+    POLICY_SHAPES,
     SHAPES,
     Explorer,
     differential_run,
@@ -43,6 +46,25 @@ class TestDeterminism:
         ]
         assert text[0] == text[1]
         assert "status: PASS" in text[0]
+
+
+class TestFrozenFingerprints:
+    def test_seed0_fingerprints_match_the_frozen_file(self):
+        """Every seed-0 schedule of the three corpora executes the same
+        interleaving and history as when ``seed0_fingerprints.txt`` was
+        written.  A PR that means to move schedules regenerates the
+        file (these same lines) in its own diff."""
+        lines = [
+            f"{corpus} {summary.index} {summary.shape} {summary.fingerprint}"
+            for corpus, shapes in (
+                ("SHAPES", SHAPES),
+                ("LIVE_SHAPES", LIVE_SHAPES),
+                ("POLICY_SHAPES", POLICY_SHAPES),
+            )
+            for summary in Explorer(seed=0, shapes=shapes).explore(12).summaries
+        ]
+        frozen = Path(__file__).with_name("seed0_fingerprints.txt").read_text()
+        assert lines == frozen.splitlines()
 
 
 class TestCleanCorpus:
