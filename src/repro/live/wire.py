@@ -6,11 +6,12 @@ Two layers:
 exchange: ``None``, bools, 64-bit ints, doubles, bytes, str, tuples,
 lists, dicts, :class:`~repro.lsm.entry.Entry`,
 :class:`~repro.lsm.sstable.SSTable`, and every registered message
-dataclass.  Entries and sstables get dedicated compact forms because
-they dominate traffic (a forwarded sstable is thousands of entries);
-sstables are rebuilt on decode from their entries plus construction
-parameters (``table_id``, ``block_entries``, ``bloom_fp_rate``), so
-bloom filters and fence pointers are reconstructed rather than shipped.
+dataclass.  Entries get a dedicated compact form; an sstable — the
+unit that dominates traffic — travels as its checksummed
+:mod:`repro.lsm.sstable_io` file image behind ``table_id``,
+``block_entries``, ``bloom_fp_rate`` and the image length: the bytes the
+sender wrote to its disk, verified and adopted by the receiver (bloom
+filter included, nothing rebuilt) and written to its disk unchanged.
 
 **Frames.**  Length-prefixed with a magic and a CRC32 over the payload::
 
@@ -51,7 +52,9 @@ import typing
 import zlib
 
 from repro.lsm.entry import Entry
+from repro.lsm.errors import CorruptionError
 from repro.lsm.sstable import SSTable
+from repro.lsm.sstable_io import decode_sstable, encode_sstable
 
 __all__ = [
     "WireError",
@@ -181,7 +184,7 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _ENTRY_FIXED = struct.Struct(">qdB")  # seqno, timestamp, tombstone
-_SSTABLE_FIXED = struct.Struct(">qIdI")  # table_id, block_entries, fp_rate, count
+_SSTABLE_FIXED = struct.Struct(">qIdI")  # table_id, block_entries, fp_rate, image length
 _REPLY_FIXED = struct.Struct(">dq")  # timestamp, seqno
 
 #: Bound to the batch message classes once the registry loads (late, to
@@ -266,15 +269,12 @@ def encode_value(value: typing.Any, out: bytearray) -> None:
         out.append(_T_ENTRY)
         _encode_entry_body(value, out)
     elif isinstance(value, SSTable):
+        image = encode_sstable(value, value._block_entries)
         out.append(_T_SSTABLE)
         out += _SSTABLE_FIXED.pack(
-            value.table_id,
-            value._block_entries,
-            value.bloom_fp_rate,
-            len(value.entries),
+            value.table_id, value._block_entries, value.bloom_fp_rate, len(image)
         )
-        for entry in value.entries:
-            _encode_entry_body(entry, out)
+        out += image
     elif type(value) is _BATCH_REQUEST_CLS:
         out.append(_T_UPSERT_BATCH)
         out += _U32.pack(len(value.ops))
@@ -324,6 +324,8 @@ def decode_value(buf: bytes, pos: int = 0) -> tuple[typing.Any, int]:
         return _decode(buf, pos)
     except (struct.error, IndexError) as error:
         raise WireError(f"truncated value at offset {pos}") from error
+    except CorruptionError as error:
+        raise WireError(f"corrupt sstable image: {error}") from error
 
 
 def _decode(buf: bytes, pos: int) -> tuple[typing.Any, int]:
@@ -352,19 +354,10 @@ def _decode(buf: bytes, pos: int) -> tuple[typing.Any, int]:
     if tag == _T_ENTRY:
         return _decode_entry_body(buf, pos)
     if tag == _T_SSTABLE:
-        table_id, block_entries, fp_rate, count = _SSTABLE_FIXED.unpack_from(buf, pos)
+        table_id, block_entries, fp_rate, length = _SSTABLE_FIXED.unpack_from(buf, pos)
         pos += _SSTABLE_FIXED.size
-        entries: list[Entry] = []
-        for __ in range(count):
-            entry, pos = _decode_entry_body(buf, pos)
-            entries.append(entry)
-        table = SSTable(
-            entries,
-            block_entries=block_entries,
-            bloom_fp_rate=fp_rate,
-            table_id=table_id,
-        )
-        return table, pos
+        table = decode_sstable(buf[pos : pos + length], table_id, block_entries, fp_rate)
+        return table, pos + length
     if tag == _T_UPSERT_BATCH:
         (count,) = _U32.unpack_from(buf, pos)
         pos += 4

@@ -28,6 +28,7 @@ from .entry import Entry
 from .errors import CorruptionError
 
 _FIXED = struct.Struct("<Qd B")  # seqno, timestamp, tombstone
+_U32 = struct.Struct("<I")
 
 
 def encode_varint(value: int) -> bytes:
@@ -64,41 +65,62 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 def encode_entries(entries: list[Entry]) -> bytes:
     """Encode entries (already sorted by the caller) into one block."""
-    body = bytearray()
-    body += struct.pack("<I", len(entries))
+    body = bytearray(_U32.pack(len(entries)))
+    pack_fixed = _FIXED.pack
     for entry in entries:
-        body += encode_varint(len(entry.key))
-        body += entry.key
-        body += _FIXED.pack(entry.seqno, entry.timestamp, 1 if entry.tombstone else 0)
-        body += encode_varint(len(entry.value))
-        body += entry.value
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return struct.pack("<I", crc) + bytes(body)
+        key, value = entry.key, entry.value
+        # A length below 128 is its own one-byte LEB128.
+        if len(key) < 128:
+            body.append(len(key))
+        else:
+            body += encode_varint(len(key))
+        body += key
+        body += pack_fixed(entry.seqno, entry.timestamp, 1 if entry.tombstone else 0)
+        if len(value) < 128:
+            body.append(len(value))
+        else:
+            body += encode_varint(len(value))
+        body += value
+    return _U32.pack(zlib.crc32(body)) + body
 
 
 def decode_entries(data: bytes) -> list[Entry]:
     """Decode a block produced by :func:`encode_entries`."""
     if len(data) < 8:
         raise CorruptionError("block too short")
-    (stored_crc,) = struct.unpack_from("<I", data, 0)
-    body = data[4:]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    (stored_crc,) = _U32.unpack_from(data, 0)
+    # One copy, so every key and value below is a plain ``bytes`` slice.
+    body = bytes(data[4:])
+    if zlib.crc32(body) != stored_crc:
         raise CorruptionError("block checksum mismatch")
-    (count,) = struct.unpack_from("<I", body, 0)
-    offset = 4
+    (count,) = _U32.unpack_from(body, 0)
+    offset, end = 4, len(body)
+    unpack_fixed, fixed_size = _FIXED.unpack_from, _FIXED.size
     entries: list[Entry] = []
-    for _ in range(count):
-        key_len, offset = decode_varint(body, offset)
-        key = bytes(body[offset : offset + key_len])
-        offset += key_len
-        if offset + _FIXED.size > len(body):
-            raise CorruptionError("truncated entry header")
-        seqno, timestamp, tomb = _FIXED.unpack_from(body, offset)
-        offset += _FIXED.size
-        value_len, offset = decode_varint(body, offset)
-        value = bytes(body[offset : offset + value_len])
-        if len(value) != value_len:
-            raise CorruptionError("truncated entry value")
-        offset += value_len
-        entries.append(Entry(key, seqno, timestamp, value, tombstone=bool(tomb)))
+    append = entries.append
+    try:
+        for _ in range(count):
+            key_len = body[offset]
+            if key_len < 128:
+                offset += 1
+            else:
+                key_len, offset = decode_varint(body, offset)
+            key = body[offset : offset + key_len]
+            offset += key_len
+            if offset + fixed_size > end:
+                raise CorruptionError("truncated entry header")
+            seqno, timestamp, tomb = unpack_fixed(body, offset)
+            offset += fixed_size
+            value_len = body[offset]
+            if value_len < 128:
+                offset += 1
+            else:
+                value_len, offset = decode_varint(body, offset)
+            value = body[offset : offset + value_len]
+            if len(value) != value_len:
+                raise CorruptionError("truncated entry value")
+            offset += value_len
+            append(Entry(key, seqno, timestamp, value, tombstone=bool(tomb)))
+    except IndexError:
+        raise CorruptionError("truncated varint") from None
     return entries

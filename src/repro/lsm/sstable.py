@@ -119,6 +119,7 @@ class SSTable:
         "_fences",
         "_keys",
         "_block_entries",
+        "_image",
     )
 
     def __init__(
@@ -149,6 +150,9 @@ class SSTable:
         )
         self.opens = 0
         self.probes = 0
+        #: The :mod:`~repro.lsm.sstable_io` image at this granularity, once
+        #: encoded or adopted: the same bytes go to disk and over the wire.
+        self._image: bytes | None = None
 
     @classmethod
     def from_entries(

@@ -1,4 +1,4 @@
-"""On-disk sstable format: persistence for the embedded engine.
+"""On-disk sstable format — and the one serialised form of a table.
 
 CooLSM's simulated deployments keep sstables in memory (the simulator
 models I/O cost explicitly), but the library is also usable as a real
@@ -12,21 +12,28 @@ File layout::
     [footer]               # fixed size, at end of file:
         u64 index_offset | u32 index_length
         u64 bloom_offset | u32 bloom_length
-        u32 crc32 of the 24 bytes above
-        8-byte magic "COOLSST1"
+        u32 crc32 of index block + bloom block + the 24 bytes above
+        8-byte magic "COOLSST2"
 
-Data blocks use :mod:`repro.lsm.block` encoding (per-block CRC32), so a
-flipped bit anywhere is detected either by a block CRC or the footer CRC.
+Data blocks use :mod:`repro.lsm.block` encoding (per-block CRC32) and
+the footer CRC covers every other byte, so a flipped bit anywhere is
+detected by one or the other, each checked before what it covers is parsed.
+
+The image is also a table's wire form (:mod:`repro.live.wire`):
+:func:`encode_sstable` builds it once per table, :func:`write_sstable`
+installs those bytes, and :func:`decode_sstable` lets a receiver verify
+and adopt them, so the file it then writes is the sender's, byte for byte.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
-from repro.store.fsutil import fsync_dir
+from repro.store.fsutil import atomic_write_bytes
 
 from .block import decode_entries, decode_varint, encode_entries, encode_varint
 from .bloom import BloomFilter
@@ -35,52 +42,98 @@ from .entry import Entry
 from .errors import ClosedError, CorruptionError
 from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable, next_table_id
 
-_MAGIC = b"COOLSST1"
-_FOOTER = struct.Struct("<QIQII")  # index_off, index_len, bloom_off, bloom_len, crc
+_MAGIC = b"COOLSST2"
+_FIELDS = struct.Struct("<QIQI")  # index_off, index_len, bloom_off, bloom_len
+_CRC = struct.Struct("<I")
+_FOOTER_SIZE = _FIELDS.size + _CRC.size + len(_MAGIC)
+_FENCE = struct.Struct("<QI")  # block offset, block length
 
 
-def write_sstable(
-    table: SSTable,
-    path: str,
-    block_entries: int = DEFAULT_BLOCK_ENTRIES,
-) -> None:
-    """Persist an in-memory sstable to ``path`` (atomic via rename)."""
-    tmp_path = path + ".tmp"
+def encode_sstable(table: SSTable, block_entries: int) -> bytes:
+    """The complete file image of ``table``, memoised on it when
+    ``block_entries`` is the table's own granularity (what ``NodeStore``
+    and the wire both ask for): one encoding serves the local disk and
+    every peer the table is sent to."""
+    own = block_entries == table._block_entries
+    if own and table._image is not None:
+        return table._image
+    out = bytearray()
     fences: list[tuple[bytes, int, int]] = []
-    with open(tmp_path, "wb") as f:
-        offset = 0
-        for start in range(0, len(table.entries), block_entries):
-            chunk = table.entries[start : start + block_entries]
-            encoded = encode_entries(chunk)
-            f.write(encoded)
-            fences.append((chunk[0].key, offset, len(encoded)))
-            offset += len(encoded)
-        index_offset = offset
-        index_block = _encode_index(fences)
-        f.write(index_block)
-        bloom_offset = index_offset + len(index_block)
-        bloom_block = table.bloom.to_bytes()
-        f.write(bloom_block)
-        footer_fields = struct.pack(
-            "<QIQI", index_offset, len(index_block), bloom_offset, len(bloom_block)
-        )
-        crc = zlib.crc32(footer_fields) & 0xFFFFFFFF
-        f.write(footer_fields + struct.pack("<I", crc) + _MAGIC)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp_path, path)
-    # The rename lives in the directory's metadata: without this fsync a
-    # power loss can forget the file ever appeared.
-    fsync_dir(os.path.dirname(os.path.abspath(path)))
+    entries = table.entries
+    for start in range(0, len(entries), block_entries):
+        encoded = encode_entries(entries[start : start + block_entries])
+        fences.append((entries[start].key, len(out), len(encoded)))
+        out += encoded
+    index_block = _encode_index(fences)
+    bloom_block = table.bloom.to_bytes()
+    meta = index_block + bloom_block + _FIELDS.pack(
+        len(out), len(index_block), len(out) + len(index_block), len(bloom_block)
+    )
+    out += meta
+    out += _CRC.pack(zlib.crc32(meta))
+    out += _MAGIC
+    image = bytes(out)
+    if own:
+        table._image = image
+    return image
+
+
+def write_sstable(table: SSTable, path: str, block_entries: int = DEFAULT_BLOCK_ENTRIES) -> int:
+    """Persist an in-memory sstable to ``path`` (atomic via rename plus
+    directory fsync); returns the number of bytes written."""
+    return atomic_write_bytes(path, encode_sstable(table, block_entries))
+
+
+def decode_sstable(
+    image: bytes, table_id: int, block_entries: int, bloom_fp_rate: float
+) -> SSTable:
+    """Inverse of :func:`encode_sstable`: check the footer CRC and every
+    block CRC (:class:`CorruptionError` on any damage), take the bloom
+    filter from the image instead of rebuilding it, and keep the image on
+    the table so writing or re-sending it encodes nothing."""
+    image = bytes(image)
+    fences, bloom = _load_meta(io.BytesIO(image), f"sstable {table_id}")
+    view = memoryview(image)
+    entries: list[Entry] = []
+    for __, offset, length in fences:
+        entries += decode_entries(view[offset : offset + length])
+    table = SSTable(entries, block_entries, bloom_fp_rate, table_id, bloom)
+    table._image = image
+    return table
+
+
+def _load_meta(file: BinaryIO, what: str) -> tuple[list[tuple[bytes, int, int]], BloomFilter]:
+    """Verify the footer of the image in ``file`` (an open sstable, or a
+    received image) and parse what it covers: (fence pointers, bloom)."""
+    meta_end = file.seek(0, os.SEEK_END) - _FOOTER_SIZE
+    if meta_end < 0:
+        raise CorruptionError(f"{what}: too small for footer")
+    file.seek(meta_end)
+    footer = file.read(_FOOTER_SIZE)
+    if footer[-len(_MAGIC) :] != _MAGIC:
+        raise CorruptionError(f"{what}: bad magic")
+    index_off, index_len, bloom_off, bloom_len = _FIELDS.unpack_from(footer)
+    # Index, bloom and footer are contiguous; checking that first bounds
+    # the read below by the file size whatever the fields claim.
+    if index_off + index_len != bloom_off or bloom_off + bloom_len != meta_end:
+        raise CorruptionError(f"{what}: footer does not match the file layout")
+    file.seek(index_off)
+    meta = file.read(meta_end - index_off)
+    (crc,) = _CRC.unpack_from(footer, _FIELDS.size)
+    if zlib.crc32(footer[: _FIELDS.size], zlib.crc32(meta)) != crc:
+        raise CorruptionError(f"{what}: footer checksum mismatch")
+    fences = _decode_index(meta[:index_len])
+    if not fences:
+        raise CorruptionError(f"{what}: empty index")
+    return fences, BloomFilter.from_bytes(meta[index_len:])
 
 
 def _encode_index(fences: list[tuple[bytes, int, int]]) -> bytes:
-    out = bytearray()
-    out += encode_varint(len(fences))
+    out = bytearray(encode_varint(len(fences)))
     for first_key, offset, length in fences:
         out += encode_varint(len(first_key))
         out += first_key
-        out += struct.pack("<QI", offset, length)
+        out += _FENCE.pack(offset, length)
     return bytes(out)
 
 
@@ -91,8 +144,8 @@ def _decode_index(data: bytes) -> list[tuple[bytes, int, int]]:
         key_len, offset = decode_varint(data, offset)
         key = bytes(data[offset : offset + key_len])
         offset += key_len
-        block_offset, block_len = struct.unpack_from("<QI", data, offset)
-        offset += 12
+        block_offset, block_len = _FENCE.unpack_from(data, offset)
+        offset += _FENCE.size
         fences.append((key, block_offset, block_len))
     return fences
 
@@ -115,31 +168,14 @@ class SSTableReader:
         self._cache_id = next_table_id()
         self._file = open(path, "rb")
         self._closed = False
-        self._load_footer()
+        try:
+            self._load_footer()
+        except BaseException:
+            self.close()
+            raise
 
     def _load_footer(self) -> None:
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
-        footer_size = _FOOTER.size + len(_MAGIC)
-        if size < footer_size:
-            raise CorruptionError(f"{self.path}: file too small for footer")
-        self._file.seek(size - footer_size)
-        raw = self._file.read(footer_size)
-        if raw[-len(_MAGIC) :] != _MAGIC:
-            raise CorruptionError(f"{self.path}: bad magic")
-        fields = raw[: _FOOTER.size - 4 + 4]
-        index_off, index_len, bloom_off, bloom_len, crc = _FOOTER.unpack(
-            raw[: _FOOTER.size]
-        )
-        if zlib.crc32(raw[: _FOOTER.size - 4]) & 0xFFFFFFFF != crc:
-            raise CorruptionError(f"{self.path}: footer checksum mismatch")
-        del fields
-        self._file.seek(index_off)
-        self._fences = _decode_index(self._file.read(index_len))
-        self._file.seek(bloom_off)
-        self.bloom = BloomFilter.from_bytes(self._file.read(bloom_len))
-        if not self._fences:
-            raise CorruptionError(f"{self.path}: empty index")
+        self._fences, self.bloom = _load_meta(self._file, self.path)
 
     def close(self) -> None:
         if not self._closed:

@@ -51,8 +51,9 @@ class WriteAheadLog:
         """Durably append one entry."""
         self.append_batch([entry])
 
-    def append_batch(self, entries: list[Entry]) -> None:
-        """Durably append a batch of entries as one record."""
+    def append_batch(self, entries: list[Entry]) -> int:
+        """Durably append a batch of entries as one record; returns the
+        record's size in bytes."""
         if self._closed:
             raise ClosedError("WAL is closed")
         payload = encode_entries(entries)
@@ -61,6 +62,7 @@ class WriteAheadLog:
         self._file.flush()
         if self.sync:
             os.fsync(self._file.fileno())
+        return _HEADER.size + len(payload)
 
     def close(self) -> None:
         if not self._closed:

@@ -175,6 +175,9 @@ class RpcNode:
         transport = getattr(self.network, "transport", None)
         if transport is not None:
             gauges.update(transport.stats.as_gauges())
+        store = getattr(self, "_store", None)
+        if store is not None:
+            gauges.update(store.gauges())
         yield from ()
         return HealthReply(
             name=self.name,

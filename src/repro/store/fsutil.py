@@ -38,9 +38,9 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes) -> int:
     """Durably install ``data`` at ``path``: write a temp file, fsync
-    it, rename over the target, fsync the directory."""
+    it, rename over the target, fsync the directory; returns ``len(data)``."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(data)
@@ -48,9 +48,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         os.fsync(f.fileno())
     os.replace(tmp, path)
     fsync_dir(os.path.dirname(os.path.abspath(path)))
+    return len(data)
 
 
-def atomic_write_json(path: str, document: dict) -> None:
+def atomic_write_json(path: str, document: dict) -> int:
     """Durably install a JSON document at ``path`` (see
     :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, json.dumps(document, sort_keys=True).encode())
+    return atomic_write_bytes(path, json.dumps(document, sort_keys=True).encode())

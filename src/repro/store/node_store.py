@@ -7,7 +7,8 @@ its ``--data-dir``:
   upsert before replying; see :mod:`repro.lsm.wal` for the record
   format and torn-tail semantics);
 * ``sst-<id>.sst`` — every sstable the node's recovery-critical state
-  references, in the :mod:`repro.lsm.sstable_io` on-disk format;
+  references, in the :mod:`repro.lsm.sstable_io` on-disk format (for a
+  table received over the wire, the sender's file byte for byte);
 * ``NODE_MANIFEST.json`` — a versioned manifest installed atomically
   (write-temp, fsync, rename, fsync-dir) naming the live sstables and
   carrying a role-specific ``state`` snapshot: the Ingestor's level
@@ -123,6 +124,11 @@ class NodeStore:
         #: two handlers ever shared a record).
         self.wal_records = 0
         self.wal_entries_logged = 0
+        #: Bytes written so far, by file class — ``write_amp``'s numerator,
+        #: split; deleted files and truncated WAL records stay counted.
+        self.sstable_bytes_written = 0
+        self.manifest_bytes_written = 0
+        self.wal_bytes_written = 0
 
     # ------------------------------------------------------------------
     # Open / recover
@@ -242,7 +248,7 @@ class NodeStore:
         one fsync — covers the entries of every concurrent handler in
         the group-commit leader's record (DESIGN.md §13)."""
         self._check_open()
-        self._wal.append_batch(entries)
+        self.wal_bytes_written += self._wal.append_batch(entries)
         self.wal_records += 1
         self.wal_entries_logged += len(entries)
 
@@ -267,7 +273,7 @@ class NodeStore:
             meta = self._table_meta.get(table.table_id)
             if meta is None:
                 name = _table_filename(table.table_id)
-                write_sstable(
+                self.sstable_bytes_written += write_sstable(
                     table,
                     os.path.join(self.directory, name),
                     block_entries=table._block_entries,
@@ -295,7 +301,7 @@ class NodeStore:
         }
         if self.policy is not None:
             document["policy"] = self.policy
-        atomic_write_json(
+        self.manifest_bytes_written += atomic_write_json(
             os.path.join(self.directory, MANIFEST_NAME), document
         )
         self.wal_floor = floor
@@ -329,6 +335,16 @@ class NodeStore:
     def wal_bytes(self) -> int:
         wal_path = os.path.join(self.directory, WAL_NAME)
         return os.path.getsize(wal_path) if os.path.exists(wal_path) else 0
+
+    def gauges(self) -> dict[str, int]:
+        """Write counters, keyed for the health reply like the transport's."""
+        return {
+            "store_sstable_bytes": self.sstable_bytes_written,
+            "store_manifest_bytes": self.manifest_bytes_written,
+            "store_wal_bytes": self.wal_bytes_written,
+            "store_wal_records": self.wal_records,
+            "store_wal_entries_logged": self.wal_entries_logged,
+        }
 
     def close(self) -> None:
         if not self._closed:

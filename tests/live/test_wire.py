@@ -6,7 +6,13 @@ import dataclasses
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import messages
+from repro.lsm import sstable_io
+from repro.lsm.block import encode_entries
+from repro.lsm.bloom import BloomFilter
 from repro.lsm.entry import Entry, encode_key
 from repro.lsm.sstable import SSTable, sort_run
 from repro.live import wire
@@ -160,14 +166,49 @@ class TestEntryAndSSTable:
         assert decoded.tombstone is True
         assert_entries_equal(decoded, tomb)
 
-    def test_sstable_round_trip_rebuilds_structures(self):
-        table = make_table(range(200), table_id=123456789)
+    def test_sstable_round_trip_ships_structures(self, monkeypatch):
+        table = SSTable(
+            make_table(range(200)).entries,
+            block_entries=7,
+            bloom_fp_rate=0.05,
+            table_id=123456789,
+        )
+        builds = []
+        original = BloomFilter.build.__func__
+        monkeypatch.setattr(
+            BloomFilter,
+            "build",
+            classmethod(lambda cls, *a, **kw: builds.append(1) or original(cls, *a, **kw)),
+        )
         decoded = roundtrip(table)
+        assert builds == [], "the filter is taken from the image, not rebuilt"
         assert_tables_equal(decoded, table)
-        # Bloom filter and fence pointers are rebuilt, not shipped:
-        for k in range(200):
-            assert decoded.bloom.might_contain(encode_key(k))
+        assert decoded._block_entries == 7 and decoded.bloom_fp_rate == 0.05
+        assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
+        assert decoded._fences == table._fences
         assert decoded.get(encode_key(17)) is not None
+
+    def test_same_table_is_encoded_once(self, monkeypatch):
+        table = SSTable(make_table(range(200)).entries, block_entries=64)
+        blocks = []
+        monkeypatch.setattr(
+            sstable_io,
+            "encode_entries",
+            lambda entries: blocks.append(len(entries)) or encode_entries(entries),
+        )
+        first, second = bytearray(), bytearray()
+        wire.encode_value(messages.BackupUpdate(2, (table,), "compactor-0"), first)
+        wire.encode_value(messages.ForwardRequest((table,), 0.0, 1, "ingestor-0"), second)
+        assert blocks == [64, 64, 64, 8], "one encode_entries call per block in total"
+
+    def test_corrupt_image_is_a_wire_error(self):
+        out = bytearray()
+        wire.encode_value(make_table(range(50)), out)
+        out[40] ^= 0x01  # inside the first data block
+        with pytest.raises(wire.WireError, match="corrupt sstable image"):
+            wire.decode_value(bytes(out))
+        with pytest.raises(wire.WireError):
+            wire.decode_value(bytes(out[:-5]))
 
     def test_sstable_table_id_beyond_32_bits(self):
         # Live processes namespace ids into high bits (namespace << 40).
@@ -180,6 +221,38 @@ class TestEntryAndSSTable:
         )
         table = SSTable(entries)
         assert_tables_equal(roundtrip(table), table)
+
+
+_wire_entries = st.lists(
+    st.builds(
+        Entry,
+        # Few distinct keys, so runs hold several versions of one key;
+        # the 300-byte key and value take the multi-byte varint path.
+        key=st.sampled_from([b"a", b"b", b"k" * 127, b"K" * 128, b"x" * 300]),
+        seqno=st.integers(min_value=1, max_value=10**6),
+        timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+        value=st.sampled_from([b"", b"v", b"w" * 127, b"W" * 128, b"y" * 300]),
+        tombstone=st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=_wire_entries, block_entries=st.sampled_from([1, 7, 64]))
+def test_sstable_round_trip_inside_messages(entries, block_entries):
+    table = SSTable(sort_run(entries), block_entries=block_entries, bloom_fp_rate=0.02)
+    backup = roundtrip(messages.BackupUpdate(3, (table, table), "compactor-0"))
+    forward = roundtrip(messages.ForwardRequest((table,), 1.5, 9, "ingestor-0"))
+    for decoded in (*backup.tables, *forward.tables):
+        assert decoded.entries == table.entries
+        assert decoded.table_id == table.table_id
+        assert decoded._block_entries == block_entries
+        assert decoded.bloom_fp_rate == 0.02
+        assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
+        for entry in entries:
+            assert decoded.get(entry.key) == table.get(entry.key)
 
 
 class TestMessageRoundTrips:

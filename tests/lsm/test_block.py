@@ -73,3 +73,37 @@ class TestBlockCodec:
         data = encode_entries([entry(i, i + 1) for i in range(7)])
         (count,) = struct.unpack_from("<I", data, 4)
         assert count == 7
+
+    def test_golden_bytes(self):
+        """The format the WAL and sstables share, frozen: lengths 0 and
+        127 are one-byte varints, 128 and 300 two-byte ones."""
+        from repro.lsm.entry import Entry
+
+        entries = [
+            Entry(b"", 1, 1.0, b"a" * 127),
+            Entry(b"k" * 127, 2, 2.0, b"", tombstone=True),
+            Entry(b"K" * 128, 3, 3.0, b"v" * 300),
+            Entry(b"x" * 300, 2**40, 0.5, b"V" * 128),
+        ]
+        golden = (
+            "8c9e7ceb" "04000000"  # crc, count
+            "00" "0100000000000000" "000000000000f03f" "00" "7f" + "61" * 127
+            + "7f" + "6b" * 127 + "0200000000000000" "0000000000000040" "01" "00"
+            + "8001" + "4b" * 128 + "0300000000000000" "0000000000000840" "00"
+            + "ac02" + "76" * 300
+            + "ac02" + "78" * 300 + "0000000000010000" "000000000000e03f" "00"
+            + "8001" + "56" * 128
+        )
+        assert encode_entries(entries).hex() == golden
+        assert decode_entries(bytes.fromhex(golden)) == entries
+
+    def test_overstated_count_is_corruption_not_index_error(self):
+        """A checksum-valid body that ends where a length byte (key or
+        value) should be: the one-byte fast path must still report it."""
+        import zlib
+
+        whole = encode_entries([entry("a", 1, value="v")])[4:]
+        for body in (whole[:4], whole[:-2]):  # ends at key_len / at value_len
+            data = struct.pack("<I", zlib.crc32(body)) + body
+            with pytest.raises(CorruptionError):
+                decode_entries(data)

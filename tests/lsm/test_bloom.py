@@ -1,6 +1,8 @@
 """Unit tests for the bloom filter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm.bloom import BloomFilter, optimal_num_bits, optimal_num_hashes
 from repro.lsm.errors import CorruptionError, InvalidConfigError
@@ -52,6 +54,21 @@ class TestMembership:
         bloom = BloomFilter.build([b"a", b"b"])
         assert (b"a" in bloom) == bloom.might_contain(b"a")
         assert len(bloom) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.binary(max_size=24), max_size=120),
+    fp_rate=st.sampled_from([0.5, 0.05, 0.01, 0.0001]),
+)
+def test_build_is_byte_equal_to_repeated_add(keys, fp_rate):
+    """``build`` inlines the probe loop; ``add`` is its definition."""
+    reference = BloomFilter.for_keys(len(keys), fp_rate)
+    for key in keys:
+        reference.add(key)
+    built = BloomFilter.build(iter(keys), fp_rate)
+    assert built.to_bytes() == reference.to_bytes()
+    assert len(built) == len(keys)
 
 
 class TestSerialisation:

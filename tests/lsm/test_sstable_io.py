@@ -7,7 +7,13 @@ import pytest
 from repro.lsm.entry import encode_key
 from repro.lsm.errors import ClosedError, CorruptionError
 from repro.lsm.sstable import SSTable
-from repro.lsm.sstable_io import SSTableReader, read_sstable, write_sstable
+from repro.lsm.sstable_io import (
+    SSTableReader,
+    decode_sstable,
+    encode_sstable,
+    read_sstable,
+    write_sstable,
+)
 
 from tests.conftest import entry
 
@@ -103,3 +109,67 @@ def test_write_is_atomic_no_tmp_left_behind(tmp_path, table):
     path = str(tmp_path / "t.sst")
     write_sstable(table, path)
     assert not os.path.exists(path + ".tmp")
+
+
+# ----------------------------------------------------------------------
+# The image: one encoding, memoised, adopted verbatim
+# ----------------------------------------------------------------------
+def test_image_is_the_file_and_is_memoised(tmp_path, table):
+    path = str(tmp_path / "t.sst")
+    assert write_sstable(table, path, block_entries=8) == os.path.getsize(path)
+    with open(path, "rb") as f:
+        assert f.read() == encode_sstable(table, 8)
+    assert encode_sstable(table, 8) is encode_sstable(table, 8)
+    # Another granularity is a different image and leaves the memo alone.
+    assert encode_sstable(table, 16) != encode_sstable(table, 8)
+    assert encode_sstable(table, 8) is table._image
+
+
+def test_decode_adopts_the_image(table):
+    image = encode_sstable(table, 8)
+    adopted = decode_sstable(memoryview(image), 77, 8, 0.05)
+    assert adopted.entries == table.entries
+    assert (adopted.table_id, adopted._block_entries, adopted.bloom_fp_rate) == (77, 8, 0.05)
+    assert adopted.bloom.to_bytes() == table.bloom.to_bytes()
+    assert encode_sstable(adopted, 8) == image
+
+
+def _damaged_images(image: bytes):
+    for pos in range(len(image)):
+        for mask in (0x01, 0xFF):
+            damaged = bytearray(image)
+            damaged[pos] ^= mask
+            yield f"flip {mask:#04x} at {pos}", bytes(damaged)
+    for length in range(len(image)):
+        yield f"truncated to {length}", image[:length]
+
+
+def test_any_flipped_byte_or_truncation_is_corruption(tmp_path):
+    """Every byte of the image is under a CRC that is checked before the
+    byte is used — by the file reader and by the network's decoder alike:
+    never another exception type, never a hang, never a wrong read."""
+    small = SSTable.from_entries(
+        [entry(k, k + 1) for k in range(20)], block_entries=8
+    )
+    expected = {e.key: e for e in small.entries}
+    image = encode_sstable(small, 8)
+    path = str(tmp_path / "t.sst")
+    for what, damaged in _damaged_images(image):
+        with pytest.raises(CorruptionError):
+            decode_sstable(damaged, small.table_id, 8, 0.01)
+            pytest.fail(f"decode_sstable accepted image {what}")
+        with open(path, "wb") as f:
+            f.write(damaged)
+        with pytest.raises(CorruptionError):
+            with SSTableReader(path) as reader:
+                list(reader.scan())
+            pytest.fail(f"SSTableReader scanned image {what}")
+        try:
+            with SSTableReader(path) as reader:
+                for key, entry_ in expected.items():
+                    try:
+                        assert reader.get(key) == entry_, what
+                    except CorruptionError:
+                        pass  # the one damaged block
+        except CorruptionError:
+            pass  # refused at open: footer, index or bloom damage

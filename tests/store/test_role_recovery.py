@@ -187,3 +187,25 @@ def test_role_refuses_a_store_another_policy_wrote(tmp_path, role):
     assert store.recovered is not None
     with pytest.raises(CorruptionError, match="'tiering'.*'leveling'"):
         node.attach_store(store)
+
+
+def test_health_reply_carries_each_nodes_store_gauges(durable_run):
+    """The per-file-class write split is readable off the health RPC of
+    every durable node (and absent from a store-less node's reply)."""
+    from repro.core.messages import HealthPing
+
+    def store_gauges(cluster, node):
+        client = cluster.add_client(colocate_with="ingestor-0")
+
+        def probe():
+            return (yield client.call(node.name, "health", HealthPing(1), timeout=1.0))
+
+        gauges = cluster.run_process(probe()).gauges
+        return {k: v for k, v in gauges.items() if k.startswith("store_")}
+
+    cluster, __, ___ = durable_run
+    for node in [*cluster.ingestors, *cluster.compactors, *cluster.readers]:
+        assert store_gauges(cluster, node) == node._store.gauges()
+    assert min(cluster.ingestors[0]._store.gauges().values()) > 0
+    bare = tiny_cluster()
+    assert store_gauges(bare, bare.ingestors[0]) == {}
