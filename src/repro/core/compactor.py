@@ -33,9 +33,9 @@ from repro.lsm.compaction import (
     merge_tables,
 )
 from repro.lsm.entry import Entry
-from repro.lsm.iterators import level_scan
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.policy import make_policy
+from repro.lsm.readpath import level_groups, level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.clock import LooseClock
 from repro.sim.resources import Resource
@@ -444,24 +444,9 @@ class Compactor(RpcNode):
     # Read path
     # ------------------------------------------------------------------
     def _search(self, key: bytes, as_of: float | None) -> tuple[Entry | None, int]:
-        probes = 0
-        candidates: list[Entry] = []
-        for level in (L2, L3):
-            # The fence index bisects to the candidate tables: exactly
-            # one for a non-overlapping level, one per covering run for
-            # a stacked level (version order resolves among them).
-            for table in self.manifest.tables_for_key(level, key):
-                if table.bloom.might_contain(key):
-                    probes += 1
-                    versions = table.versions(key, self.read_cache)
-                    if as_of is not None:
-                        versions = [v for v in versions if v.timestamp <= as_of]
-                    candidates.extend(versions[:1])
-            if candidates and as_of is None:
-                break  # L2 strictly newer than L3 for the same key
-        if not candidates:
-            return None, probes
-        return max(candidates, key=lambda e: e.version), probes
+        # L2 is strictly newer than L3 for the same key.
+        groups = level_groups(self.manifest, key, (L2, L3))
+        return lookup(key, groups, as_of=as_of, cache=self.read_cache)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Point read over L2 then L3 ("starting with the corresponding
@@ -475,30 +460,9 @@ class Compactor(RpcNode):
     def _handle_range_query(self, src: str, request: RangeQuery):
         """Analytics range read directly on the Compactor (used when a
         deployment has no Readers)."""
-        from repro.lsm.iterators import dedup_newest, k_way_merge
-
         self.stats.reads += 1
         yield from self.compute(self.config.costs.read_base)
-        # A non-overlapping level becomes one lazy chained stream; a
-        # stacked (tiered) level contributes one cursor per run, since
-        # chaining overlapping tables would break sort order.  With a
-        # limit the merge stops after O(limit) entries either way.
-        overlapping = self.manifest.overlapping_levels
-        sources = []
-        for level in (L2, L3):
-            run = self.manifest.tables_for_range(level, request.lo, request.hi)
-            if not run:
-                continue
-            if level in overlapping:
-                sources.extend(t.scan(request.lo, request.hi) for t in run)
-            else:
-                sources.append(level_scan(run, request.lo, request.hi))
-        pairs: list[tuple[bytes, bytes]] = []
-        for entry in dedup_newest(k_way_merge(sources)):
-            if entry.tombstone:
-                continue
-            pairs.append((entry.key, entry.value))
-            if request.limit is not None and len(pairs) >= request.limit:
-                break
+        sources = level_sources(self.manifest, (L2, L3), request.lo, request.hi)
+        pairs = tuple(live_pairs(sources, request.limit))
         yield from self.compute(len(pairs) * self.config.costs.scan_per_entry)
-        return RangeQueryReply(tuple(pairs))
+        return RangeQueryReply(pairs)

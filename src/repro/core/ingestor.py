@@ -22,6 +22,7 @@ Compactors — which clients use to decide whether phase 2 is needed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -30,9 +31,11 @@ from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
 from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, merge_tables
 from repro.lsm.entry import Entry
+from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.memtable import Memtable
 from repro.lsm.policy import make_policy
+from repro.lsm.readpath import level_groups, level_sources, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.clock import LooseClock
 from repro.sim.resources import Resource
@@ -831,41 +834,17 @@ class Ingestor(RpcNode):
         Returns (entry, probes) where probes counts the sstables whose
         blocks were actually searched (for the cost model).
         """
-        probes = 0
-        candidates: list[Entry] = []
-        candidates.extend(self._visible(self._memtable.versions(key), as_of))
-        for table in reversed(self.level0):
-            if table.key_in_range(key) and table.bloom.might_contain(key):
-                probes += 1
-                candidates.extend(
-                    self._visible(table.versions(key, self.read_cache), as_of)
-                )
-                if candidates and as_of is None:
-                    break  # L0 newest-first: first hit wins
-        # L1 is non-overlapping: the manifest's fence index bisects to
-        # the single candidate table instead of scanning the level.
-        search_l1 = self.manifest.tables_for_key(1, key)
-        inflight = [
-            t
-            for batch in self._in_flight.values()
-            for t in batch
-            if t.key_in_range(key)
-        ]
-        for table in search_l1 + inflight:
-            if table.bloom.might_contain(key):
-                probes += 1
-                candidates.extend(
-                    self._visible(table.versions(key, self.read_cache), as_of)
-                )
-        if not candidates:
-            return None, probes
-        return max(candidates, key=lambda e: e.version), probes
-
-    @staticmethod
-    def _visible(versions: list[Entry], as_of: float | None) -> list[Entry]:
-        if as_of is None:
-            return versions[:1]
-        return [v for v in versions if v.timestamp <= as_of]
+        # Newest data first: each L0 table supersedes the ones flushed
+        # before it, L0 was flushed after everything compacted into L1,
+        # and an in-flight table left L1 before L1's current content
+        # arrived.  In-flight batches are unordered among themselves.
+        groups = itertools.chain(
+            ([table] for table in reversed(self.level0)),
+            level_groups(self.manifest, key, (1,)),
+            ((t for batch in self._in_flight.values() for t in batch),),
+        )
+        buffered = self._memtable.versions(key)
+        return lookup(key, groups, buffered, as_of, self.read_cache)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Full read path (Section III-C): local levels, then the
@@ -899,50 +878,40 @@ class Ingestor(RpcNode):
     def _handle_range_query(self, src: str, request: RangeQuery):
         """Global range scan: merge the local levels with the range
         results of every Compactor partition intersecting [lo, hi]."""
-        from repro.lsm.iterators import dedup_newest, k_way_merge
-
         self.stats.reads += 1
         yield from self.compute(self.config.costs.read_base)
-        sources: list = [self._memtable.range(request.lo, request.hi)]
-        local_tables = (
-            list(reversed(self.level0))
-            + list(self.level1)
-            + [t for batch in self._in_flight.values() for t in batch]
-        )
-        for table in local_tables:
-            if table.overlaps(request.lo, request.hi):
-                sources.append(table.scan(request.lo, request.hi))
+        lo, hi = request.lo, request.hi
+        sources = [self._memtable.range(lo, hi)]
+        sources += level_sources(self.manifest, (0, 1), lo, hi)
+        sources += [
+            table.scan(lo, hi)
+            for batch in self._in_flight.values()
+            for table in batch
+            if table.overlaps(lo, hi)
+        ]
         # Fan out to every partition the range touches (all members of
         # overlapping groups, newest version wins).
-        partitions = self.partitioning.partitions_for_range(request.lo, request.hi)
+        partitions = self.partitioning.partitions_for_range(lo, hi)
         members = [m for p in partitions for m in p.members]
         calls = [
             self.kernel.spawn(self._call_retry(m, "range_query", request))
             for m in members
         ]
         replies = yield self.kernel.all_of(calls)
-        remote_by_key: dict[bytes, list[tuple[bytes, bytes]]] = {}
+        combined: dict[bytes, bytes | None] = {}
         for reply in replies:
             for key, value in reply.pairs:
-                remote_by_key.setdefault(key, []).append((key, value))
-        pairs: list[tuple[bytes, bytes]] = []
-        local_merged = list(dedup_newest(k_way_merge(sources)))
+                combined.setdefault(key, value)
         # Local levels are strictly fresher than the Compactors for any
-        # key they contain (single-Ingestor deployments), so local wins.
-        combined: dict[bytes, bytes | None] = {}
-        for key, versions in remote_by_key.items():
-            combined[key] = versions[0][1]
-        for entry in local_merged:
+        # key they contain (single-Ingestor deployments), so local wins —
+        # tombstones included, which is why this is not ``live_pairs``.
+        for entry in dedup_newest(k_way_merge(sources)):
             combined[entry.key] = None if entry.tombstone else entry.value
-        for key in sorted(combined):
-            value = combined[key]
-            if value is None:
-                continue
-            pairs.append((key, value))
-            if request.limit is not None and len(pairs) >= request.limit:
-                break
+        live = ((k, v) for k, v in sorted(combined.items()) if v is not None)
+        limit = request.limit
+        pairs = tuple(live if limit is None else itertools.islice(live, max(limit, 0)))
         yield from self.compute(len(pairs) * self.config.costs.scan_per_entry)
-        return RangeQueryReply(tuple(pairs))
+        return RangeQueryReply(pairs)
 
     def _handle_ingestor_read(self, src: str, request: ReadRequest):
         """Phase-1 probe from a coordinator: local result plus ts_c."""

@@ -42,7 +42,20 @@ class MonolithicStats:
 
 
 class MonolithicNode(RpcNode):
-    """A single-machine LSM store exposing the CooLSM client protocol."""
+    """A single-machine LSM store exposing the CooLSM client protocol.
+
+    The reference engines of :mod:`repro.baselines.nodes` are this node
+    with the three class-level constants below overridden.
+    """
+
+    #: Modelled synchronous-WAL fsync charged to every write.
+    WAL_SYNC_COST = 0.0
+    #: Tree compaction policy; None = ``config.compaction_policy``.
+    COMPACTION_POLICY: str | None = None
+
+    @staticmethod
+    def level_thresholds(config: CooLSMConfig) -> tuple[int, ...]:
+        return (config.l0_threshold, config.l1_threshold, config.l2_threshold, config.l3_threshold)
 
     def __init__(
         self,
@@ -61,13 +74,8 @@ class MonolithicNode(RpcNode):
             LSMConfig(
                 memtable_entries=config.memtable_entries,
                 sstable_entries=config.sstable_entries,
-                level_thresholds=(
-                    config.l0_threshold,
-                    config.l1_threshold,
-                    config.l2_threshold,
-                    config.l3_threshold,
-                ),
-                compaction_policy=config.compaction_policy,
+                level_thresholds=self.level_thresholds(config),
+                compaction_policy=self.COMPACTION_POLICY or config.compaction_policy,
             ),
         )
         self._seqno = 0
@@ -89,7 +97,7 @@ class MonolithicNode(RpcNode):
         # Charge the storage work this write triggered: a flush and any
         # cascade of compactions all run on this one machine, so the
         # triggering request pays for them in full.
-        cost = 0.0
+        cost = self.WAL_SYNC_COST
         if self.tree.stats.flushes > flushes_before:
             cost += costs.flush_cost(self.config.memtable_entries)
         for event in self.tree.stats.compactions[compactions_before:]:
@@ -102,32 +110,13 @@ class MonolithicNode(RpcNode):
         costs = self.config.costs
         self.stats.reads += 1
         yield from self.compute(costs.read_base)
-        entry = self.tree.get_entry(request.key)
-        probes = self._estimate_probes(request.key)
+        entry, probes = self.tree.lookup(request.key)
         yield from self.compute(probes * costs.probe_table)
         return ReadReply(entry, self.name)
-
-    def _estimate_probes(self, key: bytes) -> int:
-        """Sstables whose blocks a lookup touches (bloom- and fence-guided)."""
-        probes = 0
-        manifest = self.tree.manifest
-        for table in manifest.level(0):
-            if table.key_in_range(key) and table.bloom.might_contain(key):
-                probes += 1
-        for level in range(1, manifest.num_levels):
-            for table in manifest.level(level):
-                if table.key_in_range(key) and table.bloom.might_contain(key):
-                    probes += 1
-                    break
-        return probes
 
     def _handle_range_query(self, src: str, request: RangeQuery):
         costs = self.config.costs
         yield from self.compute(costs.read_base)
-        pairs: list[tuple[bytes, bytes]] = []
-        for key, value in self.tree.scan(request.lo, request.hi):
-            pairs.append((key, value))
-            if request.limit is not None and len(pairs) >= request.limit:
-                break
+        pairs = tuple(self.tree.scan(request.lo, request.hi, request.limit))
         yield from self.compute(len(pairs) * costs.scan_per_entry)
-        return RangeQueryReply(tuple(pairs))
+        return RangeQueryReply(pairs)

@@ -30,8 +30,8 @@ from typing import Iterable
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry
-from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.manifest import LevelEdit, Manifest
+from repro.lsm.readpath import level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.rpc import RemoteError, RpcNode, RpcTimeout
 
@@ -386,37 +386,15 @@ class Reader(RpcNode):
     # Read path
     # ------------------------------------------------------------------
     def _search(self, key: bytes, as_of: float | None) -> tuple[Entry | None, int]:
-        probes = 0
-        candidates: list[Entry] = []
-        fresh_tables = [t for run in self.fresh_area.values() for t in run]
-        for table in fresh_tables:
-            if table.key_in_range(key) and table.bloom.might_contain(key):
-                probes += 1
-                candidates.extend(
-                    self._visible(table.versions(key, self.read_cache), as_of)
-                )
-        # Each area's fence index narrows the level to the tables whose
-        # range contains the key (areas are overlap-tolerant, so this
-        # can be more than one); resolution stays purely by version.
+        # One group: sources install independently, so no fresh area,
+        # Compactor area or level is known newer than another for a key
+        # — resolution is purely by version.  Each area's fence index
+        # narrows a level to the tables whose range contains the key.
+        group = [t for run in self.fresh_area.values() for t in run]
         for level in (_L2, _L3):
             for area in self._areas.values():
-                for table in area.tables_for_key(level, key):
-                    if table.bloom.might_contain(key):
-                        probes += 1
-                        candidates.extend(
-                            self._visible(
-                                table.versions(key, self.read_cache), as_of
-                            )
-                        )
-        if not candidates:
-            return None, probes
-        return max(candidates, key=lambda e: e.version), probes
-
-    @staticmethod
-    def _visible(versions: list[Entry], as_of: float | None) -> list[Entry]:
-        if as_of is not None:
-            versions = [v for v in versions if v.timestamp <= as_of]
-        return versions[:1]
+                group.extend(area.tables_for_key(level, key))
+        return lookup(key, [group], as_of=as_of, cache=self.read_cache)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Point read served purely from the local snapshot."""
@@ -443,17 +421,9 @@ class Reader(RpcNode):
         prunes the tables outside [lo, hi), and nothing is materialised,
         so a limited query stops after O(limit) merged entries.  Areas
         are overlap-tolerant, so tables stay separate merge streams."""
-        fresh_tables = [t for run in self.fresh_area.values() for t in run]
-        sources = [t.scan(lo, hi) for t in fresh_tables]
+        sources = [
+            t.scan(lo, hi) for run in self.fresh_area.values() for t in run
+        ]
         for area in self._areas.values():
-            for level in (_L2, _L3):
-                for table in area.tables_for_range(level, lo, hi):
-                    sources.append(table.scan(lo, hi))
-        pairs: list[tuple[bytes, bytes]] = []
-        for entry in dedup_newest(k_way_merge(sources)):
-            if entry.tombstone:
-                continue
-            pairs.append((entry.key, entry.value))
-            if limit is not None and len(pairs) >= limit:
-                break
-        return pairs
+            sources += level_sources(area, (_L2, _L3), lo, hi)
+        return list(live_pairs(sources, limit))

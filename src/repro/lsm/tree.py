@@ -19,6 +19,7 @@ crash.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .errors import ClosedError, CorruptionError, InvalidConfigError
 from .manifest import LevelEdit, Manifest
 from .memtable import Memtable
 from .policy import make_policy, normalize_policy_name
+from .readpath import level_groups, level_sources, live_pairs, lookup
 from .sstable import SSTable
 from .sstable_io import read_sstable, write_sstable
 from .wal import WriteAheadLog, replay
@@ -156,7 +158,7 @@ class Snapshot:
         """Value of ``key`` as of this snapshot, or None."""
         if self.closed:
             raise ClosedError("snapshot is closed")
-        entry = self._tree._get_entry_as_of(encode_key(key), self.timestamp)
+        entry, __ = self._tree.lookup(key, self.timestamp)
         if entry is None or entry.tombstone:
             return None
         return entry.value
@@ -356,22 +358,6 @@ class LSMTree:
         except ValueError:
             pass
 
-    def _get_entry_as_of(self, key: bytes, as_of: float) -> Entry | None:
-        """Newest entry with timestamp <= as_of, across all versions."""
-        candidates = [
-            v for v in self._memtable.versions(key) if v.timestamp <= as_of
-        ]
-        for level in range(self.manifest.num_levels):
-            for table in self.manifest.tables_for_key(level, key):
-                candidates.extend(
-                    v
-                    for v in table.versions(key, self._cache)
-                    if v.timestamp <= as_of
-                )
-        if not candidates:
-            return None
-        return max(candidates, key=lambda e: e.version)
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
@@ -445,82 +431,58 @@ class LSMTree:
         return entry.value
 
     def get_entry(self, key: bytes | str | int) -> Entry | None:
-        """Newest entry for ``key`` (including tombstones), or None.
+        """Newest entry for ``key`` (including tombstones), or None."""
+        self.stats.gets += 1
+        return self.lookup(key)[0]
+
+    def lookup(
+        self, key: bytes | str | int, as_of: float | None = None
+    ) -> tuple[Entry | None, int]:
+        """``(entry, probes)`` for ``key``: its newest entry stamped at
+        or before ``as_of`` (None = latest; tombstones included) and the
+        number of sstables whose blocks were searched for it.
 
         Search order is the paper's read flow: memtable, then L0 newest
-        table first, then each level in order.  Levels below L0 go
-        through the manifest's fence index, so a non-overlapping level
-        costs one bisect and at most one table probe — and probes go
-        through the shared read cache, so a hot key's block search runs
-        at most once per table.
+        table first, then each level in order through its fence index
+        (one bisect and at most one probe on a disjoint level; the runs
+        of a tiered level resolve by version).  Data only moves
+        downward, so the first level with a hit is it.
         """
         self._check_open()
-        self.stats.gets += 1
         encoded = encode_key(key)
-        cache = self._cache
-        best = self._memtable.get(encoded)
-        for table in reversed(self.manifest.level(0)):
-            found = table.get(encoded, cache)
-            if found is not None and (best is None or found.version > best.version):
-                best = found
-            if best is not None:
-                # L0 tables are newest-first; the first hit wins unless the
-                # memtable already had a newer one.
-                break
-        if best is not None:
-            return best
-        for level in range(1, self.manifest.num_levels):
-            # A non-overlapping level has at most one candidate; an
-            # overlapping (tiered) level may hold several versions, so
-            # the newest across the level's runs wins.  Either way, data
-            # only moves downward, so the first level with a hit is it.
-            for table in self.manifest.tables_for_key(level, encoded):
-                found = table.get(encoded, cache)
-                if found is not None and (best is None or found.version > best.version):
-                    best = found
-            if best is not None:
-                return best
-        return None
+        manifest = self.manifest
+        groups = itertools.chain(
+            ([table] for table in reversed(manifest.level(0))),
+            level_groups(manifest, encoded, range(1, manifest.num_levels)),
+        )
+        return lookup(
+            encoded, groups, self._memtable.versions(encoded), as_of, self._cache
+        )
 
     def scan(
-        self, lo: bytes | str | int | None = None, hi: bytes | str | int | None = None
+        self,
+        lo: bytes | str | int | None = None,
+        hi: bytes | str | int | None = None,
+        limit: int | None = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield (key, value) pairs with lo <= key < hi, newest versions,
-        tombstones elided.
+        tombstones elided, at most ``limit`` of them.
 
-        Fully streaming: one lazy cursor per L0 table plus one
-        :func:`~repro.lsm.iterators.level_scan` cursor per deeper level
-        feed a k-way merge, so an early-terminated scan costs
-        O(result + tables primed at the frontier), not O(level).  The
-        iterator reflects the tree as of its first element; interleaving
-        writes with iteration is undefined (finish or drop the iterator
-        before mutating).
+        Fully streaming: one lazy cursor per table of an overlapping
+        level plus one :func:`~repro.lsm.iterators.level_scan` cursor
+        per disjoint level feed a k-way merge, so an early-terminated
+        scan costs O(result + tables primed at the frontier), not
+        O(level).  The iterator reflects the tree as of its first
+        element; interleaving writes with iteration is undefined (finish
+        or drop the iterator before mutating).
         """
         self._check_open()
         lo_b = encode_key(lo) if lo is not None else None
         hi_b = encode_key(hi) if hi is not None else None
-        from .iterators import dedup_newest, k_way_merge, level_scan
-
-        sources: list = [self._memtable.iter_range(lo_b, hi_b)]
-        for table in reversed(self.manifest.level(0)):
-            if (hi_b is None or table.min_key < hi_b) and (
-                lo_b is None or table.max_key >= lo_b
-            ):
-                sources.append(table.scan(lo_b, hi_b))
-        overlapping = self.manifest.overlapping_levels
-        for level in range(1, self.manifest.num_levels):
-            run = self.manifest.tables_for_range(level, lo_b, hi_b)
-            if not run:
-                continue
-            if level in overlapping:
-                # Tiered level: runs overlap, so each table is its own
-                # merge source (chaining would break sort order).
-                sources.extend(t.scan(lo_b, hi_b) for t in run)
-            else:
-                sources.append(level_scan(run, lo_b, hi_b))
-        for entry in dedup_newest(k_way_merge(sources)):
-            if not entry.tombstone:
-                yield entry.key, entry.value
+        levels = range(self.manifest.num_levels)
+        sources = [self._memtable.iter_range(lo_b, hi_b)]
+        sources += level_sources(self.manifest, levels, lo_b, hi_b)
+        yield from live_pairs(sources, limit)
 
     def __len__(self) -> int:
         """Exact number of live keys, counted via the streaming dedup
