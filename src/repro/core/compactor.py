@@ -26,15 +26,10 @@ from typing import Iterable
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
-from repro.lsm.compaction import (
-    KeepPolicy,
-    NEWEST_WINS,
-    major_compaction,
-    merge_tables,
-)
+from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, compact_step, pick_tables
 from repro.lsm.entry import Entry
 from repro.lsm.manifest import LevelEdit, Manifest
-from repro.lsm.policy import make_policy
+from repro.lsm.policy import Step, make_policy, stacked_levels
 from repro.lsm.readpath import level_groups, level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.clock import LooseClock
@@ -110,12 +105,12 @@ class Compactor(RpcNode):
         self.backups = list(backups)
         self.multi_ingestor = multi_ingestor
         self.stats = CompactorStats()
-        # The compaction policy decides how forwarded tables land in L2
-        # and how L2 overflows into L3; the default (leveling) keeps
-        # both levels single disjoint runs, tiered policies stack runs.
+        # Rows 1 and 2 of the policy's pipeline say how forwarded tables
+        # land in L2 and how L2 overflows into L3; the default (leveling)
+        # keeps both levels single disjoint runs, tiered policies stack.
         self._policy = make_policy(config.compaction_policy)
         self.manifest = Manifest(
-            2, overlapping_levels=self._policy.compactor_overlapping()
+            2, overlapping_levels=stacked_levels(self._policy.pipeline, range(2, 4))
         )
         # Volatile row cache over immutable sstables; wiped on crash.
         self.read_cache: ReadCache | None = (
@@ -223,16 +218,7 @@ class Compactor(RpcNode):
         """The actual merge work; runs at most once per batch."""
         self.stats.forwards_received += 1
         self.stats.tables_received += len(request.tables)
-        yield self._merge_lock.request()
-        try:
-            merged = yield from self._compact_into_l2(list(request.tables))
-            if (
-                self._policy.overflow_enabled
-                and len(self.level2) > self.config.l2_threshold
-            ):
-                yield from self._compact_l2_overflow_into_l3()
-        finally:
-            self._merge_lock.release()
+        merged = yield from self._absorb(list(request.tables))
         return ForwardReply(request.batch_id, merged)
 
     def record_applied_batch(self, ingestor: str, batch_id: int, merged: int) -> None:
@@ -244,93 +230,57 @@ class Compactor(RpcNode):
                 (ingestor, batch_id), ForwardReply(batch_id, merged)
             )
 
-    def _compact_into_l2(self, incoming: list[SSTable]):
+    def _absorb(self, tables: list[SSTable]):
+        """Walk the policy's Compactor rows under the merge lock: land
+        ``tables`` in L2, then move whatever the next row picks from an
+        over-threshold L2 into L3.  Returns the entries merged into L2."""
+        absorb, *overflow = self._policy.pipeline[1:]
+        yield self._merge_lock.request()
+        try:
+            merged = yield from self._compact(L2, tables, absorb)
+            for step in overflow:
+                picked, self._l2_pointer = pick_tables(
+                    self.level2, self.config.l2_threshold, self._l2_pointer, step.pick
+                )
+                if picked:
+                    yield from self._compact(L3, picked, step)
+        finally:
+            self._merge_lock.release()
+        return merged
+
+    def _compact(self, level: int, picked: list[SSTable], step: Step):
+        """One major compaction: merge ``picked`` into ``level`` as
+        ``step`` says, pay for it, swap the result in atomically (the
+        tables picked from L2 leave it in the same edit) and tell the
+        Readers.  Returns the entries merged."""
         started = self.kernel.now
-        l2_before = list(self.level2)
-        if self._policy.merges_on_absorb:
-            # Leveled absorb: merge with the overlapping region of L2
-            # (and drop tombstones if the policy makes L2 the bottom).
-            result, untouched = major_compaction(
-                incoming,
-                l2_before,
-                self.config.sstable_entries,
-                self._keep_policy(bottom=self._policy.l2_is_bottom),
-            )
-        else:
-            # Tiered absorb: sort the incoming batch into one fresh run
-            # stacked on L2; existing runs are untouched (and unpaid).
-            result = merge_tables(
-                list(incoming),
-                self.config.sstable_entries,
-                self._keep_policy(bottom=False),
-            )
-            untouched = l2_before
+        result, replaced = compact_step(
+            picked,
+            self.manifest.level(level),
+            step.move,
+            self.config.sstable_entries,
+            self._keep_policy(step.bottom),
+        )
         total = result.stats.entries_in
         yield from self.compute(self.config.costs.merge_cost(total))
-        untouched_ids = {t.table_id for t in untouched}
-        replaced = [t for t in l2_before if t.table_id not in untouched_ids]
+        from_l2 = picked if level == L3 else []
         self.manifest.apply(
-            LevelEdit().remove(L2, replaced).add(L2, result.tables)
+            LevelEdit().remove(L2, from_l2).remove(level, replaced).add(level, result.tables)
         )
         self.stats.compactions.append(
-            CompactionTiming(2, self.kernel.now - started, total)
+            CompactionTiming(level + 2, self.kernel.now - started, total)
         )
+        # A stacked level needs the exact replacement set; a leveled one
+        # is replaced by overlap on the Reader.
         self._push_to_backups(
-            2,
+            level + 2,
             result.tables,
-            replaced_ids=None
-            if self._policy.merges_on_absorb
-            else tuple(t.table_id for t in replaced),
+            removed_l2_ids=tuple(t.table_id for t in from_l2),
+            replaced_ids=tuple(t.table_id for t in replaced)
+            if step.move == "stack"
+            else None,
         )
         return total
-
-    def _compact_l2_overflow_into_l3(self):
-        started = self.kernel.now
-        overflow, self._l2_pointer = self._policy.select_l2_overflow(
-            self.level2, self.config.l2_threshold, self._l2_pointer
-        )
-        if not overflow:
-            return
-        l3_before = list(self.level3)
-        if self._policy.merges_on_overflow:
-            # Leveled move: merge into L3's overlapping region (L3 is
-            # the bottom, so tombstones may be dropped).
-            result, untouched = major_compaction(
-                overflow,
-                l3_before,
-                self.config.sstable_entries,
-                self._keep_policy(bottom=True),
-            )
-        else:
-            # Tiered move: every selected run folds into one fresh run
-            # stacked on L3; existing L3 runs are untouched.
-            result = merge_tables(
-                list(reversed(overflow)),  # newest run first
-                self.config.sstable_entries,
-                self._keep_policy(bottom=False),
-            )
-            untouched = l3_before
-        total = result.stats.entries_in
-        yield from self.compute(self.config.costs.merge_cost(total))
-        untouched_ids = {t.table_id for t in untouched}
-        replaced = [t for t in l3_before if t.table_id not in untouched_ids]
-        self.manifest.apply(
-            LevelEdit()
-            .remove(L2, overflow)
-            .remove(L3, replaced)
-            .add(L3, result.tables)
-        )
-        self.stats.compactions.append(
-            CompactionTiming(3, self.kernel.now - started, total)
-        )
-        self._push_to_backups(
-            3,
-            result.tables,
-            removed_l2_ids=tuple(t.table_id for t in overflow),
-            replaced_ids=None
-            if self._policy.merges_on_overflow
-            else tuple(t.table_id for t in replaced),
-        )
 
     def _push_to_backups(
         self,

@@ -65,8 +65,8 @@ class CooLSMConfig:
             results keyed by immutable sstable id, so cached entries
             never go stale; see :mod:`repro.lsm.cache`).  0 disables
             node-side caching.  Volatile state: cleared on crash.
-        compaction_policy: Which :mod:`repro.lsm.policy` strategy the
-            Ingestors and Compactors dispatch compactions through.
+        compaction_policy: Which :mod:`repro.lsm.policy` rows the
+            Ingestors and Compactors run their compactions by.
             ``"leveling"`` (the paper's hybrid: tiering L0->L1, leveled
             L2/L3) is the historical, byte-identical default; the
             others are ``"tiering"``, ``"lazy_leveling"``, and

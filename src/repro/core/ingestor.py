@@ -29,12 +29,12 @@ from typing import Iterable
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
-from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, merge_tables
+from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, compact_step, pick_tables
 from repro.lsm.entry import Entry
 from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.memtable import Memtable
-from repro.lsm.policy import make_policy
+from repro.lsm.policy import make_policy, stacked_levels
 from repro.lsm.readpath import level_groups, level_sources, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.clock import LooseClock
@@ -146,9 +146,8 @@ class Ingestor(RpcNode):
         # Event forward-retry loops wait on while this node is down.
         self._recovered: "object | None" = None
         self.stats = IngestorStats()
-        # The compaction policy decides minor-compaction inputs and
-        # forward selection; it is a pure decider (no effects), so the
-        # default keeps the historical schedule byte-identical.
+        # Row 0 of the policy's pipeline is this node's minor compaction,
+        # row 1's ``pick`` selects what L1 forwards downstream.
         self._policy = make_policy(config.compaction_policy)
         # Write admission control (config.flow_control); the controller
         # always exists so debt gauges are observable either way.
@@ -156,7 +155,7 @@ class Ingestor(RpcNode):
         # Index 0 = L0, index 1 = L1; tiered policies stack overlapping
         # runs in L1, the default keeps it a single disjoint run.
         self.manifest = Manifest(
-            2, overlapping_levels=self._policy.ingestor_overlapping()
+            2, overlapping_levels=stacked_levels(self._policy.pipeline, range(0, 2))
         )
         # Per-node read cache over immutable sstable rows.  Volatile:
         # wiped on crash (it is reconstructible state, never durable).
@@ -412,25 +411,31 @@ class Ingestor(RpcNode):
             if buffer:
                 buffer[0][1].succeed(_LEAD)
 
+    def _flush_memtable(self):
+        """Freeze the memtable into a new L0 table.
+
+        Atomic swap: the frozen batch becomes an L0 table in the same
+        tick, so reads never miss buffered entries.  The caller holds
+        ``_compact_lock`` and has checked the memtable is not empty.
+        """
+        entries = self._memtable.entries()
+        self._memtable = self._new_memtable()
+        self._unflushed = []  # batch is durable in L0 now
+        self.manifest.apply(LevelEdit().add(0, [SSTable(entries)]))
+        if self._store is not None:
+            # Synchronous (no yields since the swap): the L0 table is
+            # durable before the WAL floor advances, and entries logged
+            # for the *new* memtable carry higher seqnos.
+            self._persist(wal_floor=self._seqno)
+        self.stats.flushes += 1
+        yield from self.compute(self.config.costs.flush_cost(len(entries)))
+
     def _flush_and_compact(self):
         yield self._compact_lock.request()
         try:
             if not self._memtable.is_full():
                 return  # another request already flushed this batch
-            # Atomic swap: the frozen batch becomes an L0 table in the
-            # same tick, so reads never miss buffered entries.
-            entries = self._memtable.entries()
-            self._memtable = self._new_memtable()
-            self._unflushed = []  # batch is durable in L0 now
-            table = SSTable(entries)
-            self.manifest.apply(LevelEdit().add(0, [table]))
-            if self._store is not None:
-                # Synchronous (no yields since the swap): the L0 table
-                # is durable before the WAL floor advances, and entries
-                # logged for the *new* memtable carry higher seqnos.
-                self._persist(wal_floor=self._seqno)
-            self.stats.flushes += 1
-            yield from self.compute(self.config.costs.flush_cost(len(entries)))
+            yield from self._flush_memtable()
             if len(self.level0) > self.config.l0_threshold:
                 yield from self._minor_compaction()
         finally:
@@ -452,21 +457,19 @@ class Ingestor(RpcNode):
 
         started = self.kernel.now
         l0_newest_first = list(reversed(self.level0))
-        l1_tables = list(self.level1)
-        # The policy picks the merge inputs: everything in both levels
-        # for the default (tiering into a fresh L1 run), L0 only for
-        # stacked policies (the output becomes a new L1 run).
-        sources, replaced_l1 = self._policy.minor_plan(l0_newest_first, l1_tables)
-        total = sum(len(t) for t in sources)
-        yield from self.compute(self.config.costs.merge_cost(total))
-        result = merge_tables(
-            sources,
+        # All of L0 moves: folded with the whole of L1 into a fresh run
+        # by default, stacked on L1 as a new run under tiered policies.
+        result, replaced_l1 = compact_step(
+            l0_newest_first,
+            self.level1,
+            self._policy.pipeline[0].move,
             self.config.sstable_entries,
             self._keep_policy(),
         )
+        yield from self.compute(self.config.costs.merge_cost(result.stats.entries_in))
         edit = (
             LevelEdit()
-            .remove(0, list(self.level0))
+            .remove(0, l0_newest_first)
             .remove(1, replaced_l1)
             .add(1, result.tables)
         )
@@ -501,12 +504,15 @@ class Ingestor(RpcNode):
     def _maybe_forward(self) -> None:
         """Move L1's overflow tables into the in-flight set and ship them.
 
-        The policy selects the overflow: the default sweeps a rotating
-        pointer over the sorted run so no key region is starved; stacked
-        (tiered) policies forward the oldest runs first.
+        The policy's forward row picks the overflow: the default sweeps
+        a rotating pointer over the sorted run so no key region is
+        starved; stacked (tiered) policies forward the oldest runs first.
         """
-        overflow, self._forward_pointer = self._policy.select_forward(
-            self.level1, self.config.l1_threshold, self._forward_pointer
+        overflow, self._forward_pointer = pick_tables(
+            self.level1,
+            self.config.l1_threshold,
+            self._forward_pointer,
+            self._policy.pipeline[1].pick,
         )
         if not overflow:
             return
@@ -650,17 +656,9 @@ class Ingestor(RpcNode):
         """
         yield self._compact_lock.request()
         try:
-            entries = self._memtable.entries()
-            if entries:
-                # Same atomic swap as _flush_and_compact, without the
-                # is-full gate: drain flushes whatever is buffered.
-                self._memtable = self._new_memtable()
-                self._unflushed = []
-                self.manifest.apply(LevelEdit().add(0, [SSTable(entries)]))
-                if self._store is not None:
-                    self._persist(wal_floor=self._seqno)
-                self.stats.flushes += 1
-                yield from self.compute(self.config.costs.flush_cost(len(entries)))
+            if len(self._memtable):
+                # No is-full gate: drain flushes whatever is buffered.
+                yield from self._flush_memtable()
             if self.level0:
                 yield from self._minor_compaction()
             leftover = list(self.level1)

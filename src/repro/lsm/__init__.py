@@ -19,10 +19,10 @@ from .compaction import (
     CompactionStats,
     KeepPolicy,
     NEWEST_WINS,
+    compact_step,
     major_compaction,
     merge_tables,
-    minor_compaction,
-    select_overflow,
+    pick_tables,
     select_overflow_rotating,
 )
 from .entry import Entry, encode_key, encode_value, make_tombstone, make_upsert
@@ -96,6 +96,7 @@ __all__ = [
     "WriteAheadLog",
     "bloom_false_positive_rate",
     "chunk_into_runs",
+    "compact_step",
     "dedup_newest",
     "drop_tombstones",
     "encode_key",
@@ -111,13 +112,12 @@ __all__ = [
     "measure_cluster",
     "measure_lsm_tree",
     "merge_tables",
-    "minor_compaction",
     "optimal_bloom_allocation",
+    "pick_tables",
     "point_lookup_cost",
     "read_sstable",
     "replay",
     "retain_versions_above",
-    "select_overflow",
     "select_overflow_rotating",
     "sort_run",
     "tiered_space_amplification",

@@ -5,9 +5,13 @@ compaction merges everything in both levels into a fresh L1 run — and
 *leveling* for higher levels — major compaction merges incoming tables
 only with the overlapping tables of the target level.
 
-These are pure functions over immutable sstables; the caller (an
-``LSMTree``, Ingestor, or Compactor) applies the results atomically via
-a :class:`~repro.lsm.manifest.LevelEdit`.
+Every compaction anywhere is :func:`pick_tables` (what leaves a level)
+followed by :func:`compact_step` (how it lands in the next); the rows of
+a :mod:`~repro.lsm.policy` say which ``pick`` / ``move`` each level
+boundary uses.  These are pure functions over immutable sstables; the
+caller (an ``LSMTree``, Ingestor, or Compactor) owns the yields and the
+cost charges and applies the result atomically via a
+:class:`~repro.lsm.manifest.LevelEdit`.
 """
 
 from __future__ import annotations
@@ -120,41 +124,6 @@ def _is_disjoint_run(tables: list[SSTable]) -> bool:
     return True
 
 
-def minor_compaction(
-    l0_tables: list[SSTable],
-    l1_tables: list[SSTable],
-    run_size: int,
-    policy: KeepPolicy = NEWEST_WINS,
-) -> CompactionResult:
-    """Tiering compaction of all of L0 and L1 into a fresh L1 run.
-
-    "The Ingestor sorts all the key-value pairs in L0 and L1, removing
-    any redundancies ... divided into ordered sstables" (Section III-C).
-    L0 tables must be passed newest-first; they take precedence over L1.
-    """
-    return merge_tables(list(l0_tables) + list(l1_tables), run_size, policy)
-
-
-def select_overflow(
-    tables: list[SSTable], threshold: int
-) -> tuple[list[SSTable], list[SSTable]]:
-    """Split a sorted run into (kept, overflow) when over threshold.
-
-    The paper forwards "the extra sstables that exceed the threshold".
-    This variant deterministically picks the tables at the *high-key
-    tail* of the run (a contiguous key range, which minimises partition
-    splitting).  Prefer :func:`select_overflow_rotating` in steady-state
-    pipelines: always taking the tail starves low keys and concentrates
-    repeated merges onto one region of the next level.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    if len(tables) <= threshold:
-        return list(tables), []
-    ordered = sorted(tables, key=lambda t: t.min_key)
-    return ordered[:threshold], ordered[threshold:]
-
-
 def select_overflow_rotating(
     tables: list[SSTable], threshold: int, pointer: bytes | None
 ) -> tuple[list[SSTable], list[SSTable], bytes | None]:
@@ -228,3 +197,57 @@ def major_compaction(
         result = merge_tables(list(incoming) + overlapping, run_size, policy)
     result.stats.overlap_tables = len(overlapping)
     return result, untouched
+
+
+def pick_tables(
+    tables: list[SSTable], threshold: int, pointer: bytes | None, pick: str
+) -> tuple[list[SSTable], bytes | None]:
+    """Choose which tables leave a level: ``(picked, new_pointer)``.
+
+    Nothing is picked at or under ``threshold``.  Over it, ``pick`` is
+    ``"all"`` — the whole level, newest first; ``"rotating"`` — the
+    excess of a sorted run as a window sweeping above ``pointer``
+    (:func:`select_overflow_rotating`); or ``"oldest"`` — the excess
+    runs of a stacked level, oldest first: the fullest and the least
+    likely to be superseded, and the list prefix since runs append.
+    """
+    excess = len(tables) - threshold
+    if excess <= 0:
+        return [], pointer
+    if pick == "all":
+        return list(reversed(tables)), pointer
+    if pick == "rotating":
+        __, picked, pointer = select_overflow_rotating(tables, threshold, pointer)
+        return picked, pointer
+    if pick == "oldest":
+        return list(tables[:excess]), pointer
+    raise ValueError(f"unknown pick {pick!r}")
+
+
+def compact_step(
+    picked: list[SSTable],
+    target: list[SSTable],
+    move: str,
+    run_size: int,
+    keep: KeepPolicy = NEWEST_WINS,
+) -> tuple[CompactionResult, list[SSTable]]:
+    """Merge ``picked`` (newest first) into the ``target`` level.
+
+    Returns ``(result, replaced)``: ``result.tables`` take the place of
+    ``replaced``, the tables of ``target`` the merge consumed.  ``move``
+    is ``"fold"`` — picked plus the *whole* target into a fresh run (the
+    paper's minor compaction: "sorts all the key-value pairs in L0 and
+    L1 ... divided into ordered sstables", Section III-C); ``"merge"`` —
+    into the target's overlapping region (:func:`major_compaction`); or
+    ``"stack"`` — one new run beside the target's, which is untouched.
+    Pure: the caller swaps ``picked`` and ``replaced`` for the result.
+    """
+    if move == "fold":
+        return merge_tables(list(picked) + list(target), run_size, keep), list(target)
+    if move == "merge":
+        result, untouched = major_compaction(picked, target, run_size, keep)
+        untouched_ids = {t.table_id for t in untouched}
+        return result, [t for t in target if t.table_id not in untouched_ids]
+    if move == "stack":
+        return merge_tables(list(picked), run_size, keep), []
+    raise ValueError(f"unknown move {move!r}")

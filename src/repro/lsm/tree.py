@@ -28,12 +28,18 @@ from typing import Callable, Iterator
 from repro.store.fsutil import fsync_dir
 
 from .cache import CacheStats, ReadCache
-from .compaction import CompactionStats, KeepPolicy, NEWEST_WINS
+from .compaction import (
+    CompactionStats,
+    KeepPolicy,
+    NEWEST_WINS,
+    compact_step,
+    pick_tables,
+)
 from .entry import Entry, encode_key, make_tombstone, make_upsert
 from .errors import ClosedError, CorruptionError, InvalidConfigError
 from .manifest import LevelEdit, Manifest
 from .memtable import Memtable
-from .policy import make_policy, normalize_policy_name
+from .policy import make_policy, normalize_policy_name, stacked_levels
 from .readpath import level_groups, level_sources, live_pairs, lookup
 from .sstable import SSTable
 from .sstable_io import read_sstable, write_sstable
@@ -52,8 +58,10 @@ class LSMConfig:
         memtable_entries: Batch size buffered before a flush to L0.
         sstable_entries: Entries per sstable ("the size of an sstable is
             predetermined").
-        level_thresholds: Max table count per level; the last level is
-            unbounded if its threshold is 0.
+        level_thresholds: Max table count per level.  A threshold of 0
+            means *unbounded* on every level below L0 (the last level
+            never compacts whatever its threshold) and *compact on
+            every flush* at L0 — under every policy.
         keep_policy: Version retention during merges.
         wal_sync: fsync the WAL on every batch (persistent mode only).
         enable_snapshots: Retain old versions while snapshots are open
@@ -63,7 +71,7 @@ class LSMConfig:
         cache_capacity: Entries in the shared read cache (row results
             keyed by immutable table id, so the cache never needs
             invalidation).  0 disables caching.
-        compaction_policy: Which :mod:`repro.lsm.policy` strategy runs
+        compaction_policy: Which :mod:`repro.lsm.policy` rows drive
             the compaction cascade (``"leveling"`` — the paper's hybrid
             and the historical behaviour — ``"tiering"``,
             ``"lazy_leveling"``, or ``"one_leveling"``).
@@ -199,9 +207,12 @@ class LSMTree:
         self._seqno = 0
         self._closed = False
         self._policy = make_policy(self.config.compaction_policy)
+        self._steps = self._policy.tree(self.config.num_levels)
         self.manifest = Manifest(
             self.config.num_levels,
-            overlapping_levels=self._policy.tree_overlapping(self.config.num_levels),
+            overlapping_levels=stacked_levels(
+                self._steps, range(self.config.num_levels)
+            ),
         )
         self.stats = TreeStats()
         self._cache: ReadCache | None = (
@@ -411,14 +422,37 @@ class LSMTree:
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        """Run the configured policy's compaction cascade."""
-        self._policy.compact_tree(self)
-
-    def _record_compaction(self, level: int, stats: CompactionStats) -> None:
-        """Policy callback after each applied compaction: collect stats
-        and re-sync the on-disk sstable set with the manifest."""
-        self.stats.compactions.append(CompactionEvent(level, stats))
-        self._sync_persisted_tables()
+        """Cascade down the policy's rows: wherever a level is over its
+        threshold, pick tables, merge them into the next level, and swap
+        the result in atomically."""
+        thresholds = self.config.level_thresholds
+        manifest = self.manifest
+        for level, step in enumerate(self._steps):
+            if level and not thresholds[level]:
+                continue  # 0 = unbounded below L0 (at L0: every flush)
+            picked, self._compaction_pointers[level] = pick_tables(
+                manifest.level(level),
+                thresholds[level],
+                self._compaction_pointers[level],
+                step.pick,
+            )
+            if not picked:
+                continue
+            result, replaced = compact_step(
+                picked,
+                manifest.level(level + 1),
+                step.move,
+                self.config.sstable_entries,
+                self._effective_keep_policy(step.bottom),
+            )
+            manifest.apply(
+                LevelEdit()
+                .remove(level, picked)
+                .remove(level + 1, replaced)
+                .add(level + 1, result.tables)
+            )
+            self.stats.compactions.append(CompactionEvent(level + 1, result.stats))
+            self._sync_persisted_tables()
 
     # ------------------------------------------------------------------
     # Read path

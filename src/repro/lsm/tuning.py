@@ -141,7 +141,7 @@ def one_leveling_space_amplification(shape: LSMShape) -> float:
 
 
 #: Analytic (write_cost, space_amplification) estimators per compaction
-#: policy name — keys match :data:`repro.lsm.policy.POLICY_NAMES`.
+#: policy name — the keys of :data:`repro.lsm.policy.POLICIES`.
 POLICY_COST_MODELS: dict[str, tuple] = {
     "leveling": (leveled_write_cost, leveled_space_amplification),
     "tiering": (tiered_write_cost, tiered_space_amplification),

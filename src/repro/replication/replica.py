@@ -208,13 +208,7 @@ class CompactorReplica(Compactor, PaxosMixin):
                 continue
             record = self.log[self._applied_index]
             self._applied_index += 1
-            yield self._merge_lock.request()
-            try:
-                merged = yield from self._compact_into_l2(list(record.request.tables))
-                if len(self.level2) > self.config.l2_threshold:
-                    yield from self._compact_l2_overflow_into_l3()
-            finally:
-                self._merge_lock.release()
+            merged = yield from self._absorb(list(record.request.tables))
             # Remember the batch so that, after a promotion, an Ingestor
             # retrying it (its ack from the old leader was lost) gets a
             # deduplicated ack instead of a double merge.

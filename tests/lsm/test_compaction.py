@@ -1,14 +1,11 @@
 """Unit tests for tiering and leveling compaction."""
 
-import pytest
-
 from repro.lsm.compaction import (
     KeepPolicy,
+    compact_step,
     find_overlaps,
     major_compaction,
     merge_tables,
-    minor_compaction,
-    select_overflow,
 )
 from repro.lsm.entry import encode_key
 from repro.lsm.sstable import SSTable
@@ -56,32 +53,15 @@ class TestMinorCompaction:
     def test_l0_wins_over_l1(self):
         l0 = [SSTable.from_entries([entry("k", 9, value="l0")])]
         l1 = [SSTable.from_entries([entry("k", 1, value="l1")])]
-        result = minor_compaction(l0, l1, run_size=10)
+        result, __ = compact_step(l0, l1, "fold", run_size=10)
         assert result.tables[0].get(encode_key("k")).value == b"l0"
 
     def test_merges_everything(self):
         l0 = [table_of(range(0, 10)), table_of(range(5, 15), seqno=100)]
         l1 = [table_of(range(20, 30))]
-        result = minor_compaction(l0, l1, run_size=100)
+        result, __ = compact_step(l0, l1, "fold", run_size=100)
         total_keys = sum(len(t) for t in result.tables)
         assert total_keys == 25  # 0..14 and 20..29
-
-
-class TestSelectOverflow:
-    def test_under_threshold_forwards_nothing(self):
-        tables = [table_of([1, 2]), table_of([3, 4])]
-        kept, overflow = select_overflow(tables, 3)
-        assert overflow == [] and len(kept) == 2
-
-    def test_overflow_is_high_key_tail(self):
-        tables = [table_of([1, 2]), table_of([5, 6]), table_of([9, 10])]
-        kept, overflow = select_overflow(tables, 2)
-        assert len(overflow) == 1
-        assert overflow[0].min_key == encode_key(9)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            select_overflow([], -1)
 
 
 class TestMajorCompaction:
