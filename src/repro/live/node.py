@@ -41,7 +41,7 @@ from repro.core.keyspace import Partitioning
 from repro.core.reader import Reader
 from repro.lsm.errors import InvalidConfigError
 from repro.lsm.policy import normalize_policy_name
-from repro.lsm.sstable import advance_table_ids, seed_table_ids
+from repro.lsm.sstable import seed_table_ids
 from repro.store.node_store import NodeStore
 from repro.sim.clock import LooseClock
 from repro.sim.rng import RngRegistry
@@ -324,10 +324,7 @@ class LiveNode:
                 role=spec.role_of(name),
                 policy=normalize_policy_name(spec.config.compaction_policy),
             )
-            if store.recovered is not None:
-                self.recovered = True
-                # Never re-issue an id a persisted sstable already holds.
-                advance_table_ids(store.recovered.max_table_id + 1)
+            self.recovered = store.recovered is not None
             self.node.attach_store(store)
             self.store = store
 

@@ -12,20 +12,18 @@ Usage::
     tree.put(b"k", b"v")
     assert tree.get(b"k") == b"v"
 
-With ``directory`` set, writes go through a WAL and flushed sstables are
-persisted, so :meth:`LSMTree.open` can recover the full state after a
-crash.
+With ``directory`` set the constructor opens or recovers a
+:class:`~repro.store.node_store.NodeStore` there: writes go through its
+WAL and every flush and compaction step commits the levels to its
+manifest, so constructing a tree on the same directory after a crash
+recovers the full state.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
-
-from repro.store.fsutil import fsync_dir
 
 from .cache import CacheStats, ReadCache
 from .compaction import (
@@ -36,14 +34,12 @@ from .compaction import (
     pick_tables,
 )
 from .entry import Entry, encode_key, make_tombstone, make_upsert
-from .errors import ClosedError, CorruptionError, InvalidConfigError
+from .errors import ClosedError, InvalidConfigError
 from .manifest import LevelEdit, Manifest
 from .memtable import Memtable
 from .policy import make_policy, normalize_policy_name, stacked_levels
 from .readpath import level_groups, level_sources, live_pairs, lookup
 from .sstable import SSTable
-from .sstable_io import read_sstable, write_sstable
-from .wal import WriteAheadLog, replay
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +184,9 @@ class LSMTree:
 
     Args:
         config: Structural parameters.
-        directory: If given, persist the WAL, sstables, and manifest
-            here; otherwise the tree is purely in-memory.
+        directory: If given, the constructor opens or recovers the
+            tree's durable store (WAL, sstables, manifest) here;
+            otherwise the tree is purely in-memory.
         clock: Source of entry timestamps (defaults to a logical counter
             so that standalone trees are deterministic).
     """
@@ -226,87 +223,50 @@ class LSMTree:
         self._memtable = Memtable(
             self.config.memtable_entries, retain_versions=self._retain_versions()
         )
-        self._wal: WriteAheadLog | None = None
+        self._store = None
         if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            self._wal = WriteAheadLog(
-                os.path.join(directory, "wal.log"), sync=self.config.wal_sync
+            # Function-level: ``repro.lsm`` imports this module, so a
+            # module-level import would hand ``repro.store.node_store``
+            # a half-initialised ``repro.lsm`` when it is imported first.
+            from repro.store.node_store import NodeStore
+
+            self._store = NodeStore.open(
+                directory,
+                node_name="tree",
+                role="tree",
+                wal_sync=self.config.wal_sync,
+                policy=self._policy.name,
             )
+            self._recover()
 
     # ------------------------------------------------------------------
     # Construction / recovery
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, directory: str, config: LSMConfig | None = None) -> "LSMTree":
-        """Recover a persistent tree: load the manifest's sstables and
-        replay the WAL into a fresh memtable."""
-        manifest_path = os.path.join(directory, "MANIFEST.json")
-        tables_by_level: dict[int, list[SSTable]] = {}
-        max_seqno = 0
-        referenced: set[str] = set()
-        if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as f:
-                listing = json.load(f)
-            # Refuse to reinterpret another policy's level structure:
-            # e.g. a tiered manifest holds overlapping runs a leveled
-            # tree would mis-read.  Manifests written before policies
-            # existed carry no field and are accepted as leveling-shaped.
-            persisted_policy = listing.get("policy")
-            expected_policy = normalize_policy_name(
-                (config or LSMConfig()).compaction_policy
-            )
-            if persisted_policy is not None and persisted_policy != expected_policy:
-                raise CorruptionError(
-                    f"{manifest_path}: written by compaction policy "
-                    f"{persisted_policy!r}, refusing to open as {expected_policy!r}"
-                )
-            for level_str, filenames in listing["levels"].items():
-                level = int(level_str)
-                loaded = []
-                for name in filenames:
-                    path = os.path.join(directory, name)
-                    if not os.path.exists(path):
-                        raise CorruptionError(
-                            f"{manifest_path}: references missing sstable {name}"
-                        )
-                    loaded.append(read_sstable(path))
-                    referenced.add(name)
-                tables_by_level[level] = loaded
-        # Orphans: a crash between sstable write and manifest install
-        # leaves files no manifest references (plus .tmp leftovers) —
-        # delete them so disk usage cannot grow without bound.
-        removed = False
-        for name in os.listdir(directory):
-            orphan_table = (
-                name.startswith("sst-")
-                and name.endswith(".sst")
-                and name not in referenced
-            )
-            if orphan_table or name.endswith(".tmp"):
-                os.remove(os.path.join(directory, name))
-                removed = True
-        if removed:
-            fsync_dir(directory)
-        tree = cls(config, directory=None)  # WAL opened after replay
-        tree.directory = directory
-        edit = LevelEdit()
-        for level, tables in tables_by_level.items():
-            edit.add(level, tables)
-            for table in tables:
-                max_seqno = max(max_seqno, max(e.seqno for e in table.entries))
-        tree.manifest.apply(edit)
-        wal_path = os.path.join(directory, "wal.log")
-        for entry in replay(wal_path):
-            tree._memtable.put(entry)
-            max_seqno = max(max_seqno, entry.seqno)
-            tree._logical_time = max(tree._logical_time, entry.timestamp)
-        tree._seqno = max_seqno
-        tree._wal = WriteAheadLog(wal_path, sync=tree.config.wal_sync)
-        return tree
+        """Open or recover a persistent tree (same as the constructor)."""
+        return cls(config, directory=directory)
+
+    def _recover(self) -> None:
+        """Restore the levels, seqno and clock from the store's manifest
+        and replay its WAL into the memtable."""
+        recovered = self._store.recovered
+        if recovered is None:
+            # A fresh store commits at attach: the store replays a WAL
+            # only beside a manifest.
+            self._persist()
+            return
+        self.manifest.apply(recovered.levels_for("tree", self._policy.name))
+        self._seqno = int(recovered.state.get("seqno", 0))
+        self._logical_time = float(recovered.state.get("clock", 0.0))
+        for entry in recovered.wal_entries:
+            self._memtable.put(entry)
+            self._seqno = max(self._seqno, entry.seqno)
+            self._logical_time = max(self._logical_time, entry.timestamp)
 
     def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
+        if self._store is not None:
+            self._store.close()
         self._closed = True
 
     def __enter__(self) -> "LSMTree":
@@ -390,15 +350,17 @@ class LSMTree:
 
     def put_entry(self, entry: Entry) -> None:
         """Insert a pre-built entry (used by CooLSM components, which
-        assign seqnos and loose-clock timestamps themselves)."""
+        assign seqnos and loose-clock timestamps themselves).  A
+        persistent tree expects seqnos at or above those it has flushed:
+        the store's WAL floor is a seqno."""
         self._check_open()
         self._seqno = max(self._seqno, entry.seqno)
         self._write(entry)
         self.stats.puts += 1
 
     def _write(self, entry: Entry) -> None:
-        if self._wal is not None:
-            self._wal.append(entry)
+        if self._store is not None:
+            self._store.log_entries([entry])
         self._memtable.put(entry)
         if self._memtable.is_full():
             self.flush()
@@ -415,9 +377,7 @@ class LSMTree:
         self._memtable = Memtable(
             self.config.memtable_entries, retain_versions=self._retain_versions()
         )
-        if self._wal is not None:
-            self._persist_table(table)
-            self._wal.truncate()
+        self._persist(wal_floor=self._seqno)
         self.stats.flushes += 1
         self._maybe_compact()
 
@@ -452,7 +412,7 @@ class LSMTree:
                 .add(level + 1, result.tables)
             )
             self.stats.compactions.append(CompactionEvent(level + 1, result.stats))
-            self._sync_persisted_tables()
+            self._persist()
 
     # ------------------------------------------------------------------
     # Read path
@@ -536,51 +496,19 @@ class LSMTree:
         return self._cache
 
     # ------------------------------------------------------------------
-    # Persistence helpers
+    # Persistence
     # ------------------------------------------------------------------
-    def _persist_table(self, table: SSTable) -> None:
-        assert self.directory is not None
-        path = os.path.join(self.directory, f"sst-{table.table_id:08d}.sst")
-        write_sstable(table, path)
-        self._write_manifest_file()
-
-    def _sync_persisted_tables(self) -> None:
-        """Write new tables, delete dropped ones, rewrite the manifest."""
-        if self.directory is None:
+    def _persist(self, wal_floor: int | None = None) -> None:
+        """Commit every level's tables, the seqno and the clock to the
+        store; ``wal_floor`` marks the WAL flushed up to that seqno."""
+        if self._store is None:
             return
-        live: set[str] = set()
-        for level in range(self.manifest.num_levels):
-            for table in self.manifest.level(level):
-                name = f"sst-{table.table_id:08d}.sst"
-                live.add(name)
-                path = os.path.join(self.directory, name)
-                if not os.path.exists(path):
-                    write_sstable(table, path)
-        self._write_manifest_file()
-        removed = False
-        for name in os.listdir(self.directory):
-            if name.startswith("sst-") and name not in live:
-                os.remove(os.path.join(self.directory, name))
-                removed = True
-        if removed:
-            fsync_dir(self.directory)
-
-    def _write_manifest_file(self) -> None:
-        assert self.directory is not None
-        listing = {
+        levels = self.manifest.snapshot()
+        state = {
             "policy": self._policy.name,
-            "levels": {
-                str(level): [
-                    f"sst-{t.table_id:08d}.sst" for t in self.manifest.level(level)
-                ]
-                for level in range(self.manifest.num_levels)
-            },
+            "seqno": self._seqno,
+            "clock": self._logical_time,
+            "levels": [[t.table_id for t in level] for level in levels],
         }
-        tmp = os.path.join(self.directory, "MANIFEST.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(listing, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, os.path.join(self.directory, "MANIFEST.json"))
-        # Durability of the rename itself requires syncing the directory.
-        fsync_dir(self.directory)
+        tables = [t for level in levels for t in level]
+        self._store.commit(tables, state, wal_floor=wal_floor)

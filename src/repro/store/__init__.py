@@ -2,11 +2,12 @@
 live runtime.
 
 :mod:`repro.store.fsutil` is a dependency-free leaf (directory fsync,
-atomic installs) used by both :mod:`repro.lsm` and
-:mod:`repro.store.node_store`; to keep that import edge acyclic this
+atomic installs) that ``lsm/sstable_io.py`` imports at module level and
+:mod:`repro.store.node_store` uses too; to keep that edge acyclic this
 package resolves its public names lazily (PEP 562) — importing
-``repro.store.fsutil`` never pulls in the node store (and with it the
-``lsm`` modules that themselves use ``fsutil``).
+``repro.store.fsutil`` never pulls in the node store, which imports
+``lsm``.  The one edge back, ``lsm/tree.py`` → ``store/node_store.py``
+(a persistent ``LSMTree`` is a store client), is function-level.
 """
 
 from __future__ import annotations

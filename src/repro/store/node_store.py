@@ -1,7 +1,8 @@
-"""Per-node durable storage for the live runtime (Section III-H).
+"""Per-node durable storage (Section III-H): the one durable store, for
+the live runtime's three roles and the embedded ``LSMTree`` alike.
 
 A :class:`NodeStore` gives one CooLSM process a crash-safe home under
-its ``--data-dir``:
+its ``--data-dir`` (an embedded tree, under its ``directory``):
 
 * ``wal.log`` — the role's write-ahead log (Ingestors log every acked
   upsert before replying; see :mod:`repro.lsm.wal` for the record
@@ -14,7 +15,8 @@ its ``--data-dir``:
   carrying a role-specific ``state`` snapshot: the Ingestor's level
   contents, in-flight forwarded batches and clock watermark, the
   Compactor's levels, dedup table and backup sequence, the Reader's
-  applied areas and per-source sequence numbers.
+  applied areas and per-source sequence numbers, the embedded tree's
+  ``seqno``, ``clock`` and ``levels``.
 
 ``commit`` is the only mutation of the manifest: it writes any sstable
 that is not yet on disk, installs the new manifest, and only then
@@ -37,7 +39,7 @@ from typing import Iterable
 from repro.lsm.entry import Entry
 from repro.lsm.errors import CorruptionError
 from repro.lsm.manifest import LevelEdit
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import SSTable, advance_table_ids
 from repro.lsm.sstable_io import SSTableReader, write_sstable
 from repro.lsm.wal import WriteAheadLog, replay
 
@@ -209,6 +211,8 @@ class NodeStore:
                 )
             self._table_meta[table_id] = dict(meta)
             max_id = max(max_id, table_id)
+        # Never re-issue an id a persisted sstable already holds.
+        advance_table_ids(max_id + 1)
         wal_entries = [
             entry
             for entry in replay(os.path.join(self.directory, WAL_NAME))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import os
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.lsm.entry import make_upsert
 from repro.lsm.errors import CorruptionError
 from repro.lsm.sstable import SSTable
@@ -192,3 +195,24 @@ def test_write_counters_split_bytes_by_file_class(tmp_path):
             "store_wal_entries_logged": 4,
         }
         assert min(store.gauges().values()) > 0
+
+
+def test_file_mutation_lives_in_three_modules():
+    # The list a MemFS seam (ROADMAP item 5) has to cover: every rename,
+    # unlink, fsync and truncate in src/ goes through these modules, and
+    # the embedded tree reaches the disk only through the store.
+    root = Path(repro.__file__).parent
+    mutators, tree_imports = set(), set()
+    for path in root.rglob("*.py"):
+        module = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = ast.unparse(node.func)
+                if target in ("os.replace", "os.remove", "os.fsync") or (
+                    node.func.attr == "truncate"
+                ):
+                    mutators.add(module)
+            if module == "lsm/tree.py" and isinstance(node, ast.Import):
+                tree_imports.update(alias.name for alias in node.names)
+    assert mutators == {"store/fsutil.py", "store/node_store.py", "lsm/wal.py"}
+    assert not tree_imports & {"os", "json"}

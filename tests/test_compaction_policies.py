@@ -244,10 +244,10 @@ class TestPolicyPersistence:
     def test_legacy_manifest_without_policy_accepted(self, tmp_path):
         directory = str(tmp_path / "store")
         self._fill(directory, "leveling")
-        manifest_path = os.path.join(directory, "MANIFEST.json")
+        manifest_path = os.path.join(directory, "NODE_MANIFEST.json")
         with open(manifest_path, "r", encoding="utf-8") as f:
             listing = json.load(f)
-        del listing["policy"]
+        del listing["policy"], listing["state"]["policy"]
         with open(manifest_path, "w", encoding="utf-8") as f:
             json.dump(listing, f)
         with LSMTree.open(directory, LSMConfig(**TREE_KW)) as tree:
