@@ -1,9 +1,9 @@
 """Binary encoding of sorted entry blocks.
 
 An sstable's data is split into fixed-fanout *blocks* of consecutive
-entries.  Each block is encoded independently so readers can fetch and
-decode one block per point lookup (the fence pointers in
-:mod:`repro.lsm.sstable` map a key to its block).
+entries.  Each block is encoded and checksummed independently, so a
+reader can verify and decode one block at a time (the fence pointers in
+:mod:`repro.lsm.sstable` record each block's first key).
 
 Layout of one encoded block::
 
@@ -29,6 +29,7 @@ from .errors import CorruptionError
 
 _FIXED = struct.Struct("<Qd B")  # seqno, timestamp, tombstone
 _U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<II")  # crc32, entry count
 
 
 def encode_varint(value: int) -> bytes:
@@ -84,16 +85,22 @@ def encode_entries(entries: list[Entry]) -> bytes:
     return _U32.pack(zlib.crc32(body)) + body
 
 
-def decode_entries(data: bytes) -> list[Entry]:
-    """Decode a block produced by :func:`encode_entries`."""
+def verified_count(data: bytes) -> int:
+    """The entry count of a block, once its checksum holds: what
+    :func:`decode_entries` checks first, without decoding an entry."""
     if len(data) < 8:
         raise CorruptionError("block too short")
-    (stored_crc,) = _U32.unpack_from(data, 0)
+    stored_crc, count = _HEADER.unpack_from(data, 0)
+    if zlib.crc32(memoryview(data)[4:]) != stored_crc:
+        raise CorruptionError("block checksum mismatch")
+    return count
+
+
+def decode_entries(data: bytes) -> list[Entry]:
+    """Decode a block produced by :func:`encode_entries`."""
+    count = verified_count(data)
     # One copy, so every key and value below is a plain ``bytes`` slice.
     body = bytes(data[4:])
-    if zlib.crc32(body) != stored_crc:
-        raise CorruptionError("block checksum mismatch")
-    (count,) = _U32.unpack_from(body, 0)
     offset, end = 4, len(body)
     unpack_fixed, fixed_size = _FIXED.unpack_from, _FIXED.size
     entries: list[Entry] = []

@@ -1,4 +1,4 @@
-"""Read cache: a capacity-bounded block-and-row cache shared per tree.
+"""Read cache: a capacity-bounded row cache shared per tree.
 
 LSM read performance is dominated by repeated work on hot keys: the same
 bloom probes, fence-pointer bisects, and block fetches run over and over
@@ -10,13 +10,10 @@ invariant: **sstables are immutable**.  Every cache key is scoped by a
 stale — compactions simply stop referencing old tables and their cached
 rows age out via normal eviction.  No invalidation protocol is needed.
 
-Two kinds of entries share one capacity budget:
-
-* **row entries** ``(ROW, table_id, key) -> tuple[Entry, ...]`` — the
-  result of a key lookup inside one table (all versions, newest first;
-  the empty tuple caches a confirmed miss after a bloom false positive);
-* **block entries** ``(BLOCK, table_id, block_index) -> list[Entry]`` —
-  a decoded data block (used by the on-disk reader to skip file I/O).
+An entry is a **row** ``(ROW, table_id, key) -> tuple[Entry, ...]``:
+the result of a key lookup inside one table (all versions, newest
+first; the empty tuple caches a confirmed miss after a bloom false
+positive).
 
 Eviction is classic **LRU** (ordered-dict move-to-end): O(1) on hit,
 insert, and evict.
@@ -39,9 +36,8 @@ from .errors import InvalidConfigError
 #: legitimate cached value: "this table does not contain the key").
 MISS = object()
 
-#: Cache-key namespaces.
+#: Cache-key namespace of :meth:`ReadCache.get_row` / :meth:`ReadCache.put_row`.
 ROW = "row"
-BLOCK = "block"
 
 
 @dataclass(slots=True)
@@ -145,10 +141,3 @@ class ReadCache:
 
     def put_row(self, table_id: int, key: bytes, versions: tuple) -> None:
         self.put((ROW, table_id, key), versions)
-
-    def get_block(self, table_id: int, block_index: int):
-        """Cached decoded block, or MISS."""
-        return self.get((BLOCK, table_id, block_index))
-
-    def put_block(self, table_id: int, block_index: int, entries: list) -> None:
-        self.put((BLOCK, table_id, block_index), entries)

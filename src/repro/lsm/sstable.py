@@ -26,6 +26,11 @@ opened on it (:attr:`SSTable.opens`) and how many point lookups reached
 its block search (:attr:`SSTable.probes`).  Laziness tests use these to
 prove an early-terminated scan never touched tables beyond its cursor
 frontier.
+
+A table received as a :mod:`~repro.lsm.sstable_io` image is *adopted*
+(:meth:`SSTable.adopt`): it keeps the verified image and decodes its
+entries on first read, because compaction replaces most received tables
+before anything reads them.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ import bisect
 import itertools
 from typing import Iterator, Sequence
 
+from .block import decode_entries
 from .bloom import BloomFilter
 from .cache import MISS, ReadCache
 from .entry import Entry
-from .errors import InvalidConfigError
+from .errors import CorruptionError, InvalidConfigError
 
 #: Number of entries per data block (fence-pointer granularity).
 DEFAULT_BLOCK_ENTRIES = 64
@@ -118,8 +124,10 @@ class SSTable:
         "probes",
         "_fences",
         "_keys",
+        "_count",
         "_block_entries",
         "_image",
+        "_blocks",
     )
 
     def __init__(
@@ -143,6 +151,7 @@ class SSTable:
         # Fence pointers: first key of each block.
         self._fences = [entries[i].key for i in range(0, len(entries), block_entries)]
         self._keys = [e.key for e in entries]
+        self._count = len(entries)
         self.bloom = (
             bloom
             if bloom is not None
@@ -164,12 +173,63 @@ class SSTable:
         """Sort arbitrary entries into sstable order and build a table."""
         return cls(sort_run(entries), block_entries, bloom_fp_rate)
 
+    @classmethod
+    def adopt(
+        cls,
+        image: bytes,
+        blocks: list[tuple[bytes, int, int]],
+        count: int,
+        max_key: bytes,
+        block_entries: int,
+        bloom_fp_rate: float,
+        table_id: int,
+        bloom: BloomFilter,
+    ) -> "SSTable":
+        """A table over a verified image (:func:`~repro.lsm.sstable_io.decode_sstable`):
+        ``blocks`` are its ``(first_key, offset, length)`` fence pointers
+        and ``count`` its number of entries.  Nothing is decoded until
+        ``entries`` or ``_keys`` is first read (:meth:`__getattr__`)."""
+        table = cls.__new__(cls)
+        table.table_id = table_id
+        table.min_key = blocks[0][0]
+        table.max_key = max_key
+        table._block_entries = block_entries
+        table.bloom_fp_rate = bloom_fp_rate
+        table._fences = [first_key for first_key, __, __ in blocks]
+        table._count = count
+        table.bloom = bloom
+        table.opens = table.probes = 0
+        table._image = image
+        table._blocks = blocks
+        return table
+
+    def __getattr__(self, name: str):
+        """Python falls back here only for an unset slot: ``entries`` or
+        ``_keys`` of an adopted table that nothing has read yet.  Decode
+        its image, held to what adoption read from the index: each block
+        starts at its fence key; the count and last key are what ``len``
+        and ``max_key`` report."""
+        if name not in ("entries", "_keys"):
+            raise AttributeError(name)
+        view = memoryview(self._image)
+        entries: list[Entry] = []
+        for first_key, offset, length in self._blocks:
+            block = decode_entries(view[offset : offset + length])
+            if block[0].key != first_key:
+                raise CorruptionError(f"sstable {self.table_id}: block not at its fence key")
+            entries += block
+        if len(entries) != self._count or entries[-1].key != self.max_key:
+            raise CorruptionError(f"sstable {self.table_id}: entries disagree with the index")
+        self.entries = entries
+        self._keys = [e.key for e in entries]
+        return getattr(self, name)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SSTable(id={self.table_id}, n={len(self.entries)}, "
+            f"SSTable(id={self.table_id}, n={self._count}, "
             f"range=[{self.min_key!r}, {self.max_key!r}])"
         )
 

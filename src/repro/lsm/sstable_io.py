@@ -7,13 +7,14 @@ embedded LSM store, so sstables can be written to and read from disk.
 File layout::
 
     [data block 0][data block 1]...[data block N-1]
-    [index block]          # fence pointers: (first_key, offset, length)*
+    [index block]          # fence pointers: (first_key, offset, length)*,
+                           # then the table's last key
     [bloom block]          # serialised BloomFilter
     [footer]               # fixed size, at end of file:
         u64 index_offset | u32 index_length
         u64 bloom_offset | u32 bloom_length
         u32 crc32 of index block + bloom block + the 24 bytes above
-        8-byte magic "COOLSST2"
+        8-byte magic "COOLSST3"
 
 Data blocks use :mod:`repro.lsm.block` encoding (per-block CRC32) and
 the footer CRC covers every other byte, so a flipped bit anywhere is
@@ -23,6 +24,9 @@ The image is also a table's wire form (:mod:`repro.live.wire`):
 :func:`encode_sstable` builds it once per table, :func:`write_sstable`
 installs those bytes, and :func:`decode_sstable` lets a receiver verify
 and adopt them, so the file it then writes is the sender's, byte for byte.
+Adoption decodes no entry: the count comes from the block headers, the
+key range from the index, the filter from the bloom block, and the
+entries are decoded on the table's first read (:meth:`SSTable.adopt`).
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ from typing import BinaryIO, Iterator
 
 from repro.store.fsutil import atomic_write_bytes
 
-from .block import decode_entries, decode_varint, encode_entries, encode_varint
+from .block import decode_entries, decode_varint, encode_entries, encode_varint, verified_count
 from .bloom import BloomFilter
-from .cache import MISS, ReadCache
 from .entry import Entry
 from .errors import ClosedError, CorruptionError
-from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable, next_table_id
+from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable
 
-_MAGIC = b"COOLSST2"
+_MAGIC = b"COOLSST3"
 _FIELDS = struct.Struct("<QIQI")  # index_off, index_len, bloom_off, bloom_len
 _CRC = struct.Struct("<I")
 _FOOTER_SIZE = _FIELDS.size + _CRC.size + len(_MAGIC)
@@ -64,7 +67,7 @@ def encode_sstable(table: SSTable, block_entries: int) -> bytes:
         encoded = encode_entries(entries[start : start + block_entries])
         fences.append((entries[start].key, len(out), len(encoded)))
         out += encoded
-    index_block = _encode_index(fences)
+    index_block = _encode_index(fences, entries[-1].key)
     bloom_block = table.bloom.to_bytes()
     meta = index_block + bloom_block + _FIELDS.pack(
         len(out), len(index_block), len(out) + len(index_block), len(bloom_block)
@@ -87,24 +90,32 @@ def write_sstable(table: SSTable, path: str, block_entries: int = DEFAULT_BLOCK_
 def decode_sstable(
     image: bytes, table_id: int, block_entries: int, bloom_fp_rate: float
 ) -> SSTable:
-    """Inverse of :func:`encode_sstable`: check the footer CRC and every
-    block CRC (:class:`CorruptionError` on any damage), take the bloom
-    filter from the image instead of rebuilding it, and keep the image on
-    the table so writing or re-sending it encodes nothing."""
+    """Inverse of :func:`encode_sstable`, minus the entries: check the
+    layout, the footer CRC and every block CRC (:class:`CorruptionError`
+    on any damage, or on blocks not cut at ``block_entries``), and adopt
+    the image — count from the block headers, bloom filter from its
+    block.  Entries are decoded on the table's first read; writing or
+    re-sending it encodes nothing."""
     image = bytes(image)
-    fences, bloom = _load_meta(io.BytesIO(image), f"sstable {table_id}")
+    what = f"sstable {table_id}"
+    fences, last_key, bloom = _load_meta(io.BytesIO(image), what)
     view = memoryview(image)
-    entries: list[Entry] = []
-    for __, offset, length in fences:
-        entries += decode_entries(view[offset : offset + length])
-    table = SSTable(entries, block_entries, bloom_fp_rate, table_id, bloom)
-    table._image = image
-    return table
+    counts = [verified_count(view[offset : offset + length]) for __, offset, length in fences]
+    # Every block but the last is full, as SSTable's fences assume, and
+    # none is empty (which also refuses ``block_entries <= 0``).
+    if any(n != block_entries for n in counts[:-1]) or not 0 < counts[-1] <= block_entries:
+        raise CorruptionError(f"{what}: blocks not cut at {block_entries} entries")
+    return SSTable.adopt(
+        image, fences, sum(counts), last_key, block_entries, bloom_fp_rate, table_id, bloom
+    )
 
 
-def _load_meta(file: BinaryIO, what: str) -> tuple[list[tuple[bytes, int, int]], BloomFilter]:
+def _load_meta(
+    file: BinaryIO, what: str
+) -> tuple[list[tuple[bytes, int, int]], bytes, BloomFilter]:
     """Verify the footer of the image in ``file`` (an open sstable, or a
-    received image) and parse what it covers: (fence pointers, bloom)."""
+    received image) and parse what it covers: (fence pointers, last key,
+    bloom).  The fences must tile the data region."""
     meta_end = file.seek(0, os.SEEK_END) - _FOOTER_SIZE
     if meta_end < 0:
         raise CorruptionError(f"{what}: too small for footer")
@@ -122,22 +133,31 @@ def _load_meta(file: BinaryIO, what: str) -> tuple[list[tuple[bytes, int, int]],
     (crc,) = _CRC.unpack_from(footer, _FIELDS.size)
     if zlib.crc32(footer[: _FIELDS.size], zlib.crc32(meta)) != crc:
         raise CorruptionError(f"{what}: footer checksum mismatch")
-    fences = _decode_index(meta[:index_len])
+    fences, last_key = _decode_index(meta[:index_len])
     if not fences:
         raise CorruptionError(f"{what}: empty index")
-    return fences, BloomFilter.from_bytes(meta[index_len:])
+    end = 0
+    for __, offset, length in fences:
+        if offset != end:
+            raise CorruptionError(f"{what}: data blocks do not tile the file")
+        end += length
+    if end != index_off:
+        raise CorruptionError(f"{what}: data blocks do not tile the file")
+    return fences, last_key, BloomFilter.from_bytes(meta[index_len:])
 
 
-def _encode_index(fences: list[tuple[bytes, int, int]]) -> bytes:
+def _encode_index(fences: list[tuple[bytes, int, int]], last_key: bytes) -> bytes:
     out = bytearray(encode_varint(len(fences)))
     for first_key, offset, length in fences:
         out += encode_varint(len(first_key))
         out += first_key
         out += _FENCE.pack(offset, length)
+    out += encode_varint(len(last_key))
+    out += last_key
     return bytes(out)
 
 
-def _decode_index(data: bytes) -> list[tuple[bytes, int, int]]:
+def _decode_index(data: bytes) -> tuple[list[tuple[bytes, int, int]], bytes]:
     count, offset = decode_varint(data, 0)
     fences = []
     for _ in range(count):
@@ -147,35 +167,24 @@ def _decode_index(data: bytes) -> list[tuple[bytes, int, int]]:
         block_offset, block_len = _FENCE.unpack_from(data, offset)
         offset += _FENCE.size
         fences.append((key, block_offset, block_len))
-    return fences
+    key_len, offset = decode_varint(data, offset)
+    return fences, bytes(data[offset : offset + key_len])
 
 
 class SSTableReader:
-    """Random and sequential access to an on-disk sstable.
+    """Sequential access to an on-disk sstable, one data block at a
+    time: what a restart rebuilds its tables from.  Point lookups go
+    through the in-memory :class:`~repro.lsm.sstable.SSTable`."""
 
-    Reads one data block per point lookup, guided by the on-disk fence
-    pointers and bloom filter — the same read path as the in-memory
-    :class:`~repro.lsm.sstable.SSTable`.
-
-    With a :class:`~repro.lsm.cache.ReadCache`, decoded blocks are
-    cached under a per-reader id, so hot blocks skip both the file read
-    and the CRC-checked decode.
-    """
-
-    def __init__(self, path: str, cache: ReadCache | None = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.cache = cache
-        self._cache_id = next_table_id()
         self._file = open(path, "rb")
         self._closed = False
         try:
-            self._load_footer()
+            self._fences, __, self.bloom = _load_meta(self._file, path)
         except BaseException:
             self.close()
             raise
-
-    def _load_footer(self) -> None:
-        self._fences, self.bloom = _load_meta(self._file, self.path)
 
     def close(self) -> None:
         if not self._closed:
@@ -188,59 +197,13 @@ class SSTableReader:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _check_open(self) -> None:
+    def scan(self) -> Iterator[Entry]:
+        """Iterate all entries in sstable order, reading a block at a time."""
         if self._closed:
             raise ClosedError("reader is closed")
-
-    def _read_block(self, index: int) -> list[Entry]:
-        if self.cache is not None:
-            cached = self.cache.get_block(self._cache_id, index)
-            if cached is not MISS:
-                return cached
-        __, offset, length = self._fences[index]
-        self._file.seek(offset)
-        entries = decode_entries(self._file.read(length))
-        if self.cache is not None:
-            self.cache.put_block(self._cache_id, index, entries)
-        return entries
-
-    def get(self, key: bytes) -> Entry | None:
-        """Newest version of ``key``, reading at most two data blocks.
-
-        Versions are newest-first per key, so the newest version is the
-        key's *first* occurrence in the file.  That occurrence lives in
-        the last block whose first key is strictly below ``key``, or —
-        when the key's versions start exactly at a block boundary — in
-        the first block whose first key equals ``key``.
-        """
-        self._check_open()
-        if not self.bloom.might_contain(key):
-            return None
-        # lower_bound over block first-keys.
-        lo, hi = 0, len(self._fences)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._fences[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        # Block before the bound may hold the first occurrence.
-        if lo > 0:
-            for entry in self._read_block(lo - 1):
-                if entry.key == key:
-                    return entry
-        # Otherwise the occurrence starts exactly at block `lo`.
-        if lo < len(self._fences) and self._fences[lo][0] == key:
-            for entry in self._read_block(lo):
-                if entry.key == key:
-                    return entry
-        return None
-
-    def scan(self) -> Iterator[Entry]:
-        """Iterate all entries in sstable order."""
-        self._check_open()
-        for index in range(len(self._fences)):
-            yield from self._read_block(index)
+        for __, offset, length in self._fences:
+            self._file.seek(offset)
+            yield from decode_entries(self._file.read(length))
 
     def load(self) -> SSTable:
         """Materialise the whole file as an in-memory :class:`SSTable`,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import messages
+from repro.lsm import sstable as sstable_module
 from repro.lsm import sstable_io
 from repro.lsm.block import encode_entries
 from repro.lsm.bloom import BloomFilter
@@ -17,6 +18,9 @@ from repro.lsm.entry import Entry, encode_key
 from repro.lsm.sstable import SSTable, sort_run
 from repro.live import wire
 from repro.sim import rpc
+from repro.store import NodeStore
+
+from tests.core.conftest import tiny_cluster
 
 
 def roundtrip(value):
@@ -253,6 +257,43 @@ def test_sstable_round_trip_inside_messages(entries, block_entries):
         assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
         for entry in entries:
             assert decoded.get(entry.key) == table.get(entry.key)
+
+
+def test_backup_update_is_installed_and_persisted_undecoded(tmp_path, monkeypatch):
+    """Wire → Reader install → NodeStore: a received table stays its
+    image until read, and a read decodes only what its filter admits."""
+    cluster = tiny_cluster(num_compactors=1, num_readers=1)
+    reader = cluster.readers[0]
+    store = NodeStore.open(str(tmp_path), node_name=reader.name, role="reader")
+    reader.attach_store(store)
+    # Three disjoint tables of two 64-entry blocks each.
+    sent = [make_table(range(start, start + 100)) for start in (0, 100, 200)]
+    update = messages.BackupUpdate(2, tuple(sent), "compactor-0")
+    payload = wire.encode_envelope_buffer(
+        0, "compactor-0", reader.name, rpc._Cast("backup_update", update)
+    )
+    decodes = []
+    decode_entries = sstable_module.decode_entries
+    monkeypatch.setattr(
+        sstable_module,
+        "decode_entries",
+        lambda data: decodes.append(1) or decode_entries(data),
+    )
+    __, src, __, cast = wire.decode_envelope(payload)
+    cluster.run_process(reader._handle_backup_update(src, cast.payload))
+    assert decodes == [], "neither install nor _persist decodes an entry"
+    assert len(reader.level2) == 3
+    for table in sent:
+        with open(tmp_path / store._table_meta[table.table_id]["file"], "rb") as f:
+            assert f.read() == sstable_io.encode_sstable(table, 64)
+    key = encode_key(150)
+    admitted = [
+        t for t in reader.level2 if t.key_in_range(key) and t.bloom.might_contain(key)
+    ]
+    reply = cluster.run_process(reader._handle_read("client", messages.ReadRequest(key)))
+    assert reply.entry == sent[1].get(key)
+    assert len(decodes) == sum(len(t._fences) for t in admitted) == 2
+    store.close()
 
 
 class TestMessageRoundTrips:

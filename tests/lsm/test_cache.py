@@ -117,12 +117,12 @@ class TestStats:
 
 
 class TestNamespacedHelpers:
-    def test_row_and_block_namespaces_do_not_collide(self):
+    def test_row_namespace_does_not_collide_with_plain_keys(self):
         cache = ReadCache(8)
         cache.put_row(1, b"k", ("row",))
-        cache.put_block(1, 0, ["block"])
+        cache.put((1, b"k"), "plain")
         assert cache.get_row(1, b"k") == ("row",)
-        assert cache.get_block(1, 0) == ["block"]
+        assert cache.get((1, b"k")) == "plain"
 
     def test_rows_scoped_by_table_id(self):
         cache = ReadCache(8)

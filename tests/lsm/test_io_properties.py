@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.lsm.entry import Entry
 from repro.lsm.sstable import SSTable
-from repro.lsm.sstable_io import SSTableReader, read_sstable, write_sstable
+from repro.lsm.sstable_io import decode_sstable, read_sstable, write_sstable
 from repro.lsm.wal import WriteAheadLog, replay
 
 keys_st = st.binary(min_size=1, max_size=16)
@@ -40,13 +40,14 @@ def test_sstable_file_point_lookups(tmp_path_factory, entries):
     table = SSTable.from_entries(entries)
     path = str(tmp_path_factory.mktemp("sst") / "t.sst")
     write_sstable(table, path, block_entries=4)
-    with SSTableReader(path) as reader:
-        for entry in table.entries:
-            found = reader.get(entry.key)
-            assert found is not None
-            assert found.key == entry.key
-            # The reader returns the newest version in the file.
-            assert found.version >= entry.version
+    with open(path, "rb") as f:
+        adopted = decode_sstable(f.read(), table.table_id, 4, 0.01)
+    for entry in table.entries:
+        found = adopted.get(entry.key)
+        assert found is not None
+        assert found.key == entry.key
+        # The lookup returns the newest version in the file.
+        assert found.version >= entry.version
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,20 @@
 """Unit tests for the on-disk sstable format."""
 
+import io
 import os
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.lsm import sstable as sstable_module
+from repro.lsm import sstable_io
+from repro.lsm.block import decode_entries, encode_entries, encode_varint
 from repro.lsm.entry import encode_key
 from repro.lsm.errors import ClosedError, CorruptionError
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import SSTable, sort_run
 from repro.lsm.sstable_io import (
     SSTableReader,
     decode_sstable,
@@ -23,6 +31,20 @@ def table():
     return SSTable.from_entries([entry(k, k + 1) for k in range(100)], block_entries=8)
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """One item per data block decoded, by the file reader or a table."""
+    calls = []
+
+    def counting(data):
+        calls.append(1)
+        return decode_entries(data)
+
+    monkeypatch.setattr(sstable_module, "decode_entries", counting)
+    monkeypatch.setattr(sstable_io, "decode_entries", counting)
+    return calls
+
+
 def test_roundtrip(tmp_path, table):
     path = str(tmp_path / "t.sst")
     write_sstable(table, path, block_entries=8)
@@ -30,13 +52,15 @@ def test_roundtrip(tmp_path, table):
     assert loaded.entries == table.entries
 
 
-def test_point_lookup_without_full_load(tmp_path, table):
+def test_point_lookup_without_full_load(tmp_path, table, decodes):
     path = str(tmp_path / "t.sst")
     write_sstable(table, path, block_entries=8)
-    with SSTableReader(path) as reader:
-        for k in range(100):
-            assert reader.get(encode_key(k)).key == encode_key(k)
-        assert reader.get(encode_key(1000)) is None
+    with open(path, "rb") as f:
+        adopted = decode_sstable(f.read(), table.table_id, 8, 0.01)
+    assert adopted.get(encode_key(1000)) is None
+    assert decodes == [], "out of range: nothing decoded"
+    for k in range(100):
+        assert adopted.get(encode_key(k)).key == encode_key(k)
 
 
 def test_bloom_filter_persisted(tmp_path, table):
@@ -61,7 +85,7 @@ def test_closed_reader_raises(tmp_path, table):
     reader = SSTableReader(path)
     reader.close()
     with pytest.raises(ClosedError):
-        reader.get(encode_key(1))
+        list(reader.scan())
 
 
 def test_bad_magic_detected(tmp_path, table):
@@ -151,7 +175,6 @@ def test_any_flipped_byte_or_truncation_is_corruption(tmp_path):
     small = SSTable.from_entries(
         [entry(k, k + 1) for k in range(20)], block_entries=8
     )
-    expected = {e.key: e for e in small.entries}
     image = encode_sstable(small, 8)
     path = str(tmp_path / "t.sst")
     for what, damaged in _damaged_images(image):
@@ -164,12 +187,174 @@ def test_any_flipped_byte_or_truncation_is_corruption(tmp_path):
             with SSTableReader(path) as reader:
                 list(reader.scan())
             pytest.fail(f"SSTableReader scanned image {what}")
-        try:
-            with SSTableReader(path) as reader:
-                for key, entry_ in expected.items():
-                    try:
-                        assert reader.get(key) == entry_, what
-                    except CorruptionError:
-                        pass  # the one damaged block
-        except CorruptionError:
-            pass  # refused at open: footer, index or bloom damage
+
+
+# ----------------------------------------------------------------------
+# Adoption: the received image stays undecoded until something reads it
+# ----------------------------------------------------------------------
+def test_adoption_decodes_nothing(table, decodes):
+    image = encode_sstable(table, 8)
+    adopted = decode_sstable(image, 77, 8, 0.01)
+    assert decodes == []
+    assert len(adopted) == len(table)
+    assert (adopted.min_key, adopted.max_key) == (table.min_key, table.max_key)
+    assert adopted._fences == table._fences
+    assert adopted.bloom.to_bytes() == table.bloom.to_bytes()
+    assert encode_sstable(adopted, 8) is image
+    assert decodes == []
+
+
+@pytest.mark.parametrize("first_read", ["get", "scan", "entries"])
+def test_first_read_decodes_each_block_once(table, decodes, first_read):
+    adopted = decode_sstable(encode_sstable(table, 8), 77, 8, 0.01)
+    key = encode_key(42)
+    if first_read == "get":
+        assert adopted.get(key) == table.get(key)
+    elif first_read == "scan":
+        assert next(adopted.scan(key)) == table.get(key)
+    else:
+        assert adopted.entries == table.entries
+    assert len(decodes) == len(table._fences) == 13
+    assert list(adopted.scan()) == table.entries
+    assert adopted.versions(encode_key(7)) == table.versions(encode_key(7))
+    assert [p.entries for p in adopted.split_at([key])] == [
+        p.entries for p in table.split_at([key])
+    ]
+    assert len(decodes) == 13, "later reads decode nothing"
+
+
+_keys = st.integers(min_value=1, max_value=40)
+_bound = st.none() | st.integers(min_value=0, max_value=41).map(encode_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # Forty keys and up to 150 entries: several versions of most keys,
+    # spanning block boundaries at every granularity.
+    entries=st.lists(
+        st.builds(
+            entry,
+            key=_keys,
+            seqno=st.integers(min_value=1, max_value=60),
+            tombstone=st.booleans(),
+        ),
+        min_size=1,
+        max_size=150,
+    ),
+    block_entries=st.sampled_from([1, 7, 64]),
+    ranges=st.lists(st.tuples(_bound, _bound), max_size=4),
+    cuts=st.lists(_keys.map(encode_key), max_size=3),
+)
+def test_adopted_table_reads_like_the_built_one(entries, block_entries, ranges, cuts):
+    built = SSTable(sort_run(entries), block_entries, 0.05)
+    adopted = decode_sstable(
+        encode_sstable(built, block_entries), built.table_id, block_entries, 0.05
+    )
+    # 0 and 41 fall outside every table; gaps in 1..40 are absent keys.
+    for k in range(42):
+        assert adopted.versions(encode_key(k)) == built.versions(encode_key(k))
+    for lo, hi in ranges:
+        assert list(adopted.scan(lo, hi)) == list(built.scan(lo, hi))
+    boundaries = sorted(set(cuts))
+    assert [p.entries for p in adopted.split_at(boundaries)] == [
+        p.entries for p in built.split_at(boundaries)
+    ]
+    assert (adopted.probes, adopted.opens) == (built.probes, built.opens)
+
+
+def _forge_count(image: bytes, block: int, count: int) -> bytes:
+    """``image`` with data block ``block`` claiming ``count`` entries,
+    its CRC recomputed: every checksum in the image still holds."""
+    fences, __, __ = sstable_io._load_meta(io.BytesIO(image), "forged")
+    __, offset, length = fences[block]
+    forged = bytearray(image)
+    struct.pack_into("<I", forged, offset + 4, count)
+    struct.pack_into("<I", forged, offset, zlib.crc32(forged[offset + 4 : offset + length]))
+    return bytes(forged)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_forged_last_block_count_fails_on_first_read(table, count):
+    # 100 entries at 8 a block: the last of 13 blocks holds 4.
+    forged = _forge_count(encode_sstable(table, 8), 12, count)
+    adopted = decode_sstable(forged, 77, 8, 0.01)
+    assert len(adopted) == 96 + count
+    with pytest.raises(CorruptionError):
+        adopted.entries
+    with pytest.raises(CorruptionError):
+        adopted.get(table.max_key)
+
+
+@pytest.mark.parametrize(
+    "block, count", [(3, 7), (12, 0), (12, 9)], ids=["inner-short", "last-empty", "last-over"]
+)
+def test_forged_block_cut_is_refused_at_adoption(table, block, count):
+    forged = _forge_count(encode_sstable(table, 8), block, count)
+    with pytest.raises(CorruptionError, match="not cut at 8 entries"):
+        decode_sstable(forged, 77, 8, 0.01)
+
+
+def _reindex(image: bytes, edit) -> bytes:
+    """``image`` with its fence pointers passed through ``edit`` and the
+    footer CRC recomputed: a forged index that every checksum agrees with."""
+    fences, last_key, bloom = sstable_io._load_meta(io.BytesIO(image), "forged")
+    data_end = fences[-1][1] + fences[-1][2]
+    index, bloom_block = sstable_io._encode_index(edit(fences), last_key), bloom.to_bytes()
+    meta = index + bloom_block + struct.pack(
+        "<QIQI", data_end, len(index), data_end + len(index), len(bloom_block)
+    )
+    return image[:data_end] + meta + struct.pack("<I", zlib.crc32(meta)) + b"COOLSST3"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda fences: fences[:-1],  # the last block is left out
+        lambda fences: [fences[0], (fences[1][0], fences[1][1] + 1, fences[1][2])] + fences[2:],
+    ],
+    ids=["gap", "overlap"],
+)
+def test_fences_that_do_not_tile_the_data_are_refused(tmp_path, table, edit):
+    image = encode_sstable(table, 8)
+    assert _reindex(image, list) == image
+    forged = _reindex(image, edit)
+    with pytest.raises(CorruptionError, match="do not tile"):
+        decode_sstable(forged, 77, 8, 0.01)
+    path = str(tmp_path / "forged.sst")
+    with open(path, "wb") as f:
+        f.write(forged)
+    with pytest.raises(CorruptionError, match="do not tile"):
+        SSTableReader(path)
+
+
+def test_nonpositive_block_entries_refused_at_adoption(table):
+    with pytest.raises(CorruptionError, match="not cut at 0 entries"):
+        decode_sstable(encode_sstable(table, 8), 77, 0, 0.01)
+
+
+def _coolsst2_image(table: SSTable, block_entries: int) -> bytes:
+    """The previous format, byte for byte: the index ends after the
+    fence pointers (no last key) and the magic is ``COOLSST2``."""
+    entries = table.entries
+    data, index = bytearray(), bytearray(encode_varint(-(-len(entries) // block_entries)))
+    for start in range(0, len(entries), block_entries):
+        block = encode_entries(entries[start : start + block_entries])
+        index += encode_varint(len(entries[start].key)) + entries[start].key
+        index += struct.pack("<QI", len(data), len(block))
+        data += block
+    bloom = table.bloom.to_bytes()
+    meta = bytes(index) + bloom + struct.pack(
+        "<QIQI", len(data), len(index), len(data) + len(index), len(bloom)
+    )
+    return bytes(data) + meta + struct.pack("<I", zlib.crc32(meta)) + b"COOLSST2"
+
+
+def test_previous_format_is_refused_not_misread(tmp_path, table):
+    image = _coolsst2_image(table, 8)
+    with pytest.raises(CorruptionError, match="bad magic"):
+        decode_sstable(image, 77, 8, 0.01)
+    path = str(tmp_path / "old.sst")
+    with open(path, "wb") as f:
+        f.write(image)
+    with pytest.raises(CorruptionError, match="bad magic"):
+        SSTableReader(path)
