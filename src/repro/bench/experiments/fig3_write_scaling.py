@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from repro.baselines.nodes import build_baseline_node
 from repro.bench.harness import SCALE, drive, scaled_config
 from repro.bench.reporting import paper_vs_measured, print_header, print_series
-from repro.core import ClusterSpec, build_cluster
-from repro.core.client import Client
+from repro.core import ClusterSpec, Topology, build_cluster
 from repro.core.keyspace import Partitioning
 from repro.workloads import write_only
 
@@ -50,8 +49,8 @@ def _run_baseline(kind: str, key_range: int, ops: int, scale: int) -> Fig3Result
     config = scaled_config(key_range, scale)
     kernel, network, machine, node = build_baseline_node(kind, config)
     partitioning = Partitioning.uniform(config.key_range, [node.name])
-    client = Client(
-        kernel, network, machine, "client-0", config, partitioning, [node.name]
+    client = Topology(config=config).build_client(
+        kernel, network, machine, "client-0", partitioning=partitioning, ingestors=[node.name]
     )
     started = kernel.now
     writes = 0

@@ -3,8 +3,10 @@
 Public surface:
 
 * :class:`CooLSMConfig` / :class:`CostModel` — deployment parameters.
+* :class:`Topology` — the deployment both interpreters build: node
+  names, roles and wiring.
 * :class:`ClusterSpec` / :func:`build_cluster` / :class:`Cluster` —
-  assemble any topology of the paper's design space.
+  place any topology of the paper's design space on simulated machines.
 * :class:`Ingestor`, :class:`Compactor`, :class:`Reader`,
   :class:`MonolithicNode` — the node types.
 * :class:`Client` — the client-side protocols (including the two-phase
@@ -53,6 +55,7 @@ from .reconfig import (
     split_partition,
 )
 from .shard import Shard, ShardMap, WrongShardError, is_wrong_shard
+from .topology import Topology
 
 __all__ = [
     "BackupUpdate",
@@ -91,6 +94,7 @@ __all__ = [
     "Shard",
     "ShardMap",
     "Timeline",
+    "Topology",
     "ReaderStats",
     "ReconfigStats",
     "WrongShardError",

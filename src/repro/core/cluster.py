@@ -1,11 +1,11 @@
 """Deployment builder: assemble any CooLSM topology from a spec.
 
 A :class:`ClusterSpec` describes one cell of the paper's design space —
-how many Ingestors (and where), how many partitioned or overlapping
-Compactors, how many Readers, or the monolithic baseline — and
-:func:`build_cluster` wires the simulated machines, network, clocks,
-and nodes.  The resulting :class:`Cluster` spawns clients and runs the
-simulation.
+a :class:`~repro.core.topology.Topology` (how many Ingestors, how many
+partitioned or overlapping Compactors, how many Readers) plus where
+each node runs, or the monolithic baseline — and :func:`build_cluster`
+wires the simulated machines, network, clocks, and nodes.  The
+resulting :class:`Cluster` spawns clients and runs the simulation.
 
 Placement conventions follow the paper: Compactors and Readers live in
 the cloud region (Virginia by default); Ingestors live at edge regions;
@@ -14,9 +14,8 @@ clients are placed next to whatever they drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.lsm.errors import InvalidConfigError
 from repro.sim.clock import LooseClock
 from repro.sim.kernel import Kernel
 from repro.sim.machine import DEFAULT_CORES, Machine
@@ -26,47 +25,26 @@ from repro.sim.rng import RngRegistry
 
 from .client import Client
 from .compactor import Compactor
-from .config import CooLSMConfig
 from .history import History
 from .ingestor import Ingestor
 from .keyspace import Partitioning
 from .monolithic import MonolithicNode
 from .reader import Reader
+from .topology import Topology
 
 
 @dataclass(slots=True)
-class ClusterSpec:
-    """Shape of a deployment.
+class ClusterSpec(Topology):
+    """A :class:`~repro.core.topology.Topology` placed on simulated machines.
 
-    Attributes:
-        config: Shared CooLSM parameters.
-        num_ingestors: Ingestor count (>1 enables the multi-Ingestor
-            protocols and Linearizable+Concurrent consistency).
-        num_compactors: Compactor count; with ``compactor_replicas > 1``
-            consecutive groups of that size overlap on one partition.
-        num_readers: Reader (backup) count.
+    Attributes (beyond the topology's):
         cloud_region: Where Compactors and Readers are placed.
         ingestor_regions: Region per Ingestor (cycled if shorter);
             defaults to the cloud region.
         reader_regions: Region per Reader; defaults to the cloud region.
         ingestors_share_machine: Place all Ingestors on one machine
             (Figure 5's "colocated scaling").
-        ingestors_feed_readers: Section III-D.3 variant — Ingestors push
-            their L1 snapshot to the Readers after every minor
-            compaction, making Reader state fresher at the cost of
-            extra coordination traffic.
         monolithic: Build the single-machine baseline instead.
-        sharded: Range-shard the key space across the Ingestors: each
-            key has exactly one owner, clients route by a versioned
-            shard map and chase WrongShard redirects, and online splits
-            (:func:`repro.live.membership.split_ingestor_shard`) move
-            ranges between Ingestors at runtime.  Disables the
-            overlapping multi-Ingestor read protocol — sharded fleets
-            are Linearizable via single ownership plus epoch fencing.
-        spare_ingestors: Extra Ingestors (named after the active ones)
-            built with the cluster but owning no shards; splits hand
-            them ranges at higher epochs.
-        seed: RNG seed for the whole simulation.
         drop_probability: Network fault injection.
         tolerated_failures: f > 0 replicates each Compactor's operation
             log to 2f replicas (Section III-H); Ingestor acks then wait
@@ -74,40 +52,13 @@ class ClusterSpec:
             elections promote a replica when the leader fails.
     """
 
-    config: CooLSMConfig = field(default_factory=CooLSMConfig)
-    num_ingestors: int = 1
-    num_compactors: int = 1
-    num_readers: int = 0
-    compactor_replicas: int = 1
     cloud_region: Region = CLOUD_REGION
     ingestor_regions: tuple[Region, ...] | None = None
     reader_regions: tuple[Region, ...] | None = None
     ingestors_share_machine: bool = False
-    ingestors_feed_readers: bool = False
     monolithic: bool = False
-    sharded: bool = False
-    spare_ingestors: int = 0
-    seed: int = 0
     drop_probability: float = 0.0
     tolerated_failures: int = 0
-
-    @property
-    def multi_ingestor(self) -> bool:
-        # Sharded deployments use disjoint ownership: one owner per
-        # key, never the overlapping 2δ read protocol.
-        return self.num_ingestors > 1 and not self.sharded
-
-    def initial_shard_map(self):
-        """Epoch-1 shard map (``None`` when unsharded): the active
-        Ingestors split the key space uniformly; spares own nothing."""
-        if not self.sharded:
-            return None
-        from .shard import ShardMap
-
-        return ShardMap.uniform(
-            self.config.key_range,
-            [f"ingestor-{i}" for i in range(self.num_ingestors)],
-        )
 
 
 class Cluster:
@@ -152,6 +103,21 @@ class Cluster:
         self.clocks[node_name] = clock
         return clock
 
+    def build_node(self, name: str, machine: Machine, role: str | None = None):
+        """Wire node ``name`` of the spec onto ``machine`` (see
+        :meth:`Topology.build_node`), with its seeded clock and streams."""
+        role = role or self.spec.role_of(name)
+        return self.spec.build_node(
+            name,
+            self.kernel,
+            self.network,
+            machine,
+            clock=None if role == "reader" else self.clock_for(name),
+            rng=self.rngs.stream(f"backoff.{name}"),
+            role=role,
+            partitioning=self.partitioning,
+        )
+
     # ------------------------------------------------------------------
     # Clients
     # ------------------------------------------------------------------
@@ -170,8 +136,8 @@ class Cluster:
             colocate_with: Instead, place it on the named node's machine
                 (e.g. next to "its" Ingestor, as in the paper's write
                 experiments).
-            ingestors: Ingestor names it may use (default: all; the
-                first entry is its primary).
+            ingestors: Ingestor names it may use (default: the active
+                ones; the first entry is its primary).
             readers: Reader names it may use (default: all).
             record_history: Append its operations to the shared history.
         """
@@ -183,25 +149,17 @@ class Cluster:
             machine = self.machine(
                 f"m-{name}", region if region is not None else self.spec.cloud_region
             )
-        if ingestors is None:
-            if self.monolith is not None:
-                ingestors = [self.monolith.name]
-            else:
-                ingestors = [node.name for node in self.ingestors]
-        if readers is None:
-            readers = [node.name for node in self.readers]
-        client = Client(
+        if ingestors is None and self.monolith is not None:
+            ingestors = [self.monolith.name]
+        client = self.spec.build_client(
             self.kernel,
             self.network,
             machine,
             name,
-            self.config,
-            self.partitioning,
-            ingestors,
-            readers,
-            multi_ingestor=self.spec.multi_ingestor,
+            partitioning=self.partitioning,
+            ingestors=ingestors,
+            readers=readers,
             history=self.history if record_history else None,
-            shard_map=self.spec.initial_shard_map(),
         )
         self.clients.append(client)
         return client
@@ -231,31 +189,16 @@ def build_cluster(spec: ClusterSpec) -> Cluster:
     cluster = Cluster(spec)
     if spec.monolithic:
         return _build_monolithic(cluster)
-    if spec.num_ingestors < 1 or spec.num_compactors < 1:
-        raise InvalidConfigError("need at least one Ingestor and one Compactor")
-    if spec.num_compactors % spec.compactor_replicas != 0:
-        raise InvalidConfigError(
-            "num_compactors must be a multiple of compactor_replicas"
-        )
+    cluster.partitioning = spec.partitioning()
 
-    reader_names = [f"reader-{i}" for i in range(spec.num_readers)]
     reader_regions = spec.reader_regions or (spec.cloud_region,)
-    for index, name in enumerate(reader_names):
+    for index, name in enumerate(spec.reader_names):
         machine = cluster.machine(
             f"m-{name}", reader_regions[index % len(reader_regions)]
         )
-        cluster.readers.append(
-            Reader(cluster.kernel, cluster.network, machine, name, spec.config)
-        )
+        cluster.readers.append(cluster.build_node(name, machine))
 
-    compactor_names = [f"compactor-{i}" for i in range(spec.num_compactors)]
-    for reader in cluster.readers:
-        reader.set_sources(compactor_names)
-
-    cluster.partitioning = Partitioning.uniform(
-        spec.config.key_range, compactor_names, replicas=spec.compactor_replicas
-    )
-    for name in compactor_names:
+    for name in spec.compactor_names:
         machine = cluster.machine(f"m-{name}", spec.cloud_region)
         if spec.tolerated_failures > 0:
             from repro.replication.replica import ReplicatedCompactor
@@ -272,55 +215,22 @@ def build_cluster(spec: ClusterSpec) -> Cluster:
                 cluster.clock_for(name),
                 replicas=replica_names,
                 tolerated_failures=spec.tolerated_failures,
-                backups=reader_names,
+                backups=spec.reader_names,
                 multi_ingestor=spec.multi_ingestor,
             )
         else:
-            node = Compactor(
-                cluster.kernel,
-                cluster.network,
-                machine,
-                name,
-                spec.config,
-                cluster.clock_for(name),
-                backups=reader_names,
-                multi_ingestor=spec.multi_ingestor,
-            )
+            node = cluster.build_node(name, machine)
         cluster.compactors.append(node)
 
-    active_names = [f"ingestor-{i}" for i in range(spec.num_ingestors)]
-    ingestor_names = active_names + [
-        f"ingestor-{spec.num_ingestors + i}" for i in range(spec.spare_ingestors)
-    ]
-    if spec.spare_ingestors and not spec.sharded:
-        raise InvalidConfigError("spare_ingestors require sharded=True")
     ingestor_regions = spec.ingestor_regions or (spec.cloud_region,)
     shared_machine = None
     if spec.ingestors_share_machine:
         shared_machine = cluster.machine("m-ingestors", ingestor_regions[0])
-    for index, name in enumerate(ingestor_names):
+    for index, name in enumerate(spec.ingestor_names + spec.spare_ingestor_names):
         machine = shared_machine or cluster.machine(
             f"m-{name}", ingestor_regions[index % len(ingestor_regions)]
         )
-        peers = (
-            [n for n in active_names if n != name] if spec.multi_ingestor else []
-        )
-        cluster.ingestors.append(
-            Ingestor(
-                cluster.kernel,
-                cluster.network,
-                machine,
-                name,
-                spec.config,
-                cluster.clock_for(name),
-                cluster.partitioning,
-                peers=peers,
-                multi_ingestor=spec.multi_ingestor,
-                backups=reader_names if spec.ingestors_feed_readers else (),
-                rng=cluster.rngs.stream(f"backoff.{name}"),
-                shard_map=spec.initial_shard_map(),
-            )
-        )
+        cluster.ingestors.append(cluster.build_node(name, machine))
     if spec.tolerated_failures > 0:
         from repro.replication.failover import build_replica_groups
 

@@ -62,16 +62,7 @@ def add_compactor(cluster, name: str) -> Compactor:
     """Create a fresh Compactor node in the cloud region (not yet in any
     partition); used as the target of Expand."""
     machine = cluster.machine(f"m-{name}", cluster.spec.cloud_region)
-    node = Compactor(
-        cluster.kernel,
-        cluster.network,
-        machine,
-        name,
-        cluster.config,
-        cluster.clock_for(name),
-        backups=[r.name for r in cluster.readers],
-        multi_ingestor=cluster.spec.multi_ingestor,
-    )
+    node = cluster.build_node(name, machine, role="compactor")
     cluster.compactors.append(node)
     return node
 

@@ -28,9 +28,10 @@ from pathlib import Path
 
 import repro
 from repro.core.history import History
+from repro.core.topology import ROLES
 
 from .chaos import DRIVER_MACHINE, links_to_dict, machine_of, plan_links, proxied_spec
-from .node import LiveSpec, build_driver_client, spec_to_dict
+from .node import LiveSpec, spec_to_dict
 from .runtime import AsyncioKernel, LiveMachine, LiveNetwork
 
 #: Default number of driver-side client names a localhost spec reserves.
@@ -71,6 +72,22 @@ def localhost_spec(
     return spec
 
 
+def stop_waves(spec: LiveSpec, names) -> list[list[str]]:
+    """``names`` grouped into SIGTERM waves by their role in ``spec``:
+    Ingestors, then Compactors, then Readers (empty waves dropped).
+
+    An Ingestor's drain holds every forwarded sstable until the owning
+    Compactor acks it, and a Compactor's drain may still push backup
+    updates to Readers — so each wave must finish draining before its
+    downstream dependencies are told to exit.  A simultaneous SIGTERM
+    deadlocks under fault schedules: a Compactor with no pending work
+    exits immediately while the Ingestor still retries an unacked
+    forward against it forever.
+    """
+    waves = [[name for name in names if spec.role_of(name) == role] for role in ROLES]
+    return [wave for wave in waves if wave]
+
+
 class LocalCluster:
     """Run every node of a spec as a local ``repro.cli serve`` process.
 
@@ -109,11 +126,6 @@ class LocalCluster:
         #: The address map the driver should use (proxied under chaos).
         self.driver_spec: LiveSpec = spec
         self._log_offsets: dict[str, int] = {}
-        #: Role (``ingestor``/``compactor``/``reader``) recorded at
-        #: launch time, so :meth:`stop` waves classify every node the
-        #: spec knows about — including shard Ingestors added mid-run
-        #: by an online split — by role rather than name prefix.
-        self._roles: dict[str, str] = {}
 
     def log_path(self, name: str) -> Path:
         return self.work_dir / f"{name}.log"
@@ -150,7 +162,6 @@ class LocalCluster:
         self._log_offsets[name] = (
             log_path.stat().st_size if log_path.exists() else 0
         )
-        self._roles[name] = self.spec.role_of(name)
         log = open(log_path, "a")
         self.processes[name] = subprocess.Popen(
             command, stdout=log, stderr=subprocess.STDOUT, env=self._env()
@@ -296,54 +307,16 @@ class LocalCluster:
         self._launch(name)
         self._wait_node_ready(name, time.monotonic() + timeout)
 
-    #: SIGTERM waves for :meth:`stop`, in dependency order.  An
-    #: Ingestor's drain holds every forwarded sstable until the owning
-    #: Compactor acks it, and a Compactor's drain may still push backup
-    #: updates to Readers — so each wave must finish draining before
-    #: its downstream dependencies are told to exit.  A simultaneous
-    #: SIGTERM deadlocks under fault schedules: a Compactor with no
-    #: pending work exits immediately while the Ingestor still retries
-    #: an unacked forward against it forever.
-    STOP_WAVES = ("ingestor-", "compactor-", "reader-")
-    #: Wave order by *role*: when a role map is available (recorded at
-    #: launch from ``spec.role_of``), nodes are classified by it, so an
-    #: Ingestor added mid-run by an online split drains in the ingestor
-    #: wave no matter what it is called.  Prefix matching remains the
-    #: fallback for names launched outside :meth:`_launch`.
-    ROLE_WAVES = ("ingestor", "compactor", "reader")
-
-    @classmethod
-    def _stop_waves(
-        cls, names: list[str], roles: dict[str, str] | None = None
-    ) -> list[list[str]]:
-        roles = roles or {}
-
-        def role(name: str) -> str | None:
-            known = roles.get(name)
-            if known is not None:
-                return known
-            for prefix in cls.STOP_WAVES:
-                if name.startswith(prefix):
-                    return prefix.rstrip("-")
-            return None
-
-        waves = [
-            [n for n in names if role(n) == wave_role]
-            for wave_role in cls.ROLE_WAVES
-        ]
-        waves.append([n for n in names if role(n) not in cls.ROLE_WAVES])
-        return [wave for wave in waves if wave]
-
     def stop(self, timeout: float = 30.0) -> dict[str, int]:
         """Drain and stop every node, in dependency order.
 
-        Nodes are SIGTERMed in waves (ingestors, then compactors, then
-        readers, then anything else); each wave's drain completes
-        before the next wave is signalled, so upstream nodes can flush
-        in-flight work to still-running downstream peers.  A node that
-        fails to drain within ``timeout`` is SIGKILLed (exit -9).
+        Nodes are SIGTERMed in :func:`stop_waves`; each wave's drain
+        completes before the next wave is signalled, so upstream nodes
+        can flush in-flight work to still-running downstream peers.  A
+        node that fails to drain within ``timeout`` is SIGKILLed (exit
+        -9).
         """
-        for wave in self._stop_waves(list(self.processes), self._roles):
+        for wave in stop_waves(self.spec, self.processes):
             for name in wave:
                 process = self.processes[name]
                 if process.poll() is None:
@@ -394,22 +367,11 @@ class ClientPool:
     async def start(self) -> None:
         self.kernel = AsyncioKernel()
         self.network = LiveNetwork(
-            self.kernel,
-            self.spec.addresses,
-            policy=self.spec.retry_policy(),
-            max_queued=self.spec.transport_max_queued,
-            overflow=self.spec.transport_overflow,
-            compress_min_bytes=self.spec.transport_compress_min_bytes,
+            self.kernel, self.spec.addresses, policy=self.spec.retry_policy()
         )
         machine = LiveMachine(self.kernel, "m-driver")
         for index in range(1, self.num_clients + 1):
-            name = f"client-{index}"
-            self.clients.append(
-                build_driver_client(
-                    self.spec, self.kernel, self.network, machine, name,
-                    history=self.history,
-                )
-            )
+            self._add_client(machine, f"client-{index}", self.history)
         host, port = self.spec.address("client-1")
         await self.network.listen(host, port)
 
@@ -417,9 +379,11 @@ class ClientPool:
         """An extra history-less client (for backup reads, whose lag
         would falsely trip the linearizability checker)."""
         assert self.kernel is not None and self.network is not None
-        machine = self.network.machine_of("client-1")
-        client = build_driver_client(
-            self.spec, self.kernel, self.network, machine, name, history=None
+        return self._add_client(self.network.machine_of("client-1"), name, None)
+
+    def _add_client(self, machine: LiveMachine, name: str, history: History | None):
+        client = self.spec.build_client(
+            self.kernel, self.network, machine, name, history=history
         )
         self.clients.append(client)
         return client

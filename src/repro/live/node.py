@@ -1,16 +1,15 @@
 """Process entrypoints for the live runtime.
 
-A :class:`LiveSpec` is the live analogue of
-:class:`~repro.core.cluster.ClusterSpec`: the same topology knobs plus
-an address map assigning every node name (and every driver-side client
-name) a ``host:port``.  Specs load from TOML (stdlib ``tomllib``) or
+A :class:`LiveSpec` is the live twin of
+:class:`~repro.core.cluster.ClusterSpec`: the same
+:class:`~repro.core.topology.Topology` plus an address map assigning
+every node name (and every driver-side client name) a ``host:port``.  Specs load from TOML (stdlib ``tomllib``) or
 JSON, so a cluster is described once in a file and every process —
 ``repro.cli serve`` per node, plus the test/bench driver — builds its
 piece from the same description.
 
-Node names follow the simulator's conventions exactly
-(``ingestor-0``, ``compactor-1``, ``reader-0``, ``client-1`` ...), so a
-spec names the same cluster under either backend.
+Node names, roles and wiring come from the topology, so a spec names
+and builds the same cluster under either backend.
 
 :func:`serve` runs one node until SIGTERM/SIGINT, then **drains**
 before exiting: an Ingestor holds every forwarded sstable until the
@@ -32,13 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.client import Client
 from repro.core.compactor import Compactor
 from repro.core.config import CooLSMConfig
-from repro.core.history import History
 from repro.core.ingestor import Ingestor
-from repro.core.keyspace import Partitioning
-from repro.core.reader import Reader
+from repro.core.topology import Topology
 from repro.lsm.errors import InvalidConfigError
 from repro.lsm.policy import normalize_policy_name
 from repro.lsm.sstable import seed_table_ids
@@ -47,7 +43,7 @@ from repro.sim.clock import LooseClock
 from repro.sim.rng import RngRegistry
 
 from .runtime import AsyncioKernel, LiveMachine, LiveNetwork
-from .transport import OVERFLOW_POLICIES, RetryPolicy
+from .transport import RetryPolicy
 
 logger = logging.getLogger("repro.live.node")
 
@@ -56,141 +52,23 @@ EXIT_DRAIN_TIMEOUT = 3
 
 
 @dataclass(slots=True)
-class LiveSpec:
-    """A live deployment: topology + shared config + address map.
+class LiveSpec(Topology):
+    """A :class:`~repro.core.topology.Topology` deployed as processes.
 
-    Attributes:
-        config: Shared CooLSM parameters (same object on every node).
-        num_ingestors / num_compactors / num_readers: Topology, with
-            the simulator's naming conventions.
-        compactor_replicas: Partition overlap factor (Section III-C).
-        ingestors_feed_readers: Section III-D.3 freshness variant.
+    Attributes (beyond the topology's):
         addresses: Node name -> (host, port).  Must cover every node and
             every driver-side client name the run will use (all client
             names may share the driver's one address).
-        seed: Seeds per-node RNG streams (clock skew, retry jitter).
         drain_timeout: Seconds a node waits at shutdown for in-flight
             work to drain before giving up with exit code 3.
         data_dir: Base directory for durable node storage; each node
             opens (or recovers) ``<data_dir>/<name>``.  None keeps
-            every node purely in memory (the pre-durability behavior).
-        transport_max_queued: Per-peer outbound frame queue bound.
-        transport_overflow: What a full queue does to the sender:
-            ``"drop"`` (count + shed) or ``"raise"``
-            (:class:`~repro.live.transport.BackpressureError`).
-        transport_compress_min_bytes: Payloads at least this large are
-            zlib-compressed on the wire (``FLAG_ZLIB``) when smaller —
-            for WAN-shaped links carrying forwarded sstables.  0
-            (default) sends everything uncompressed.
+            every node purely in memory.
     """
 
-    config: CooLSMConfig = field(default_factory=CooLSMConfig)
-    num_ingestors: int = 1
-    num_compactors: int = 1
-    num_readers: int = 0
-    compactor_replicas: int = 1
-    ingestors_feed_readers: bool = False
-    #: Range-shard the key space across the Ingestors (each key has
-    #: exactly one owner; clients route by shard map and refresh on
-    #: WrongShard redirects).  Mutually exclusive in spirit with the
-    #: overlapping multi-Ingestor protocol: sharded deployments use the
-    #: single-Ingestor read path per key.
-    sharded: bool = False
-    #: Extra Ingestor processes named after the active ones
-    #: (``ingestor-<num_ingestors>`` ...) that get addresses but own no
-    #: shards and are NOT launched at cluster start — online splits
-    #: spawn them (``LocalCluster.add_node``) and hand them ownership.
-    spare_ingestors: int = 0
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict)
-    seed: int = 0
     drain_timeout: float = 30.0
     data_dir: str | None = None
-    transport_max_queued: int = 10_000
-    transport_overflow: str = "drop"
-    transport_compress_min_bytes: int = 0
-
-    def role_of(self, name: str) -> str:
-        if name in self.ingestor_names or name in self.spare_ingestor_names:
-            return "ingestor"
-        if name in self.compactor_names:
-            return "compactor"
-        return "reader"
-
-    def __post_init__(self) -> None:
-        if self.num_ingestors < 1 or self.num_compactors < 1:
-            raise InvalidConfigError("need at least one Ingestor and one Compactor")
-        if self.spare_ingestors < 0:
-            raise InvalidConfigError("spare_ingestors must be non-negative")
-        if self.spare_ingestors and not self.sharded:
-            raise InvalidConfigError("spare_ingestors require sharded=True")
-        if self.num_compactors % self.compactor_replicas != 0:
-            raise InvalidConfigError(
-                "num_compactors must be a multiple of compactor_replicas"
-            )
-        if self.transport_overflow not in OVERFLOW_POLICIES:
-            raise InvalidConfigError(
-                f"transport_overflow must be one of {OVERFLOW_POLICIES}, "
-                f"got {self.transport_overflow!r}"
-            )
-        if self.transport_compress_min_bytes < 0:
-            raise InvalidConfigError(
-                "transport_compress_min_bytes must be non-negative"
-            )
-
-    # ------------------------------------------------------------------
-    # Naming (mirrors core.cluster.build_cluster)
-    # ------------------------------------------------------------------
-    @property
-    def ingestor_names(self) -> list[str]:
-        return [f"ingestor-{i}" for i in range(self.num_ingestors)]
-
-    @property
-    def compactor_names(self) -> list[str]:
-        return [f"compactor-{i}" for i in range(self.num_compactors)]
-
-    @property
-    def spare_ingestor_names(self) -> list[str]:
-        return [
-            f"ingestor-{self.num_ingestors + i}" for i in range(self.spare_ingestors)
-        ]
-
-    @property
-    def reader_names(self) -> list[str]:
-        return [f"reader-{i}" for i in range(self.num_readers)]
-
-    @property
-    def node_names(self) -> list[str]:
-        # Spares come LAST so adding them never shifts the node_index
-        # (= table-id namespace) of pre-existing nodes.
-        return [
-            *self.ingestor_names,
-            *self.compactor_names,
-            *self.reader_names,
-            *self.spare_ingestor_names,
-        ]
-
-    @property
-    def launch_names(self) -> list[str]:
-        """Nodes a harness starts up front — everything but the spares,
-        which online splits spawn on demand."""
-        spares = set(self.spare_ingestor_names)
-        return [name for name in self.node_names if name not in spares]
-
-    @property
-    def multi_ingestor(self) -> bool:
-        # Sharded fleets use disjoint ownership and the single-Ingestor
-        # read path per key — never the overlapping 2δ protocol.
-        return self.num_ingestors > 1 and not self.sharded
-
-    def initial_shard_map(self):
-        """The epoch-1 map every node and client starts from (``None``
-        when unsharded).  Spares own nothing until a split hands them a
-        range at a higher epoch."""
-        if not self.sharded:
-            return None
-        from repro.core.shard import ShardMap
-
-        return ShardMap.uniform(self.config.key_range, self.ingestor_names)
 
     def node_index(self, name: str) -> int:
         """Global index of a node — the table-id namespace (0 is the
@@ -202,13 +80,6 @@ class LiveSpec:
             return self.addresses[name]
         except KeyError:
             raise InvalidConfigError(f"no address for node: {name}") from None
-
-    def partitioning(self) -> Partitioning:
-        return Partitioning.uniform(
-            self.config.key_range,
-            self.compactor_names,
-            replicas=self.compactor_replicas,
-        )
 
     def retry_policy(self) -> RetryPolicy:
         """Transport reconnect backoff, from the forward-retry knobs."""
@@ -229,11 +100,19 @@ def _parse_address(value: Any) -> tuple[str, int]:
     raise InvalidConfigError(f"unparseable address: {value!r}")
 
 
+def _reject_unknown(raw: dict[str, Any], cls: type, where: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidConfigError(f"unknown {where}key(s): {', '.join(unknown)}")
+
+
 def spec_from_dict(raw: dict[str, Any]) -> LiveSpec:
     """Build a :class:`LiveSpec` from a decoded TOML/JSON document."""
     raw = dict(raw)
     config_raw = dict(raw.pop("config", {}))
     scale_factor = config_raw.pop("scaled_down", None)
+    _reject_unknown(raw, LiveSpec, "spec ")
+    _reject_unknown(config_raw, CooLSMConfig, "[config] ")
     config = CooLSMConfig(**config_raw)
     if scale_factor:
         config = config.scaled_down(int(scale_factor))
@@ -250,30 +129,16 @@ def spec_to_dict(spec: LiveSpec) -> dict[str, Any]:
     The compute cost model is not serialised (every process uses the
     default); everything else round-trips.
     """
-    config = {
+    out = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    out["config"] = {
         f.name: getattr(spec.config, f.name)
         for f in dataclasses.fields(spec.config)
         if f.name != "costs"
     }
-    return {
-        "config": config,
-        "num_ingestors": spec.num_ingestors,
-        "num_compactors": spec.num_compactors,
-        "num_readers": spec.num_readers,
-        "compactor_replicas": spec.compactor_replicas,
-        "ingestors_feed_readers": spec.ingestors_feed_readers,
-        "sharded": spec.sharded,
-        "spare_ingestors": spec.spare_ingestors,
-        "seed": spec.seed,
-        "drain_timeout": spec.drain_timeout,
-        "data_dir": spec.data_dir,
-        "transport_max_queued": spec.transport_max_queued,
-        "transport_overflow": spec.transport_overflow,
-        "transport_compress_min_bytes": spec.transport_compress_min_bytes,
-        "addresses": {
-            name: f"{host}:{port}" for name, (host, port) in spec.addresses.items()
-        },
+    out["addresses"] = {
+        name: f"{host}:{port}" for name, (host, port) in spec.addresses.items()
     }
+    return out
 
 
 def load_spec(path: str | Path) -> LiveSpec:
@@ -295,22 +160,26 @@ class LiveNode:
     def __init__(
         self, spec: LiveSpec, name: str, data_dir: str | Path | None = None
     ) -> None:
-        if name not in spec.node_names:
-            raise InvalidConfigError(f"unknown node name: {name}")
+        role = spec.role_of(name)
         self.spec = spec
         self.name = name
         self.kernel = AsyncioKernel()
+        rngs = RngRegistry(spec.seed)
         self.network = LiveNetwork(
             self.kernel,
             spec.addresses,
             policy=spec.retry_policy(),
-            rng=RngRegistry(spec.seed).stream(f"transport.{name}"),
-            max_queued=spec.transport_max_queued,
-            overflow=spec.transport_overflow,
-            compress_min_bytes=spec.transport_compress_min_bytes,
+            rng=rngs.stream(f"transport.{name}"),
         )
         self.machine = LiveMachine(self.kernel, f"m-{name}")
-        self.node = _build_node(spec, name, self.kernel, self.network, self.machine)
+        self.node = spec.build_node(
+            name,
+            self.kernel,
+            self.network,
+            self.machine,
+            clock=LooseClock(self.kernel, spec.config.delta, rngs.stream(f"clock.{name}")),
+            rng=rngs.stream(f"backoff.{name}"),
+        )
         # Durable storage: open-or-recover this node's slice of the
         # data dir (CLI flag wins over the spec's), then hand the store
         # to the node, which restores any recovered state.
@@ -321,7 +190,7 @@ class LiveNode:
             store = NodeStore.open(
                 str(Path(base) / name),
                 node_name=name,
-                role=spec.role_of(name),
+                role=role,
                 policy=normalize_policy_name(spec.config.compaction_policy),
             )
             self.recovered = store.recovered is not None
@@ -357,77 +226,6 @@ class LiveNode:
                 return False
             await asyncio.sleep(0.05)
         return True
-
-
-def _build_node(
-    spec: LiveSpec,
-    name: str,
-    kernel: AsyncioKernel,
-    network: LiveNetwork,
-    machine: LiveMachine,
-):
-    config = spec.config
-    rngs = RngRegistry(spec.seed)
-    clock = LooseClock(kernel, config.delta, rngs.stream(f"clock.{name}"))
-    if spec.role_of(name) == "ingestor":
-        return Ingestor(
-            kernel,
-            network,
-            machine,
-            name,
-            config,
-            clock,
-            spec.partitioning(),
-            peers=(
-                [n for n in spec.ingestor_names if n != name]
-                if spec.multi_ingestor
-                else []
-            ),
-            multi_ingestor=spec.multi_ingestor,
-            backups=spec.reader_names if spec.ingestors_feed_readers else (),
-            rng=rngs.stream(f"backoff.{name}"),
-            shard_map=spec.initial_shard_map(),
-        )
-    if name in spec.compactor_names:
-        return Compactor(
-            kernel,
-            network,
-            machine,
-            name,
-            config,
-            clock,
-            backups=spec.reader_names,
-            multi_ingestor=spec.multi_ingestor,
-        )
-    reader = Reader(kernel, network, machine, name, config)
-    reader.set_sources(spec.compactor_names)
-    return reader
-
-
-def build_driver_client(
-    spec: LiveSpec,
-    kernel: AsyncioKernel,
-    network: LiveNetwork,
-    machine: LiveMachine,
-    name: str,
-    history: History | None = None,
-    ingestors: list[str] | None = None,
-    readers: list[str] | None = None,
-) -> Client:
-    """Wire a real client (driver-process side) against a live cluster."""
-    return Client(
-        kernel,
-        network,
-        machine,
-        name,
-        spec.config,
-        spec.partitioning(),
-        ingestors if ingestors is not None else spec.ingestor_names,
-        readers if readers is not None else spec.reader_names,
-        multi_ingestor=spec.multi_ingestor,
-        history=history,
-        shard_map=spec.initial_shard_map(),
-    )
 
 
 async def serve(

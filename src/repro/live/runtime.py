@@ -138,21 +138,10 @@ class LiveNetwork:
         addresses: dict[str, tuple[str, int]],
         policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
-        max_queued: int = 10_000,
-        overflow: str = "drop",
-        compress_min_bytes: int = 0,
     ) -> None:
         self.kernel = kernel
         self.addresses = dict(addresses)
-        self.transport = Transport(
-            self.addresses,
-            self._on_payload,
-            policy=policy,
-            rng=rng,
-            max_queued=max_queued,
-            overflow=overflow,
-            compress_min_bytes=compress_min_bytes,
-        )
+        self.transport = Transport(self.addresses, self._on_payload, policy=policy, rng=rng)
         self._inboxes: dict[str, Store] = {}
         self._machines: dict[str, LiveMachine] = {}
         self._frame_ids = itertools.count(1)

@@ -18,15 +18,11 @@ Delivery semantics match what the node layer already assumes of TCP
   writer reconnects (with backoff) and resumes from the unsent queue.
   Frames already handed to a dead socket may be lost — exactly the
   window the node layer's RPC timeouts + idempotent retries cover.
-* **Bounded queues with an explicit overflow policy** — a peer that
-  stays down cannot OOM the process.  Beyond ``max_queued`` frames per
-  peer the transport applies its configured policy: ``"drop"`` (the
-  default) counts the frame in ``TransportStats.frames_dropped`` and
-  discards it (the upper layer's retry produces a fresh frame later);
-  ``"raise"`` raises :class:`BackpressureError` to the sender, turning
-  a cut link into an immediate, visible signal instead of silent
-  buffering.  Either way the high-water mark of every queue is tracked
-  in ``TransportStats.queue_high_water``.
+* **Bounded queues that shed** — a peer that stays down cannot OOM the
+  process.  Beyond ``max_queued`` frames per peer the transport counts
+  the frame in ``TransportStats.frames_dropped`` and discards it (the
+  upper layer's retry produces a fresh frame later).  The high-water
+  mark of every queue is tracked in ``TransportStats.queue_high_water``.
 
 The server side reads CRC-checked frames and hands each payload to the
 ``on_payload`` callback on the event loop; a malformed frame closes
@@ -38,27 +34,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
-import zlib
 from dataclasses import dataclass, field
 
 from . import wire
 
 logger = logging.getLogger("repro.live.transport")
-
-#: Valid values for the transport's queue-overflow policy.
-OVERFLOW_POLICIES = ("drop", "raise")
-
-
-class BackpressureError(Exception):
-    """A peer's outbound queue is full and the transport was configured
-    with ``overflow="raise"``: the caller must slow down (or shed) —
-    the frame was NOT enqueued."""
-
-    def __init__(self, peer: str, queued: int) -> None:
-        super().__init__(f"outbound queue to {peer} full ({queued} frames)")
-        self.peer = peer
-        self.queued = queued
-
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
@@ -81,7 +61,7 @@ class TransportStats:
 
     ``send_drops`` counts every frame the transport gave up on at the
     send side, whatever the reason (unknown destination, closed peer,
-    queue overflow under the drop policy); ``frames_dropped`` is the
+    queue overflow); ``frames_dropped`` is the
     queue-overflow subset — the number a cut or stalled link silently
     cost, which the monitor gauges surface so "the link was down and we
     shed N frames" is a measurement, not a guess.
@@ -97,13 +77,9 @@ class TransportStats:
     #: Frames that rode along in a write started for an earlier frame
     #: (``frames_sent - write_calls`` when nothing was retried).
     frames_coalesced: int = 0
-    frames_compressed: int = 0
-    #: Payload bytes saved by zlib frames (original - compressed).
-    compression_saved_bytes: int = 0
     reconnects: int = 0
     send_drops: int = 0
     frames_dropped: int = 0
-    backpressure_raised: int = 0
     queue_high_water: int = 0
     decode_errors: int = 0
     peers: set = field(default_factory=set)
@@ -120,12 +96,9 @@ class TransportStats:
             "transport_bytes_per_write": (
                 self.bytes_sent / self.write_calls if self.write_calls else 0.0
             ),
-            "transport_frames_compressed": self.frames_compressed,
-            "transport_compression_saved_bytes": self.compression_saved_bytes,
             "transport_reconnects": self.reconnects,
             "transport_send_drops": self.send_drops,
             "transport_frames_dropped": self.frames_dropped,
-            "transport_backpressure_raised": self.backpressure_raised,
             "transport_queue_high_water": self.queue_high_water,
             "transport_decode_errors": self.decode_errors,
         }
@@ -142,7 +115,6 @@ class _Peer:
         rng: random.Random,
         stats: TransportStats,
         max_queued: int,
-        overflow: str = "drop",
     ) -> None:
         self.name = name
         self.address = address
@@ -150,34 +122,26 @@ class _Peer:
         self.rng = rng
         self.stats = stats
         self.max_queued = max_queued
-        self.overflow = overflow
-        # Unframed (payload, flags) pairs; framing happens in the writer
-        # task, many frames at a time into one reused scratch buffer.
-        self.queue: asyncio.Queue[tuple[bytes, int]] = asyncio.Queue()
+        # Unframed payloads; framing happens in the writer task, many
+        # frames at a time into one reused scratch buffer.
+        self.queue: asyncio.Queue[bytes] = asyncio.Queue()
         self._scratch = bytearray()
         self.writer: asyncio.StreamWriter | None = None
         self.task: asyncio.Task | None = None
         self.closed = False
 
-    def post(self, payload: bytes, flags: int = 0) -> None:
-        """Enqueue a payload for delivery, applying the overflow policy.
-
-        Raises :class:`BackpressureError` when the queue is full and the
-        transport was configured with ``overflow="raise"``.
-        """
+    def post(self, payload: bytes) -> None:
+        """Enqueue a payload for delivery, or shed it if the queue is full."""
         if self.closed:
             self.stats.send_drops += 1
             return
         queued = self.queue.qsize()
         if queued >= self.max_queued:
-            if self.overflow == "raise":
-                self.stats.backpressure_raised += 1
-                raise BackpressureError(self.name, queued)
             self.stats.send_drops += 1
             self.stats.frames_dropped += 1
             logger.warning("outbound queue to %s full; dropping frame", self.name)
             return
-        self.queue.put_nowait((payload, flags))
+        self.queue.put_nowait(payload)
         if queued + 1 > self.stats.queue_high_water:
             self.stats.queue_high_water = queued + 1
         if self.task is None:
@@ -218,8 +182,8 @@ class _Peer:
                 # the (selector) socket transport, which copies anything
                 # it could not send immediately, before drain returned.
                 buffer.clear()
-                for payload, flags in batch:
-                    wire.encode_frame_into(buffer, payload, flags)
+                for payload in batch:
+                    wire.encode_frame_into(buffer, payload)
                 while not self.closed:
                     if self.writer is None:
                         self.writer = await self._connect()
@@ -269,13 +233,8 @@ class Transport:
         policy: Reconnect backoff policy (``cap`` bounds the backoff, so
             a long outage retries at a steady, finite cadence).
         rng: Jitter stream (seed it for reproducible backoff schedules).
-        max_queued: Per-peer outbound queue bound.
-        overflow: Queue-overflow policy: ``"drop"`` or ``"raise"``.
-        compress_min_bytes: Payloads at least this large are sent as
-            zlib frames (``FLAG_ZLIB``) when that actually shrinks them
-            — sized so only bulk transfers (forwarded sstables, area
-            snapshots) pay the CPU, for WAN-shaped links.  0 (default)
-            disables compression; localhost bandwidth is free.
+        max_queued: Per-peer outbound queue bound; beyond it frames
+            are shed.
     """
 
     def __init__(
@@ -285,22 +244,12 @@ class Transport:
         policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
         max_queued: int = 10_000,
-        overflow: str = "drop",
-        compress_min_bytes: int = 0,
     ) -> None:
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
-            )
-        if compress_min_bytes < 0:
-            raise ValueError("compress_min_bytes must be non-negative")
         self.addresses = dict(addresses)
         self.on_payload = on_payload
         self.policy = policy or RetryPolicy()
         self.rng = rng or random.Random(0x7C9)
         self.max_queued = max_queued
-        self.overflow = overflow
-        self.compress_min_bytes = compress_min_bytes
         self.stats = TransportStats()
         self._peers: dict[str, _Peer] = {}
         self._server: asyncio.base_events.Server | None = None
@@ -324,24 +273,11 @@ class Transport:
         peer = self._peers.get(dst)
         if peer is None:
             peer = _Peer(
-                dst,
-                address,
-                self.policy,
-                self.rng,
-                self.stats,
-                self.max_queued,
-                overflow=self.overflow,
+                dst, address, self.policy, self.rng, self.stats, self.max_queued
             )
             self._peers[dst] = peer
             self.stats.peers.add(dst)
-        flags = 0
-        if self.compress_min_bytes and len(payload) >= self.compress_min_bytes:
-            packed = zlib.compress(bytes(payload))
-            if len(packed) < len(payload):
-                self.stats.frames_compressed += 1
-                self.stats.compression_saved_bytes += len(payload) - len(packed)
-                payload, flags = packed, wire.FLAG_ZLIB
-        peer.post(payload, flags)
+        peer.post(payload)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -365,11 +301,6 @@ class Transport:
                     raise wire.WireError(f"unknown frame flags {flags:#x}")
                 payload = await reader.readexactly(length)
                 wire.check_payload(payload, crc)
-                if flags & wire.FLAG_ZLIB:
-                    try:
-                        payload = zlib.decompress(payload)
-                    except zlib.error as error:
-                        raise wire.WireError(f"bad zlib payload: {error}") from error
                 self.stats.frames_received += 1
                 self.stats.bytes_received += wire.HEADER_SIZE + length
                 self.on_payload(payload)

@@ -19,13 +19,12 @@ filter included, nothing rebuilt) and written to its disk unchanged.
     | magic | length u32 | crc u32 | payload (length B) |
     +-------+----------+---------+--------------------+
 
-The top three bits of the length word are frame flags (the payload
-length itself is bounded well below 2**29): :data:`FLAG_ZLIB` marks a
-zlib-compressed payload — the CRC always covers the *on-wire* bytes,
-so corruption is detected before any decompression.  A corrupted or
-truncated frame raises :class:`WireError`; the transport closes the
-connection (TCP already protects in flight — the CRC guards against
-framing bugs and partial writes around reconnects).
+The top three bits of the length word are reserved for frame flags
+(the payload length itself is bounded well below 2**29); this codec
+version defines none, so an endpoint rejects a frame with any flag bit
+set.  A corrupted or truncated frame raises :class:`WireError`; the
+transport closes the connection (TCP already protects in flight — the
+CRC guards against framing bugs and partial writes around reconnects).
 
 Hot-path framing is zero-copy: :func:`encode_frame_into` appends the
 header and payload to a caller-owned ``bytearray`` (the transport
@@ -61,7 +60,6 @@ __all__ = [
     "MAGIC",
     "HEADER_SIZE",
     "MAX_FRAME_BYTES",
-    "FLAG_ZLIB",
     "KNOWN_FLAGS",
     "encode_value",
     "decode_value",
@@ -96,10 +94,8 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 # length (<= MAX_FRAME_BYTES = 2**28) never reaches them.
 _FLAG_SHIFT = 29
 _LENGTH_MASK = (1 << _FLAG_SHIFT) - 1
-#: Payload is zlib-compressed; the CRC covers the compressed bytes.
-FLAG_ZLIB = 0x1
 #: Every flag this codec version understands (receivers reject others).
-KNOWN_FLAGS = FLAG_ZLIB
+KNOWN_FLAGS = 0
 _FLAGS_MAX = (1 << (32 - _FLAG_SHIFT)) - 1
 
 

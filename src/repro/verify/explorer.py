@@ -543,11 +543,13 @@ def run_schedule(
     outcome.counters.operations = len(spec.ops)
     outcome.counters.faults = len(spec.faults)
     outcome.counters.reconfigs = 1 if shape.reconfig else 0
-    _check_outcome(outcome, config)
+    _check_outcome(outcome, config, cluster.spec.multi_ingestor)
     return outcome
 
 
-def _check_outcome(outcome: ScheduleOutcome, config: CooLSMConfig) -> None:
+def _check_outcome(
+    outcome: ScheduleOutcome, config: CooLSMConfig, multi_ingestor: bool
+) -> None:
     """Apply the matrix-appropriate checkers plus the reference model."""
     spec = outcome.spec
     counters = outcome.counters
@@ -566,7 +568,7 @@ def _check_outcome(outcome: ScheduleOutcome, config: CooLSMConfig) -> None:
             counters.model_mismatches += 1
             outcome.model_mismatches += 1
 
-    if spec.shape.num_ingestors > 1 and not spec.shape.sharded:
+    if multi_ingestor:
         record(
             "lin+conc",
             check_linearizable_concurrent(outcome.history, config.delta).violations,

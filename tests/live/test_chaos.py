@@ -40,7 +40,9 @@ from repro.live.chaos import (
     plan_links,
     proxied_spec,
 )
-from repro.live.harness import LocalCluster, free_port, localhost_spec
+from repro.live.harness import LocalCluster, free_port, localhost_spec, stop_waves
+from repro.live.node import LiveSpec
+from repro.lsm.errors import InvalidConfigError
 from repro.live.supervisor import HealthMonitor, RestartPolicy, Supervisor
 
 from tests.core.conftest import TINY
@@ -574,9 +576,8 @@ class TestHealthMonitor:
     so this is the same logic the live runtime executes."""
 
     def _cluster(self):
-        return build_cluster(
-            ClusterSpec(config=TINY, num_ingestors=1, num_compactors=2)
-        )
+        live = LiveSpec(config=TINY, num_ingestors=1, num_compactors=2)
+        return build_cluster(ClusterSpec(**live.shared_fields()))
 
     def test_probes_populate_latest(self):
         cluster = self._cluster()
@@ -631,6 +632,8 @@ class TestStopOrdering:
     drain and gets SIGKILLed at the stop timeout.
     """
 
+    SPEC = LiveSpec(num_ingestors=2, num_compactors=2, num_readers=1)
+
     def test_waves_follow_dependency_order(self):
         names = [
             "compactor-0",
@@ -639,17 +642,16 @@ class TestStopOrdering:
             "compactor-1",
             "ingestor-0",
         ]
-        waves = LocalCluster._stop_waves(names)
-        assert waves == [
+        assert stop_waves(self.SPEC, names) == [
             ["ingestor-1", "ingestor-0"],
             ["compactor-0", "compactor-1"],
             ["reader-0"],
         ]
 
-    def test_unknown_roles_stop_last(self):
-        waves = LocalCluster._stop_waves(["frontend-0", "ingestor-0"])
-        assert waves == [["ingestor-0"], ["frontend-0"]]
+    def test_names_outside_the_spec_rejected(self):
+        with pytest.raises(InvalidConfigError, match="unknown node name"):
+            stop_waves(self.SPEC, ["frontend-0", "ingestor-0"])
 
     def test_empty_waves_are_dropped(self):
-        assert LocalCluster._stop_waves([]) == []
-        assert LocalCluster._stop_waves(["reader-0"]) == [["reader-0"]]
+        assert stop_waves(self.SPEC, []) == []
+        assert stop_waves(self.SPEC, ["reader-0"]) == [["reader-0"]]

@@ -39,8 +39,6 @@ from repro.sim.kernel import SimError
 from repro.verify.model import check_history_realtime
 from repro.workloads.ycsb import workload_a
 
-from tests.core.conftest import TINY
-
 CHAOS_SEED = 2026
 #: Fault-injection window, seconds of wall time.
 HORIZON = 6.0
@@ -302,15 +300,7 @@ class TestChaosSoak:
     def test_same_schedule_runs_under_sim_kernel(self, soak_run):
         """The exact live schedule, interpreted by the sim nemesis over
         virtual time, produces the same canonical log."""
-        cluster = build_cluster(
-            ClusterSpec(
-                config=TINY,
-                num_ingestors=1,
-                num_compactors=2,
-                num_readers=1,
-                seed=CHAOS_SEED,
-            )
-        )
+        cluster = build_cluster(ClusterSpec(**soak_run["spec"].shared_fields()))
         nemesis = Nemesis.for_cluster(cluster)
         nemesis.schedule(soak_run["events"])
         cluster.run(until=HORIZON + 2.0)
@@ -584,16 +574,7 @@ class TestShardedChaosSoak:
     def test_same_schedule_runs_under_sim_kernel(self, sharded_soak_run):
         """The identical fault schedule over the identical sharded
         topology, interpreted by the sim nemesis: same canonical log."""
-        cluster = build_cluster(
-            ClusterSpec(
-                config=TINY,
-                num_ingestors=2,
-                num_compactors=2,
-                sharded=True,
-                spare_ingestors=1,
-                seed=SPLIT_SEED,
-            )
-        )
+        cluster = build_cluster(ClusterSpec(**sharded_soak_run["spec"].shared_fields()))
         nemesis = Nemesis.for_cluster(cluster)
         nemesis.schedule(sharded_soak_run["events"])
         cluster.run(until=SPLIT_HORIZON + 2.0)

@@ -21,7 +21,8 @@ from repro.core.shard import (
     WrongShardError,
     is_wrong_shard,
 )
-from repro.live.harness import LocalCluster
+from repro.live.harness import stop_waves
+from repro.live.node import LiveSpec
 from repro.lsm.entry import encode_key
 
 KEY_RANGE = 256
@@ -142,33 +143,15 @@ class TestShardMapProperties:
 
 
 class TestStopWaveOrdering:
-    """Satellite fix: dependency-wave shutdown must classify by *role*,
-    so a shard Ingestor added mid-run by an online split drains in the
-    ingestor wave even under an unconventional name."""
+    """Dependency-wave shutdown classifies by the spec's roles, so a
+    spare shard Ingestor spawned mid-run by an online split drains in
+    the ingestor wave."""
 
     def test_spare_ingestor_added_mid_run_joins_ingestor_wave(self):
-        names = ["compactor-0", "ingestor-0", "reader-0", "ingestor-2"]
-        roles = {
-            "ingestor-0": "ingestor",
-            "ingestor-2": "ingestor",  # spawned by add_node mid-run
-            "compactor-0": "compactor",
-            "reader-0": "reader",
-        }
-        waves = LocalCluster._stop_waves(names, roles)
-        assert waves == [
-            ["ingestor-0", "ingestor-2"],
+        spec = LiveSpec(num_ingestors=2, num_readers=1, sharded=True, spare_ingestors=1)
+        names = ["compactor-0", "ingestor-0", "reader-0", "ingestor-1", "ingestor-2"]
+        assert stop_waves(spec, names) == [
+            ["ingestor-0", "ingestor-1", "ingestor-2"],
             ["compactor-0"],
             ["reader-0"],
         ]
-
-    def test_role_map_beats_name_prefix(self):
-        waves = LocalCluster._stop_waves(
-            ["shard-x", "compactor-0"], {"shard-x": "ingestor"}
-        )
-        assert waves == [["shard-x"], ["compactor-0"]]
-
-    def test_prefix_fallback_without_roles(self):
-        waves = LocalCluster._stop_waves(
-            ["reader-0", "ingestor-1", "frontend-0"]
-        )
-        assert waves == [["ingestor-1"], ["reader-0"], ["frontend-0"]]

@@ -4,9 +4,14 @@ in-process TCP cluster driving the unchanged node code."""
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+
+from repro.core.cluster import ClusterSpec, build_cluster
 from repro.core.config import CooLSMConfig
 from repro.core.consistency import check_linearizable
 from repro.core.history import History
@@ -309,6 +314,19 @@ memtable_entries = 20
         assert spec.config.key_range == 1000
         assert spec.address("compactor-1") == ("127.0.0.1", 9102)
 
+    def test_readme_cluster_toml_matches_its_launch_commands(self, tmp_path):
+        readme = (Path(__file__).parents[2] / "README.md").read_text()
+        section = readme[readme.index("### Run a live cluster on localhost") :]
+        toml = re.search(r"```toml\n(.*?)```", section, re.S).group(1)
+        bash = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "cluster.toml"
+        path.write_text(toml)
+        spec = load_spec(path)
+        launched = re.findall(r"--node (\S+)", bash)
+        assert sorted(launched) == sorted(spec.launch_names)
+        for name in launched:
+            spec.address(name)
+
     def test_load_spec_json(self, tmp_path):
         import json
 
@@ -325,6 +343,38 @@ memtable_entries = 20
     def test_bad_address_strings_rejected(self):
         with pytest.raises(InvalidConfigError):
             spec_from_dict({"addresses": {"ingestor-0": "localhost"}})
+
+    def test_every_field_round_trips_through_dict(self):
+        spec = LiveSpec(
+            config=CooLSMConfig(key_range=5000, memtable_entries=77),
+            num_ingestors=3,
+            num_compactors=4,
+            num_readers=2,
+            compactor_replicas=2,
+            ingestors_feed_readers=True,
+            sharded=True,
+            spare_ingestors=1,
+            seed=11,
+            addresses={"ingestor-0": ("10.0.0.1", 9000), "client-1": ("10.0.0.9", 9090)},
+            drain_timeout=5.0,
+            data_dir="cluster-data",
+        )
+        for f in dataclasses.fields(LiveSpec):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(spec, f.name) != default, f"{f.name} left at its default"
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"transport_overflow": "drop"}, "transport_overflow"),
+            ({"num_ingestor": 2}, "num_ingestor"),
+            ({"config": {"memtable_size": 10}}, "memtable_size"),
+        ],
+    )
+    def test_unknown_keys_named(self, raw, key):
+        with pytest.raises(InvalidConfigError, match=key):
+            spec_from_dict(raw)
 
     def test_retry_policy_mirrors_forward_backoff(self):
         config = CooLSMConfig(forward_backoff_base=0.1, forward_backoff_cap=1.5)
@@ -387,15 +437,12 @@ class TestInProcessCluster:
         )
 
         async def main():
-            from repro.live.node import build_driver_client
             from repro.sim.rpc import RemoteError, RpcTimeout
 
             kernel = AsyncioKernel()
             network = LiveNetwork(kernel, spec.addresses)
             machine = LiveMachine(kernel, "m-driver")
-            client = build_driver_client(
-                spec, kernel, network, machine, "client-1", history=None
-            )
+            client = spec.build_client(kernel, network, machine, "client-1")
 
             def attempt():
                 yield from client.upsert(b"1", b"v")
@@ -408,3 +455,55 @@ class TestInProcessCluster:
                 await network.close()
 
         assert run_async(main(), timeout=30.0) >= 1
+
+
+# ----------------------------------------------------------------------
+# One wiring: the sim and the live interpreter build the same nodes
+# ----------------------------------------------------------------------
+def _wiring(node) -> dict:
+    shard_map = getattr(node, "shard_map", None)
+    partitioning = getattr(node, "partitioning", None)
+    return {
+        "class": type(node),
+        "peers": getattr(node, "peers", None),
+        "backups": getattr(node, "backups", None),
+        "sources": getattr(node, "_sources", None),
+        "multi_ingestor": getattr(node, "multi_ingestor", None),
+        "shard_map": shard_map.to_state() if shard_map is not None else None,
+        "partitioning": (
+            [(p.lower, p.members) for p in partitioning.partitions]
+            if partitioning is not None
+            else None
+        ),
+    }
+
+
+TOPOLOGIES = {
+    "1-1-0": {},
+    "2-2-1-overlapping": dict(num_ingestors=2, num_compactors=2, num_readers=1),
+    "2-4-1-replicated": dict(
+        num_ingestors=2, num_compactors=4, num_readers=1, compactor_replicas=2
+    ),
+    "sharded-2+1-spare": dict(
+        num_ingestors=2, num_compactors=2, sharded=True, spare_ingestors=1
+    ),
+    "feed-readers": dict(num_compactors=2, num_readers=2, ingestors_feed_readers=True),
+}
+
+
+@pytest.mark.parametrize("shape", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+def test_sim_and_live_wire_every_node_alike(shape):
+    spec = LiveSpec(config=CooLSMConfig(key_range=1000), **shape)
+    cluster = build_cluster(ClusterSpec(**spec.shared_fields()))
+    sim = [*cluster.ingestors, *cluster.compactors, *cluster.readers]
+
+    async def main():
+        nodes = [LiveNode(spec, name) for name in spec.node_names]
+        for node in nodes:
+            await node.close()
+        return [node.node for node in nodes]
+
+    live = {node.name: node for node in run_async(main())}
+    assert sorted(node.name for node in sim) == sorted(live) == sorted(spec.node_names)
+    for node in sim:
+        assert _wiring(node) == _wiring(live[node.name]), node.name

@@ -1,9 +1,9 @@
 """Write-path batching on the framed TCP transport.
 
 The writer task drains its whole queue into one socket write per
-wakeup (coalescing), frames carry flag bits for optional zlib block
-compression, and both behaviours surface in :class:`TransportStats`
-so the monitor can see bytes-per-write and compression savings.
+wakeup (coalescing), which surfaces in :class:`TransportStats` so the
+monitor can see bytes-per-write; and a receiver rejects any frame that
+sets a flag bit, since this codec version defines none.
 """
 
 from __future__ import annotations
@@ -79,83 +79,8 @@ class TestWriteCoalescing:
         assert gauges["transport_bytes_per_write"] == pytest.approx(1024.0)
         assert gauges["transport_write_calls"] == 4
         assert "transport_frames_coalesced" in gauges
-        assert "transport_frames_compressed" in gauges
         # No division blow-up before the first write.
         assert TransportStats().as_gauges()["transport_bytes_per_write"] == 0.0
-
-
-class TestCompression:
-    def _pair(self, received, compress_min_bytes):
-        port = free_port()
-        sender = Transport(
-            {"peer": ("127.0.0.1", port)},
-            on_payload=lambda p: None,
-            policy=_fast_policy(),
-            rng=random.Random(2),
-            compress_min_bytes=compress_min_bytes,
-        )
-        receiver = Transport({}, on_payload=received.append)
-        return port, sender, receiver
-
-    def test_large_frame_compressed_and_transparent(self):
-        async def scenario():
-            received: list[bytes] = []
-            port, sender, receiver = self._pair(received, compress_min_bytes=64)
-            try:
-                await receiver.listen("127.0.0.1", port)
-                original = _payload(7, pad=b"a" * 4096)
-                sender.post("peer", original)
-                await _wait_for(lambda: len(received) == 1, message="delivery")
-                # Receiver sees the ORIGINAL bytes: compression is a
-                # transport detail, invisible above the frame layer.
-                assert received[0] == original
-                assert sender.stats.frames_compressed == 1
-                assert sender.stats.compression_saved_bytes > 0
-                assert sender.stats.bytes_sent < len(original)
-            finally:
-                await sender.close()
-                await receiver.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
-    def test_small_frames_skip_compression(self):
-        async def scenario():
-            received: list[bytes] = []
-            port, sender, receiver = self._pair(received, compress_min_bytes=1024)
-            try:
-                await receiver.listen("127.0.0.1", port)
-                sender.post("peer", _payload(1, pad=b"tiny"))
-                await _wait_for(lambda: len(received) == 1, message="delivery")
-                assert sender.stats.frames_compressed == 0
-            finally:
-                await sender.close()
-                await receiver.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
-    def test_incompressible_frame_sent_raw(self):
-        async def scenario():
-            received: list[bytes] = []
-            port, sender, receiver = self._pair(received, compress_min_bytes=64)
-            try:
-                await receiver.listen("127.0.0.1", port)
-                # Random bytes: zlib output is larger, so the transport
-                # must fall back to the raw payload.
-                noise = random.Random(3).randbytes(2048)
-                original = _payload(2, pad=noise)
-                sender.post("peer", original)
-                await _wait_for(lambda: len(received) == 1, message="delivery")
-                assert received[0] == original
-                assert sender.stats.frames_compressed == 0
-            finally:
-                await sender.close()
-                await receiver.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
-    def test_compress_min_bytes_validated(self):
-        with pytest.raises(ValueError):
-            Transport({}, on_payload=lambda p: None, compress_min_bytes=-1)
 
 
 class TestUnknownFlagRejection:
@@ -166,54 +91,27 @@ class TestUnknownFlagRejection:
             receiver = Transport({}, on_payload=received.append)
             try:
                 await receiver.listen("127.0.0.1", port)
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                payload = b"mystery"
-                # Flag 0b100 is unassigned: endpoints must reject it
-                # (only the pass-through chaos proxy tolerates it).
-                header = struct.pack(
-                    ">4sII",
-                    wire.MAGIC,
-                    len(payload) | (0b100 << 29),
-                    zlib.crc32(payload),
-                )
-                writer.write(header + payload)
-                await writer.drain()
-                await _wait_for(
-                    lambda: receiver.stats.decode_errors == 1,
-                    message="decode error",
-                )
+                # No flag bit is assigned: endpoints must reject every
+                # one (only the pass-through chaos proxy tolerates them).
+                for errors, flag in enumerate((0b001, 0b010, 0b100), start=1):
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    payload = b"mystery"
+                    header = struct.pack(
+                        ">4sII",
+                        wire.MAGIC,
+                        len(payload) | (flag << 29),
+                        zlib.crc32(payload),
+                    )
+                    writer.write(header + payload)
+                    await writer.drain()
+                    await _wait_for(
+                        lambda: receiver.stats.decode_errors == errors,
+                        message="decode error",
+                    )
+                    # The receiver closed the connection.
+                    assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                    writer.close()
                 assert received == []
-                writer.close()
-            finally:
-                await receiver.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
-    def test_corrupt_zlib_body_is_wire_error_not_crash(self):
-        async def scenario():
-            port = free_port()
-            received: list[bytes] = []
-            receiver = Transport({}, on_payload=received.append)
-            try:
-                await receiver.listen("127.0.0.1", port)
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                # FLAG_ZLIB set but the body is not a zlib stream; the
-                # CRC is correct so only inflation can catch it.
-                payload = b"not-zlib-data"
-                header = struct.pack(
-                    ">4sII",
-                    wire.MAGIC,
-                    len(payload) | (wire.FLAG_ZLIB << 29),
-                    zlib.crc32(payload),
-                )
-                writer.write(header + payload)
-                await writer.drain()
-                await _wait_for(
-                    lambda: receiver.stats.decode_errors == 1,
-                    message="decode error",
-                )
-                assert received == []
-                writer.close()
             finally:
                 await receiver.close()
 

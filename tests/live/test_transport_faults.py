@@ -4,8 +4,8 @@ The transport's contract under faults (module docstring of
 :mod:`repro.live.transport`): frames queue while a peer is unreachable
 and flow once it appears; a peer dying mid-stream costs at most the
 frames in the dead socket's window, never reorders the survivors; and a
-bounded queue applies its explicit overflow policy instead of growing
-without limit.
+bounded queue sheds (and counts) frames instead of growing without
+limit.
 """
 
 from __future__ import annotations
@@ -13,16 +13,9 @@ from __future__ import annotations
 import asyncio
 import random
 
-import pytest
-
 from repro.live import wire
 from repro.live.harness import free_port
-from repro.live.transport import (
-    BackpressureError,
-    RetryPolicy,
-    Transport,
-    TransportStats,
-)
+from repro.live.transport import RetryPolicy, Transport, TransportStats
 
 
 def _payload(index: int) -> bytes:
@@ -140,10 +133,6 @@ class TestPeerDeathMidStream:
 
 
 class TestOverflowPolicies:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Transport({}, on_payload=lambda p: None, overflow="buffer-forever")
-
     def test_drop_policy_counts_and_sheds(self):
         async def scenario():
             sender = Transport(
@@ -152,7 +141,6 @@ class TestOverflowPolicies:
                 policy=_fast_policy(),
                 rng=random.Random(3),
                 max_queued=4,
-                overflow="drop",
             )
             try:
                 for index in range(10):
@@ -160,33 +148,7 @@ class TestOverflowPolicies:
                 stats = sender.stats
                 assert stats.frames_dropped >= 5
                 assert stats.send_drops >= stats.frames_dropped
-                assert stats.backpressure_raised == 0
                 assert stats.queue_high_water <= 4
-            finally:
-                await sender.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
-    def test_raise_policy_signals_backpressure(self):
-        async def scenario():
-            sender = Transport(
-                {"peer": ("127.0.0.1", free_port())},
-                on_payload=lambda p: None,
-                policy=_fast_policy(),
-                rng=random.Random(4),
-                max_queued=2,
-                overflow="raise",
-            )
-            try:
-                sender.post("peer", _payload(0))
-                sender.post("peer", _payload(1))
-                with pytest.raises(BackpressureError) as caught:
-                    for index in range(2, 10):
-                        sender.post("peer", _payload(index))
-                assert caught.value.peer == "peer"
-                assert sender.stats.backpressure_raised >= 1
-                # A raise is not a drop: the frame was never enqueued.
-                assert sender.stats.frames_dropped == 0
             finally:
                 await sender.close()
 
@@ -222,9 +184,9 @@ class TestStatsGauges:
     def test_gauges_reflect_counters(self):
         stats = TransportStats()
         stats.frames_dropped = 3
-        stats.backpressure_raised = 2
+        stats.reconnects = 2
         stats.queue_high_water = 9
         gauges = stats.as_gauges()
         assert gauges["transport_frames_dropped"] == 3
-        assert gauges["transport_backpressure_raised"] == 2
+        assert gauges["transport_reconnects"] == 2
         assert gauges["transport_queue_high_water"] == 9

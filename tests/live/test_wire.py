@@ -427,15 +427,15 @@ class TestFrames:
 
 class TestFrameFlags:
     def test_flags_round_trip(self):
-        frame = wire.encode_frame(b"payload", flags=wire.FLAG_ZLIB)
+        frame = wire.encode_frame(b"payload", flags=0b001)
         length, crc, flags = wire.decode_header_full(frame[: wire.HEADER_SIZE])
-        assert (length, flags) == (7, wire.FLAG_ZLIB)
+        assert (length, flags) == (7, 0b001)
         wire.check_payload(frame[wire.HEADER_SIZE :], crc)
 
     def test_decode_header_masks_flags(self):
         # The lenient decoder (used by the chaos proxy, which forwards
         # frames verbatim) must ignore flags it doesn't understand.
-        frame = wire.encode_frame(b"x", flags=wire.FLAG_ZLIB)
+        frame = wire.encode_frame(b"x", flags=0b001)
         length, __ = wire.decode_header(frame[: wire.HEADER_SIZE])
         assert length == 1
 
@@ -459,10 +459,10 @@ class TestFrameFlags:
         out = bytearray(b"prefix")
         wire.encode_frame_into(out, b"one")
         first_end = len(out)
-        wire.encode_frame_into(out, b"two", flags=wire.FLAG_ZLIB)
+        wire.encode_frame_into(out, b"two", flags=0b001)
         assert out[:6] == b"prefix"
         assert bytes(out[6:first_end]) == wire.encode_frame(b"one")
-        assert bytes(out[first_end:]) == wire.encode_frame(b"two", flags=wire.FLAG_ZLIB)
+        assert bytes(out[first_end:]) == wire.encode_frame(b"two", flags=0b001)
 
 
 class TestBatchMessages:
