@@ -16,8 +16,8 @@ paper's client-side protocols:
 
 Every operation above — single or batched, failover-ordered or routed
 by the shard map — is driven by one retry loop, :meth:`Client._routed`,
-which owns timeouts, failover, WrongShard re-routing and backpressure
-backoff.  Every completed operation is appended to the client's
+which owns timeouts, failover and WrongShard re-routing.  Every
+completed operation is appended to the client's
 :class:`~repro.core.history.History` and its latency recorded, feeding
 both the consistency checkers and the benchmark harness.
 """
@@ -32,7 +32,6 @@ from repro.sim.clock import definitely_after
 from repro.sim.rpc import RemoteError, RpcNode, RpcTimeout
 
 from .config import CooLSMConfig
-from .flow import is_backpressure
 from .history import History
 from .keyspace import Partitioning
 from .messages import (
@@ -61,6 +60,8 @@ class ClientStats:
     failovers: int = 0
     shard_redirects: int = 0
     map_refreshes: int = 0
+    # Always 0: nothing sheds writes with a retryable reply any more.
+    # Kept only because the frozen e2e benchmark still reads it.
     backpressure_retries: int = 0
 
     def record(self, kind: str, latency: float) -> None:
@@ -137,14 +138,10 @@ class Client(RpcNode):
         the current map, re-read every attempt; otherwise the attempt
         count rotates through ``preferred`` then the rest of ``pool``.
 
-        *Failures.*  A backpressure reply (admission control shedding
-        writes) retries the *same* target with exponential backoff and
-        its own, much larger budget — the node is healthy and asking
-        the client to slow down, so failing over or burning the retry
-        budget would defeat flow control.  A WrongShard bounce refreshes
-        the map and re-routes; during a split's fence→activate window no
-        node serves the moving range, so a bounce that finds nothing
-        fresher backs off (bounded) until the new owner goes live.
+        *Failures.*  A WrongShard bounce refreshes the map and
+        re-routes; during a split's fence→activate window no node
+        serves the moving range, so a bounce that finds nothing fresher
+        backs off (bounded) until the new owner goes live.
         Anything else counts against ``client_retry_budget``: a failover
         order rotates at once, a shard-routed call — which has no
         alternate target, only a fresher map — refreshes and backs off.
@@ -156,7 +153,7 @@ class Client(RpcNode):
                 raise ValueError("no target available")
             order = [first] + [t for t in pool if t != first]
         budget = self.config.client_retry_budget
-        attempt = redirects = bp_retries = 0
+        attempt = redirects = 0
         backoff = self.config.forward_backoff_base
         target = None
         while True:
@@ -169,12 +166,7 @@ class Client(RpcNode):
             try:
                 return target, (yield from send(target))
             except (RpcTimeout, RemoteError) as error:
-                if is_backpressure(error):
-                    self.stats.backpressure_retries += 1
-                    bp_retries += 1
-                    if bp_retries > 8 * budget:
-                        raise
-                elif sharded and is_wrong_shard(error):
+                if sharded and is_wrong_shard(error):
                     self.stats.shard_redirects += 1
                     redirects += 1
                     if redirects > 8 * budget:

@@ -2,8 +2,8 @@
 
 One :class:`CooLSMConfig` captures the structural parameters shared by
 every node of a deployment: level thresholds, sstable and batch sizes,
-the time-synchronisation bound δ, and flow-control limits.  The class
-methods reproduce the paper's two experimental setups (100K and 300K
+the time-synchronisation bound δ, and the in-flight stall limit.  The
+class methods reproduce the paper's two experimental setups (100K and 300K
 key ranges — Section IV: "For the 100K key-range, L0 and L1 have 10
 sstables, L2 has 100 sstables and L3 has 1000 sstables ...").
 """
@@ -43,9 +43,9 @@ class CooLSMConfig:
             compaction (and therefore the write that triggered it)
             stalls.  A stall threshold, not a hard cap: the burst that
             crosses it completes, so in-flight count may briefly
-            overshoot by one forwarding batch.  This is the
-            backpressure that makes write latency depend on the number
-            of Compactors (Figure 3).
+            overshoot by one forwarding batch.  This is the Ingestor's
+            only write backpressure, and what makes write latency
+            depend on the number of Compactors (Figure 3).
         ack_timeout: Ingestor->Compactor RPC timeout, seconds.
         forward_backoff_base: First retry delay after a failed forward,
             seconds; doubles per consecutive failure (with jitter).
@@ -71,25 +71,6 @@ class CooLSMConfig:
             L2/L3) is the historical, byte-identical default; the
             others are ``"tiering"``, ``"lazy_leveling"``, and
             ``"one_leveling"``.
-        flow_control: Enable write admission control at the Ingestor
-            (:mod:`repro.core.flow`).  Off by default so the sim
-            schedule stays byte-identical with historical runs.  When
-            on, writes are delayed once compaction debt crosses
-            ``flow_slowdown_debt`` and rejected with a retryable
-            Backpressure error past ``flow_stall_debt``.
-        flow_slowdown_debt: Debt ratio (worst of L0 / L1 / in-flight
-            occupancy over their thresholds) at which admitted writes
-            start paying a graduated delay.  Debt 1.0 means "exactly at
-            a compaction trigger", which is routine steady state, so
-            the slowdown must start comfortably above it — throttling
-            at <= 1.0 taxes every write instead of absorbing bursts
-            (cf. RocksDB, whose L0 slowdown trigger sits at ~5x its
-            compaction trigger).
-        flow_stall_debt: Debt ratio past which writes are rejected
-            outright (the client backs off and retries).
-        flow_max_delay: Delay, seconds, one admitted write pays when
-            debt reaches ``flow_stall_debt`` (scales linearly from 0 at
-            ``flow_slowdown_debt``).
         costs: The compute cost model.
     """
 
@@ -111,10 +92,6 @@ class CooLSMConfig:
     client_retry_budget: int = 4
     read_cache_capacity: int = 4_096
     compaction_policy: str = "leveling"
-    flow_control: bool = False
-    flow_slowdown_debt: float = 1.5
-    flow_stall_debt: float = 2.5
-    flow_max_delay: float = 0.01
     costs: CostModel = DEFAULT_COSTS
 
     def __post_init__(self) -> None:
@@ -145,12 +122,6 @@ class CooLSMConfig:
         from repro.lsm.policy import normalize_policy_name
 
         normalize_policy_name(self.compaction_policy)  # raises if unknown
-        if self.flow_slowdown_debt <= 0 or self.flow_stall_debt <= 0:
-            raise InvalidConfigError("flow-control debt thresholds must be positive")
-        if self.flow_stall_debt <= self.flow_slowdown_debt:
-            raise InvalidConfigError("flow_stall_debt must exceed flow_slowdown_debt")
-        if self.flow_max_delay < 0:
-            raise InvalidConfigError("flow_max_delay must be non-negative")
 
     @property
     def request_timeout(self) -> float:

@@ -9,9 +9,9 @@ invisible on the read path.
 
 Flow control: when too many forwarded tables await acks
 (``config.max_inflight_tables``), the next minor compaction — and the
-upsert that triggered it — stalls until acks drain.  This backpressure
-is what couples write latency to the number (and speed) of Compactors
-and produces Figure 3's trends and Table II's tail.
+upsert that triggered it — stalls until acks drain.  This is the only
+write backpressure, and what couples write latency to the number (and
+speed) of Compactors and produces Figure 3's trends and Table II's tail.
 
 In multi-Ingestor deployments (Section III-E) the Ingestor additionally
 stamps every write with its loose clock, retains multiple versions per
@@ -42,7 +42,6 @@ from repro.sim.resources import Resource
 from repro.sim.rpc import RemoteError, RpcNode, RpcTimeout
 
 from .config import CooLSMConfig
-from .flow import AdmissionController
 from .keyspace import Partitioning
 from .messages import (
     ForwardReply,
@@ -149,9 +148,6 @@ class Ingestor(RpcNode):
         # Row 0 of the policy's pipeline is this node's minor compaction,
         # row 1's ``pick`` selects what L1 forwards downstream.
         self._policy = make_policy(config.compaction_policy)
-        # Write admission control (config.flow_control); the controller
-        # always exists so debt gauges are observable either way.
-        self.admission = AdmissionController(config, name)
         # Index 0 = L0, index 1 = L1; tiered policies stack overlapping
         # runs in L1, the default keeps it a single disjoint run.
         self.manifest = Manifest(
@@ -251,7 +247,7 @@ class Ingestor(RpcNode):
             raise WrongShardError(self.name, self.shard_map.epoch)
 
     def health_gauges(self) -> dict:
-        gauges = {
+        return {
             "inflight": self._inflight_tables,
             "shard_epoch": -1 if self.shard_map is None else self.shard_map.epoch,
             "l0_tables": len(self.level0),
@@ -259,51 +255,14 @@ class Ingestor(RpcNode):
             "forward_retries": self.stats.forward_retries,
             "forward_failovers": self.stats.forward_failovers,
             "batch_upserts": self.stats.batch_upserts,
-            "flow_control": int(self.config.flow_control),
             "compaction_stall_time": round(self.stats.stall_time, 6),
         }
-        # Debt is recomputed at sample time so the gauge is current even
-        # when no write has consulted the controller recently.
-        self._debt_snapshot()
-        gauges.update(self.admission.gauges())
-        return gauges
-
-    def _debt_snapshot(self):
-        """Current compaction debt (updates ``admission.last_debt``)."""
-        pending_entries = sum(
-            len(t) for batch in self._in_flight.values() for t in batch
-        )
-        pending_bytes = (
-            self.config.costs.tables_size_bytes(pending_entries)
-            if pending_entries
-            else 0
-        )
-        return self.admission.snapshot(
-            len(self.level0),
-            len(self.level1),
-            self._inflight_tables,
-            pending_bytes=pending_bytes,
-        )
-
-    def _admit_write(self):
-        """Consult admission control before accepting a write.
-
-        Pays the controller's slowdown delay via a kernel timeout, or
-        lets its BackpressureError propagate to the client (which backs
-        off and retries).  Only reached when ``config.flow_control`` is
-        on, so the default write path yields exactly as before.
-        """
-        delay = self.admission.admit(self._debt_snapshot(), self.kernel.now)
-        if delay > 0:
-            yield self.kernel.timeout(delay)
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     def _handle_upsert(self, src: str, request: UpsertRequest):
         self._check_owner(request.key)
-        if self.config.flow_control:
-            yield from self._admit_write()
         yield from self.compute(self.config.costs.upsert_cpu)
         entry = self._stamp(request)
         self.stats.upserts += 1
@@ -335,10 +294,6 @@ class Ingestor(RpcNode):
         # client refreshes its map and re-splits the batch per shard.
         for op in request.ops:
             self._check_owner(op.key)
-        if self.config.flow_control:
-            # One admission decision covers the whole batch: it either
-            # enters whole or bounces whole, like the ownership check.
-            yield from self._admit_write()
         yield from self.compute(len(request.ops) * self.config.costs.upsert_cpu)
         entries = [self._stamp(op) for op in request.ops]
         self.stats.upserts += len(entries)
@@ -448,12 +403,7 @@ class Ingestor(RpcNode):
             waiter = self.kernel.event()
             self._drain_waiters.append(waiter)
             yield waiter
-        stalled = self.kernel.now - stall_start
-        self.stats.stall_time += stalled
-        if stalled > 0:
-            # The blocking wait on forward acks is the classic write
-            # stall; record it so the Monitor sees start/duration/cause.
-            self.admission.record_stall(stall_start, stalled, "inflight_acks")
+        self.stats.stall_time += self.kernel.now - stall_start
 
         started = self.kernel.now
         l0_newest_first = list(reversed(self.level0))

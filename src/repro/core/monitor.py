@@ -97,7 +97,6 @@ class ClusterMonitor:
             timeline.add(
                 now, ingestor.name, "entries", ingestor.manifest.total_entries()
             )
-            self._sample_flow(now, ingestor)
             self._sample_cache(now, ingestor)
         for compactor in self.cluster.compactors:
             timeline.add(now, compactor.name, "l2_tables", len(compactor.level2))
@@ -127,24 +126,6 @@ class ClusterMonitor:
             *self.cluster.readers,
         ):
             self._sample_transport(now, node)
-
-    def _sample_flow(self, now: float, node) -> None:
-        """Write flow-control gauges for nodes carrying an
-        :class:`~repro.core.flow.AdmissionController` (Ingestors).
-        Samples are taken whether or not flow control is *enforcing*
-        (``config.flow_control``), so the same timeline shows what
-        admission control would have seen in a flow-off run."""
-        admission = getattr(node, "admission", None)
-        if admission is None:
-            return
-        snap = node._debt_snapshot()  # refreshes last_debt
-        timeline = self.timeline
-        timeline.add(now, node.name, "compaction_debt", snap.debt)
-        timeline.add(now, node.name, "admission_state", admission.state_code)
-        timeline.add(now, node.name, "admission_rejections", admission.rejected)
-        timeline.add(now, node.name, "admission_delays", admission.delayed)
-        timeline.add(now, node.name, "stall_events", len(admission.stall_events))
-        timeline.add(now, node.name, "stall_time", admission.stall_time)
 
     def _sample_cache(self, now: float, node) -> None:
         """Read-cache and bloom gauges for any node carrying a

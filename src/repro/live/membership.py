@@ -64,7 +64,6 @@ __all__ = [
     "ShardMap",
     "SplitStats",
     "WrongShardError",
-    "fetch_shard_map",
     "is_wrong_shard",
     "split_ingestor_shard",
 ]
@@ -122,34 +121,6 @@ def _install(admin, target: str, shard_map: ShardMap, clock_floor: float, *, bud
             f"(holds epoch {reply.epoch})"
         )
     return reply
-
-
-def fetch_shard_map(admin, targets, *, budget: int = 8):
-    """Fetch the highest-epoch shard map any of ``targets`` serves."""
-    from repro.core.messages import ShardMapRequest
-
-    best: ShardMap | None = None
-    last_error: Exception | None = None
-    for target in targets:
-        try:
-            reply = yield from _call_retry(
-                admin,
-                target,
-                "shard_map",
-                ShardMapRequest(),
-                budget=budget,
-                backoff=admin.config.forward_backoff_base,
-            )
-        except (RpcTimeout, RemoteError) as error:
-            last_error = error
-            continue
-        if reply.shard_map is not None and (
-            best is None or reply.shard_map.epoch > best.epoch
-        ):
-            best = reply.shard_map
-    if best is None and last_error is not None:
-        raise last_error
-    return best
 
 
 def split_ingestor_shard(

@@ -98,6 +98,13 @@ class Nemesis:
         self.machines = dict(machines or {})
         self.clocks = dict(clocks or {})
         self.rng = rng or random.Random(0)
+        # Faults revert to the values seen when the nemesis was built,
+        # not to whatever was current when the fault began: an
+        # overlapping fault of the same kind would otherwise capture
+        # (and later re-apply) the first fault's value.  The live
+        # nemesis and the oracle assume the same.
+        self.base_drop_probability = network.faults.drop_probability
+        self.base_speeds = {name: m.speed for name, m in self.machines.items()}
         self.log = NemesisLog()
         self.stats = NemesisStats()
         self._processes: list[Process] = []
@@ -220,23 +227,23 @@ class Nemesis:
 
     def _run_drop_burst(self, event: DropBurst):
         yield from self._sleep_until(event.at)
-        previous = self.network.faults.drop_probability
         self.network.faults.drop_probability = event.probability
         self.stats.drop_bursts += 1
         self._log(event.at, "drop_burst", f"p={event.probability}")
         yield self.kernel.timeout(event.duration)
-        self.network.faults.drop_probability = previous
-        self._log(event.at + event.duration, "drop_restore", f"p={previous}")
+        base = self.base_drop_probability
+        self.network.faults.drop_probability = base
+        self._log(event.at + event.duration, "drop_restore", f"p={base}")
 
     def _run_slowdown(self, event: SlowMachine):
         machine = self.machines[event.machine]
+        base = self.base_speeds[event.machine]
         yield from self._sleep_until(event.at)
-        previous = machine.speed
-        machine.speed = previous / event.factor
+        machine.speed = base / event.factor
         self.stats.slowdowns += 1
         self._log(event.at, "slow", event.machine)
         yield self.kernel.timeout(event.duration)
-        machine.speed = previous
+        machine.speed = base
         self._log(event.at + event.duration, "restore_speed", event.machine)
 
     def _run_skew(self, event: SkewClock):

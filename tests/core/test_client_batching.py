@@ -15,7 +15,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core.client import ClientPipeline
-from repro.core.flow import BackpressureError
 from repro.live.membership import split_ingestor_shard
 from repro.lsm.entry import encode_key
 from repro.sim.rpc import RemoteError, RpcTimeout
@@ -219,28 +218,3 @@ class TestShardRoutedBatches:
         servers = {op.key: op.server for op in cluster.history.operations if op.is_write}
         assert servers[encode_key(100)] == servers[encode_key(200)] == "ingestor-0"
         assert servers[encode_key(600)] == servers[encode_key(700)] == "ingestor-2"
-
-    def test_backpressure_on_a_batch_retries_the_same_owner(self):
-        cluster = self.sharded_cluster()
-        client = cluster.add_client(colocate_with="ingestor-0")
-        owner = cluster.ingestors[1]
-        real_handler = owner._handlers["upsert_batch"]
-        seen = []
-
-        def shedding(src, request):
-            seen.append(len(request.ops))
-            if len(seen) <= 2:
-                raise BackpressureError(owner.name, 3.0, "l0")
-            return (yield from real_handler(src, request))
-
-        owner.on("upsert_batch", shedding)
-
-        def driver():
-            return (yield from client.upsert_many([(k, b"bp") for k in (1500, 1600)]))
-
-        replies = cluster.run_process(driver())
-        assert None not in replies
-        assert seen == [2, 2, 2]
-        assert client.stats.backpressure_retries == 2
-        assert client.stats.timeouts == client.stats.failovers == 0
-        assert {op.server for op in cluster.history.operations} == {owner.name}

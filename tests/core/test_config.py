@@ -1,5 +1,8 @@
 """Unit tests for CooLSM configuration."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
 from repro.core.config import CooLSMConfig
@@ -72,3 +75,37 @@ class TestScaledDown:
     def test_rejects_bad_factor(self):
         with pytest.raises(InvalidConfigError):
             CooLSMConfig().scaled_down(0)
+
+
+class TestNoFeatureFlags:
+    """One mechanism per concern: the config carries parameters, not
+    switches.  Adding a knob means editing this list on purpose."""
+
+    FIELDS = (
+        "key_range",
+        "memtable_entries",
+        "sstable_entries",
+        "l0_threshold",
+        "l1_threshold",
+        "l2_threshold",
+        "l3_threshold",
+        "delta",
+        "gc_slack",
+        "max_inflight_tables",
+        "ack_timeout",
+        "forward_backoff_base",
+        "forward_backoff_cap",
+        "forward_retry_budget",
+        "client_timeout",
+        "client_retry_budget",
+        "read_cache_capacity",
+        "compaction_policy",
+        "costs",
+    )
+
+    def test_field_names_are_pinned(self):
+        assert tuple(f.name for f in fields(CooLSMConfig)) == self.FIELDS
+
+    def test_no_boolean_field(self):
+        hints = get_type_hints(CooLSMConfig)
+        assert [name for name, hint in hints.items() if hint is bool] == []

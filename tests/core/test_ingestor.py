@@ -1,5 +1,6 @@
 """Tests for the Ingestor: write path, forwarding, retention, reads."""
 
+from repro.core import ClusterSpec, CooLSMConfig, build_cluster
 from repro.lsm.entry import encode_key
 
 from tests.core.conftest import TINY, fill, tiny_cluster
@@ -112,6 +113,69 @@ class TestAckRetention:
         assert ingestor.inflight_tables >= TINY.max_inflight_tables
         # The stalled flush pipeline blocks further minor compactions.
         assert ingestor.stats.upserts < 5_000
+
+
+#: A small, compaction-heavy config: a few hundred writes produce many
+#: minor compactions and forwards, and the in-flight cap of 4 makes
+#: minor compactions wait on Compactor acks and then resume.
+SMALL = CooLSMConfig(
+    key_range=4_096,
+    memtable_entries=8,
+    sstable_entries=8,
+    l0_threshold=2,
+    l1_threshold=2,
+    l2_threshold=4,
+    l3_threshold=16,
+    max_inflight_tables=4,
+    delta=0.002,
+    ack_timeout=0.5,
+    client_timeout=1.0,
+)
+
+
+class TestStallLedger:
+    def test_write_storm_stalls_resumes_and_loses_nothing(self):
+        """The in-flight stall is the Ingestor's only write backpressure:
+        a storm of concurrent writers must hit it, drain through it with
+        every acked write readable, and report the same stalled seconds
+        in ``stats`` and on the health RPC."""
+        cluster = build_cluster(
+            ClusterSpec(config=SMALL, num_ingestors=1, num_compactors=2)
+        )
+        clients = [cluster.add_client(colocate_with="ingestor-0") for _ in range(4)]
+        oracle: dict[int, bytes] = {}
+
+        def writer(index, client):
+            for i in range(150):
+                key, value = index * 1_000 + i, b"w%d-%d" % (index, i)
+                yield from client.upsert(key, value)
+                oracle[key] = value
+
+        writers = [
+            cluster.kernel.spawn(writer(index, client))
+            for index, client in enumerate(clients)
+        ]
+
+        def barrier():
+            yield cluster.kernel.all_of(writers)
+
+        cluster.run_process(barrier())
+        cluster.run()
+        assert len(oracle) == 600
+
+        def verify():
+            lost = []
+            for key, value in sorted(oracle.items()):
+                if (yield from clients[0].read(key)) != value:
+                    lost.append(key)
+            return lost
+
+        assert cluster.run_process(verify()) == []
+        ingestor = cluster.ingestors[0]
+        assert ingestor.stats.stall_time > 0
+        assert ingestor.inflight_tables == 0
+        gauges = ingestor.health_gauges()
+        assert gauges["compaction_stall_time"] == round(ingestor.stats.stall_time, 6)
 
 
 class TestReadPath:

@@ -591,7 +591,7 @@ class TestShardedChaosSoak:
 
 
 # ----------------------------------------------------------------------
-# Policy + flow-control soak: lazy-leveling with admission control on
+# Policy soak: lazy-leveling under chaos
 # ----------------------------------------------------------------------
 POLICY_SEED = 4042
 POLICY_HORIZON = 4.0
@@ -616,19 +616,17 @@ def _policy_schedule(spec):
 @pytest.fixture(scope="module")
 def policy_soak_run(tmp_path_factory):
     """A durable cluster running a NON-default compaction policy
-    (lazy-leveling) with write flow control enabled, under chaos.
+    (lazy-leveling) under chaos.
 
-    The acceptance claim: policy dispatch and admission control do not
-    weaken the layer's capstone guarantees — Backpressure rejections
-    surface as retryable errors, stacked L2 runs recover from SIGKILL,
-    and every acked write survives.
+    The acceptance claim: policy dispatch does not weaken the layer's
+    capstone guarantees — stacked L2 runs recover from SIGKILL, and
+    every acked write survives.
     """
     config = dataclasses.replace(
         CooLSMConfig().scaled_down(10),
         ack_timeout=1.0,
         client_timeout=1.5,
         compaction_policy="lazy_leveling",
-        flow_control=True,
     )
     spec = localhost_spec(
         num_ingestors=1,

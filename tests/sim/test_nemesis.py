@@ -1,5 +1,6 @@
 """Unit tests for the nemesis fault-injection subsystem."""
 
+from repro.chaos_events import expected_fingerprint
 from repro.core import ClusterSpec, build_cluster
 from repro.sim import (
     CrashNode,
@@ -96,6 +97,23 @@ class TestGrayFailures:
         cluster.run(until=3.0)
         assert machine.speed == original
         assert nemesis.stats.slowdowns == 1
+
+    def test_overlapping_faults_revert_to_base(self):
+        # A second fault of one kind starting inside the first must not
+        # capture (and, ending last, re-apply) the first one's value.
+        cluster = small_cluster(num_compactors=1, num_readers=0)
+        machine = cluster.machines["m-compactor-0"]
+        base_speed = machine.speed
+        events = [
+            DropBurst(0.3, at=0.0, duration=2.0),
+            DropBurst(0.2, at=1.0, duration=2.0),
+            SlowMachine("m-compactor-0", at=0.0, duration=2.0, factor=2.0),
+            SlowMachine("m-compactor-0", at=1.0, duration=2.0, factor=4.0),
+        ]
+        nemesis = run_scenario(cluster, events)
+        assert cluster.network.faults.drop_probability == 0.0
+        assert machine.speed == base_speed
+        assert nemesis.log.canonical_fingerprint() == expected_fingerprint(events)
 
     def test_clock_skew_spike(self):
         cluster = small_cluster()
