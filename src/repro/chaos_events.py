@@ -17,23 +17,26 @@ wall-clock seconds from schedule start under the live runtime):
 * :class:`SkewClock` — clock-skew spike (sim only: live clocks are the
   host's real clocks and cannot be skewed from outside the process).
 
-Interpreters (:class:`repro.sim.nemesis.Nemesis` and
-:class:`repro.live.chaos.LiveNemesis`) apply each event at its time and
-revert it after its duration, appending to a :class:`NemesisLog`.  Log
-records carry the event's *scheduled* time — under the sim kernel the
-virtual clock lands on it exactly, and the live nemesis records the
-same number (keeping the wall-clock instant in the non-fingerprinted
-``wall`` field) — so :func:`expected_fingerprint` is a pure function of
-the scenario and **one schedule yields the same fingerprint under both
-interpreters and across replays**.  That is the schedule-portability
-guarantee the chaos soaks assert.
+What a scenario does to each target is worked out here, once, by the
+:class:`FaultWindows` state machine (overlapping windows included); the
+interpreters (:class:`repro.sim.nemesis.Nemesis` and
+:class:`repro.live.chaos.LiveNemesis`) only apply and log the
+transitions it returns, in the order :func:`edges` fixes — the order
+the sim kernel fires them.  Log records carry the *scheduled*
+time — under the sim kernel the virtual clock lands on it exactly, and
+the live nemesis records the same number (keeping the wall-clock
+instant in the non-fingerprinted ``wall`` field) — so
+:func:`expected_fingerprint` is a pure function of the scenario and
+**one schedule yields the same fingerprint under both interpreters and
+across replays**.  That is the schedule-portability guarantee the chaos
+soaks assert.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Hashable, Sequence
 
 __all__ = [
     "CrashNode",
@@ -44,10 +47,13 @@ __all__ = [
     "NemesisEvent",
     "NemesisRecord",
     "NemesisLog",
-    "NemesisStats",
+    "FaultWindows",
     "flapping_partition",
     "rolling_partitions",
     "random_schedule",
+    "window",
+    "edges",
+    "check_targets",
     "expected_records",
     "expected_fingerprint",
 ]
@@ -191,6 +197,10 @@ class NemesisLog:
     def __iter__(self):
         return iter(self.records)
 
+    def count(self, action: str) -> int:
+        """How many records carry ``action``."""
+        return sum(1 for r in self.records if r.action == action)
+
     def fingerprint(self) -> tuple:
         """Hashable summary in application order; equal across replays
         of the same seed under one interpreter."""
@@ -203,17 +213,129 @@ class NemesisLog:
         return tuple(sorted(self.fingerprint()))
 
 
-@dataclass(slots=True)
-class NemesisStats:
-    """Counters, split by fault family."""
+# ----------------------------------------------------------------------
+# The fault timeline: one state machine, shared by both interpreters
+# ----------------------------------------------------------------------
+#: (action, target, value): one change to apply and log.  ``target`` is
+#: the record's text; ``value`` is what applying it needs.
+Transition = tuple[str, str, Any]
 
-    crashes: int = 0
-    restarts: int = 0
-    partitions: int = 0
-    heals: int = 0
-    drop_bursts: int = 0
-    slowdowns: int = 0
-    skews: int = 0
+
+def window(event: NemesisEvent) -> tuple[float, float | None]:
+    """``(start, length)`` of an event's fault window; a ``None`` length
+    (a permanent crash) never closes."""
+    if isinstance(event, CrashNode):
+        return event.at, event.downtime
+    if isinstance(event, (PartitionPair, DropBurst, SlowMachine, SkewClock)):
+        return event.at, event.duration
+    raise TypeError(f"unknown nemesis event: {event!r}")
+
+
+def edges(events: Sequence[NemesisEvent]) -> list[tuple[float, bool, NemesisEvent]]:
+    """Every window edge as ``(time, closing, event)``, in the order the
+    sim kernel fires them: at one instant opens precede closes, opens go
+    in (start, list) order and closes in the order their windows opened."""
+    spans = [window(event) for event in events]
+    opened = sorted(range(len(events)), key=lambda i: (spans[i][0], i))
+    keyed = []
+    for rank, index in enumerate(opened):
+        (start, length), event = spans[index], events[index]
+        keyed.append((start, False, rank, event))
+        if length is not None:
+            keyed.append((start + length, True, rank, event))
+    keyed.sort(key=lambda edge: edge[:3])
+    return [(time, closing, event) for time, closing, __, event in keyed]
+
+
+class FaultWindows:
+    """Which fault windows are open on each target, and the transitions
+    opening or closing one causes.
+
+    A node is down (a machine pair cut) while any of its windows is
+    open.  A drop probability, slowdown factor or skew takes the value
+    of the most recently opened window still open, else its base.
+    :meth:`open` and :meth:`close` return only the transitions that
+    change a target's state, so a scenario without overlapping windows
+    yields one apply and one revert per event.
+    """
+
+    def __init__(self, base_drop_probability: float = 0.0) -> None:
+        self.base_drop_probability = base_drop_probability
+        self._open: dict[Hashable, list[NemesisEvent]] = {}
+
+    def open(self, event: NemesisEvent) -> list[Transition]:
+        slot, union, apply, __ = self._spec(event)
+        stack = self._open.setdefault(slot, [])
+        stack.append(event)
+        if len(stack) == 1 or (not union and self._spec(stack[-2])[2] != apply):
+            return [apply]
+        return []
+
+    def close(self, event: NemesisEvent) -> list[Transition]:
+        slot, union, __, revert = self._spec(event)
+        stack = self._open[slot]
+        before = self._spec(stack[-1])[2]
+        stack.remove(event)
+        if not stack:
+            return [revert]
+        after = self._spec(stack[-1])[2]
+        return [] if union or after == before else [after]
+
+    def _spec(
+        self, event: NemesisEvent
+    ) -> tuple[Hashable, bool, Transition, Transition]:
+        """(slot, union?, apply, revert) for one event.  The slot is the
+        target its windows share; a union slot is held while any of them
+        is open, any other by the latest one opened."""
+        if isinstance(event, CrashNode):
+            name = event.target
+            return ("node", name), True, ("crash", name, None), ("recover", name, None)
+        if isinstance(event, PartitionPair):
+            pair = (event.machine_a, event.machine_b)
+            key, link = "|".join(pair), ("link", frozenset(pair))
+            return link, True, ("partition", key, pair), ("heal", key, pair)
+        if isinstance(event, DropBurst):
+            p, base = event.probability, self.base_drop_probability
+            apply = ("drop_burst", f"p={p}", p)
+            return ("drop",), False, apply, ("drop_restore", f"p={base}", base)
+        if isinstance(event, SlowMachine):
+            name = event.machine
+            apply = ("slow", name, event.factor)
+            return ("slow", name), False, apply, ("restore_speed", name, 1.0)
+        if isinstance(event, SkewClock):
+            name = event.target
+            apply = ("skew", name, event.skew)
+            return ("skew", name), False, apply, ("unskew", name, 0.0)
+        raise TypeError(f"unknown nemesis event: {event!r}")
+
+
+def check_targets(
+    events: Sequence[NemesisEvent],
+    nodes: Sequence[str] = (),
+    machines: Sequence[str] = (),
+    clocks: Sequence[str] = (),
+) -> None:
+    """Fail fast on an unknown event kind or a typo'd target, before
+    anything runs.  An empty table is not checked: the interpreter was
+    wired without that facet."""
+    for event in events:
+        window(event)
+        named = []
+        if isinstance(event, CrashNode):
+            named = [("node", event.target, nodes)]
+        elif isinstance(event, PartitionPair):
+            pair = (event.machine_a, event.machine_b)
+            named = [("machine", machine, machines) for machine in pair]
+        elif isinstance(event, SlowMachine):
+            named = [("machine", event.machine, machines)]
+        elif isinstance(event, SkewClock):
+            named = [("clock", event.target, clocks)]
+        for kind, name, table in named:
+            if table and name not in table:
+                raise ValueError(
+                    f"nemesis: unknown {kind} {name!r}; "
+                    f"known: {', '.join(sorted(table))}"
+                )
 
 
 def expected_records(
@@ -222,33 +344,11 @@ def expected_records(
     """The (time, action, target) records a faithful interpreter of
     ``events`` must produce — the replayability oracle both nemesis
     implementations are held to."""
-    records: list[tuple[float, str, str]] = []
-    for event in events:
-        if isinstance(event, CrashNode):
-            records.append((event.at, "crash", event.target))
-            if event.downtime is not None:
-                records.append((event.at + event.downtime, "recover", event.target))
-        elif isinstance(event, PartitionPair):
-            key = f"{event.machine_a}|{event.machine_b}"
-            records.append((event.at, "partition", key))
-            records.append((event.at + event.duration, "heal", key))
-        elif isinstance(event, DropBurst):
-            records.append((event.at, "drop_burst", f"p={event.probability}"))
-            records.append(
-                (
-                    event.at + event.duration,
-                    "drop_restore",
-                    f"p={base_drop_probability}",
-                )
-            )
-        elif isinstance(event, SlowMachine):
-            records.append((event.at, "slow", event.machine))
-            records.append((event.at + event.duration, "restore_speed", event.machine))
-        elif isinstance(event, SkewClock):
-            records.append((event.at, "skew", event.target))
-            records.append((event.at + event.duration, "unskew", event.target))
-        else:
-            raise TypeError(f"unknown nemesis event: {event!r}")
+    windows = FaultWindows(base_drop_probability)
+    records = []
+    for time, closing, event in edges(events):
+        step = windows.close if closing else windows.open
+        records.extend((time, action, target) for action, target, __ in step(event))
     return sorted(records)
 
 

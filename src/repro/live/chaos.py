@@ -16,8 +16,6 @@ takes effect on the very next frame without breaking the framing:
   machine (the gray-failure shape: slow, not dead).
 * **drop** — a global frame-drop probability; whole frames vanish, so
   the surviving byte stream always decodes.
-* **rate** — a per-machine bandwidth cap, modelled as serial
-  ``frame_bytes / rate`` stalls.
 
 The proxy runs as its own process (``repro.cli chaos-proxy``) so a
 SIGKILLed node never takes the fault fabric down with it, and is driven
@@ -30,9 +28,11 @@ its bind address stays real.  Nodes are oblivious; the proxy sees every
 inter-machine frame.
 
 **:class:`LiveNemesis`** — the live interpreter of the shared scenario
-vocabulary (:mod:`repro.chaos_events`).  It walks the exact action
-timeline :func:`~repro.chaos_events.expected_records` derives from the
-scenario, sleeping to each scheduled offset: ``CrashNode`` becomes
+vocabulary (:mod:`repro.chaos_events`).  It walks the scenario's window
+edges (:func:`~repro.chaos_events.edges`), sleeping to each scheduled
+offset, and applies the transitions the shared
+:class:`~repro.chaos_events.FaultWindows` returns — the same state
+machine the sim nemesis and the oracle drive: ``CrashNode`` becomes
 SIGKILL + restart through the :class:`~repro.live.harness.LocalCluster`
 (coordinating expected-downs with a
 :class:`~repro.live.supervisor.Supervisor` when one is attached),
@@ -61,13 +61,12 @@ from typing import Any, Sequence
 
 from repro.chaos_events import (
     CrashNode,
-    DropBurst,
+    FaultWindows,
     NemesisEvent,
     NemesisLog,
-    NemesisStats,
-    PartitionPair,
     SkewClock,
-    SlowMachine,
+    check_targets,
+    edges,
 )
 
 from . import wire
@@ -252,7 +251,7 @@ class _Link:
 class ChaosProxy:
     """All links of one deployment plus the control server.
 
-    Fault state lives in three small maps consulted per frame, so a
+    Fault state lives in three small fields consulted per frame, so a
     control command takes effect on the next frame of every affected
     connection without tearing anything down (except ``cut``, whose
     whole point is the teardown).
@@ -274,7 +273,6 @@ class ChaosProxy:
         self.stats = ProxyStats()
         self.cut_pairs: set[frozenset] = set()
         self.latency: dict[str, float] = {}
-        self.rate: dict[str, float] = {}
         self.drop_probability = 0.0
         self._control_server: asyncio.base_events.Server | None = None
         self._control_tasks: set[asyncio.Task] = set()
@@ -415,13 +413,6 @@ class ChaosProxy:
                 )
                 if delay > 0.0:
                     await asyncio.sleep(delay)
-                rates = [
-                    r
-                    for r in (self.rate.get(spec.src), self.rate.get(spec.dst))
-                    if r
-                ]
-                if rates:
-                    await asyncio.sleep((wire.HEADER_SIZE + length) / min(rates))
                 writer.write(header + payload)
                 await writer.drain()
                 self.stats.frames_forwarded += 1
@@ -471,12 +462,6 @@ class ChaosProxy:
         else:
             self.latency.pop(machine, None)
 
-    def set_rate(self, machine: str, bytes_per_second: float) -> None:
-        if bytes_per_second > 0.0:
-            self.rate[machine] = bytes_per_second
-        else:
-            self.rate.pop(machine, None)
-
     # ------------------------------------------------------------------
     # Control plane (JSON lines)
     # ------------------------------------------------------------------
@@ -522,18 +507,12 @@ class ChaosProxy:
         if op == "drop":
             self.drop_probability = float(request["probability"])
             return {"ok": True}
-        if op == "rate":
-            self.set_rate(
-                str(request["machine"]), float(request["bytes_per_second"])
-            )
-            return {"ok": True}
         if op == "stats":
             return {
                 "ok": True,
                 "stats": self.stats.as_dict(),
                 "cut": sorted(sorted(pair) for pair in self.cut_pairs),
                 "latency": dict(self.latency),
-                "rate": dict(self.rate),
                 "drop_probability": self.drop_probability,
             }
         if op == "shutdown":
@@ -605,11 +584,6 @@ class ChaosControl:
     async def set_drop(self, probability: float) -> None:
         await self.request(op="drop", probability=probability)
 
-    async def set_rate(self, machine: str, bytes_per_second: float) -> None:
-        await self.request(
-            op="rate", machine=machine, bytes_per_second=bytes_per_second
-        )
-
     async def stats(self) -> dict:
         return await self.request(op="stats")
 
@@ -630,21 +604,6 @@ class ChaosControl:
 # ----------------------------------------------------------------------
 # The live nemesis
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class _Action:
-    """One entry of the executable timeline: the (time, action, target)
-    record the log must show, plus what applying it needs."""
-
-    time: float
-    action: str
-    target: str
-    payload: Any = None
-
-    @property
-    def record(self) -> tuple[float, str, str]:
-        return (self.time, self.action, self.target)
-
-
 class LiveNemesis:
     """Interpret a chaos scenario against a real cluster.
 
@@ -672,150 +631,59 @@ class LiveNemesis:
         base_drop_probability: float = 0.0,
         slow_unit: float = 0.02,
     ) -> None:
-        self.events = sorted(events, key=lambda e: e.at)
+        self.events = list(events)
         self.control = control
         self.cluster = cluster
         self.supervisor = supervisor
         self.base_drop_probability = base_drop_probability
         self.slow_unit = slow_unit
         self.log = NemesisLog()
-        self.stats = NemesisStats()
-        self._validate()
-        self._actions = self._timeline()
-
-    def _validate(self) -> None:
-        node_names = set(self.cluster.spec.node_names) if self.cluster else None
-        machines = (
-            {machine_of(n) for n in node_names} | {DRIVER_MACHINE}
-            if node_names is not None
-            else None
-        )
+        names = cluster.spec.node_names if cluster is not None else ()
+        machines = {machine_of(n) for n in names} | {DRIVER_MACHINE} if names else ()
+        check_targets(self.events, nodes=names, machines=machines)
         for event in self.events:
             if isinstance(event, SkewClock):
                 raise ValueError(
                     "SkewClock is sim-only: a live node's clock is the OS's"
                 )
             if isinstance(event, CrashNode):
-                if self.cluster is None:
+                if cluster is None:
                     raise ValueError("CrashNode events need a cluster")
-                if event.target not in node_names:
-                    raise ValueError(f"unknown crash target: {event.target!r}")
-            elif isinstance(event, (PartitionPair, SlowMachine, DropBurst)):
-                if self.control is None:
-                    raise ValueError(f"{type(event).__name__} events need a proxy")
-                if isinstance(event, PartitionPair) and machines is not None:
-                    for machine in (event.machine_a, event.machine_b):
-                        if machine not in machines:
-                            raise ValueError(f"unknown machine: {machine!r}")
-                if isinstance(event, SlowMachine) and machines is not None:
-                    if event.machine not in machines:
-                        raise ValueError(f"unknown machine: {event.machine!r}")
-            else:
-                raise TypeError(f"unknown nemesis event: {event!r}")
-
-    def _timeline(self) -> list[_Action]:
-        """The executable expansion of the scenario; its record tuples
-        are exactly :func:`~repro.chaos_events.expected_records`."""
-        actions: list[_Action] = []
-        for event in self.events:
-            if isinstance(event, CrashNode):
-                actions.append(_Action(event.at, "crash", event.target, event.target))
-                if event.downtime is not None:
-                    actions.append(
-                        _Action(
-                            event.at + event.downtime,
-                            "recover",
-                            event.target,
-                            event.target,
-                        )
-                    )
-            elif isinstance(event, PartitionPair):
-                key = f"{event.machine_a}|{event.machine_b}"
-                pair = (event.machine_a, event.machine_b)
-                actions.append(_Action(event.at, "partition", key, pair))
-                actions.append(
-                    _Action(event.at + event.duration, "heal", key, pair)
-                )
-            elif isinstance(event, DropBurst):
-                actions.append(
-                    _Action(
-                        event.at,
-                        "drop_burst",
-                        f"p={event.probability}",
-                        event.probability,
-                    )
-                )
-                actions.append(
-                    _Action(
-                        event.at + event.duration,
-                        "drop_restore",
-                        f"p={self.base_drop_probability}",
-                        self.base_drop_probability,
-                    )
-                )
-            elif isinstance(event, SlowMachine):
-                actions.append(
-                    _Action(
-                        event.at,
-                        "slow",
-                        event.machine,
-                        (event.machine, self.slow_unit * event.factor),
-                    )
-                )
-                actions.append(
-                    _Action(
-                        event.at + event.duration,
-                        "restore_speed",
-                        event.machine,
-                        (event.machine, 0.0),
-                    )
-                )
-        return sorted(actions, key=lambda a: a.record)
+            elif control is None:
+                raise ValueError(f"{type(event).__name__} events need a proxy")
 
     async def run(self) -> NemesisLog:
-        """Apply every action at its scheduled offset from now."""
+        """Walk the window edges, applying each transition at its
+        scheduled offset from now."""
         start = time.monotonic()
-        for action in self._actions:
-            delay = action.time - (time.monotonic() - start)
+        windows = FaultWindows(self.base_drop_probability)
+        for at, closing, event in edges(self.events):
+            delay = at - (time.monotonic() - start)
             if delay > 0:
                 await asyncio.sleep(delay)
-            await self._apply(action)
-            self.log.add(
-                action.time,
-                action.action,
-                action.target,
-                wall=time.monotonic() - start,
-            )
+            step = windows.close if closing else windows.open
+            for action, target, value in step(event):
+                await self._apply(action, target, value)
+                self.log.add(at, action, target, wall=time.monotonic() - start)
         return self.log
 
-    async def _apply(self, action: _Action) -> None:
-        kind = action.action
-        logger.info("nemesis t=%.3f %s %s", action.time, kind, action.target)
-        if kind == "crash":
+    async def _apply(self, action: str, target: str, value) -> None:
+        logger.info("nemesis %s %s", action, target)
+        if action == "crash":
             if self.supervisor is not None:
-                self.supervisor.expect_down(action.payload)
-            await asyncio.to_thread(self.cluster.kill9, action.payload)
-            self.stats.crashes += 1
-        elif kind == "recover":
-            await asyncio.to_thread(self.cluster.restart, action.payload)
+                self.supervisor.expect_down(target)
+            await asyncio.to_thread(self.cluster.kill9, target)
+        elif action == "recover":
+            await asyncio.to_thread(self.cluster.restart, target)
             if self.supervisor is not None:
-                self.supervisor.expect_up(action.payload)
-            self.stats.restarts += 1
-        elif kind == "partition":
-            await self.control.cut(*action.payload)
-            self.stats.partitions += 1
-        elif kind == "heal":
-            await self.control.heal(*action.payload)
-            self.stats.heals += 1
-        elif kind == "drop_burst":
-            await self.control.set_drop(action.payload)
-            self.stats.drop_bursts += 1
-        elif kind == "drop_restore":
-            await self.control.set_drop(action.payload)
-        elif kind == "slow":
-            await self.control.set_latency(*action.payload)
-            self.stats.slowdowns += 1
-        elif kind == "restore_speed":
-            await self.control.set_latency(*action.payload)
-        else:  # pragma: no cover - timeline only emits the above
-            raise ValueError(f"unknown action {kind!r}")
+                self.supervisor.expect_up(target)
+        elif action == "partition":
+            await self.control.cut(*value)
+        elif action == "heal":
+            await self.control.heal(*value)
+        elif action in ("drop_burst", "drop_restore"):
+            await self.control.set_drop(value)
+        elif action == "slow":
+            await self.control.set_latency(target, self.slow_unit * value)
+        else:  # restore_speed
+            await self.control.set_latency(target, 0.0)

@@ -296,9 +296,7 @@ class Transport:
         try:
             while True:
                 header = await reader.readexactly(wire.HEADER_SIZE)
-                length, crc, flags = wire.decode_header_full(header)
-                if flags & ~wire.KNOWN_FLAGS:
-                    raise wire.WireError(f"unknown frame flags {flags:#x}")
+                length, crc = wire.decode_header(header)
                 payload = await reader.readexactly(length)
                 wire.check_payload(payload, crc)
                 self.stats.frames_received += 1

@@ -19,10 +19,9 @@ filter included, nothing rebuilt) and written to its disk unchanged.
     | magic | length u32 | crc u32 | payload (length B) |
     +-------+----------+---------+--------------------+
 
-The top three bits of the length word are reserved for frame flags
-(the payload length itself is bounded well below 2**29); this codec
-version defines none, so an endpoint rejects a frame with any flag bit
-set.  A corrupted or truncated frame raises :class:`WireError`; the
+A length word above :data:`MAX_FRAME_BYTES` (any of its top bits set
+included) is rejected before anything is allocated.  A corrupted or
+truncated frame raises :class:`WireError`; the
 transport closes the connection (TCP already protects in flight — the
 CRC guards against framing bugs and partial writes around reconnects).
 
@@ -60,13 +59,11 @@ __all__ = [
     "MAGIC",
     "HEADER_SIZE",
     "MAX_FRAME_BYTES",
-    "KNOWN_FLAGS",
     "encode_value",
     "decode_value",
     "encode_frame",
     "encode_frame_into",
     "decode_header",
-    "decode_header_full",
     "check_payload",
     "encode_envelope",
     "encode_envelope_buffer",
@@ -90,16 +87,8 @@ HEADER_SIZE = _HEADER.size
 #: the largest message and stays far below this in any sane deployment.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-# Frame flags live in the top 3 bits of the length word; the payload
-# length (<= MAX_FRAME_BYTES = 2**28) never reaches them.
-_FLAG_SHIFT = 29
-_LENGTH_MASK = (1 << _FLAG_SHIFT) - 1
-#: Every flag this codec version understands (receivers reject others).
-KNOWN_FLAGS = 0
-_FLAGS_MAX = (1 << (32 - _FLAG_SHIFT)) - 1
 
-
-def encode_frame_into(out: bytearray, payload: bytes, flags: int = 0) -> None:
+def encode_frame_into(out: bytearray, payload: bytes) -> None:
     """Append one framed payload to ``out`` without intermediate copies.
 
     The transport writer drains its whole queue through this into one
@@ -108,41 +97,26 @@ def encode_frame_into(out: bytearray, payload: bytes, flags: int = 0) -> None:
     length = len(payload)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame too large: {length} bytes")
-    if not 0 <= flags <= _FLAGS_MAX:
-        raise WireError(f"frame flags out of range: {flags:#x}")
-    out += _HEADER.pack(MAGIC, length | (flags << _FLAG_SHIFT), zlib.crc32(payload))
+    out += _HEADER.pack(MAGIC, length, zlib.crc32(payload))
     out += payload
 
 
-def encode_frame(payload: bytes, flags: int = 0) -> bytes:
+def encode_frame(payload: bytes) -> bytes:
     """Wrap an encoded payload in a length+CRC header (one-shot form)."""
     out = bytearray()
-    encode_frame_into(out, payload, flags)
+    encode_frame_into(out, payload)
     return bytes(out)
-
-
-def decode_header_full(header: bytes) -> tuple[int, int, int]:
-    """Parse and validate a frame header; returns (length, crc, flags).
-
-    Unknown flag bits are preserved, not rejected — forwarding relays
-    (the chaos proxy) must pass frames through byte-for-byte even when
-    they predate a flag.  Endpoint receivers reject flags they cannot
-    interpret (see the transport's receive path).
-    """
-    if len(header) != HEADER_SIZE:
-        raise WireError(f"short header: {len(header)} bytes")
-    magic, word, crc = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise WireError(f"bad magic: {magic!r}")
-    length = word & _LENGTH_MASK
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame too large: {length} bytes")
-    return length, crc, word >> _FLAG_SHIFT
 
 
 def decode_header(header: bytes) -> tuple[int, int]:
     """Parse and validate a frame header; returns (length, crc)."""
-    length, crc, __ = decode_header_full(header)
+    if len(header) != HEADER_SIZE:
+        raise WireError(f"short header: {len(header)} bytes")
+    magic, length, crc = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise WireError(f"bad magic: {magic!r}")
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame too large: {length} bytes")
     return length, crc
 
 

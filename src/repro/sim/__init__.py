@@ -8,22 +8,22 @@ and loosely synchronised clocks (:mod:`repro.sim.clock`), all driven by
 a generator-coroutine event kernel (:mod:`repro.sim.kernel`).
 """
 
-from .clock import LooseClock, concurrent, definitely_after
-from .kernel import AllOf, AnyOf, Event, Interrupted, Kernel, Process, SimError, Timeout
-from .machine import DEFAULT_CORES, Machine
-from .nemesis import (
+from repro.chaos_events import (
     CrashNode,
     DropBurst,
-    Nemesis,
     NemesisLog,
     NemesisRecord,
-    NemesisStats,
     PartitionPair,
     SkewClock,
     SlowMachine,
     flapping_partition,
     rolling_partitions,
 )
+
+from .clock import LooseClock, concurrent, definitely_after
+from .kernel import AllOf, AnyOf, Event, Interrupted, Kernel, Process, SimError, Timeout
+from .machine import DEFAULT_CORES, Machine
+from .nemesis import Nemesis
 from .network import FaultPlan, Network, NetworkStats
 from .regions import (
     CLOUD_REGION,
@@ -59,7 +59,6 @@ __all__ = [
     "Nemesis",
     "NemesisLog",
     "NemesisRecord",
-    "NemesisStats",
     "Network",
     "NetworkStats",
     "PartitionPair",

@@ -13,8 +13,11 @@ fingerprint (the schedule-portability guarantee).
 
 This module is the **sim interpreter** of that vocabulary:
 
-* :meth:`Nemesis.schedule` turns a scenario into kernel processes that
-  apply each fault at its time and revert it after its duration;
+* :meth:`Nemesis.schedule` turns a scenario into kernel processes, one
+  per event, that open its fault window at its time and close it after
+  its length; what each edge does to its target (overlapping windows
+  included) is :class:`~repro.chaos_events.FaultWindows`'s answer, and
+  this module only applies it;
 * every applied action is appended to the log with its *scheduled*
   time (the virtual clock lands on it exactly), so
   :meth:`~repro.chaos_events.NemesisLog.fingerprint` is identical
@@ -36,38 +39,11 @@ import random
 from typing import Any, Iterable, Sequence
 
 from repro import chaos_events
-from repro.chaos_events import (
-    CrashNode,
-    DropBurst,
-    NemesisEvent,
-    NemesisLog,
-    NemesisRecord,
-    NemesisStats,
-    PartitionPair,
-    SkewClock,
-    SlowMachine,
-    flapping_partition,
-    rolling_partitions,
-)
+from repro.chaos_events import FaultWindows, NemesisEvent, NemesisLog
 
 from .kernel import Kernel, Process
 from .machine import Machine
 from .network import Network
-
-__all__ = [
-    "CrashNode",
-    "DropBurst",
-    "Nemesis",
-    "NemesisEvent",
-    "NemesisLog",
-    "NemesisRecord",
-    "NemesisStats",
-    "PartitionPair",
-    "SkewClock",
-    "SlowMachine",
-    "flapping_partition",
-    "rolling_partitions",
-]
 
 
 class Nemesis:
@@ -98,15 +74,14 @@ class Nemesis:
         self.machines = dict(machines or {})
         self.clocks = dict(clocks or {})
         self.rng = rng or random.Random(0)
-        # Faults revert to the values seen when the nemesis was built,
-        # not to whatever was current when the fault began: an
-        # overlapping fault of the same kind would otherwise capture
-        # (and later re-apply) the first fault's value.  The live
-        # nemesis and the oracle assume the same.
+        # Once no window of a kind is open, the target reverts to the
+        # value seen when the nemesis was built, not to whatever was
+        # current when the last window began.  The live nemesis and the
+        # oracle assume the same.
         self.base_drop_probability = network.faults.drop_probability
         self.base_speeds = {name: m.speed for name, m in self.machines.items()}
         self.log = NemesisLog()
-        self.stats = NemesisStats()
+        self._windows = FaultWindows(self.base_drop_probability)
         self._processes: list[Process] = []
 
     @classmethod
@@ -142,13 +117,14 @@ class Nemesis:
     def schedule(self, events: Iterable[NemesisEvent]) -> list[Process]:
         """Spawn one process per event; returns the process handles so
         callers can barrier on the whole scenario finishing."""
-        spawned = []
-        for event in events:
-            self._validate(event)
-            runner = self._runner_for(event)
-            spawned.append(
-                self.kernel.spawn(runner, f"nemesis.{type(event).__name__}")
-            )
+        events = list(events)
+        chaos_events.check_targets(
+            events, nodes=self.nodes, machines=self.machines, clocks=self.clocks
+        )
+        spawned = [
+            self.kernel.spawn(self._run(event), f"nemesis.{type(event).__name__}")
+            for event in events
+        ]
         self._processes.extend(spawned)
         return spawned
 
@@ -156,105 +132,38 @@ class Nemesis:
         """True once every scheduled event has been applied and reverted."""
         return all(p.triggered for p in self._processes)
 
-    def _validate(self, event: NemesisEvent) -> None:
-        """Fail fast on typo'd targets at schedule time, instead of a
-        bare ``KeyError`` surfacing mid-run inside the kernel."""
-
-        def known(name: str, table: dict, kind: str) -> None:
-            # An empty table means the caller wired the Nemesis by hand
-            # without that facet; don't reject what we can't check.
-            if table and name not in table:
-                raise ValueError(
-                    f"nemesis: unknown {kind} {name!r}; "
-                    f"known: {', '.join(sorted(table))}"
-                )
-
-        if isinstance(event, CrashNode):
-            known(event.target, self.nodes, "node")
-        elif isinstance(event, SlowMachine):
-            known(event.machine, self.machines, "machine")
-        elif isinstance(event, SkewClock):
-            known(event.target, self.clocks, "clock")
-        elif isinstance(event, PartitionPair):
-            known(event.machine_a, self.machines, "machine")
-            known(event.machine_b, self.machines, "machine")
-
-    def _runner_for(self, event: NemesisEvent):
-        if isinstance(event, CrashNode):
-            return self._run_crash(event)
-        if isinstance(event, PartitionPair):
-            return self._run_partition(event)
-        if isinstance(event, DropBurst):
-            return self._run_drop_burst(event)
-        if isinstance(event, SlowMachine):
-            return self._run_slowdown(event)
-        if isinstance(event, SkewClock):
-            return self._run_skew(event)
-        raise TypeError(f"unknown nemesis event: {event!r}")
-
-    def _sleep_until(self, at: float):
-        yield self.kernel.timeout(max(0.0, at - self.kernel.now))
-
-    def _log(self, time: float, action: str, target: str) -> None:
-        # Scheduled time goes in the fingerprinted field; the virtual
-        # clock (equal unless an event was scheduled in the past) in
-        # ``wall`` — mirroring what the live nemesis records.
-        self.log.add(time, action, target, wall=self.kernel.now)
-
-    def _run_crash(self, event: CrashNode):
-        node = self.nodes[event.target]
-        yield from self._sleep_until(event.at)
-        node.crash()
-        self.stats.crashes += 1
-        self._log(event.at, "crash", event.target)
-        if event.downtime is None:
+    def _run(self, event: NemesisEvent):
+        start, length = chaos_events.window(event)
+        yield self.kernel.timeout(max(0.0, start - self.kernel.now))
+        self._step(start, self._windows.open(event))
+        if length is None:
             return
-        yield self.kernel.timeout(event.downtime)
-        node.recover()
-        self.stats.restarts += 1
-        self._log(event.at + event.downtime, "recover", event.target)
+        yield self.kernel.timeout(length)
+        self._step(start + length, self._windows.close(event))
 
-    def _run_partition(self, event: PartitionPair):
-        yield from self._sleep_until(event.at)
-        self.network.faults.partition(event.machine_a, event.machine_b)
-        self.stats.partitions += 1
-        key = f"{event.machine_a}|{event.machine_b}"
-        self._log(event.at, "partition", key)
-        yield self.kernel.timeout(event.duration)
-        self.network.heal_partition(event.machine_a, event.machine_b)
-        self.stats.heals += 1
-        self._log(event.at + event.duration, "heal", key)
+    def _step(self, time: float, transitions) -> None:
+        for action, target, value in transitions:
+            self._apply(action, target, value)
+            # Scheduled time goes in the fingerprinted field; the virtual
+            # clock (equal unless an event was scheduled in the past) in
+            # ``wall`` — mirroring what the live nemesis records.
+            self.log.add(time, action, target, wall=self.kernel.now)
 
-    def _run_drop_burst(self, event: DropBurst):
-        yield from self._sleep_until(event.at)
-        self.network.faults.drop_probability = event.probability
-        self.stats.drop_bursts += 1
-        self._log(event.at, "drop_burst", f"p={event.probability}")
-        yield self.kernel.timeout(event.duration)
-        base = self.base_drop_probability
-        self.network.faults.drop_probability = base
-        self._log(event.at + event.duration, "drop_restore", f"p={base}")
-
-    def _run_slowdown(self, event: SlowMachine):
-        machine = self.machines[event.machine]
-        base = self.base_speeds[event.machine]
-        yield from self._sleep_until(event.at)
-        machine.speed = base / event.factor
-        self.stats.slowdowns += 1
-        self._log(event.at, "slow", event.machine)
-        yield self.kernel.timeout(event.duration)
-        machine.speed = base
-        self._log(event.at + event.duration, "restore_speed", event.machine)
-
-    def _run_skew(self, event: SkewClock):
-        clock = self.clocks[event.target]
-        yield from self._sleep_until(event.at)
-        clock.inject_skew(event.skew)
-        self.stats.skews += 1
-        self._log(event.at, "skew", event.target)
-        yield self.kernel.timeout(event.duration)
-        clock.inject_skew(0.0)
-        self._log(event.at + event.duration, "unskew", event.target)
+    def _apply(self, action: str, target: str, value) -> None:
+        if action == "crash":
+            self.nodes[target].crash()
+        elif action == "recover":
+            self.nodes[target].recover()
+        elif action == "partition":
+            self.network.faults.partition(*value)
+        elif action == "heal":
+            self.network.heal_partition(*value)
+        elif action in ("drop_burst", "drop_restore"):
+            self.network.faults.drop_probability = value
+        elif action in ("slow", "restore_speed"):
+            self.machines[target].speed = self.base_speeds[target] / value
+        else:  # skew / unskew
+            self.clocks[target].inject_skew(value)
 
     # ------------------------------------------------------------------
     # Random scenario generation (seeded, hence replayable)

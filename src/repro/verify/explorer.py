@@ -30,6 +30,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.bench.metrics import ExplorationCounters
+from repro.chaos_events import (
+    CrashNode,
+    DropBurst,
+    NemesisEvent,
+    PartitionPair,
+    SlowMachine,
+)
 from repro.core import (
     ClusterSpec,
     CooLSMConfig,
@@ -41,14 +48,7 @@ from repro.core import (
     replace_compactor,
     split_partition,
 )
-from repro.sim.nemesis import (
-    CrashNode,
-    DropBurst,
-    Nemesis,
-    NemesisEvent,
-    PartitionPair,
-    SlowMachine,
-)
+from repro.sim.nemesis import Nemesis
 from repro.sim.rpc import RemoteError, RpcTimeout
 
 from .model import (

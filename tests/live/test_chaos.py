@@ -1,8 +1,8 @@
 """Unit and small-integration tests for the live chaos layer.
 
-Covers the proxy data plane (forward / cut / heal / latency / drop /
-rate), the JSON-line control protocol, spec interposition, the
-:class:`LiveNemesis` timeline's equality with the shared oracle, the
+Covers the proxy data plane (forward / cut / heal / latency / drop),
+the JSON-line control protocol, spec interposition, the
+:class:`LiveNemesis` log's equality with the shared oracle, the
 supervisor's restart and crash-loop behavior, the harness's
 stale-READY-line regression, and the health monitor (driven under the
 sim kernel — same code path the live runtime uses).
@@ -207,23 +207,6 @@ class TestChaosProxy:
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
 
-    def test_rate_cap_stalls_large_transfers(self):
-        async def scenario():
-            async with _ProxyRig() as rig:
-                loop = asyncio.get_running_loop()
-                reader, writer = await asyncio.open_connection(*rig.link.listen)
-                frame = _frame(1)  # ~tens of bytes
-                await rig.control.set_rate("m-a", len(frame) * 4)  # ~0.25s/frame
-                start = loop.time()
-                writer.write(frame)
-                await writer.drain()
-                await _read_frame(reader)
-                assert loop.time() - start >= 0.15
-                await rig.control.set_rate("m-a", 0.0)
-                writer.close()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
-
     def test_control_rejects_unknown_ops_and_machines(self):
         async def scenario():
             async with _ProxyRig() as rig:
@@ -332,31 +315,71 @@ class TestLiveNemesis:
         ]
 
     def test_timeline_equals_oracle(self):
-        events = self._events()
-        nemesis = LiveNemesis(events, control=_RecordingControl())
-        assert tuple(a.record for a in nemesis._actions) == expected_fingerprint(
-            events
-        )
+        # Overlapping windows: the pair stays cut until its last window
+        # ends, and the drop level follows the latest open burst.
+        events = [
+            PartitionPair("m-a", "m-b", at=0.0, duration=0.04),
+            PartitionPair("m-b", "m-a", at=0.02, duration=0.04),
+            DropBurst(0.5, at=0.01, duration=0.07),
+            DropBurst(0.2, at=0.02, duration=0.01),
+        ]
+        control = _RecordingControl()
+
+        async def scenario():
+            return await LiveNemesis(events, control=control).run()
+
+        log = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        assert log.canonical_fingerprint() == expected_fingerprint(events)
+        assert control.calls == [
+            ("cut", "m-a", "m-b"),
+            ("drop", 0.5),
+            ("drop", 0.2),
+            ("drop", 0.5),
+            ("heal", "m-b", "m-a"),
+            ("drop", 0.0),
+        ]
 
     def test_run_logs_expected_fingerprint(self):
         events = self._events()
 
         async def scenario():
             nemesis = LiveNemesis(events, control=_RecordingControl())
-            log = await nemesis.run()
-            return nemesis, log
+            return await nemesis.run()
 
-        nemesis, log = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        log = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
         assert log.canonical_fingerprint() == expected_fingerprint(events)
         assert log.fingerprint() == expected_fingerprint(events)
-        assert nemesis.stats.partitions == 1
-        assert nemesis.stats.heals == 1
-        assert nemesis.stats.drop_bursts == 1
-        assert nemesis.stats.slowdowns == 1
+        for action in ("partition", "heal", "drop_burst", "slow"):
+            assert log.count(action) == 1
         # wall offsets are recorded and non-decreasing.
         walls = [r.wall for r in log]
         assert all(w is not None for w in walls)
         assert walls == sorted(walls)
+
+    def test_zero_length_partition_ends_healed(self):
+        control = _RecordingControl()
+        events = [PartitionPair("m-a", "m-b", at=0.0, duration=0.0)]
+
+        async def scenario():
+            return await LiveNemesis(events, control=control).run()
+
+        log = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        assert control.calls == [("cut", "m-a", "m-b"), ("heal", "m-a", "m-b")]
+        assert log.canonical_fingerprint() == expected_fingerprint(events)
+
+    def test_overlapping_crashes_kill_and_restart_once(self):
+        cluster = _CrashCluster()
+        events = [
+            CrashNode("ingestor-0", at=0.0, downtime=0.04),
+            CrashNode("ingestor-0", at=0.02, downtime=0.04),
+        ]
+
+        async def scenario():
+            return await LiveNemesis(events, cluster=cluster).run()
+
+        log = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        assert cluster.calls == [("kill9", "ingestor-0"), ("restart", "ingestor-0")]
+        assert [(r.time, r.action) for r in log] == [(0.0, "crash"), (0.06, "recover")]
 
     def test_replay_is_identical_at_log_level(self):
         events = self._events()
@@ -394,7 +417,7 @@ class TestLiveNemesis:
     def test_unknown_targets_rejected(self):
         spec = localhost_spec(num_ingestors=1, num_compactors=1)
         cluster = LocalCluster(spec, "unused")  # never started: names only
-        with pytest.raises(ValueError, match="unknown crash target"):
+        with pytest.raises(ValueError, match="unknown node"):
             LiveNemesis([CrashNode("ingestor-9", at=0.0)], cluster=cluster)
         with pytest.raises(ValueError, match="unknown machine"):
             LiveNemesis(
@@ -402,6 +425,26 @@ class TestLiveNemesis:
                 control=_RecordingControl(),
                 cluster=cluster,
             )
+
+
+class _CrashCluster:
+    """Duck-typed LocalCluster for crash events: like the real one, it
+    refuses to restart a node that is still running."""
+
+    def __init__(self):
+        self.spec = localhost_spec(num_ingestors=1, num_compactors=1)
+        self.running = set(self.spec.node_names)
+        self.calls: list[tuple[str, str]] = []
+
+    def kill9(self, name):
+        self.calls.append(("kill9", name))
+        self.running.discard(name)
+
+    def restart(self, name, timeout=30.0):
+        if name in self.running:
+            raise RuntimeError(f"{name} is still running; kill it first")
+        self.calls.append(("restart", name))
+        self.running.add(name)
 
 
 class _FakeProcess:

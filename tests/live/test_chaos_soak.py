@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from repro.chaos_events import expected_fingerprint, random_schedule
+from repro.chaos_events import FaultWindows, edges, expected_fingerprint, random_schedule
 from repro.core import ClusterSpec, build_cluster
 from repro.core.config import CooLSMConfig
 from repro.core.consistency import check_linearizable
@@ -59,6 +59,17 @@ def _schedule(spec):
         drop_bursts=1,
         slowdowns=1,
         mean_downtime=0.6,
+    )
+
+
+def replayed_records(events) -> tuple:
+    """The scenario's (time, action, target) records in application
+    order, rebuilt from the events alone."""
+    windows = FaultWindows()
+    return tuple(
+        (time, action, target)
+        for time, closing, event in edges(events)
+        for action, target, __ in (windows.close if closing else windows.open)(event)
     )
 
 
@@ -221,12 +232,8 @@ def soak_run(tmp_path_factory):
             asyncio.wait_for(drive(), timeout=240.0)
         )
         # Rebuilding the timeline from the same events must reproduce
-        # the executed log exactly (replayability at the log level);
-        # the cluster is only consulted for name validation.
-        replay = LiveNemesis(
-            events, control=object(), cluster=cluster
-        )
-        replay_fingerprint = tuple(a.record for a in replay._actions)
+        # the executed log exactly (replayability at the log level).
+        replay_fingerprint = replayed_records(events)
         exit_codes = cluster.stop(timeout=30.0)
 
     return {
@@ -513,8 +520,7 @@ def sharded_soak_run(tmp_path_factory):
                 return log, w0, w1
 
         log, w0, w1 = asyncio.run(asyncio.wait_for(drive(), timeout=240.0))
-        replay = LiveNemesis(events, control=object(), cluster=cluster)
-        replay_fingerprint = tuple(a.record for a in replay._actions)
+        replay_fingerprint = replayed_records(events)
         exit_codes = cluster.stop(timeout=30.0)
 
     return {

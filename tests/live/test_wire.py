@@ -426,43 +426,33 @@ class TestFrames:
 
 
 class TestFrameFlags:
-    def test_flags_round_trip(self):
-        frame = wire.encode_frame(b"payload", flags=0b001)
-        length, crc, flags = wire.decode_header_full(frame[: wire.HEADER_SIZE])
-        assert (length, flags) == (7, 0b001)
-        wire.check_payload(frame[wire.HEADER_SIZE :], crc)
+    """The header's length word carries nothing but the length: a frame
+    is exactly magic, length, CRC, payload."""
 
-    def test_decode_header_masks_flags(self):
-        # The lenient decoder (used by the chaos proxy, which forwards
-        # frames verbatim) must ignore flags it doesn't understand.
-        frame = wire.encode_frame(b"x", flags=0b001)
-        length, __ = wire.decode_header(frame[: wire.HEADER_SIZE])
-        assert length == 1
+    def test_top_length_bits_rejected_as_too_large(self):
+        import struct
+        import zlib
 
-    def test_unknown_flags_preserved_for_endpoint_rejection(self):
-        frame = wire.encode_frame(b"x", flags=0b100)
-        __, __, flags = wire.decode_header_full(frame[: wire.HEADER_SIZE])
-        assert flags & ~wire.KNOWN_FLAGS
-
-    def test_flags_out_of_range_rejected(self):
-        with pytest.raises(wire.WireError, match="flags"):
-            wire.encode_frame(b"x", flags=0b1000)
-        with pytest.raises(wire.WireError, match="flags"):
-            wire.encode_frame(b"x", flags=-1)
+        for bit in (29, 30, 31):
+            header = struct.pack(">4sII", wire.MAGIC, 1 << bit, zlib.crc32(b""))
+            with pytest.raises(wire.WireError, match="too large"):
+                wire.decode_header(header)
 
     def test_flagless_frames_unchanged(self):
-        # Flags live in previously-must-be-zero high bits: a zero-flag
-        # frame is byte-identical to the old format.
-        assert wire.encode_frame(b"abc") == wire.encode_frame(b"abc", flags=0)
+        import struct
+        import zlib
+
+        expected = struct.pack(">4sII", wire.MAGIC, 3, zlib.crc32(b"abc")) + b"abc"
+        assert wire.encode_frame(b"abc") == expected
 
     def test_encode_frame_into_appends(self):
         out = bytearray(b"prefix")
         wire.encode_frame_into(out, b"one")
         first_end = len(out)
-        wire.encode_frame_into(out, b"two", flags=0b001)
+        wire.encode_frame_into(out, b"two")
         assert out[:6] == b"prefix"
         assert bytes(out[6:first_end]) == wire.encode_frame(b"one")
-        assert bytes(out[first_end:]) == wire.encode_frame(b"two", flags=0b001)
+        assert bytes(out[first_end:]) == wire.encode_frame(b"two")
 
 
 class TestBatchMessages:

@@ -41,8 +41,8 @@ class TestCrashNode:
             cluster, [CrashNode("ingestor-0", at=1.0, downtime=2.0)]
         )
         assert not node.crashed  # restarted
-        assert nemesis.stats.crashes == 1
-        assert nemesis.stats.restarts == 1
+        assert nemesis.log.count("crash") == 1
+        assert nemesis.log.count("recover") == 1
         actions = [(r.action, r.target) for r in nemesis.log]
         assert actions == [("crash", "ingestor-0"), ("recover", "ingestor-0")]
         times = [r.time for r in nemesis.log]
@@ -52,8 +52,50 @@ class TestCrashNode:
         cluster = small_cluster()
         nemesis = run_scenario(cluster, [CrashNode("reader-0", at=0.5)])
         assert cluster.readers[0].crashed
-        assert nemesis.stats.crashes == 1
-        assert nemesis.stats.restarts == 0
+        assert nemesis.log.count("crash") == 1
+        assert nemesis.log.count("recover") == 0
+
+    def test_overlapping_crashes_are_one_outage(self):
+        # The node is down while either window is open: the first
+        # window's end must not bring it back under the second.
+        cluster = small_cluster()
+        node = cluster.ingestors[0]
+        events = [
+            CrashNode("ingestor-0", at=1.0, downtime=2.0),
+            CrashNode("ingestor-0", at=2.0, downtime=2.0),
+        ]
+        nemesis = Nemesis.for_cluster(cluster)
+        nemesis.schedule(events)
+        cluster.run(until=3.5)
+        assert node.crashed
+        cluster.run(until=6.0)
+        assert not node.crashed
+        assert [(r.time, r.action) for r in nemesis.log] == [
+            (1.0, "crash"),
+            (4.0, "recover"),
+        ]
+        assert nemesis.log.canonical_fingerprint() == expected_fingerprint(events)
+
+    def test_recover_never_replays_into_an_up_node(self):
+        # A node that is already up is never recovered again: the
+        # second window opened while the first held it down.
+        cluster = small_cluster()
+        node = cluster.ingestors[0]
+        recover, was_down = node.recover, []
+
+        def checked_recover():
+            was_down.append(node.crashed)
+            recover()
+
+        node.recover = checked_recover
+        run_scenario(
+            cluster,
+            [
+                CrashNode("ingestor-0", at=1.0, downtime=3.0),
+                CrashNode("ingestor-0", at=2.0, downtime=0.5),
+            ],
+        )
+        assert was_down == [True]
 
 
 class TestPartitionAndDrops:
@@ -71,8 +113,27 @@ class TestPartitionAndDrops:
         assert not cluster.network.faults.is_partitioned(
             "m-ingestor-0", "m-compactor-0"
         )
-        assert nemesis.stats.partitions == 1
-        assert nemesis.stats.heals == 1
+        assert nemesis.log.count("partition") == 1
+        assert nemesis.log.count("heal") == 1
+
+    def test_overlapping_partitions_are_one_cut(self):
+        cluster = small_cluster()
+        events = [
+            PartitionPair("m-compactor-0", "m-compactor-1", at=1.0, duration=2.0),
+            PartitionPair("m-compactor-0", "m-compactor-1", at=2.0, duration=2.0),
+        ]
+        nemesis = Nemesis.for_cluster(cluster)
+        nemesis.schedule(events)
+        cluster.run(until=3.5)
+        assert cluster.network.faults.is_partitioned("m-compactor-0", "m-compactor-1")
+        cluster.run(until=6.0)
+        assert not cluster.network.faults.is_partitioned(
+            "m-compactor-0", "m-compactor-1"
+        )
+        assert [(r.time, r.action) for r in nemesis.log] == [
+            (1.0, "partition"),
+            (4.0, "heal"),
+        ]
 
     def test_drop_burst_restores_previous_probability(self):
         cluster = small_cluster(drop_probability=0.01)
@@ -82,7 +143,7 @@ class TestPartitionAndDrops:
         assert cluster.network.faults.drop_probability == 0.4
         cluster.run(until=3.0)
         assert cluster.network.faults.drop_probability == 0.01
-        assert nemesis.stats.drop_bursts == 1
+        assert nemesis.log.count("drop_burst") == 1
 
 
 class TestGrayFailures:
@@ -96,7 +157,7 @@ class TestGrayFailures:
         assert machine.speed == original / 4.0
         cluster.run(until=3.0)
         assert machine.speed == original
-        assert nemesis.stats.slowdowns == 1
+        assert nemesis.log.count("slow") == 1
 
     def test_overlapping_faults_revert_to_base(self):
         # A second fault of one kind starting inside the first must not
@@ -110,10 +171,18 @@ class TestGrayFailures:
             SlowMachine("m-compactor-0", at=0.0, duration=2.0, factor=2.0),
             SlowMachine("m-compactor-0", at=1.0, duration=2.0, factor=4.0),
         ]
-        nemesis = run_scenario(cluster, events)
+        nemesis = Nemesis.for_cluster(cluster)
+        nemesis.schedule(events)
+        # After the first window ends, the second still holds its value.
+        cluster.run(until=2.5)
+        assert cluster.network.faults.drop_probability == 0.2
+        assert machine.speed == base_speed / 4.0
+        cluster.run(until=5.0)
         assert cluster.network.faults.drop_probability == 0.0
         assert machine.speed == base_speed
         assert nemesis.log.canonical_fingerprint() == expected_fingerprint(events)
+        assert nemesis.log.count("drop_restore") == 1
+        assert nemesis.log.count("restore_speed") == 1
 
     def test_clock_skew_spike(self):
         cluster = small_cluster()
@@ -126,7 +195,7 @@ class TestGrayFailures:
         recovered = clock.offset()
         # The injected half-second dwarfs the configured drift (δ = 5 ms).
         assert skewed - recovered > 0.4
-        assert nemesis.stats.skews == 1
+        assert nemesis.log.count("skew") == 1
 
 
 class TestScenarioHelpers:

@@ -7,17 +7,23 @@ it; the live half of the parity claim is covered by
 ``tests/live/test_chaos.py`` and the chaos soak.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.chaos_events import (
     CrashNode,
     DropBurst,
+    FaultWindows,
     NemesisLog,
     PartitionPair,
     SkewClock,
     SlowMachine,
+    check_targets,
+    edges,
     expected_fingerprint,
     expected_records,
     random_schedule,
@@ -82,6 +88,122 @@ class TestExpectedRecords:
     def test_unknown_event_rejected(self):
         with pytest.raises(TypeError):
             expected_records([object()])
+
+    def test_overlapping_crashes_recover_once(self):
+        records = expected_records(
+            [
+                CrashNode("ingestor-0", at=1.0, downtime=2.0),
+                CrashNode("ingestor-0", at=2.0, downtime=2.0),
+            ]
+        )
+        assert records == [(1.0, "crash", "ingestor-0"), (4.0, "recover", "ingestor-0")]
+
+    def test_permanent_crash_outlasts_overlapping_window(self):
+        records = expected_records(
+            [
+                CrashNode("reader-0", at=1.0),
+                CrashNode("reader-0", at=2.0, downtime=1.0),
+            ]
+        )
+        assert records == [(1.0, "crash", "reader-0")]
+
+    def test_zero_length_window_opens_then_closes(self):
+        events = [PartitionPair("m-a", "m-b", at=0.0, duration=0.0)]
+        assert [(t, closing) for t, closing, __ in edges(events)] == [
+            (0.0, False),
+            (0.0, True),
+        ]
+        assert expected_records(events) == [
+            (0.0, "heal", "m-a|m-b"),
+            (0.0, "partition", "m-a|m-b"),
+        ]
+
+    def test_abutting_windows_open_before_the_close(self):
+        # At one instant the sim kernel fires opens before closes, so a
+        # window starting exactly when another ends keeps the node down.
+        events = [
+            CrashNode("x", at=2.0, downtime=1.0),
+            CrashNode("x", at=1.0, downtime=1.0),
+        ]
+        assert expected_records(events) == [(1.0, "crash", "x"), (3.0, "recover", "x")]
+
+
+class TestFaultWindows:
+    def test_union_over_both_orders_of_a_pair(self):
+        windows = FaultWindows()
+        first = PartitionPair("m-a", "m-b", at=0.0, duration=2.0)
+        second = PartitionPair("m-b", "m-a", at=1.0, duration=2.0)
+        assert windows.open(first) == [("partition", "m-a|m-b", ("m-a", "m-b"))]
+        assert windows.open(second) == []
+        assert windows.close(first) == []
+        assert windows.close(second) == [("heal", "m-b|m-a", ("m-b", "m-a"))]
+
+    def test_latest_open_window_governs_the_value(self):
+        windows = FaultWindows(base_drop_probability=0.01)
+        older = DropBurst(0.3, at=0.0, duration=5.0)
+        newer = DropBurst(0.2, at=1.0, duration=1.0)
+        assert windows.open(older) == [("drop_burst", "p=0.3", 0.3)]
+        assert windows.open(newer) == [("drop_burst", "p=0.2", 0.2)]
+        # The newer window ends first: back to the older one's value.
+        assert windows.close(newer) == [("drop_burst", "p=0.3", 0.3)]
+        assert windows.close(older) == [("drop_restore", "p=0.01", 0.01)]
+
+    def test_close_that_changes_nothing_is_empty(self):
+        windows = FaultWindows()
+        older = SlowMachine("m-x", at=0.0, duration=2.0, factor=2.0)
+        newer = SlowMachine("m-x", at=1.0, duration=2.0, factor=4.0)
+        same = SlowMachine("m-x", at=1.5, duration=0.5, factor=4.0)
+        windows.open(older)
+        windows.open(newer)
+        assert windows.open(same) == []  # value already 4.0
+        assert windows.close(older) == []  # not the governing window
+        assert windows.close(same) == []  # newer still says 4.0
+        assert windows.close(newer) == [("restore_speed", "m-x", 1.0)]
+
+    def test_targets_are_independent(self):
+        windows = FaultWindows()
+        assert windows.open(SkewClock("a", at=0.0, duration=1.0, skew=0.1)) == [
+            ("skew", "a", 0.1)
+        ]
+        assert windows.open(SkewClock("b", at=0.0, duration=1.0, skew=0.2)) == [
+            ("skew", "b", 0.2)
+        ]
+
+
+class TestCheckTargets:
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match="unknown node 'x'"):
+            check_targets([CrashNode("x", at=0.0)], nodes=["y"])
+        with pytest.raises(ValueError, match="unknown machine 'm-q'"):
+            check_targets(
+                [PartitionPair("m-a", "m-q", at=0.0, duration=1.0)],
+                machines=["m-a", "m-b"],
+            )
+        with pytest.raises(ValueError, match="unknown clock 'c'"):
+            check_targets([SkewClock("c", 0.0, 1.0, 0.1)], clocks=["d"])
+
+    def test_empty_table_is_not_checked(self):
+        check_targets([SlowMachine("m-anything", at=0.0, duration=1.0)], nodes=["x"])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(TypeError):
+            check_targets([object()])
+
+
+class TestOnlyChaosEventsExpandsEvents:
+    def test_interpreters_never_read_a_window_length(self):
+        """The nemeses apply what :class:`FaultWindows` returns; working
+        out when a window ends is :mod:`repro.chaos_events`'s alone."""
+        root = Path(repro.__file__).parent
+        for module in ("sim/nemesis.py", "live/chaos.py"):
+            tree = ast.parse((root / module).read_text())
+            reads = [
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("duration", "downtime")
+            ]
+            assert reads == [], module
 
 
 class TestNemesisLog:
@@ -161,6 +283,24 @@ class TestSimInterpreterMatchesOracle:
         ]
         nemesis = self._run(events)
         assert nemesis.log.canonical_fingerprint() == expected_fingerprint(events)
+
+    def test_overlapping_scenario_fingerprint(self):
+        events = [
+            CrashNode("ingestor-0", at=1.0, downtime=2.0),
+            CrashNode("ingestor-0", at=2.0, downtime=2.0),
+            CrashNode("reader-0", at=2.0, downtime=1.0),  # abuts the next
+            CrashNode("reader-0", at=1.0, downtime=1.0),
+            PartitionPair("m-compactor-0", "m-compactor-1", at=1.0, duration=1.0),
+            PartitionPair("m-compactor-1", "m-compactor-0", at=1.5, duration=1.0),
+            DropBurst(0.3, at=0.5, duration=3.0),
+            DropBurst(0.2, at=1.0, duration=1.0),
+            SlowMachine("m-compactor-1", at=4.0, duration=1.0, factor=2.0),
+            SlowMachine("m-compactor-1", at=4.5, duration=0.0, factor=3.0),
+        ]
+        nemesis = self._run(events)
+        assert nemesis.log.canonical_fingerprint() == expected_fingerprint(events)
+        assert nemesis.log.count("recover") == nemesis.log.count("crash") == 2
+        assert nemesis.log.count("heal") == nemesis.log.count("partition") == 1
 
     def test_fingerprint_accounts_for_base_drop_probability(self):
         events = [DropBurst(0.5, at=1.0, duration=1.0)]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos_events import expected_fingerprint
 from repro.verify import (
     BUGS,
     LIVE_SHAPES,
@@ -52,19 +53,41 @@ class TestFrozenFingerprints:
     def test_seed0_fingerprints_match_the_frozen_file(self):
         """Every seed-0 schedule of the three corpora executes the same
         interleaving and history as when ``seed0_fingerprints.txt`` was
-        written.  A PR that means to move schedules regenerates the
-        file (these same lines) in its own diff."""
-        lines = [
-            f"{corpus} {summary.index} {summary.shape} {summary.fingerprint}"
+        written, and is clean: a regeneration cannot bless a schedule
+        that violates a guarantee.  A PR that means to move schedules
+        regenerates the file (these same lines) in its own diff."""
+        off_oracle = []
+
+        def against_oracle(outcome):
+            if tuple(sorted(outcome.nemesis_log)) != expected_fingerprint(
+                outcome.spec.faults
+            ):
+                off_oracle.append(outcome.spec.seed)
+
+        summaries = [
+            (corpus, summary)
             for corpus, shapes in (
                 ("SHAPES", SHAPES),
                 ("LIVE_SHAPES", LIVE_SHAPES),
                 ("POLICY_SHAPES", POLICY_SHAPES),
             )
-            for summary in Explorer(seed=0, shapes=shapes).explore(12).summaries
+            for summary in Explorer(
+                seed=0, shapes=shapes, on_outcome=against_oracle
+            ).explore(12).summaries
+        ]
+        lines = [
+            f"{corpus} {summary.index} {summary.shape} {summary.fingerprint}"
+            for corpus, summary in summaries
         ]
         frozen = Path(__file__).with_name("seed0_fingerprints.txt").read_text()
         assert lines == frozen.splitlines()
+        assert [
+            (corpus, summary.index)
+            for corpus, summary in summaries
+            if summary.violations
+        ] == []
+        # The sim nemesis logged exactly what the shared oracle derives.
+        assert off_oracle == []
 
 
 class TestCleanCorpus:
