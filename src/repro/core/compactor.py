@@ -8,9 +8,10 @@ exceeds its threshold, the extra tables are merged into the overlapping
 region of L3.  The forwarding Ingestor is acked only after the merge —
 that ack is what lets the Ingestor drop its retained copies.
 
-After every major compaction the Compactor casts the newly formed
-sstables to all Readers (Section III-D), which keeps each Reader a
-progressively advancing snapshot of this Compactor's range (snapshot
+After every major compaction the Compactor casts the level edit it just
+applied — the tables it removed and the newly formed sstables it added
+— to all Readers (Section III-D), which replay it, keeping each Reader
+a progressively advancing snapshot of this Compactor's range (snapshot
 linearizability relies on the network layer's FIFO channels).
 
 Garbage collection: in multi-Ingestor mode merges use a version
@@ -29,7 +30,7 @@ from repro.lsm.cache import ReadCache
 from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, compact_step, pick_tables
 from repro.lsm.entry import Entry
 from repro.lsm.manifest import LevelEdit, Manifest
-from repro.lsm.policy import Step, make_policy, stacked_levels
+from repro.lsm.policy import CompactionPolicy, Step, make_policy, stacked_levels
 from repro.lsm.readpath import level_groups, level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.clock import LooseClock
@@ -38,7 +39,6 @@ from repro.sim.rpc import RpcNode
 
 from .config import CooLSMConfig
 from .messages import (
-    AreaSnapshot,
     BackupUpdate,
     ForwardReply,
     ForwardRequest,
@@ -50,6 +50,14 @@ from .messages import (
 
 #: Manifest level indices (local 0/1 map to the paper's L2/L3).
 L2, L3 = 0, 1
+
+
+def levels_manifest(policy: CompactionPolicy) -> Manifest:
+    """An empty L2/L3 manifest shaped by ``policy``: rows 1 and 2 of its
+    pipeline say whether forwarded tables stack in L2 and L2 overflow
+    stacks in L3.  A Compactor's levels, and each Reader area that
+    replicates them."""
+    return Manifest(2, overlapping_levels=stacked_levels(policy.pipeline, range(2, 4)))
 
 
 @dataclass(slots=True)
@@ -105,13 +113,10 @@ class Compactor(RpcNode):
         self.backups = list(backups)
         self.multi_ingestor = multi_ingestor
         self.stats = CompactorStats()
-        # Rows 1 and 2 of the policy's pipeline say how forwarded tables
-        # land in L2 and how L2 overflows into L3; the default (leveling)
-        # keeps both levels single disjoint runs, tiered policies stack.
+        # The default (leveling) keeps both levels single disjoint
+        # runs, tiered policies stack.
         self._policy = make_policy(config.compaction_policy)
-        self.manifest = Manifest(
-            2, overlapping_levels=stacked_levels(self._policy.pipeline, range(2, 4))
-        )
+        self.manifest = levels_manifest(self._policy)
         # Volatile row cache over immutable sstables; wiped on crash.
         self.read_cache: ReadCache | None = (
             ReadCache(config.read_cache_capacity)
@@ -264,40 +269,29 @@ class Compactor(RpcNode):
         total = result.stats.entries_in
         yield from self.compute(self.config.costs.merge_cost(total))
         from_l2 = picked if level == L3 else []
-        self.manifest.apply(
-            LevelEdit().remove(L2, from_l2).remove(level, replaced).add(level, result.tables)
-        )
+        edit = LevelEdit().remove(L2, from_l2).remove(level, replaced).add(level, result.tables)
+        self.manifest.apply(edit)
         self.stats.compactions.append(
             CompactionTiming(level + 2, self.kernel.now - started, total)
         )
-        # A stacked level needs the exact replacement set; a leveled one
-        # is replaced by overlap on the Reader.
-        self._push_to_backups(
-            level + 2,
-            result.tables,
-            removed_l2_ids=tuple(t.table_id for t in from_l2),
-            replaced_ids=tuple(t.table_id for t in replaced)
-            if step.move == "stack"
-            else None,
-        )
+        self._push_to_backups(edit)
         return total
 
-    def _push_to_backups(
-        self,
-        paper_level: int,
-        tables: list[SSTable],
-        removed_l2_ids: tuple[int, ...] = (),
-        replaced_ids: tuple[int, ...] | None = None,
-    ) -> None:
-        """Cast the newly formed sstables to every Reader.
+    def _push_to_backups(self, edit: LevelEdit) -> None:
+        """Cast the edit just applied to L2/L3 to every Reader.
 
-        Sent on FIFO channels, so each Reader sees this Compactor's
-        post-compaction states in order — the basis of snapshot
-        linearizability (Section III-D.2).  ``replaced_ids`` carries an
-        exact replacement set for stacked (tiered) levels, where the
-        Reader's replace-by-overlap default would clobber sibling runs.
+        Sent on FIFO channels, so each Reader replays this Compactor's
+        edits in order and its area passes through exactly this
+        Compactor's post-compaction states — the basis of snapshot
+        linearizability (Section III-D.2).  An empty edit changes no
+        state and is not sent.
         """
-        if not tables and not removed_l2_ids:
+        removed_ids = tuple(
+            t.table_id for level in (L2, L3) for t in edit.removes.get(level, ())
+        )
+        l2 = tuple(edit.adds.get(L2, ()))
+        l3 = tuple(edit.adds.get(L3, ()))
+        if not (removed_ids or l2 or l3):
             return
         self._backup_seq += 1
         if self._store is not None:
@@ -306,32 +300,21 @@ class Compactor(RpcNode):
             # reuse a sequence number some Reader already applied with
             # different contents — gap detection relies on it.
             self._persist()
-        entries = sum(len(t) for t in tables)
-        update = BackupUpdate(
-            paper_level,
-            tuple(tables),
-            self.name,
-            removed_l2_ids,
-            seq=self._backup_seq,
-            replaced_ids=replaced_ids,
-        )
+        update = BackupUpdate(self.name, self._backup_seq, removed_ids, l2, l3)
+        size = self.config.costs.tables_size_bytes(sum(len(t) for t in l2 + l3))
         for backup in self.backups:
-            self.cast(
-                backup,
-                "backup_update",
-                update,
-                size_bytes=self.config.costs.tables_size_bytes(entries),
-            )
+            self.cast(backup, "backup_update", update, size_bytes=size)
 
-    def _handle_fetch_area(self, src: str, request) -> "AreaSnapshot":
+    def _handle_fetch_area(self, src: str, request) -> BackupUpdate:
         """Reader catch-up (Section III-H recovery, Reader side): serve
-        the complete current L2/L3 so a Reader that missed updates — a
-        crash, a partition — can resynchronise its area wholesale."""
+        the edit that builds the current L2/L3 from empty, so a Reader
+        that missed updates — a crash, a partition — can rebuild its
+        area wholesale."""
         self.stats.snapshots_served += 1
         entries = self.manifest.total_entries()
         yield from self.compute(entries * self.config.costs.scan_per_entry)
-        return AreaSnapshot(
-            self._backup_seq, tuple(self.level2), tuple(self.level3), self.name
+        return BackupUpdate(
+            self.name, self._backup_seq, (), tuple(self.level2), tuple(self.level3)
         )
 
     # ------------------------------------------------------------------

@@ -133,41 +133,22 @@ class ForwardReply:
 
 @dataclass(frozen=True, slots=True)
 class BackupUpdate:
-    """Compactor -> Reader: newly formed sstables after a major
-    compaction, replacing the overlapping range of the given level."""
+    """Compactor -> Reader: the level edit the Compactor just applied
+    to its L2/L3, which the Reader replays on its copy of that
+    Compactor's area.  The catch-up reply is the same message: the edit
+    that builds the Compactor's current levels from empty."""
 
-    level: int  # 2 or 3
-    tables: tuple[SSTable, ...]
     compactor: str
-    #: For level-3 updates: ids of the L2 tables whose content moved down,
-    #: so the Reader can drop its (now duplicated) copies of them.
-    removed_l2_ids: tuple[int, ...] = ()
     #: Per-source update sequence number (1, 2, 3, ...).  A Reader that
     #: observes a gap — updates lost while it was crashed or cut off —
     #: re-fetches the source's full area instead of installing out of
-    #: order.  ``None`` marks an unsequenced update (direct test
-    #: injection), which is always installed.
-    seq: int | None = None
-    #: Exact ids of the tables this update replaces at ``level``.
-    #: ``None`` (the default, and the leveled policies' behaviour)
-    #: means replace-by-key-overlap; stacked (tiered) policies send the
-    #: exact set — possibly empty for a pure run append — because their
-    #: levels hold overlapping sibling runs an overlap-based replace
-    #: would incorrectly clobber.
-    replaced_ids: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class AreaSnapshot:
-    """Compactor -> Reader catch-up reply: the complete current content
-    of the Compactor's L2/L3, plus the update sequence number it is
-    current as of.  Installing it wholesale resynchronises the Reader's
-    area after a crash or partition."""
-
+    #: order.
     seq: int
+    #: Ids of every table the edit removed, from either level.
+    removed_ids: tuple[int, ...]
+    #: The tables the edit added to L2 and to L3.
     l2: tuple[SSTable, ...]
     l3: tuple[SSTable, ...]
-    compactor: str
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,11 +2,12 @@
 
 A Reader (Section III-D) passively maintains a snapshot of the data in
 levels **L2 and L3**, fed by the Compactors: after each major
-compaction a Compactor casts its newly formed sstables, and the Reader
-installs them into that Compactor's *area* by replacing the overlapping
-tables of the corresponding level.  Because each Compactor's updates
-arrive on a FIFO channel and are installed in order, the Reader's state
-for any single Compactor's range is always some past state of that
+compaction a Compactor casts the level edit it applied (the ids of the
+tables it removed, the tables it added), and the Reader replays exactly
+that edit on its copy of that Compactor's *area*, which has the
+Compactor's level shape.  Because each Compactor's edits arrive on a
+FIFO channel and are replayed in arrival order, the Reader's state for
+any single Compactor's range is always some past state of that
 Compactor — which is exactly the *snapshot linearizability* guarantee.
 
 Keeping a separate area per source Compactor also implements what
@@ -30,14 +31,16 @@ from typing import Iterable
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry
+from repro.lsm.errors import ManifestError
 from repro.lsm.manifest import LevelEdit, Manifest
+from repro.lsm.policy import make_policy
 from repro.lsm.readpath import level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
 from repro.sim.rpc import RemoteError, RpcNode, RpcTimeout
 
+from .compactor import levels_manifest
 from .config import CooLSMConfig
 from .messages import (
-    AreaSnapshot,
     BackupUpdate,
     IngestorL1Update,
     RangeQuery,
@@ -89,7 +92,7 @@ class Reader(RpcNode):
 
     The Reader may lag the Compactors — that is the availability /
     freshness trade-off the paper accepts — but it never exposes a
-    mixed state: table replacement is atomic per update, and each
+    mixed state: each replayed edit applies atomically, and each
     source Compactor's area progresses independently.
     """
 
@@ -104,9 +107,9 @@ class Reader(RpcNode):
         super().__init__(kernel, network, machine, name)
         self.config = config
         self.stats = ReaderStats()
-        # One area (two-level manifest) per source Compactor.  A batch
-        # may briefly coexist with the tables it replaces on the wire,
-        # so levels are overlap-tolerant; reads resolve by version.
+        # One area per source Compactor: a replica of its L2/L3, so it
+        # has the Compactor's level shape and every install is validated.
+        self._policy = make_policy(config.compaction_policy)
         self._areas: dict[str, Manifest] = {}
         self.manifest = _MergedView(self._areas)
         # Volatile row cache over immutable sstables; wiped on crash.
@@ -124,12 +127,6 @@ class Reader(RpcNode):
         self._next_seq: dict[str, int] = {}
         self._syncing: set[str] = set()
         self._sources: list[str] = []
-        # Last sequence actually *applied* per source.  ``_next_seq`` is
-        # advanced before an update's install completes (that ordering
-        # is part of the gap-detection protocol and must not change),
-        # so persistence snapshots this post-install counter instead —
-        # the durable (area, seq) pair is always consistent.
-        self._applied_seq: dict[str, int] = {}
         # Optional durable storage (live runtime); None under the
         # simulator, where persistence stays modelled.
         self._store = None
@@ -145,9 +142,7 @@ class Reader(RpcNode):
 
     def _area(self, compactor: str) -> Manifest:
         if compactor not in self._areas:
-            self._areas[compactor] = Manifest(
-                2, overlapping_levels=frozenset({_L2, _L3})
-            )
+            self._areas[compactor] = levels_manifest(self._policy)
         return self._areas[compactor]
 
     @property
@@ -170,15 +165,11 @@ class Reader(RpcNode):
     # Update path
     # ------------------------------------------------------------------
     def _handle_backup_update(self, src: str, update: BackupUpdate):
-        """Install a Compactor's post-compaction sstables into *that
-        Compactor's* area.
+        """Replay a Compactor's edit on *that Compactor's* area.
 
-        The received tables are the complete new content of the source
-        Compactor's overlapping range at that level, so installation is
-        replace-overlapping-then-add within the area, applied
-        atomically.  Keeping areas per source makes overlapping
-        Compactors safe: one source's update can never clobber another
-        source's tables; reads merge areas by version.
+        Keeping areas per source makes overlapping Compactors safe: one
+        source's update can never clobber another source's tables;
+        reads merge areas by version.
 
         Updates are sequence-numbered per source.  A gap — updates lost
         while this Reader was crashed, or cut off by a partition whose
@@ -186,55 +177,45 @@ class Reader(RpcNode):
         skip intermediate states, so the Reader instead re-fetches the
         source's complete area (:meth:`_catch_up`), which restores
         snapshot progression.  Updates older than the fetched snapshot
-        are ignored as stale.
+        are ignored as stale.  Nothing yields between the check and the
+        install, so one source's updates install in the order sent.
         """
         self.stats.updates_received += 1
-        if update.seq is not None:
-            expected = self._next_seq.get(update.compactor, 1)
-            if update.seq < expected:
-                self.stats.stale_updates += 1
-                return None
-            if update.seq > expected or update.compactor in self._syncing:
-                if update.seq > expected:
-                    self.stats.gaps_detected += 1
-                yield from self._catch_up(update.compactor)
-                return None
-            self._next_seq[update.compactor] = update.seq + 1
-        area = self._area(update.compactor)
-        tables = list(update.tables)
-        entries = sum(len(t) for t in tables)
-        yield from self.compute(entries * self.config.costs.install_per_entry)
-        level = _L2 if update.level == 2 else _L3
+        expected = self._next_seq.get(update.compactor, 1)
+        if update.seq < expected:
+            self.stats.stale_updates += 1
+            return None
+        if update.seq > expected or update.compactor in self._syncing:
+            if update.seq > expected:
+                self.stats.gaps_detected += 1
+            yield from self._catch_up(update.compactor)
+            return None
+        yield from self._install(self._area(update.compactor), update)
+        return None
+
+    def _install(self, area: Manifest, update: BackupUpdate):
+        """Apply ``update``'s edit to ``area`` — strictly: every removed
+        id must be in the area — make it the source's area, persist,
+        and only then pay the modelled install cost."""
+        removed = set(update.removed_ids)
         edit = LevelEdit()
-        if tables:
-            if update.replaced_ids is not None:
-                # Stacked (tiered) source level: the update names the
-                # exact tables it supersedes (often none — a pure run
-                # append); replacing by key overlap would clobber
-                # sibling runs that still hold live versions.
-                replaced_ids = set(update.replaced_ids)
-                replaced = [
-                    t for t in area.level(level) if t.table_id in replaced_ids
-                ]
-            else:
-                lo = min(t.min_key for t in tables)
-                hi = max(t.max_key for t in tables)
-                replaced = [t for t in area.level(level) if t.overlaps(lo, hi)]
-            edit.remove(level, replaced).add(level, tables)
-        if update.removed_l2_ids:
-            moved_down = [
-                t
-                for t in area.level(_L2)
-                if t.table_id in set(update.removed_l2_ids)
-            ]
-            edit.remove(_L2, moved_down)
-        area.apply(edit)
-        if update.seq is not None:
-            self._applied_seq[update.compactor] = update.seq
+        for level in (_L2, _L3):
+            edit.remove(level, [t for t in area.level(level) if t.table_id in removed])
+        found = sum(len(tables) for tables in edit.removes.values())
+        if found != len(removed):
+            raise ManifestError(
+                f"update {update.seq} from {update.compactor} removes "
+                f"{len(removed) - found} table(s) its area does not hold"
+            )
+        area.apply(edit.add(_L2, list(update.l2)).add(_L3, list(update.l3)))
+        self._areas[update.compactor] = area
+        self._next_seq[update.compactor] = update.seq + 1
         if self._store is not None:
             self._persist()
+        tables = update.l2 + update.l3
         self.stats.tables_installed += len(tables)
-        return None
+        entries = sum(len(t) for t in tables)
+        yield from self.compute(entries * self.config.costs.install_per_entry)
 
     def _catch_up(self, source: str):
         """Re-fetch ``source``'s complete area and install it wholesale.
@@ -261,27 +242,13 @@ class Reader(RpcNode):
                     break
                 except (RpcTimeout, RemoteError):
                     continue
-            if not isinstance(snapshot, AreaSnapshot):
+            if not isinstance(snapshot, BackupUpdate):
                 # Source unreachable: stay stale; the next sequenced
                 # update re-detects the gap and retries.
                 self.stats.failed_catchups += 1
                 return
-            entries = sum(len(t) for t in snapshot.l2 + snapshot.l3)
-            yield from self.compute(entries * self.config.costs.install_per_entry)
-            area = Manifest(2, overlapping_levels=frozenset({_L2, _L3}))
-            edit = LevelEdit()
-            if snapshot.l2:
-                edit.add(_L2, list(snapshot.l2))
-            if snapshot.l3:
-                edit.add(_L3, list(snapshot.l3))
-            area.apply(edit)
-            self._areas[source] = area
-            self._next_seq[source] = snapshot.seq + 1
-            self._applied_seq[source] = snapshot.seq
-            if self._store is not None:
-                self._persist()
             self.stats.catchups += 1
-            self.stats.tables_installed += len(snapshot.l2) + len(snapshot.l3)
+            yield from self._install(levels_manifest(self._policy), snapshot)
         finally:
             self._syncing.discard(source)
 
@@ -320,7 +287,9 @@ class Reader(RpcNode):
         state = {
             "areas": areas_state,
             "fresh": fresh_state,
-            "applied_seq": dict(self._applied_seq),
+            "applied_seq": {
+                source: seq - 1 for source, seq in self._next_seq.items()
+            },
         }
         self._store.commit(tables.values(), state)
 
@@ -340,17 +309,26 @@ class Reader(RpcNode):
             return
         state = recovered.state
         tables = recovered.tables
+        unloadable: list[str] = []
         for source, level_ids in state.get("areas", {}).items():
-            self._area(source).apply(recovered.level_edit(level_ids))
+            area = levels_manifest(self._policy)
+            try:
+                area.apply(recovered.level_edit(level_ids))
+            except ManifestError:
+                # Not a state of that Compactor's level shape (written
+                # by an older build, or under another policy): the
+                # catch-up below rebuilds it from the Compactor.
+                unloadable.append(source)
+                continue
+            self._areas[source] = area
         for ingestor, ids in state.get("fresh", {}).items():
             self.fresh_area[ingestor] = tuple(tables[tid] for tid in ids)
-        self._applied_seq = {
-            source: int(seq) for source, seq in state.get("applied_seq", {}).items()
-        }
         self._next_seq = {
-            source: seq + 1 for source, seq in self._applied_seq.items()
+            source: int(seq) + 1
+            for source, seq in state.get("applied_seq", {}).items()
+            if source not in unloadable
         }
-        self.resync()
+        self.resync(unloadable)
 
     def crash(self) -> None:
         """Fail-stop.  The read cache models volatile memory and is
@@ -417,10 +395,11 @@ class Reader(RpcNode):
     ) -> list[tuple[bytes, bytes]]:
         """The range-read engine behind the RPC handler (synchronous —
         the handler charges the modelled compute around it): a k-way
-        merge over lazy per-table cursors.  Each area's fence index
-        prunes the tables outside [lo, hi), and nothing is materialised,
-        so a limited query stops after O(limit) merged entries.  Areas
-        are overlap-tolerant, so tables stay separate merge streams."""
+        merge over lazy cursors — one chained cursor per leveled area
+        level, one per run of a stacked level or fresh area.  Each
+        area's fence index prunes the tables outside [lo, hi), and
+        nothing is materialised, so a limited query stops after
+        O(limit) merged entries."""
         sources = [
             t.scan(lo, hi) for run in self.fresh_area.values() for t in run
         ]

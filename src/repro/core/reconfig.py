@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.lsm.entry import encode_key
+from repro.lsm.manifest import LevelEdit
 from repro.lsm.sstable import SSTable
 from repro.sim.rpc import RemoteError, RpcTimeout
 
@@ -179,6 +180,11 @@ def replace_compactor(cluster, old_name: str, new_name: str):
     #    already landed (and was drained) or will fail over to the new
     #    member after the crash.
     partition.members.remove(old_name)
+    # Its Readers empty the retired node's area with it: a stale copy
+    # there would outlive the tombstones the new node later drops.
+    _apply_and_ship(
+        old, LevelEdit().remove(0, list(old.level2)).remove(1, list(old.level3))
+    )
     old.crash()  # retired: stops serving anything
     cluster.compactors.remove(old)
     _record_phase(cluster, "reconfig.detach", f"{old_name} retired")
@@ -280,24 +286,21 @@ def _migrate_upper_half(
 
 
 def _drop_upper_half(old: Compactor, boundary: bytes) -> None:
-    """Remove keys >= boundary from the old node, atomically per level."""
-    from repro.lsm.manifest import LevelEdit
-
+    """Remove keys >= boundary from the old node in one edit."""
+    edit = LevelEdit()
     for level_index in (0, 1):
-        current = old.manifest.level(level_index)
-        edit = LevelEdit()
-        replacements: list[SSTable] = []
-        removals: list[SSTable] = []
-        for table in current:
-            if table.min_key >= boundary:
-                removals.append(table)
-            elif table.max_key >= boundary:
-                removals.append(table)
+        for table in old.manifest.level(level_index):
+            if table.max_key < boundary:
+                continue
+            edit.remove(level_index, [table])
+            if table.min_key < boundary:
                 kept = [p for p in table.split_at([boundary]) if p.min_key < boundary]
-                replacements.extend(kept)
-        if removals:
-            edit.remove(level_index, removals)
-        if replacements:
-            edit.add(level_index, replacements)
-        if removals or replacements:
-            old.manifest.apply(edit)
+                edit.add(level_index, kept)
+    _apply_and_ship(old, edit)
+
+
+def _apply_and_ship(compactor: Compactor, edit: LevelEdit) -> None:
+    """Apply ``edit`` to a Compactor's L2/L3 and ship it to its Readers,
+    which replay it on their copy of that Compactor's area."""
+    compactor.manifest.apply(edit)
+    compactor._push_to_backups(edit)

@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.compactor import Compactor
 from repro.core.config import CooLSMConfig
-from repro.core.ingestor import Ingestor
 from repro.core.topology import Topology
 from repro.lsm.errors import InvalidConfigError
 from repro.lsm.policy import normalize_policy_name
@@ -210,13 +208,9 @@ class LiveNode:
     # Drain
     # ------------------------------------------------------------------
     def inflight(self) -> int:
-        """Units of unacknowledged work that must drain before exit."""
-        node = self.node
-        if isinstance(node, Ingestor):
-            return node.inflight_tables
-        if isinstance(node, Compactor):
-            return len(node._pending_batches)
-        return 0
+        """Units of unacknowledged work that must drain before exit:
+        the role's ``"inflight"`` health gauge (none for a Reader)."""
+        return self.node.health_gauges().get("inflight", 0)
 
     async def drain(self, timeout: float) -> bool:
         """Wait until in-flight work reaches zero; True iff drained."""

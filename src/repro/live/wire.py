@@ -450,7 +450,6 @@ def _register_all() -> None:
         (8, messages.ForwardRequest),
         (9, messages.ForwardReply),
         (10, messages.BackupUpdate),
-        (11, messages.AreaSnapshot),
         (12, messages.IngestorL1Update),
         (13, messages.RangeQuery),
         (14, messages.RangeQueryReply),

@@ -59,7 +59,6 @@ class LSMConfig:
             never compacts whatever its threshold) and *compact on
             every flush* at L0 — under every policy.
         keep_policy: Version retention during merges.
-        wal_sync: fsync the WAL on every batch (persistent mode only).
         enable_snapshots: Retain old versions while snapshots are open
             so :meth:`LSMTree.snapshot` gives consistent point-in-time
             reads (LevelDB-style).  Costs memory proportional to the
@@ -77,7 +76,6 @@ class LSMConfig:
     sstable_entries: int = 100
     level_thresholds: tuple[int, ...] = (10, 10, 100, 1_000)
     keep_policy: KeepPolicy = NEWEST_WINS
-    wal_sync: bool = True
     enable_snapshots: bool = False
     cache_capacity: int = 4_096
     compaction_policy: str = "leveling"
@@ -234,7 +232,6 @@ class LSMTree:
                 directory,
                 node_name="tree",
                 role="tree",
-                wal_sync=self.config.wal_sync,
                 policy=self._policy.name,
             )
             self._recover()

@@ -34,16 +34,15 @@ _HEADER = struct.Struct("<II")
 class WriteAheadLog:
     """Append-only durable log of entries.
 
+    Every append and truncate is fsynced (the paper runs LevelDB and
+    RocksDB "with configuration to persist and sync to disk").
+
     Args:
         path: Log file path (created if missing).
-        sync: If True, fsync after every append (the paper runs LevelDB
-            and RocksDB "with configuration to persist and sync to
-            disk"; set False to trade durability for speed).
     """
 
-    def __init__(self, path: str, sync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.sync = sync
         self._file = open(path, "ab")
         self._closed = False
 
@@ -60,8 +59,7 @@ class WriteAheadLog:
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         self._file.write(_HEADER.pack(crc, len(payload)) + payload)
         self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
         return _HEADER.size + len(payload)
 
     def close(self) -> None:
@@ -82,8 +80,7 @@ class WriteAheadLog:
         self._file.truncate(0)
         self._file.seek(0)
         self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
 
 
 def replay(path: str) -> Iterator[Entry]:

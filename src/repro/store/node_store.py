@@ -106,13 +106,11 @@ class NodeStore:
         directory: str,
         node_name: str,
         role: str,
-        wal_sync: bool = True,
         policy: str | None = None,
     ) -> None:
         self.directory = str(directory)
         self.node_name = node_name
         self.role = role
-        self.wal_sync = wal_sync
         self.policy = policy
         self.version = 0
         self.wal_floor = 0
@@ -141,7 +139,6 @@ class NodeStore:
         directory: str,
         node_name: str,
         role: str,
-        wal_sync: bool = True,
         policy: str | None = None,
     ) -> "NodeStore":
         """Open (or create) the store, recovering any prior state.
@@ -156,15 +153,13 @@ class NodeStore:
         ``policy=None`` skips the policy check (and omits the key from
         new manifests), preserving pre-policy manifests' behaviour.
         """
-        store = cls(directory, node_name, role, wal_sync=wal_sync, policy=policy)
+        store = cls(directory, node_name, role, policy=policy)
         os.makedirs(store.directory, exist_ok=True)
         manifest_path = os.path.join(store.directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             store._recover(manifest_path)
         store._clean_orphans()
-        store._wal = WriteAheadLog(
-            os.path.join(store.directory, WAL_NAME), sync=wal_sync
-        )
+        store._wal = WriteAheadLog(os.path.join(store.directory, WAL_NAME))
         return store
 
     def _recover(self, manifest_path: str) -> None:

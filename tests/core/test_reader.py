@@ -7,14 +7,16 @@ import pytest
 
 from repro.core.messages import BackupUpdate
 from repro.lsm.entry import encode_key
+from repro.lsm.errors import ManifestError
 from repro.lsm.sstable import SSTable
 
 from tests.conftest import entry
 from tests.core.conftest import TINY, fill, tiny_cluster
 
 
-def push_update(cluster, level, tables, removed_l2_ids=(), compactor="compactor-0"):
-    update = BackupUpdate(level, tuple(tables), compactor, tuple(removed_l2_ids))
+def push_update(cluster, seq, l2=(), l3=(), removed=(), compactor="compactor-0"):
+    removed_ids = tuple(t.table_id for t in removed)
+    update = BackupUpdate(compactor, seq, removed_ids, tuple(l2), tuple(l3))
 
     def driver():
         cluster.compactors[0].cast("reader-0", "backup_update", update)
@@ -34,27 +36,44 @@ class TestInstall:
     def test_installs_l2_tables(self):
         cluster = tiny_cluster(num_readers=1)
         table = SSTable.from_entries([entry(k, k + 1, ts=float(k)) for k in range(10)])
-        push_update(cluster, 2, [table])
+        push_update(cluster, 1, l2=[table])
         reader = cluster.readers[0]
         assert reader.manifest.total_entries() == 10
         assert reader.stats.tables_installed == 1
 
-    def test_replaces_overlapping_tables(self):
+    def test_replays_the_edit_by_table_id(self):
+        # The removed tables are named by id, not guessed from the new
+        # tables' key range: a merge output narrower than what it
+        # replaced (tombstones dropped at the bottom) still removes all
+        # of it, and a table the edit does not name stays.
         cluster = tiny_cluster(num_readers=1)
         old = SSTable.from_entries([entry(k, 1, ts=1.0, value="old") for k in range(10)])
-        new = SSTable.from_entries([entry(k, 2, ts=2.0, value="new") for k in range(10)])
-        push_update(cluster, 2, [old])
-        push_update(cluster, 2, [new])
+        kept = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(20, 30)])
+        new = SSTable.from_entries([entry(k, 2, ts=2.0, value="new") for k in range(5, 8)])
+        push_update(cluster, 1, l2=[old, kept])
+        push_update(cluster, 2, l2=[new], removed=[old])
         reader = cluster.readers[0]
-        assert len(reader.level2) == 1
-        assert reader.level2[0].get(encode_key(3)).value == b"new"
+        assert reader.level2 == [new, kept]
+        assert reader.level2[0].get(encode_key(6)).value == b"new"
+
+    def test_removing_a_table_the_area_lacks_is_an_error(self):
+        cluster = tiny_cluster(num_readers=1)
+        reader = cluster.readers[0]
+        present = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(10)])
+        absent = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(20, 30)])
+        push_update(cluster, 1, l2=[present])
+        update = BackupUpdate("compactor-0", 2, (absent.table_id,), (), ())
+        with pytest.raises(ManifestError, match="does not hold"):
+            cluster.run_process(reader._handle_backup_update("compactor-0", update))
+        assert reader.level2 == [present]
+        assert reader._next_seq["compactor-0"] == 2
 
     def test_l3_update_removes_migrated_l2_tables(self):
         cluster = tiny_cluster(num_readers=1)
         migrating = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(10)])
-        push_update(cluster, 2, [migrating])
+        push_update(cluster, 1, l2=[migrating])
         merged_down = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(10)])
-        push_update(cluster, 3, [merged_down], removed_l2_ids=[migrating.table_id])
+        push_update(cluster, 2, l3=[merged_down], removed=[migrating])
         reader = cluster.readers[0]
         assert reader.level2 == []
         assert len(reader.level3) == 1
@@ -64,8 +83,8 @@ class TestInstall:
         cluster = tiny_cluster(num_readers=1, num_compactors=2)
         low = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(10)])
         high = SSTable.from_entries([entry(k, 1, ts=1.0) for k in range(1_000, 1_010)])
-        push_update(cluster, 2, [low], compactor="compactor-0")
-        push_update(cluster, 2, [high], compactor="compactor-1")
+        push_update(cluster, 1, l2=[low], compactor="compactor-0")
+        push_update(cluster, 1, l2=[high], compactor="compactor-1")
         assert cluster.readers[0].manifest.total_entries() == 20
 
 
@@ -73,7 +92,7 @@ class TestReads:
     def test_point_read_from_snapshot(self):
         cluster = tiny_cluster(num_readers=1)
         table = SSTable.from_entries([entry(7, 1, ts=1.0, value="seven")])
-        push_update(cluster, 2, [table])
+        push_update(cluster, 1, l2=[table])
         client = cluster.add_client()
         assert reader_read(cluster, client, 7) == b"seven"
 
@@ -85,14 +104,14 @@ class TestReads:
     def test_tombstone_hidden(self):
         cluster = tiny_cluster(num_readers=1)
         table = SSTable.from_entries([entry(7, 2, ts=2.0, tombstone=True)])
-        push_update(cluster, 2, [table])
+        push_update(cluster, 1, l2=[table])
         client = cluster.add_client()
         assert reader_read(cluster, client, 7) is None
 
     def test_range_query(self):
         cluster = tiny_cluster(num_readers=1)
         table = SSTable.from_entries([entry(k, k + 1, ts=float(k)) for k in range(50)])
-        push_update(cluster, 2, [table])
+        push_update(cluster, 1, l2=[table])
         client = cluster.add_client()
 
         def driver():
@@ -106,7 +125,7 @@ class TestReads:
     def test_range_query_limit(self):
         cluster = tiny_cluster(num_readers=1)
         table = SSTable.from_entries([entry(k, k + 1, ts=float(k)) for k in range(50)])
-        push_update(cluster, 2, [table])
+        push_update(cluster, 1, l2=[table])
         client = cluster.add_client()
 
         def driver():

@@ -65,7 +65,7 @@ class TestSequencing:
         reader = cluster.readers[0]
         source = cluster.compactors[0].name
         before = area_state(reader, source)
-        stale = BackupUpdate(2, (), source, seq=1)  # long since superseded
+        stale = BackupUpdate(source, 1, (), (), ())  # long since superseded
 
         def driver():
             yield from reader._handle_backup_update(source, stale)
@@ -73,29 +73,6 @@ class TestSequencing:
         cluster.run_process(driver())
         assert reader.stats.stale_updates == 1
         assert area_state(reader, source) == before
-
-    def test_unsequenced_update_always_installed(self):
-        """seq=None marks direct test injection; it bypasses the cursor."""
-        from tests.conftest import entry
-        from repro.lsm.sstable import SSTable
-
-        cluster = reader_cluster()
-        client = cluster.add_client(colocate_with="ingestor-0")
-        cluster.run_process(fill(cluster, client, 1_000))
-        cluster.run()
-        reader = cluster.readers[0]
-        installed_before = reader.stats.tables_installed
-        source = cluster.compactors[0].name
-        table = SSTable.from_entries(
-            [entry(k, 10_000 + k, ts=9_000.0) for k in range(5)]
-        )
-        update = BackupUpdate(2, (table,), source)
-
-        def driver():
-            yield from reader._handle_backup_update(source, update)
-
-        cluster.run_process(driver())
-        assert reader.stats.tables_installed == installed_before + 1
 
 
 class TestCrashRecovery:

@@ -201,7 +201,7 @@ class TestEntryAndSSTable:
             lambda entries: blocks.append(len(entries)) or encode_entries(entries),
         )
         first, second = bytearray(), bytearray()
-        wire.encode_value(messages.BackupUpdate(2, (table,), "compactor-0"), first)
+        wire.encode_value(messages.BackupUpdate("compactor-0", 1, (), (table,), ()), first)
         wire.encode_value(messages.ForwardRequest((table,), 0.0, 1, "ingestor-0"), second)
         assert blocks == [64, 64, 64, 8], "one encode_entries call per block in total"
 
@@ -247,9 +247,9 @@ _wire_entries = st.lists(
 @given(entries=_wire_entries, block_entries=st.sampled_from([1, 7, 64]))
 def test_sstable_round_trip_inside_messages(entries, block_entries):
     table = SSTable(sort_run(entries), block_entries=block_entries, bloom_fp_rate=0.02)
-    backup = roundtrip(messages.BackupUpdate(3, (table, table), "compactor-0"))
+    backup = roundtrip(messages.BackupUpdate("compactor-0", 3, (7,), (table,), (table,)))
     forward = roundtrip(messages.ForwardRequest((table,), 1.5, 9, "ingestor-0"))
-    for decoded in (*backup.tables, *forward.tables):
+    for decoded in (*backup.l2, *backup.l3, *forward.tables):
         assert decoded.entries == table.entries
         assert decoded.table_id == table.table_id
         assert decoded._block_entries == block_entries
@@ -257,6 +257,32 @@ def test_sstable_round_trip_inside_messages(entries, block_entries):
         assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
         for entry in entries:
             assert decoded.get(entry.key) == table.get(entry.key)
+
+
+def test_backup_update_carries_the_whole_edit(monkeypatch):
+    """Removed ids and both levels' added tables survive the wire, and a
+    table that arrived as an image (adopted, not decoded) ships as that
+    image, without re-encoding a block."""
+    adopted = roundtrip(make_table(range(100, 160)))
+    update = messages.BackupUpdate(
+        "compactor-1", 42, (3, (2 << 40) + 9), (make_table(range(50)),), (adopted,)
+    )
+    blocks = []
+    monkeypatch.setattr(
+        sstable_io,
+        "encode_entries",
+        lambda entries: blocks.append(len(entries)) or encode_entries(entries),
+    )
+    decoded = roundtrip(update)
+    assert blocks == [50], "only the built L2 table is encoded"
+    assert (decoded.compactor, decoded.seq, decoded.removed_ids) == (
+        "compactor-1",
+        42,
+        (3, (2 << 40) + 9),
+    )
+    assert len(decoded.l2) == len(decoded.l3) == 1
+    assert_tables_equal(decoded.l2[0], update.l2[0])
+    assert_tables_equal(decoded.l3[0], update.l3[0])
 
 
 def test_backup_update_is_installed_and_persisted_undecoded(tmp_path, monkeypatch):
@@ -268,7 +294,7 @@ def test_backup_update_is_installed_and_persisted_undecoded(tmp_path, monkeypatc
     reader.attach_store(store)
     # Three disjoint tables of two 64-entry blocks each.
     sent = [make_table(range(start, start + 100)) for start in (0, 100, 200)]
-    update = messages.BackupUpdate(2, tuple(sent), "compactor-0")
+    update = messages.BackupUpdate("compactor-0", 1, (), tuple(sent), ())
     payload = wire.encode_envelope_buffer(
         0, "compactor-0", reader.name, rpc._Cast("backup_update", update)
     )
@@ -311,9 +337,9 @@ class TestMessageRoundTrips:
             messages.Phase1Reply(1.0, ()),
             messages.ForwardRequest((), 0.0, 1, "ingestor-0"),  # empty batch
             messages.ForwardReply(4, 100),
-            messages.BackupUpdate(2, (), "compactor-0"),
-            messages.BackupUpdate(3, (), "compactor-1", (1, 2, 3), 17),
-            messages.AreaSnapshot(5, (), (), "compactor-0"),
+            messages.BackupUpdate("compactor-0", 1, (), (), ()),
+            messages.BackupUpdate("compactor-1", 17, (1, 2, 3), (), ()),
+            messages.BackupUpdate("compactor-0", 5, (), (), ()),  # catch-up reply
             messages.IngestorL1Update((), "ingestor-0"),
             messages.RangeQuery(b"a", b"z"),
             messages.RangeQuery(b"a", b"z", limit=10),
@@ -322,7 +348,7 @@ class TestMessageRoundTrips:
             rpc._Request(7, "upsert", messages.UpsertRequest(b"k", b"v"), 256),
             rpc._Response(7, messages.UpsertReply(1.0, 1), None),
             rpc._Response(7, None, "boom"),
-            rpc._Cast("backup_update", messages.BackupUpdate(2, (), "c")),
+            rpc._Cast("backup_update", messages.BackupUpdate("c", 1, (), (), ())),
         ],
     )
     def test_flat_messages(self, message):

@@ -4,7 +4,9 @@ Three parts: (a) units on the two functions and on ``stacked_levels``;
 (b) a seeded differential against the bodies they replaced — the four
 policy classes' ``compact_tree`` / ``minor_plan`` / ``select_forward`` /
 ``select_l2_overflow`` and the Compactor's ``_compact_into_l2`` /
-``_compact_l2_overflow_into_l3``, kept here verbatim as the reference;
+``_compact_l2_overflow_into_l3``, kept here as the reference — merging
+verbatim, shipping their edits through the Compactor's one update
+builder;
 (c) a structural check that no other merge site grows back in ``src/``.
 """
 
@@ -12,7 +14,6 @@ import ast
 import pathlib
 import random
 import types
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -412,19 +413,12 @@ def ref_compact_into_l2(self, incoming):
     yield from self.compute(self.config.costs.merge_cost(total))
     untouched_ids = {t.table_id for t in untouched}
     replaced = [t for t in l2_before if t.table_id not in untouched_ids]
-    self.manifest.apply(
-        LevelEdit().remove(L2, replaced).add(L2, result.tables)
-    )
+    edit = LevelEdit().remove(L2, replaced).add(L2, result.tables)
+    self.manifest.apply(edit)
     self.stats.compactions.append(
         CompactionTiming(2, self.kernel.now - started, total)
     )
-    self._push_to_backups(
-        2,
-        result.tables,
-        replaced_ids=None
-        if self._policy.merges_on_absorb
-        else tuple(t.table_id for t in replaced),
-    )
+    self._push_to_backups(edit)
     return total
 
 
@@ -458,23 +452,17 @@ def ref_compact_l2_overflow_into_l3(self):
     yield from self.compute(self.config.costs.merge_cost(total))
     untouched_ids = {t.table_id for t in untouched}
     replaced = [t for t in l3_before if t.table_id not in untouched_ids]
-    self.manifest.apply(
+    edit = (
         LevelEdit()
         .remove(L2, overflow)
         .remove(L3, replaced)
         .add(L3, result.tables)
     )
+    self.manifest.apply(edit)
     self.stats.compactions.append(
         CompactionTiming(3, self.kernel.now - started, total)
     )
-    self._push_to_backups(
-        3,
-        result.tables,
-        removed_l2_ids=tuple(t.table_id for t in overflow),
-        replaced_ids=None
-        if self._policy.merges_on_overflow
-        else tuple(t.table_id for t in replaced),
-    )
+    self._push_to_backups(edit)
 
 
 # -- the tree ----------------------------------------------------------
@@ -577,19 +565,17 @@ def filled_cluster(policy, reference):
     stream = []
     for name, log in updates.items():
         for update in log:
-            seen.update((t.table_id, tuple(t.entries)) for t in update.tables)
             stream.append(
                 (
-                    name,
-                    update.level,
+                    update.compactor,
                     update.seq,
-                    contents(update.tables),
-                    {seen[i] for i in update.removed_l2_ids},
-                    None
-                    if update.replaced_ids is None
-                    else {seen[i] for i in update.replaced_ids},
+                    {seen[i] for i in update.removed_ids},
+                    contents(update.l2),
+                    contents(update.l3),
                 )
             )
+            seen.update((t.table_id, contents([t])[0]) for t in update.l2 + update.l3)
+        assert {update.compactor for update in log} <= {name}
     levels = [
         (contents(c.level2), contents(c.level3), c._l2_pointer)
         for c in cluster.compactors
@@ -607,19 +593,19 @@ def test_compactor_matches_the_deleted_twin_functions(policy):
     ref_levels, ref_stream, ref_timings, __ = filled_cluster(policy, reference=True)
     assert len(stream) > 20
     if policy == "one_leveling":
-        assert all(update[1] == 2 for update in stream)
+        assert not any(update[4] for update in stream)
     else:
-        assert any(update[1] == 3 for update in stream)
+        assert any(update[4] for update in stream)
     assert levels == ref_levels
     assert stream == ref_stream
     assert timings == ref_timings
-    # The Reader, fed by the new code, still mirrors its Compactors
-    # (its areas are not kept in min-key order, so compare as bags).
+    # The Reader, fed by the new code, holds exactly its Compactors'
+    # tables, level by level.
     reader = cluster.readers[0]
     for compactor in cluster.compactors:
         area = reader._areas[compactor.name]
-        assert Counter(contents(area.level(0))) == Counter(contents(compactor.level2))
-        assert Counter(contents(area.level(1))) == Counter(contents(compactor.level3))
+        assert area.level(0) == compactor.level2
+        assert area.level(1) == compactor.level3
 
 
 # -- the zero-threshold rule -------------------------------------------

@@ -54,7 +54,7 @@ def test_sstable_file_point_lookups(tmp_path_factory, entries):
 @given(batches=st.lists(entries_st, min_size=1, max_size=5))
 def test_wal_roundtrip(tmp_path_factory, batches):
     path = str(tmp_path_factory.mktemp("wal") / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         for batch in batches:
             wal.append_batch(batch)
     replayed = list(replay(path))
@@ -66,7 +66,7 @@ def test_wal_roundtrip(tmp_path_factory, batches):
 @given(entries=entries_st, cut=st.integers(min_value=1, max_value=200))
 def test_wal_torn_tail_loses_at_most_last_batch(tmp_path_factory, entries, cut):
     path = str(tmp_path_factory.mktemp("wal") / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append_batch(entries)
         wal.append_batch(entries)
     import os

@@ -24,8 +24,8 @@ from repro.lsm.policy import POLICY_NAMES
 from repro.lsm.tree import LSMConfig, LSMTree
 from repro.lsm.wal import WriteAheadLog
 
-SMALL = LSMConfig(memtable_entries=64, sstable_entries=32, wal_sync=False)
-TINY = LSMConfig(memtable_entries=10, sstable_entries=10, wal_sync=False)
+SMALL = LSMConfig(memtable_entries=64, sstable_entries=32)
+TINY = LSMConfig(memtable_entries=10, sstable_entries=10)
 
 
 def build(directory: str, writes: int = 400) -> dict[int, bytes]:
@@ -107,7 +107,7 @@ REOPEN_STEP = """
 import json, sys
 from repro.lsm.tree import LSMConfig, LSMTree
 directory, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-config = LSMConfig(memtable_entries=10, sstable_entries=10, wal_sync=False)
+config = LSMConfig(memtable_entries=10, sstable_entries=10)
 with LSMTree.open(directory, config) as tree:
     for key in range(count):
         tree.put(key, "%s%d" % (tag, key))
@@ -241,7 +241,6 @@ def test_persistence_does_not_change_the_trees_shape(tmp_path, policy):
         memtable_entries=16,
         sstable_entries=8,
         level_thresholds=(2, 2, 4, 8),
-        wal_sync=False,
         compaction_policy=policy,
     )
     persistent = LSMTree(config, directory=str(tmp_path / "db"))

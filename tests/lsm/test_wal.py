@@ -10,7 +10,7 @@ from tests.conftest import entry
 
 def test_append_and_replay(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         for i in range(10):
             wal.append(entry(i, i + 1))
     assert [e.seqno for e in replay(path)] == list(range(1, 11))
@@ -18,7 +18,7 @@ def test_append_and_replay(tmp_path):
 
 def test_batch_append(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append_batch([entry(i, i + 1) for i in range(5)])
     assert len(list(replay(path))) == 5
 
@@ -29,7 +29,7 @@ def test_replay_missing_file_yields_nothing(tmp_path):
 
 def test_truncate_discards_records(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append(entry("a", 1))
         wal.truncate()
         wal.append(entry("b", 2))
@@ -50,7 +50,7 @@ def test_closed_wal_raises(tmp_path):
 def test_torn_tail_record_ignored(tmp_path):
     """A crash mid-append leaves a partial record that replay skips."""
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append(entry("a", 1))
         wal.append(entry("b", 2))
     with open(path, "r+b") as f:
@@ -63,7 +63,7 @@ def test_torn_tail_record_ignored(tmp_path):
 
 def test_torn_header_ignored(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append(entry("a", 1))
     with open(path, "ab") as f:
         f.write(b"\x01\x02")  # partial header of a never-finished record
@@ -72,7 +72,7 @@ def test_torn_header_ignored(tmp_path):
 
 def test_mid_log_corruption_raises(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append(entry("a", 1))
         wal.append(entry("b", 2))
     with open(path, "r+b") as f:
@@ -84,7 +84,7 @@ def test_mid_log_corruption_raises(tmp_path):
 
 def test_corrupt_final_record_treated_as_torn(tmp_path):
     path = str(tmp_path / "wal.log")
-    with WriteAheadLog(path, sync=False) as wal:
+    with WriteAheadLog(path) as wal:
         wal.append(entry("a", 1))
         wal.append(entry("b", 2))
     with open(path, "r+b") as f:

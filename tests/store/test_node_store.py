@@ -157,10 +157,10 @@ def test_shipped_table_lands_byte_identical_and_readable(tmp_path):
     with open_store(tmp_path / "a", node_name="compactor-0", role="compactor") as a:
         a.commit([built], {})
     out = bytearray()
-    wire.encode_value(messages.BackupUpdate(2, (built,), "compactor-0"), out)
+    wire.encode_value(messages.BackupUpdate("compactor-0", 1, (), (built,), ()), out)
     update, __ = wire.decode_value(bytes(out))
     with open_store(tmp_path / "b", node_name="reader-0", role="reader") as b:
-        b.commit(update.tables, {})
+        b.commit(update.l2, {})
     name = "sst-%016x.sst" % 5
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     with open_store(tmp_path / "b", node_name="reader-0", role="reader") as b:

@@ -196,7 +196,7 @@ class TestPolicyPersistence:
     reinterpret another policy's level structure."""
 
     def _fill(self, directory: str, policy: str) -> None:
-        config = LSMConfig(compaction_policy=policy, wal_sync=False, **TREE_KW)
+        config = LSMConfig(compaction_policy=policy, **TREE_KW)
         tree = LSMTree(config, directory=directory)
         for i in range(300):
             tree.put(i % 50, b"d-%d" % i)
