@@ -1,15 +1,9 @@
 """Amplification study: the Related Work's compaction trade-offs,
-measured on our engines and cross-checked against the analytic model."""
+measured on our engines."""
 
 from repro.bench.reporting import paper_vs_measured, print_header, print_table
 from repro.lsm.amplification import measure_lsm_tree
 from repro.lsm.tree import LSMConfig, LSMTree
-from repro.lsm.tuning import (
-    LSMShape,
-    expected_zero_result_probes,
-    optimal_bloom_allocation,
-    uniform_bloom_allocation,
-)
 
 
 def run_engines(ops=12_000, keys=800):
@@ -61,40 +55,3 @@ def test_compaction_tradeoffs(run_once, show):
     show(report)
     assert leveled.write_amplification > tiered.write_amplification
     assert tiered.space_amplification > leveled.space_amplification
-
-
-def test_monkey_bloom_allocation(run_once, show):
-    """Monkey's tuning result: skewing bloom memory toward small levels
-    lowers expected zero-result probes at equal total memory."""
-
-    def run():
-        shape = LSMShape(total_entries=1_000_000, buffer_entries=1_000, size_ratio=10.0)
-        levels = shape.level_entries()
-        total_bits = 8.0 * sum(levels)
-        uniform = uniform_bloom_allocation(total_bits, levels)
-        optimal = optimal_bloom_allocation(total_bits, levels)
-        return (
-            levels,
-            expected_zero_result_probes(uniform, levels),
-            expected_zero_result_probes(optimal, levels),
-            [b / n for b, n in zip(optimal, levels)],
-        )
-
-    levels, uniform_cost, optimal_cost, per_entry = run_once(run)
-
-    def report():
-        print_header("Bloom memory tuning (Monkey-style, cited in Section V)")
-        print_table(
-            ("level entries", "optimal bits/entry"),
-            [(n, f"{b:.2f}") for n, b in zip(levels, per_entry)],
-        )
-        paper_vs_measured(
-            "optimal allocation beats uniform at equal memory",
-            f"expected probes {uniform_cost:.4f} -> {optimal_cost:.4f}",
-            optimal_cost < uniform_cost,
-        )
-
-    show(report)
-    assert optimal_cost < uniform_cost
-    # Smaller levels get more bits per entry.
-    assert per_entry[0] > per_entry[-1]

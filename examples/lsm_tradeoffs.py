@@ -1,25 +1,14 @@
-"""LSM design trade-offs: compaction disciplines and bloom tuning.
+"""LSM design trade-offs: compaction disciplines, measured.
 
 Measures write/space amplification of leveled vs universal compaction
-on identical workloads, compares with the analytic cost model, and
-shows the Monkey-style bloom memory allocation — then watches a CooLSM
-deployment's compaction waves through the cluster monitor.
+on identical workloads, then watches a CooLSM deployment's compaction
+waves through the cluster monitor.
 
 Run with:  python examples/lsm_tradeoffs.py
 """
 
 from repro.core import ClusterMonitor, ClusterSpec, CooLSMConfig, build_cluster
-from repro.lsm import (
-    LSMConfig,
-    LSMShape,
-    LSMTree,
-    expected_zero_result_probes,
-    leveled_write_cost,
-    measure_lsm_tree,
-    optimal_bloom_allocation,
-    tiered_write_cost,
-    uniform_bloom_allocation,
-)
+from repro.lsm import LSMConfig, LSMTree, measure_lsm_tree
 from repro.workloads import Trace, replay_trace
 
 
@@ -41,36 +30,7 @@ def compaction_tradeoffs() -> None:
             f"space-amp {report.space_amplification:4.2f}  "
             f"max probes {report.read_amplification}"
         )
-    shape = LSMShape(total_entries=600, buffer_entries=32, size_ratio=3.0)
-    print(
-        "   analytic prediction: leveled WA %.1f vs tiered WA %.1f\n"
-        % (leveled_write_cost(shape), tiered_write_cost(shape))
-    )
-
-
-def bloom_tuning() -> None:
-    print("== Monkey-style bloom memory allocation ==")
-    shape = LSMShape(total_entries=1_000_000, buffer_entries=1_000, size_ratio=10.0)
-    levels = shape.level_entries()
-    budget = 8.0 * sum(levels)  # 8 bits/entry overall
-    uniform = uniform_bloom_allocation(budget, levels)
-    optimal = optimal_bloom_allocation(budget, levels)
-    print(f"   levels: {levels}")
-    print(
-        "   bits/entry uniform: "
-        + ", ".join(f"{b / n:.1f}" for b, n in zip(uniform, levels))
-    )
-    print(
-        "   bits/entry optimal: "
-        + ", ".join(f"{b / n:.1f}" for b, n in zip(optimal, levels))
-    )
-    print(
-        "   expected zero-result probes: %.4f -> %.4f\n"
-        % (
-            expected_zero_result_probes(uniform, levels),
-            expected_zero_result_probes(optimal, levels),
-        )
-    )
+    print()
 
 
 def watch_compaction_waves() -> None:
@@ -102,5 +62,4 @@ def watch_compaction_waves() -> None:
 
 if __name__ == "__main__":
     compaction_tradeoffs()
-    bloom_tuning()
     watch_compaction_waves()

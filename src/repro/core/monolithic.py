@@ -75,6 +75,7 @@ class MonolithicNode(RpcNode):
                 memtable_entries=config.memtable_entries,
                 sstable_entries=config.sstable_entries,
                 level_thresholds=self.level_thresholds(config),
+                cache_capacity=config.read_cache_capacity,
                 compaction_policy=self.COMPACTION_POLICY or config.compaction_policy,
             ),
         )

@@ -11,19 +11,13 @@ Usage::
     tree = LSMTree(LSMConfig.for_key_range(100_000))
     tree.put(b"k", b"v")
     assert tree.get(b"k") == b"v"
-
-With ``directory`` set the constructor opens or recovers a
-:class:`~repro.store.node_store.NodeStore` there: writes go through its
-WAL and every flush and compaction step commits the levels to its
-manifest, so constructing a tree on the same directory after a crash
-recovers the full state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .cache import CacheStats, ReadCache
 from .compaction import (
@@ -34,7 +28,7 @@ from .compaction import (
     pick_tables,
 )
 from .entry import Entry, encode_key, make_tombstone, make_upsert
-from .errors import ClosedError, InvalidConfigError
+from .errors import InvalidConfigError
 from .manifest import LevelEdit, Manifest
 from .memtable import Memtable
 from .policy import make_policy, normalize_policy_name, stacked_levels
@@ -58,11 +52,6 @@ class LSMConfig:
             means *unbounded* on every level below L0 (the last level
             never compacts whatever its threshold) and *compact on
             every flush* at L0 — under every policy.
-        keep_policy: Version retention during merges.
-        enable_snapshots: Retain old versions while snapshots are open
-            so :meth:`LSMTree.snapshot` gives consistent point-in-time
-            reads (LevelDB-style).  Costs memory proportional to the
-            churn since the oldest open snapshot.
         cache_capacity: Entries in the shared read cache (row results
             keyed by immutable table id, so the cache never needs
             invalidation).  0 disables caching.
@@ -75,8 +64,6 @@ class LSMConfig:
     memtable_entries: int = 1_000
     sstable_entries: int = 100
     level_thresholds: tuple[int, ...] = (10, 10, 100, 1_000)
-    keep_policy: KeepPolicy = NEWEST_WINS
-    enable_snapshots: bool = False
     cache_capacity: int = 4_096
     compaction_policy: str = "leveling"
 
@@ -141,66 +128,17 @@ class TreeStats:
         return sum(1 for c in self.compactions if c.level == level)
 
 
-class Snapshot:
-    """A consistent point-in-time view of an :class:`LSMTree`.
-
-    Reads through a snapshot see exactly the data as of its creation:
-    later writes and deletes are invisible.  Close (or use as a context
-    manager) to release the version-retention it pins.
-    """
-
-    __slots__ = ("_tree", "timestamp", "closed")
-
-    def __init__(self, tree: "LSMTree", timestamp: float) -> None:
-        self._tree = tree
-        self.timestamp = timestamp
-        self.closed = False
-
-    def get(self, key: bytes | str | int) -> bytes | None:
-        """Value of ``key`` as of this snapshot, or None."""
-        if self.closed:
-            raise ClosedError("snapshot is closed")
-        entry, __ = self._tree.lookup(key, self.timestamp)
-        if entry is None or entry.tombstone:
-            return None
-        return entry.value
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._tree._release_snapshot(self.timestamp)
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class LSMTree:
-    """A single-node LSM key-value store.
+    """A single-node, in-memory LSM key-value store.
 
-    Args:
-        config: Structural parameters.
-        directory: If given, the constructor opens or recovers the
-            tree's durable store (WAL, sstables, manifest) here;
-            otherwise the tree is purely in-memory.
-        clock: Source of entry timestamps (defaults to a logical counter
-            so that standalone trees are deterministic).
+    Entries are stamped by a logical counter, so a standalone tree is
+    deterministic.  It has no durable store.
     """
 
-    def __init__(
-        self,
-        config: LSMConfig | None = None,
-        directory: str | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, config: LSMConfig | None = None) -> None:
         self.config = config or LSMConfig()
-        self.directory = directory
-        self._clock = clock or self._logical_clock
         self._logical_time = 0.0
         self._seqno = 0
-        self._closed = False
         self._policy = make_policy(self.config.compaction_policy)
         self._steps = self._policy.tree(self.config.num_levels)
         self.manifest = Manifest(
@@ -217,64 +155,7 @@ class LSMTree:
         )
         # Per-level rotating compaction pointers (LevelDB-style sweep).
         self._compaction_pointers: list[bytes | None] = [None] * self.config.num_levels
-        self._active_snapshots: list[float] = []
-        self._memtable = Memtable(
-            self.config.memtable_entries, retain_versions=self._retain_versions()
-        )
-        self._store = None
-        if directory is not None:
-            # Function-level: ``repro.lsm`` imports this module, so a
-            # module-level import would hand ``repro.store.node_store``
-            # a half-initialised ``repro.lsm`` when it is imported first.
-            from repro.store.node_store import NodeStore
-
-            self._store = NodeStore.open(
-                directory,
-                node_name="tree",
-                role="tree",
-                policy=self._policy.name,
-            )
-            self._recover()
-
-    # ------------------------------------------------------------------
-    # Construction / recovery
-    # ------------------------------------------------------------------
-    @classmethod
-    def open(cls, directory: str, config: LSMConfig | None = None) -> "LSMTree":
-        """Open or recover a persistent tree (same as the constructor)."""
-        return cls(config, directory=directory)
-
-    def _recover(self) -> None:
-        """Restore the levels, seqno and clock from the store's manifest
-        and replay its WAL into the memtable."""
-        recovered = self._store.recovered
-        if recovered is None:
-            # A fresh store commits at attach: the store replays a WAL
-            # only beside a manifest.
-            self._persist()
-            return
-        self.manifest.apply(recovered.levels_for("tree", self._policy.name))
-        self._seqno = int(recovered.state.get("seqno", 0))
-        self._logical_time = float(recovered.state.get("clock", 0.0))
-        for entry in recovered.wal_entries:
-            self._memtable.put(entry)
-            self._seqno = max(self._seqno, entry.seqno)
-            self._logical_time = max(self._logical_time, entry.timestamp)
-
-    def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-        self._closed = True
-
-    def __enter__(self) -> "LSMTree":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("tree is closed")
+        self._memtable = Memtable(self.config.memtable_entries)
 
     def _logical_clock(self) -> float:
         self._logical_time += 1.0
@@ -284,80 +165,36 @@ class LSMTree:
         self._seqno += 1
         return self._seqno
 
-    def _retain_versions(self) -> bool:
-        return (
-            self.config.enable_snapshots
-            or self.config.keep_policy.retain_horizon is not None
-        )
-
     def _effective_keep_policy(self, bottom: bool = False) -> KeepPolicy:
-        """The merge policy, pinned below any open snapshot."""
-        policy = self.config.keep_policy
-        if self.config.enable_snapshots and self._active_snapshots:
-            horizon = min(self._active_snapshots)
-            existing = policy.retain_horizon
-            pinned = horizon if existing is None else min(existing, horizon)
-            # Never drop tombstones while a snapshot might need to see
-            # through them.
-            return KeepPolicy(retain_horizon=pinned)
-        if bottom and policy.retain_horizon is None:
-            return KeepPolicy(drop_tombstones=True)
-        return policy
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Snapshot:
-        """Open a consistent point-in-time view (requires
-        ``config.enable_snapshots``)."""
-        if not self.config.enable_snapshots:
-            raise InvalidConfigError("snapshots require enable_snapshots=True")
-        timestamp = self._current_time()
-        self._active_snapshots.append(timestamp)
-        return Snapshot(self, timestamp)
-
-    def _current_time(self) -> float:
-        """The timestamp of the most recent write (snapshot boundary)."""
-        return self._logical_time
-
-    def _release_snapshot(self, timestamp: float) -> None:
-        try:
-            self._active_snapshots.remove(timestamp)
-        except ValueError:
-            pass
+        """Newest version wins; the bottom level also drops tombstones."""
+        return KeepPolicy(drop_tombstones=True) if bottom else NEWEST_WINS
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     def put(self, key: bytes | str | int, value: bytes | str) -> Entry:
         """Insert or overwrite a key (the paper's *upsert*)."""
-        self._check_open()
-        entry = make_upsert(key, value, self._next_seqno(), self._clock())
+        entry = make_upsert(key, value, self._next_seqno(), self._logical_clock())
         self._write(entry)
         self.stats.puts += 1
         return entry
 
     def delete(self, key: bytes | str | int) -> Entry:
         """Delete a key by writing a tombstone."""
-        self._check_open()
-        entry = make_tombstone(key, self._next_seqno(), self._clock())
+        entry = make_tombstone(key, self._next_seqno(), self._logical_clock())
         self._write(entry)
         self.stats.deletes += 1
         return entry
 
     def put_entry(self, entry: Entry) -> None:
         """Insert a pre-built entry (used by CooLSM components, which
-        assign seqnos and loose-clock timestamps themselves).  A
-        persistent tree expects seqnos at or above those it has flushed:
-        the store's WAL floor is a seqno."""
-        self._check_open()
+        assign seqnos and loose-clock timestamps themselves); later
+        :meth:`put` calls number above the highest seqno seen."""
         self._seqno = max(self._seqno, entry.seqno)
         self._write(entry)
         self.stats.puts += 1
 
     def _write(self, entry: Entry) -> None:
-        if self._store is not None:
-            self._store.log_entries([entry])
         self._memtable.put(entry)
         if self._memtable.is_full():
             self.flush()
@@ -365,16 +202,12 @@ class LSMTree:
     def flush(self) -> None:
         """Freeze the memtable into a new L0 sstable and cascade
         compactions as thresholds are exceeded."""
-        self._check_open()
         entries = self._memtable.entries()
         if not entries:
             return
         table = SSTable(entries)
         self.manifest.apply(LevelEdit().add(0, [table]))
-        self._memtable = Memtable(
-            self.config.memtable_entries, retain_versions=self._retain_versions()
-        )
-        self._persist(wal_floor=self._seqno)
+        self._memtable = Memtable(self.config.memtable_entries)
         self.stats.flushes += 1
         self._maybe_compact()
 
@@ -409,7 +242,6 @@ class LSMTree:
                 .add(level + 1, result.tables)
             )
             self.stats.compactions.append(CompactionEvent(level + 1, result.stats))
-            self._persist()
 
     # ------------------------------------------------------------------
     # Read path
@@ -426,12 +258,10 @@ class LSMTree:
         self.stats.gets += 1
         return self.lookup(key)[0]
 
-    def lookup(
-        self, key: bytes | str | int, as_of: float | None = None
-    ) -> tuple[Entry | None, int]:
-        """``(entry, probes)`` for ``key``: its newest entry stamped at
-        or before ``as_of`` (None = latest; tombstones included) and the
-        number of sstables whose blocks were searched for it.
+    def lookup(self, key: bytes | str | int) -> tuple[Entry | None, int]:
+        """``(entry, probes)`` for ``key``: its newest entry (tombstones
+        included) and the number of sstables whose blocks were searched
+        for it.
 
         Search order is the paper's read flow: memtable, then L0 newest
         table first, then each level in order through its fence index
@@ -439,7 +269,6 @@ class LSMTree:
         of a tiered level resolve by version).  Data only moves
         downward, so the first level with a hit is it.
         """
-        self._check_open()
         encoded = encode_key(key)
         manifest = self.manifest
         groups = itertools.chain(
@@ -447,7 +276,7 @@ class LSMTree:
             level_groups(manifest, encoded, range(1, manifest.num_levels)),
         )
         return lookup(
-            encoded, groups, self._memtable.versions(encoded), as_of, self._cache
+            encoded, groups, self._memtable.versions(encoded), cache=self._cache
         )
 
     def scan(
@@ -467,7 +296,6 @@ class LSMTree:
         element; interleaving writes with iteration is undefined (finish
         or drop the iterator before mutating).
         """
-        self._check_open()
         lo_b = encode_key(lo) if lo is not None else None
         hi_b = encode_key(hi) if hi is not None else None
         levels = range(self.manifest.num_levels)
@@ -491,21 +319,3 @@ class LSMTree:
     def cache(self) -> ReadCache | None:
         """The shared read cache (None when disabled)."""
         return self._cache
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def _persist(self, wal_floor: int | None = None) -> None:
-        """Commit every level's tables, the seqno and the clock to the
-        store; ``wal_floor`` marks the WAL flushed up to that seqno."""
-        if self._store is None:
-            return
-        levels = self.manifest.snapshot()
-        state = {
-            "policy": self._policy.name,
-            "seqno": self._seqno,
-            "clock": self._logical_time,
-            "levels": [[t.table_id for t in level] for level in levels],
-        }
-        tables = [t for level in levels for t in level]
-        self._store.commit(tables, state, wal_floor=wal_floor)

@@ -6,8 +6,7 @@ atomic installs) that ``lsm/sstable_io.py`` imports at module level and
 :mod:`repro.store.node_store` uses too; to keep that edge acyclic this
 package resolves its public names lazily (PEP 562) — importing
 ``repro.store.fsutil`` never pulls in the node store, which imports
-``lsm``.  The one edge back, ``lsm/tree.py`` → ``store/node_store.py``
-(a persistent ``LSMTree`` is a store client), is function-level.
+``lsm``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ lives in the parent directory's metadata: until the directory is
 fsynced, a power loss can roll the rename back (or lose a freshly
 created file entirely).  Every atomic-install path in the repo —
 :func:`repro.lsm.sstable_io.write_sstable` and the
-:class:`~repro.store.node_store.NodeStore` manifest, which is also the
-embedded ``LSMTree``'s — therefore pairs its replace/create/unlink with
-:func:`fsync_dir`.
+:class:`~repro.store.node_store.NodeStore` manifest — therefore pairs
+its replace/create/unlink with :func:`fsync_dir`.
 
 This module is a dependency-free leaf: it imports nothing from
 ``repro``, so ``lsm/sstable_io.py`` (module-level) and ``store`` can

@@ -1,8 +1,8 @@
-"""Per-node durable storage (Section III-H): the one durable store, for
-the live runtime's three roles and the embedded ``LSMTree`` alike.
+"""Per-node durable storage (Section III-H): the one durable store of
+the live runtime's three roles.
 
 A :class:`NodeStore` gives one CooLSM process a crash-safe home under
-its ``--data-dir`` (an embedded tree, under its ``directory``):
+its ``--data-dir``:
 
 * ``wal.log`` — the role's write-ahead log (Ingestors log every acked
   upsert before replying; see :mod:`repro.lsm.wal` for the record
@@ -15,8 +15,7 @@ its ``--data-dir`` (an embedded tree, under its ``directory``):
   carrying a role-specific ``state`` snapshot: the Ingestor's level
   contents, in-flight forwarded batches and clock watermark, the
   Compactor's levels, dedup table and backup sequence, the Reader's
-  applied areas and per-source sequence numbers, the embedded tree's
-  ``seqno``, ``clock`` and ``levels``.
+  applied areas and per-source sequence numbers.
 
 ``commit`` is the only mutation of the manifest: it writes any sstable
 that is not yet on disk, installs the new manifest, and only then

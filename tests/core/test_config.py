@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import CooLSMConfig
 from repro.lsm.errors import InvalidConfigError
+from repro.lsm.tree import LSMConfig
 
 
 class TestPresets:
@@ -108,4 +109,19 @@ class TestNoFeatureFlags:
 
     def test_no_boolean_field(self):
         hints = get_type_hints(CooLSMConfig)
+        assert [name for name, hint in hints.items() if hint is bool] == []
+
+    LSM_FIELDS = (
+        "memtable_entries",
+        "sstable_entries",
+        "level_thresholds",
+        "cache_capacity",
+        "compaction_policy",
+    )
+
+    def test_lsm_config_field_names_are_pinned(self):
+        assert tuple(f.name for f in fields(LSMConfig)) == self.LSM_FIELDS
+
+    def test_lsm_config_has_no_boolean_field(self):
+        hints = get_type_hints(LSMConfig)
         assert [name for name, hint in hints.items() if hint is bool] == []

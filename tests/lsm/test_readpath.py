@@ -352,7 +352,6 @@ def old_reader_scan_pairs(self, lo, hi, limit=None):
 
 
 def old_tree_get_entry(self, key):
-    self._check_open()
     self.stats.gets += 1
     encoded = encode_key(key)
     cache = self._cache
@@ -381,24 +380,7 @@ def old_tree_get_entry(self, key):
     return None
 
 
-def old_tree_get_entry_as_of(self, key, as_of):
-    candidates = [
-        v for v in self._memtable.versions(key) if v.timestamp <= as_of
-    ]
-    for level in range(self.manifest.num_levels):
-        for table in self.manifest.tables_for_key(level, key):
-            candidates.extend(
-                v
-                for v in table.versions(key, self._cache)
-                if v.timestamp <= as_of
-            )
-    if not candidates:
-        return None
-    return max(candidates, key=lambda e: e.version)
-
-
 def old_tree_scan(self, lo=None, hi=None):
-    self._check_open()
     lo_b = encode_key(lo) if lo is not None else None
     hi_b = encode_key(hi) if hi is not None else None
 
@@ -565,23 +547,21 @@ class TestTreeMatchesTheDeletedBodies:
             memtable_entries=60,
             sstable_entries=25,
             level_thresholds=(3, 3, 10, 100),
-            enable_snapshots=True,
             cache_capacity=0,  # so SSTable.probes counts every block search
             compaction_policy=policy,
         )
         tree = LSMTree(config)
         rng = random.Random(23)
-        pinned = tree.snapshot()  # keeps every later version alive
         for i in range(4_000):
             key = rng.randrange(700)
             if i % 11 == 3:
                 tree.delete(key)
             else:
                 tree.put(key, b"v-%d" % i)
-        return tree, pinned
+        return tree
 
     def test_point_lookups(self, policy):
-        tree, __ = self.build(policy)
+        tree = self.build(policy)
         rng = random.Random(24)
         levels = range(tree.manifest.num_levels)
         tables = [t for level in levels for t in tree.manifest.level(level)]
@@ -592,12 +572,9 @@ class TestTreeMatchesTheDeletedBodies:
             # What the baselines charge is what was searched.
             assert probes == sum(t.probes for t in tables) - searched
             assert entry == old_tree_get_entry(tree, key)
-            for as_of in (0.5, float(rng.randrange(1, 4_001)), 5_000.0):
-                expected = old_tree_get_entry_as_of(tree, encode_key(key), as_of)
-                assert tree.lookup(key, as_of)[0] == expected
 
     def test_scans(self, policy):
-        tree, __ = self.build(policy)
+        tree = self.build(policy)
         rng = random.Random(25)
         bounds = [(None, None)]
         for __ in range(10):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.lsm.errors import ClosedError, InvalidConfigError
+from repro.lsm.errors import InvalidConfigError
 from repro.lsm.tree import LSMConfig, LSMTree
 
 SMALL = LSMConfig(memtable_entries=16, sstable_entries=8, level_thresholds=(2, 2, 4, 0))
@@ -61,14 +61,6 @@ class TestBasicOps:
         tree.put("42str", "str")
         assert tree.get(42) == b"int"
         assert tree.get("42str") == b"str"
-
-    def test_closed_tree_raises(self):
-        tree = LSMTree(SMALL)
-        tree.close()
-        with pytest.raises(ClosedError):
-            tree.put("k", "v")
-        with pytest.raises(ClosedError):
-            tree.get("k")
 
 
 class TestCompactionBehaviour:
@@ -144,47 +136,3 @@ class TestScan:
             tree.put(i, "v")
         tree.delete(0)
         assert len(tree) == 29
-
-
-class TestPersistence:
-    def test_recovery_from_wal_only(self, tmp_path):
-        directory = str(tmp_path / "db")
-        tree = LSMTree(SMALL, directory=directory)
-        tree.put("a", "1")
-        tree.put("b", "2")
-        tree.close()
-        recovered = LSMTree.open(directory, SMALL)
-        assert recovered.get("a") == b"1"
-        assert recovered.get("b") == b"2"
-
-    def test_recovery_with_flushed_tables(self, tmp_path):
-        directory = str(tmp_path / "db")
-        tree = LSMTree(SMALL, directory=directory)
-        for i in range(1_000):
-            tree.put(i % 150, "v%d" % i)
-        expected = {k: tree.get(k) for k in range(150)}
-        tree.close()
-        recovered = LSMTree.open(directory, SMALL)
-        for key, value in expected.items():
-            assert recovered.get(key) == value
-
-    def test_recovery_preserves_seqno_monotonicity(self, tmp_path):
-        directory = str(tmp_path / "db")
-        tree = LSMTree(SMALL, directory=directory)
-        tree.put("k", "old")
-        tree.close()
-        recovered = LSMTree.open(directory, SMALL)
-        recovered.put("k", "new")
-        assert recovered.get("k") == b"new"
-
-    def test_writes_after_recovery_durable(self, tmp_path):
-        directory = str(tmp_path / "db")
-        tree = LSMTree(SMALL, directory=directory)
-        tree.put("a", "1")
-        tree.close()
-        second = LSMTree.open(directory, SMALL)
-        second.put("b", "2")
-        second.close()
-        third = LSMTree.open(directory, SMALL)
-        assert third.get("a") == b"1"
-        assert third.get("b") == b"2"

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import repro
 from repro.lsm.entry import make_upsert
 from repro.lsm.errors import CorruptionError
+from repro.lsm.manifest import Manifest
 from repro.lsm.sstable import SSTable
 from repro.lsm.wal import WriteAheadLog
 from repro.store import MANIFEST_NAME, WAL_NAME, NodeStore
@@ -197,14 +201,144 @@ def test_write_counters_split_bytes_by_file_class(tmp_path):
         assert min(store.gauges().values()) > 0
 
 
+def logged(store: NodeStore, seqnos) -> list:
+    """Log one fsynced WAL record per seqno; return the entries."""
+    entries = [make_upsert(i, b"w-%d" % i, seqno=i, timestamp=2.0) for i in seqnos]
+    for entry in entries:
+        store.log_entries([entry])
+    return entries
+
+
+def test_torn_wal_tail_recovers_to_last_full_record(tmp_path):
+    with open_store(tmp_path / "n") as store:
+        store.commit([], {})  # the WAL is replayed only beside a manifest
+        entries = logged(store, range(1, 11))
+    # A crash mid-append leaves a partial record at the tail.
+    with open(tmp_path / "n" / WAL_NAME, "ab") as wal:
+        wal.write(b"\x01\x02\x03")
+    with open_store(tmp_path / "n") as store:
+        assert store.recovered.wal_entries == entries
+
+
+def test_corrupt_wal_before_tail_raises(tmp_path):
+    with open_store(tmp_path / "n") as store:
+        store.commit([], {})
+        logged(store, range(1, 11))
+    wal_path = tmp_path / "n" / WAL_NAME
+    blob = bytearray(wal_path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF  # bit-rot mid-log, not a torn tail
+    blob += b"\x00" * 16  # ensure the damaged record is not final
+    wal_path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="corrupt WAL record"):
+        open_store(tmp_path / "n")
+
+
+# One step of the cross-process script: open the store, build ``count``
+# fresh one-entry tables whose keys are stamped ``tag``, and commit them
+# beside every recovered table.
+REOPEN_STEP = """
+import sys
+from repro.lsm.entry import make_upsert
+from repro.lsm.sstable import SSTable
+from repro.store import NodeStore
+directory, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+with NodeStore.open(directory, node_name="ingestor-0", role="ingestor") as store:
+    kept = list(store.recovered.tables.values()) if store.recovered else []
+    fresh = [
+        SSTable([make_upsert("%s%d" % (tag, i), b"v", seqno=i + 1, timestamp=1.0)])
+        for i in range(count)
+    ]
+    store.commit(kept + fresh, {})
+"""
+
+
+def test_reopen_in_a_new_process_keeps_every_table(tmp_path):
+    # Each process starts its table-id counter at 1 and files are named
+    # by id, so only the id floor set at recovery keeps a reopened store
+    # from taking a fresh table for a recovered one of the same id.
+    directory = str(tmp_path / "n")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    expected = set()
+    for tag, count in (("a", 3), ("b", 2), ("c", 0)):
+        step = subprocess.run(
+            [sys.executable, "-c", REOPEN_STEP, directory, tag, str(count)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert step.returncode == 0, step.stderr[-2000:]
+        expected |= {("%s%d" % (tag, i)).encode() for i in range(count)}
+    with open(os.path.join(directory, MANIFEST_NAME)) as f:
+        named = [meta["file"] for meta in json.load(f)["tables"].values()]
+    assert len(named) == len(expected)
+    assert all(os.path.exists(os.path.join(directory, name)) for name in named)
+    with open_store(directory) as store:
+        keys = {e.key for t in store.recovered.tables.values() for e in t.entries}
+    assert keys == expected
+
+
+def sstable_files(directory) -> dict[str, int]:
+    """``{file name: inode}`` — an atomic rewrite changes the inode."""
+    return {
+        name: os.stat(os.path.join(directory, name)).st_ino
+        for name in os.listdir(directory)
+        if name.endswith(".sst")
+    }
+
+
+def test_recommitting_recovered_tables_does_not_rewrite_them(tmp_path):
+    with open_store(tmp_path / "n") as store:
+        store.commit([table(1), table(2, base=100)], {})
+    before = sstable_files(tmp_path / "n")
+    with open_store(tmp_path / "n") as store:
+        recovered = list(store.recovered.tables.values())
+        store.commit(recovered + [table(3, base=200)], {})
+        written = store.sstable_bytes_written
+    after = sstable_files(tmp_path / "n")
+    # Only the new table got a file; each recovered one keeps its own.
+    assert len(after.keys() - before.keys()) == 1
+    assert all(after[name] == before[name] for name in before)
+    assert written == os.path.getsize(tmp_path / "n" / ("sst-%016x.sst" % 3))
+
+
+def test_legacy_manifest_without_policy_opens_under_a_policy(tmp_path):
+    with open_store(tmp_path / "n", policy="leveling") as store:
+        t1, t2 = table(1), table(2, base=100)
+        store.commit([t1, t2], {"policy": "leveling", "levels": [[1], [2]]})
+    manifest_path = tmp_path / "n" / MANIFEST_NAME
+    document = json.loads(manifest_path.read_text())
+    del document["policy"], document["state"]["policy"]
+    manifest_path.write_text(json.dumps(document))
+    with open_store(tmp_path / "n", policy="leveling") as store:
+        manifest = Manifest(2)
+        manifest.apply(store.recovered.levels_for("ingestor-0", "leveling"))
+    assert [[t.table_id for t in level] for level in manifest.snapshot()] == [[1], [2]]
+
+
+def imported_modules(node: ast.AST, package: str) -> set[str]:
+    """Absolute dotted names an import statement in ``package`` reaches
+    (``from a import b`` reaches both ``a`` and ``a.b``)."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    module = node.module or ""
+    if node.level:  # relative: climb level - 1 packages from ``package``
+        parts = package.split(".")[: len(package.split(".")) - (node.level - 1)]
+        module = ".".join(parts + ([module] if module else []))
+    return {module} | {f"{module}.{alias.name}" for alias in node.names}
+
+
 def test_file_mutation_lives_in_three_modules():
     # The list a MemFS seam (ROADMAP item 5) has to cover: every rename,
     # unlink, fsync and truncate in src/ goes through these modules, and
-    # the embedded tree reaches the disk only through the store.
+    # the embedded tree never reaches the disk.
     root = Path(repro.__file__).parent
-    mutators, tree_imports = set(), set()
+    mutators, tree_imports, lsm_imports = set(), set(), set()
     for path in root.rglob("*.py"):
         module = path.relative_to(root).as_posix()
+        package = "repro." + ".".join(path.relative_to(root).parent.parts)
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 target = ast.unparse(node.func)
@@ -214,5 +348,13 @@ def test_file_mutation_lives_in_three_modules():
                     mutators.add(module)
             if module == "lsm/tree.py" and isinstance(node, ast.Import):
                 tree_imports.update(alias.name for alias in node.names)
+            if module.startswith("lsm/"):
+                # At any level: module, class or function body.
+                lsm_imports |= imported_modules(node, package)
     assert mutators == {"store/fsutil.py", "store/node_store.py", "lsm/wal.py"}
     assert not tree_imports & {"os", "json"}
+    # lsm/ reaches the store package only for its fsutil leaf: never
+    # repro.store.node_store, directly or through the package's lazy names.
+    store_edges = {n for n in lsm_imports if n.split(".")[:2] == ["repro", "store"]}
+    assert "repro.store.fsutil" in store_edges
+    assert all(n.startswith("repro.store.fsutil") for n in store_edges), store_edges

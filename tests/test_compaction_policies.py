@@ -6,13 +6,11 @@ must produce bit-identical results under tiering, lazy-leveling, and
 sequential model, against the monolithic baseline, under a YCSB-style
 zipfian mix, and under explorer schedules that crash nodes mid-handoff
 (DESIGN.md §18).  Policies differ only in *where bytes live*, which the
-tuning parity tests pin against the analytic cost models.
+measured amplification counters pin.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import replace
 
@@ -24,11 +22,6 @@ from repro.lsm.entry import encode_key
 from repro.lsm.errors import CorruptionError, InvalidConfigError
 from repro.lsm.policy import POLICY_NAMES, make_policy, normalize_policy_name
 from repro.lsm.tree import LSMConfig, LSMTree
-from repro.lsm.tuning import (
-    LSMShape,
-    policy_space_amplification,
-    policy_write_cost,
-)
 from repro.verify import POLICY_SHAPES, differential_run, generate_schedule, run_schedule
 from repro.workloads.distributions import Zipfian
 
@@ -195,26 +188,44 @@ class TestPolicyPersistence:
     """Store manifests remember their policy; recovery refuses to
     reinterpret another policy's level structure."""
 
+    @staticmethod
+    def _open(directory: str, policy: str | None):
+        from repro.store.node_store import NodeStore
+
+        return NodeStore.open(directory, node_name="tree-0", role="ingestor", policy=policy)
+
     def _fill(self, directory: str, policy: str) -> None:
-        config = LSMConfig(compaction_policy=policy, **TREE_KW)
-        tree = LSMTree(config, directory=directory)
+        """Commit a filled in-memory tree's levels under ``policy``."""
+        tree = LSMTree(LSMConfig(compaction_policy=policy, **TREE_KW))
         for i in range(300):
             tree.put(i % 50, b"d-%d" % i)
-        tree.close()
+        tree.flush()
+        levels = tree.manifest.snapshot()
+        state = {
+            "policy": policy,
+            "levels": [[t.table_id for t in level] for level in levels],
+        }
+        with self._open(directory, policy) as store:
+            store.commit([t for level in levels for t in level], state)
 
     def test_same_policy_reopens(self, tmp_path):
         directory = str(tmp_path / "store")
         self._fill(directory, "tiering")
-        config = LSMConfig(compaction_policy="tiering", **TREE_KW)
-        with LSMTree.open(directory, config) as tree:
-            assert tree.get(0) is not None
+        tree = LSMTree(LSMConfig(compaction_policy="tiering", **TREE_KW))
+        with self._open(directory, "tiering") as store:
+            tree.manifest.apply(store.recovered.levels_for("tree-0", "tiering"))
+        assert tree.get(0) is not None
 
     @pytest.mark.parametrize("wrong", ["leveling", "one_leveling"])
     def test_mismatched_policy_refused(self, tmp_path, wrong):
         directory = str(tmp_path / "store")
         self._fill(directory, "tiering")
         with pytest.raises(CorruptionError, match="compaction policy"):
-            LSMTree.open(directory, LSMConfig(compaction_policy=wrong, **TREE_KW))
+            self._open(directory, wrong)
+        # A store opened without a policy still refuses the levels.
+        with self._open(directory, None) as store:
+            with pytest.raises(CorruptionError, match="compaction policy"):
+                store.recovered.levels_for("tree-0", wrong)
 
     def test_node_store_policy_mismatch_refused(self, tmp_path):
         from repro.lsm.sstable import SSTable
@@ -241,42 +252,10 @@ class TestPolicyPersistence:
         ) as store:
             assert store.recovered is not None
 
-    def test_legacy_manifest_without_policy_accepted(self, tmp_path):
-        directory = str(tmp_path / "store")
-        self._fill(directory, "leveling")
-        manifest_path = os.path.join(directory, "NODE_MANIFEST.json")
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            listing = json.load(f)
-        del listing["policy"], listing["state"]["policy"]
-        with open(manifest_path, "w", encoding="utf-8") as f:
-            json.dump(listing, f)
-        with LSMTree.open(directory, LSMConfig(**TREE_KW)) as tree:
-            assert tree.get(0) is not None
-
 
 class TestTuningParity:
-    """Analytic write/space estimates vs measured amplification
-    counters, per policy (the Dostoevsky-style trade-off grid)."""
-
-    SHAPE = LSMShape(100_000, 1_000, 10.0)
-
-    def test_write_cost_ordering(self):
-        costs = {p: policy_write_cost(p, self.SHAPE) for p in POLICIES}
-        # Tiering writes each entry once per level; lazy-leveling adds a
-        # leveled bottom; leveling pays ratio/2 per level; 1-leveling
-        # rewrites the single level on every flush.
-        assert costs["tiering"] < costs["lazy_leveling"] < costs["leveling"]
-        assert costs["leveling"] < costs["one_leveling"]
-
-    def test_space_amplification_ordering(self):
-        space = {p: policy_space_amplification(p, self.SHAPE) for p in POLICIES}
-        assert space["one_leveling"] < space["lazy_leveling"] < space["tiering"]
-        assert space["leveling"] < space["tiering"]
-
-    def test_alias_dispatch(self):
-        assert policy_write_cost("1-leveling", self.SHAPE) == policy_write_cost(
-            "one_leveling", self.SHAPE
-        )
+    """Measured write/space amplification per policy (the
+    Dostoevsky-style trade-off grid)."""
 
     @staticmethod
     def _drive(policy: str):
@@ -286,9 +265,9 @@ class TestTuningParity:
         return measure_lsm_tree(tree)
 
     def test_measured_ordering_matches_model(self):
-        """The measured counters must reproduce the model's headline
-        trade-off: tiering writes less and keeps more garbage than
-        leveling; 1-leveling writes the most."""
+        """The measured counters reproduce the headline trade-off:
+        tiering writes less and keeps more garbage than leveling, and
+        1-leveling's rewrites are real."""
         measured = {p: self._drive(p) for p in POLICIES}
         assert (
             measured["tiering"].write_amplification
@@ -306,17 +285,3 @@ class TestTuningParity:
             measured["leveling"].space_amplification
             <= measured["tiering"].space_amplification
         )
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_measured_within_model_factor(self, policy):
-        """Loose parity: the analytic estimate and the measured write
-        amplification agree within a small constant factor (the model
-        assumes a full steady-state tree; the workload is small)."""
-        report = self._drive(policy)
-        shape = LSMShape(
-            total_entries=300, buffer_entries=TREE_KW["memtable_entries"], size_ratio=2.0
-        )
-        estimate = policy_write_cost(policy, shape)
-        measured = report.write_amplification
-        assert measured > 1.0
-        assert estimate / 8.0 <= measured <= estimate * 8.0

@@ -7,7 +7,10 @@ bit-identical point-get results — and both must match the sequential
 reference model.
 """
 
-from repro.verify import differential_run
+from dataclasses import replace
+
+from repro.core import ClusterSpec, build_cluster
+from repro.verify import VERIFY_CONFIG, differential_run
 
 
 def test_point_gets_bit_identical_with_and_without_cache():
@@ -19,6 +22,17 @@ def test_point_gets_bit_identical_with_and_without_cache():
     assert cached["cluster"] == uncached["cluster"]
     assert cached["monolith"] == uncached["monolith"]
     assert cached["model"] == uncached["model"]
+
+
+def monolith_cache(capacity: int):
+    config = replace(VERIFY_CONFIG, read_cache_capacity=capacity)
+    return build_cluster(ClusterSpec(config=config, monolithic=True)).monolith.tree.cache
+
+
+def test_monolith_cache_follows_the_configured_capacity():
+    # Otherwise the monolith rows above compare two cached runs.
+    assert monolith_cache(0) is None
+    assert monolith_cache(64).capacity == 64
 
 
 def test_cache_equivalence_across_seeds():
