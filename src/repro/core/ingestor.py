@@ -472,7 +472,7 @@ class Ingestor(RpcNode):
         """Move ``overflow`` (tables currently in L1) into the in-flight
         set and ship them to the owning Compactor partitions."""
         self.manifest.apply(LevelEdit().remove(1, overflow))
-        high_ts = max(e.timestamp for t in overflow for e in t.entries)
+        high_ts = max(t.high_ts for t in overflow)
         self.ts_c = max(self.ts_c, high_ts)
         # Split at partition boundaries, group per partition.
         per_partition: dict[int, list[SSTable]] = {}

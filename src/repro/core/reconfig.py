@@ -90,7 +90,7 @@ def _migrate_tables(
         batch = tables[start : start + batch_size]
         if not batch:
             continue
-        high_ts = max(e.timestamp for t in batch for e in t.entries)
+        high_ts = max(t.high_ts for t in batch)
         entries = sum(len(t) for t in batch)
         batch_id += 1
         last_error: Exception | None = None

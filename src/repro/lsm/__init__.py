@@ -34,14 +34,7 @@ from .errors import (
     LSMError,
     ManifestError,
 )
-from .iterators import (
-    chunk_into_runs,
-    dedup_newest,
-    drop_tombstones,
-    k_way_merge,
-    level_scan,
-    retain_versions_above,
-)
+from .iterators import dedup_newest, k_way_merge, level_scan
 from .manifest import LevelEdit, LevelFenceIndex, Manifest
 from .memtable import Memtable, SkipList
 from .sstable import SSTable, sort_run
@@ -78,10 +71,8 @@ __all__ = [
     "SkipList",
     "TreeStats",
     "WriteAheadLog",
-    "chunk_into_runs",
     "compact_step",
     "dedup_newest",
-    "drop_tombstones",
     "encode_key",
     "encode_value",
     "k_way_merge",
@@ -95,7 +86,6 @@ __all__ = [
     "pick_tables",
     "read_sstable",
     "replay",
-    "retain_versions_above",
     "select_overflow_rotating",
     "sort_run",
     "write_sstable",

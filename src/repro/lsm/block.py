@@ -17,6 +17,10 @@ Layout of one encoded block::
         varint value_len | value bytes
 
 Varints are LEB128 (unsigned).  All fixed-width integers little-endian.
+
+A record is self-contained (no prefix compression), so a merge reads a
+block's records raw (:func:`read_records`) and builds a block by
+concatenating them (:func:`pack_records`) without an :class:`Entry`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import struct
 import zlib
 
+from .bloom import key_digest
 from .entry import Entry
 from .errors import CorruptionError
 
@@ -85,6 +90,13 @@ def encode_entries(entries: list[Entry]) -> bytes:
     return _U32.pack(zlib.crc32(body)) + body
 
 
+def pack_records(records: list[bytes]) -> bytes:
+    """One block over already-encoded records, in order: what
+    :func:`encode_entries` returns for their entries."""
+    body = _U32.pack(len(records)) + b"".join(records)
+    return _U32.pack(zlib.crc32(body)) + body
+
+
 def verified_count(data: bytes) -> int:
     """The entry count of a block, once its checksum holds: what
     :func:`decode_entries` checks first, without decoding an entry."""
@@ -131,3 +143,40 @@ def decode_entries(data: bytes) -> list[Entry]:
     except IndexError:
         raise CorruptionError("truncated varint") from None
     return entries
+
+
+def read_records(image: bytes, offset: int, length: int) -> list[tuple]:
+    """The records of the block at ``image[offset : offset + length]``,
+    once its checksum holds, each as ``(key, -timestamp, -seqno,
+    tombstone, image, start, end, key digest)``: what a merge sorts and
+    filters on, where the record's bytes lie, and the key's
+    :func:`~repro.lsm.bloom.key_digest`.  Nothing is copied but the key."""
+    count = verified_count(memoryview(image)[offset : offset + length])
+    pos, end = offset + _HEADER.size, offset + length
+    unpack_fixed, fixed_size = _FIXED.unpack_from, _FIXED.size
+    records: list[tuple] = []
+    append = records.append
+    try:
+        for _ in range(count):
+            start = pos
+            key_len = image[pos]
+            if key_len < 128:
+                pos += 1
+            else:
+                key_len, pos = decode_varint(image, pos)
+            key = image[pos : pos + key_len]
+            seqno, timestamp, tomb = unpack_fixed(image, pos + key_len)
+            pos += key_len + fixed_size
+            value_len = image[pos]
+            if value_len < 128:
+                pos += 1
+            else:
+                value_len, pos = decode_varint(image, pos)
+            pos += value_len
+            append((key, -timestamp, -seqno, tomb, image, start, pos, key_digest(key)))
+    except (IndexError, struct.error):
+        raise CorruptionError("truncated block record") from None
+    # Every length is checked at once: the records must end at the block's end.
+    if pos != end:
+        raise CorruptionError("block records do not fill the block")
+    return records

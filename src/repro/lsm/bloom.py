@@ -20,12 +20,18 @@ import struct
 from .errors import CorruptionError, InvalidConfigError
 
 _MAGIC = b"BLM1"
+_PAIR = struct.Struct("<QQ")
+
+
+def key_digest(key: bytes) -> bytes:
+    """The 16-byte blake2b digest a key's two probe hashes are read from:
+    what a merge keeps per record so that it hashes each key once."""
+    return hashlib.blake2b(key, digest_size=16).digest()
 
 
 def _hash_pair(data: bytes) -> tuple[int, int]:
     """Two independent 64-bit hashes of ``data`` (from one blake2b call)."""
-    digest = hashlib.blake2b(data, digest_size=16).digest()
-    h1, h2 = struct.unpack("<QQ", digest)
+    h1, h2 = _PAIR.unpack(key_digest(data))
     # h2 must be odd so successive probes cycle through all positions.
     return h1, h2 | 1
 
@@ -73,21 +79,32 @@ class BloomFilter:
 
     @classmethod
     def build(cls, keys, false_positive_rate: float = 0.01) -> "BloomFilter":
-        """Build a filter over an iterable of keys (materialised once):
-        repeated :meth:`add`, inlined, with ``(h1 + i * h2) % m`` stepped
-        as ``pos += h2 % m`` so the arithmetic stays in small ints."""
-        key_list = list(keys)
-        bloom = cls.for_keys(len(key_list), false_positive_rate)
-        bits, m, hashes = bloom._bits, bloom.num_bits, range(bloom.num_hashes)
-        for key in key_list:
-            h1, h2 = _hash_pair(key)
-            pos, step = h1 % m, h2 % m
-            for __ in hashes:
-                bits[pos >> 3] |= 1 << (pos & 7)
-                pos += step
-                if pos >= m:
-                    pos -= m
-        bloom._count = len(key_list)
+        """Build a filter over an iterable of keys: hash each, then
+        :meth:`from_digests`."""
+        return cls.from_digests(b"".join(map(key_digest, keys)), false_positive_rate)
+
+    @classmethod
+    def from_digests(cls, digests: bytes, false_positive_rate: float = 0.01) -> "BloomFilter":
+        """A filter over the keys whose :func:`key_digest` values are
+        concatenated in ``digests``: what repeated :meth:`add` sets.  A
+        key's probes ``(h1 + i * h2) % m`` are taken unwrapped, as one
+        strided slice of ``k * m`` ASCII slots, and folded mod ``m`` at the
+        end, so the per-key work is one slice assignment."""
+        count = len(digests) // _PAIR.size
+        bloom = cls.for_keys(count, false_positive_rate)
+        m, k = bloom.num_bits, bloom.num_hashes
+        slots = bytearray(b"0") * (k * m)
+        ones = b"1" * k
+        for h1, h2 in _PAIR.iter_unpack(digests):
+            start = h1 % m
+            step = (h2 | 1) % m or m  # a zero step probes one position k times
+            slots[start : start + k * step : step] = ones
+        slots.reverse()  # bit ``pos`` is the ``pos``-th binary digit from the right
+        folded = 0
+        for wrap in range(k):
+            folded |= int(slots[wrap * m : (wrap + 1) * m], 2)
+        bloom._bits = bytearray(folded.to_bytes(len(bloom._bits), "little"))
+        bloom._count = count
         return bloom
 
     def __len__(self) -> int:

@@ -12,23 +12,24 @@ boundary uses.  These are pure functions over immutable sstables; the
 caller (an ``LSMTree``, Ingestor, or Compactor) owns the yields and the
 cost charges and applies the result atomically via a
 :class:`~repro.lsm.manifest.LevelEdit`.
+
+The one merge, :func:`merge_tables`, never builds an
+:class:`~repro.lsm.entry.Entry`: it sorts and filters the raw records of
+its inputs' images (:func:`~repro.lsm.block.read_records`) on their
+header fields, and builds each output's image by concatenating them
+under fresh block headers and checksums.  The outputs are born adopted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import getitem, itemgetter
 
-from .entry import Entry
-from .iterators import (
-    chunk_into_runs,
-    dedup_newest,
-    drop_tombstones,
-    k_way_merge,
-    level_scan,
-    retain_versions_above,
-)
-from .sstable import SSTable
+from .block import pack_records, read_records
+from .bloom import BloomFilter
+from .errors import CorruptionError
+from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable, next_table_id
+from .sstable_io import assemble_image, encode_sstable
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,16 +48,6 @@ class KeepPolicy:
 
     retain_horizon: float | None = None
     drop_tombstones: bool = False
-
-    def apply(self, merged: Iterable[Entry]) -> Iterable[Entry]:
-        """Run the policy over a merged, sorted entry stream."""
-        if self.retain_horizon is None:
-            stream = dedup_newest(merged)
-        else:
-            stream = retain_versions_above(merged, self.retain_horizon)
-        if self.drop_tombstones:
-            stream = drop_tombstones(stream)
-        return stream
 
 
 #: Classic LSM semantics: newest version wins, tombstones kept.
@@ -86,42 +77,111 @@ class CompactionResult:
     stats: CompactionStats = field(default_factory=CompactionStats)
 
 
+_VERSION = itemgetter(0, 1, 2)  # a record's (key, -timestamp, -seqno)
+
+
 def merge_tables(
     tables: list[SSTable],
     run_size: int,
     policy: KeepPolicy = NEWEST_WINS,
     level_run: list[SSTable] | None = None,
 ) -> CompactionResult:
-    """K-way merge ``tables`` (newer sources first) into fixed-size runs.
+    """Merge ``tables`` (newer sources first) into fixed-size runs.
 
-    ``level_run``, if given, is a disjoint min-key-sorted run (a leveled
-    target level) merged as the *oldest* source: its tables are chained
-    into one lazy :func:`level_scan` cursor, so the merge heap holds one
-    entry for the whole run instead of one per table.
+    ``level_run``, if given, holds the target level's tables, merged as
+    the *oldest* sources, in order.  Every input block's
+    checksum is checked before any of its bytes is copied, and a damaged
+    input raises :class:`~repro.lsm.errors.CorruptionError` before any
+    output is built.
     """
-    level_run = level_run or []
+    sources = list(tables) + list(level_run or ())
     stats = CompactionStats(
-        entries_in=sum(len(t) for t in tables) + sum(len(t) for t in level_run),
-        tables_in=len(tables) + len(level_run),
+        entries_in=sum(len(t) for t in sources), tables_in=len(sources)
     )
-    streams: list = [t.entries for t in tables]
-    if level_run:
-        streams.append(level_scan(level_run))
-    merged = k_way_merge(streams)
-    kept = policy.apply(merged)
-    out_tables = [SSTable(chunk) for chunk in chunk_into_runs(kept, run_size)]
-    stats.entries_out = sum(len(t) for t in out_tables)
+    records: list[tuple] = []
+    for table in sources:
+        records += _records_of(table)
+    # Each source is sorted, so this merges runs; it is stable, so
+    # between equal versions the earlier (newer) source comes first.
+    records.sort(key=_VERSION)
+    kept = _keep(records, policy)
+    out_tables = [_build(kept[start:stop]) for start, stop in _runs(kept, run_size)]
+    stats.entries_out = len(kept)
     stats.tables_out = len(out_tables)
     return CompactionResult(out_tables, stats)
 
 
-def _is_disjoint_run(tables: list[SSTable]) -> bool:
-    """True when ``tables`` are min-key-sorted and pairwise disjoint —
-    the precondition for chaining them into one sorted stream."""
-    for left, right in zip(tables, tables[1:]):
-        if left.max_key >= right.min_key:
-            return False
-    return True
+def _records_of(table: SSTable) -> list[tuple]:
+    """``table``'s records in table order, read from its image (a table
+    built from entries is encoded here), held to its index as
+    :meth:`SSTable.__getattr__` holds a decode."""
+    image = encode_sstable(table, table._block_entries)
+    records: list[tuple] = []
+    for first_key, offset, length in table._blocks:
+        block = read_records(image, offset, length)
+        if not block or block[0][0] != first_key:
+            raise CorruptionError(f"sstable {table.table_id}: block not at its fence key")
+        records += block
+    if len(records) != len(table) or records[-1][0] != table.max_key:
+        raise CorruptionError(f"sstable {table.table_id}: records disagree with the index")
+    return records
+
+
+def _keep(records: list[tuple], policy: KeepPolicy) -> list[tuple]:
+    """What ``policy`` keeps of sorted records: the newest version of each
+    key, plus — under a ``retain_horizon`` — every older version whose
+    superseding version is newer than the horizon (Section III-E's GC
+    rule: no current or future read, all above the horizon, needs it
+    otherwise); then, if asked, no tombstone."""
+    horizon = policy.retain_horizon
+    kept: list[tuple] = []
+    append = kept.append
+    last_key = None
+    superseding = 0.0
+    for record in records:
+        if record[0] != last_key:
+            last_key = record[0]
+        elif horizon is None or superseding <= horizon:
+            continue
+        superseding = -record[1]
+        append(record)
+    if policy.drop_tombstones:
+        kept = [record for record in kept if not record[3]]
+    return kept
+
+
+def _runs(records: list[tuple], run_size: int):
+    """``(start, stop)`` of each output table: ``run_size`` records, and
+    then the rest of the last key's versions, so no key is split across
+    two tables ("divided into ordered sstables, where the size of an
+    sstable is predetermined" — Section III-C)."""
+    start, total = 0, len(records)
+    while start < total:
+        stop = start + max(run_size, 1)
+        while stop < total and records[stop][0] == records[stop - 1][0]:
+            stop += 1
+        yield start, min(stop, total)
+        start = stop
+
+
+def _build(run: list[tuple]) -> SSTable:
+    """An adopted table over sorted records: each block is its records'
+    bytes under a fresh header and checksum, and the filter is set from
+    the records' key digests."""
+    keys, neg_ts, __, __, images, starts, ends, digests = zip(*run)
+    raws = list(map(getitem, images, map(slice, starts, ends)))
+    blocks = [
+        pack_records(raws[first : first + DEFAULT_BLOCK_ENTRIES])
+        for first in range(0, len(raws), DEFAULT_BLOCK_ENTRIES)
+    ]
+    bloom = BloomFilter.from_digests(b"".join(digests))
+    image, fences = assemble_image(blocks, keys[::DEFAULT_BLOCK_ENTRIES], keys[-1], bloom)
+    # The granularity and filter rate an ``SSTable`` built from entries defaults to.
+    table = SSTable.adopt(
+        image, fences, len(run), keys[-1], DEFAULT_BLOCK_ENTRIES, 0.01, next_table_id(), bloom
+    )
+    table.high_ts = -min(neg_ts)
+    return table
 
 
 def select_overflow_rotating(
@@ -187,14 +247,7 @@ def major_compaction(
     lo = min(t.min_key for t in incoming)
     hi = max(t.max_key for t in incoming)
     overlapping, untouched = find_overlaps(level_tables, lo, hi)
-    if _is_disjoint_run(overlapping):
-        result = merge_tables(
-            list(incoming), run_size, policy, level_run=overlapping
-        )
-    else:
-        # Defensive: a caller handed us an overlapping target level —
-        # merge table-by-table, which is always order-correct.
-        result = merge_tables(list(incoming) + overlapping, run_size, policy)
+    result = merge_tables(list(incoming), run_size, policy, level_run=overlapping)
     result.stats.overlap_tables = len(overlapping)
     return result, untouched
 

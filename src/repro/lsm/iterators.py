@@ -1,9 +1,11 @@
-"""Merge iterators: the k-way merge at the heart of every compaction.
+"""Merge iterators over entry streams: what the read path merges with.
 
 Both minor compaction (Ingestor, L0+L1 tiering) and major compaction
 (Compactor, L2/L3 leveling) are "k-way merge operations ... removing any
 redundancies by only keeping the most recent key-value pair of each key"
-(Section III-C).  These generators implement that pipeline:
+(Section III-C); compaction does that over raw records
+(:func:`~repro.lsm.compaction.merge_tables`).  Range reads do it over
+entries with these generators:
 
 :func:`k_way_merge`
     Merge sorted entry streams into one stream in sstable order, with a
@@ -12,14 +14,6 @@ redundancies by only keeping the most recent key-value pair of each key"
 
 :func:`dedup_newest`
     Collapse a merged stream to the newest version per key.
-
-:func:`retain_versions_above`
-    Horizon-aware garbage collection for Linearizable+Concurrent mode:
-    keep the newest version, plus every older version that some ongoing
-    or future read (with read-timestamp > horizon) might still need.
-
-:func:`drop_tombstones`
-    Remove delete markers (only safe at the bottom level).
 
 :func:`level_scan`
     A lazy cursor over a whole sorted level: chains the per-table scans
@@ -94,46 +88,3 @@ def dedup_newest(merged: Iterable[Entry]) -> Iterator[Entry]:
         if entry.key != last_key:
             yield entry
             last_key = entry.key
-
-
-def retain_versions_above(merged: Iterable[Entry], horizon: float) -> Iterator[Entry]:
-    """Horizon-aware version retention (Section III-E, GC rule).
-
-    A version may be garbage collected only if the *newer* version that
-    supersedes it has a timestamp <= ``horizon`` — i.e. no current or
-    future read (whose read timestamps are all > horizon) could still
-    need the old version.  The newest version of each key is always kept.
-    """
-    last_key: bytes | None = None
-    superseding_ts = 0.0
-    for entry in merged:
-        if entry.key != last_key:
-            yield entry
-            last_key = entry.key
-            superseding_ts = entry.timestamp
-        elif superseding_ts > horizon:
-            yield entry
-            superseding_ts = entry.timestamp
-
-
-def drop_tombstones(stream: Iterable[Entry]) -> Iterator[Entry]:
-    """Filter out tombstones (safe only when merging into the last level)."""
-    return (entry for entry in stream if not entry.tombstone)
-
-
-def chunk_into_runs(stream: Iterable[Entry], run_size: int) -> Iterator[list[Entry]]:
-    """Split a sorted stream into consecutive chunks of ``run_size`` entries.
-
-    Used after a merge to cut the output back into fixed-size sstables
-    ("divided into ordered sstables, where the size of an sstable is
-    predetermined" — Section III-C).  Never splits versions of one key
-    across two chunks, so per-table version lists stay intact.
-    """
-    chunk: list[Entry] = []
-    for entry in stream:
-        if len(chunk) >= run_size and chunk[-1].key != entry.key:
-            yield chunk
-            chunk = []
-        chunk.append(entry)
-    if chunk:
-        yield chunk

@@ -30,7 +30,8 @@ frontier.
 A table received as a :mod:`~repro.lsm.sstable_io` image is *adopted*
 (:meth:`SSTable.adopt`): it keeps the verified image and decodes its
 entries on first read, because compaction replaces most received tables
-before anything reads them.
+before anything reads them.  A merge's outputs are born adopted
+(:func:`~repro.lsm.compaction.merge_tables`).
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class SSTable:
         "max_key",
         "bloom",
         "bloom_fp_rate",
+        "high_ts",
         "opens",
         "probes",
         "_fences",
@@ -204,11 +206,15 @@ class SSTable:
         return table
 
     def __getattr__(self, name: str):
-        """Python falls back here only for an unset slot: ``entries`` or
+        """Python falls back here only for an unset slot: ``high_ts`` (the
+        newest timestamp) of a table no merge built, or ``entries`` or
         ``_keys`` of an adopted table that nothing has read yet.  Decode
         its image, held to what adoption read from the index: each block
         starts at its fence key; the count and last key are what ``len``
         and ``max_key`` report."""
+        if name == "high_ts":
+            self.high_ts = max(e.timestamp for e in self.entries)
+            return self.high_ts
         if name not in ("entries", "_keys"):
             raise AttributeError(name)
         view = memoryview(self._image)

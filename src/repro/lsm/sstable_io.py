@@ -53,32 +53,45 @@ _FENCE = struct.Struct("<QI")  # block offset, block length
 
 
 def encode_sstable(table: SSTable, block_entries: int) -> bytes:
-    """The complete file image of ``table``, memoised on it when
-    ``block_entries`` is the table's own granularity (what ``NodeStore``
-    and the wire both ask for): one encoding serves the local disk and
-    every peer the table is sent to."""
+    """The complete file image of ``table``, memoised on it with its fence
+    pointers when ``block_entries`` is the table's own granularity (what
+    ``NodeStore`` and the wire both ask for): one encoding serves the
+    local disk and every peer the table is sent to."""
     own = block_entries == table._block_entries
     if own and table._image is not None:
         return table._image
+    entries = table.entries
+    starts = range(0, len(entries), block_entries)
+    image, fences = assemble_image(
+        [encode_entries(entries[start : start + block_entries]) for start in starts],
+        [entries[start].key for start in starts],
+        entries[-1].key,
+        table.bloom,
+    )
+    if own:
+        table._image, table._blocks = image, fences
+    return image
+
+
+def assemble_image(
+    blocks: list[bytes], first_keys: list[bytes], last_key: bytes, bloom: BloomFilter
+) -> tuple[bytes, list[tuple[bytes, int, int]]]:
+    """A table's image from its encoded data blocks, each block's first
+    key, the table's last key and its filter: ``(image, fence pointers)``."""
     out = bytearray()
     fences: list[tuple[bytes, int, int]] = []
-    entries = table.entries
-    for start in range(0, len(entries), block_entries):
-        encoded = encode_entries(entries[start : start + block_entries])
-        fences.append((entries[start].key, len(out), len(encoded)))
-        out += encoded
-    index_block = _encode_index(fences, entries[-1].key)
-    bloom_block = table.bloom.to_bytes()
+    for first_key, block in zip(first_keys, blocks):
+        fences.append((first_key, len(out), len(block)))
+        out += block
+    index_block = _encode_index(fences, last_key)
+    bloom_block = bloom.to_bytes()
     meta = index_block + bloom_block + _FIELDS.pack(
         len(out), len(index_block), len(out) + len(index_block), len(bloom_block)
     )
     out += meta
     out += _CRC.pack(zlib.crc32(meta))
     out += _MAGIC
-    image = bytes(out)
-    if own:
-        table._image = image
-    return image
+    return bytes(out), fences
 
 
 def write_sstable(table: SSTable, path: str, block_entries: int = DEFAULT_BLOCK_ENTRIES) -> int:

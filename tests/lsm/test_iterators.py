@@ -1,16 +1,22 @@
-"""Unit tests for merge iterators and version retention."""
+"""Unit tests for merge iterators, and for the version retention,
+tombstone and run-cutting rules of the merge (Section III-E's GC rule)."""
 
+from repro.lsm.compaction import NEWEST_WINS, KeepPolicy, merge_tables
 from repro.lsm.entry import encode_key
-from repro.lsm.iterators import (
-    chunk_into_runs,
-    dedup_newest,
-    drop_tombstones,
-    k_way_merge,
-    retain_versions_above,
-)
-from repro.lsm.sstable import sort_run
+from repro.lsm.iterators import dedup_newest, k_way_merge
+from repro.lsm.sstable import SSTable, sort_run
 
 from tests.conftest import entry
+
+
+def merged_runs(stream, policy=NEWEST_WINS, run_size=1_000):
+    """The entries of each table ``merge_tables`` cuts from one table of ``stream``."""
+    result = merge_tables([SSTable.from_entries(stream)], run_size, policy)
+    return [t.entries for t in result.tables]
+
+
+def retain_versions_above(stream, horizon):
+    return [e for run in merged_runs(stream, KeepPolicy(retain_horizon=horizon)) for e in run]
 
 
 class TestKWayMerge:
@@ -90,18 +96,20 @@ class TestRetention:
 class TestHelpers:
     def test_drop_tombstones(self):
         stream = [entry("a", 1), entry("b", 2, tombstone=True)]
-        assert len(list(drop_tombstones(stream))) == 1
+        [kept] = merged_runs(stream, KeepPolicy(drop_tombstones=True))
+        assert [e.key for e in kept] == [encode_key("a")]
 
     def test_chunking_sizes(self):
         stream = sort_run([entry(k, 1) for k in range(10)])
-        chunks = list(chunk_into_runs(stream, 3))
+        chunks = merged_runs(stream, run_size=3)
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
 
     def test_chunking_never_splits_key_versions(self):
         stream = sort_run(
             [entry(0, 1), entry(1, 1), entry(1, 2), entry(1, 3), entry(2, 1)]
         )
-        chunks = list(chunk_into_runs(stream, 2))
+        chunks = merged_runs(stream, KeepPolicy(retain_horizon=0.0), run_size=2)
+        assert sum(len(c) for c in chunks) == 5
         for chunk in chunks:
             # all versions of a key stay in one chunk
             for other in chunks:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.block import decode_entries, encode_entries
 from repro.lsm.entry import Entry, encode_key
-from repro.lsm.iterators import dedup_newest, k_way_merge, retain_versions_above
+from repro.lsm.compaction import KeepPolicy, merge_tables
+from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.memtable import SkipList
 from repro.lsm.sstable import SSTable, sort_run
 from repro.lsm.tree import LSMConfig, LSMTree
@@ -95,7 +96,12 @@ def test_retention_is_superset_of_dedup(entries, horizon):
     """Horizon retention never drops the newest version of any key."""
     merged = sort_run(entries)
     deduped = {(e.key, e.version) for e in dedup_newest(merged)}
-    retained = {(e.key, e.version) for e in retain_versions_above(merged, horizon)}
+    retained = set()
+    if entries:
+        result = merge_tables(
+            [SSTable.from_entries(entries)], 1_000, KeepPolicy(retain_horizon=horizon)
+        )
+        retained = {(e.key, e.version) for t in result.tables for e in t.entries}
     assert deduped <= retained
 
 
