@@ -8,10 +8,10 @@ lists, dicts, :class:`~repro.lsm.entry.Entry`,
 :class:`~repro.lsm.sstable.SSTable`, and every registered message
 dataclass.  Entries get a dedicated compact form; an sstable — the
 unit that dominates traffic — travels as its checksummed
-:mod:`repro.lsm.sstable_io` file image behind ``table_id``,
-``block_entries``, ``bloom_fp_rate`` and the image length: the bytes the
-sender wrote to its disk, verified and adopted by the receiver (bloom
-filter included, nothing rebuilt) and written to its disk unchanged.
+:mod:`repro.lsm.sstable_io` file image behind ``table_id`` and the image
+length: the bytes the sender wrote to its disk, verified and adopted by
+the receiver (bloom filter included, nothing rebuilt) and written to its
+disk unchanged.
 
 **Frames.**  Length-prefixed with a magic and a CRC32 over the payload::
 
@@ -52,7 +52,7 @@ import zlib
 from repro.lsm.entry import Entry
 from repro.lsm.errors import CorruptionError
 from repro.lsm.sstable import SSTable
-from repro.lsm.sstable_io import decode_sstable, encode_sstable
+from repro.lsm.sstable_io import decode_sstable
 
 __all__ = [
     "WireError",
@@ -154,7 +154,7 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _ENTRY_FIXED = struct.Struct(">qdB")  # seqno, timestamp, tombstone
-_SSTABLE_FIXED = struct.Struct(">qIdI")  # table_id, block_entries, fp_rate, image length
+_SSTABLE_FIXED = struct.Struct(">qI")  # table_id, image length
 _REPLY_FIXED = struct.Struct(">dq")  # timestamp, seqno
 
 #: Bound to the batch message classes once the registry loads (late, to
@@ -239,12 +239,9 @@ def encode_value(value: typing.Any, out: bytearray) -> None:
         out.append(_T_ENTRY)
         _encode_entry_body(value, out)
     elif isinstance(value, SSTable):
-        image = encode_sstable(value, value._block_entries)
         out.append(_T_SSTABLE)
-        out += _SSTABLE_FIXED.pack(
-            value.table_id, value._block_entries, value.bloom_fp_rate, len(image)
-        )
-        out += image
+        out += _SSTABLE_FIXED.pack(value.table_id, len(value._image))
+        out += value._image
     elif type(value) is _BATCH_REQUEST_CLS:
         out.append(_T_UPSERT_BATCH)
         out += _U32.pack(len(value.ops))
@@ -324,9 +321,9 @@ def _decode(buf: bytes, pos: int) -> tuple[typing.Any, int]:
     if tag == _T_ENTRY:
         return _decode_entry_body(buf, pos)
     if tag == _T_SSTABLE:
-        table_id, block_entries, fp_rate, length = _SSTABLE_FIXED.unpack_from(buf, pos)
+        table_id, length = _SSTABLE_FIXED.unpack_from(buf, pos)
         pos += _SSTABLE_FIXED.size
-        table = decode_sstable(buf[pos : pos + length], table_id, block_entries, fp_rate)
+        table = decode_sstable(buf[pos : pos + length], table_id)
         return table, pos + length
     if tag == _T_UPSERT_BATCH:
         (count,) = _U32.unpack_from(buf, pos)

@@ -38,7 +38,7 @@ from .iterators import dedup_newest, k_way_merge, level_scan
 from .manifest import LevelEdit, LevelFenceIndex, Manifest
 from .memtable import Memtable, SkipList
 from .sstable import SSTable, sort_run
-from .sstable_io import SSTableReader, read_sstable, write_sstable
+from .sstable_io import SSTableReader, write_sstable
 from .tree import CompactionEvent, LSMConfig, LSMTree, TreeStats
 from .wal import WriteAheadLog, replay
 
@@ -84,7 +84,6 @@ __all__ = [
     "measure_lsm_tree",
     "merge_tables",
     "pick_tables",
-    "read_sstable",
     "replay",
     "select_overflow_rotating",
     "sort_run",

@@ -28,8 +28,8 @@ from operator import getitem, itemgetter
 from .block import pack_records, read_records
 from .bloom import BloomFilter
 from .errors import CorruptionError
-from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable, next_table_id
-from .sstable_io import assemble_image, encode_sstable
+from .sstable import BLOCK_ENTRIES, BLOOM_FP_RATE, SSTable, next_table_id
+from .sstable_io import assemble_image
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,13 +112,11 @@ def merge_tables(
 
 
 def _records_of(table: SSTable) -> list[tuple]:
-    """``table``'s records in table order, read from its image (a table
-    built from entries is encoded here), held to its index as
-    :meth:`SSTable.__getattr__` holds a decode."""
-    image = encode_sstable(table, table._block_entries)
+    """``table``'s records in table order, read from its image, held to
+    its index as :meth:`SSTable.__getattr__` holds a decode."""
     records: list[tuple] = []
     for first_key, offset, length in table._blocks:
-        block = read_records(image, offset, length)
+        block = read_records(table._image, offset, length)
         if not block or block[0][0] != first_key:
             raise CorruptionError(f"sstable {table.table_id}: block not at its fence key")
         records += block
@@ -171,15 +169,12 @@ def _build(run: list[tuple]) -> SSTable:
     keys, neg_ts, __, __, images, starts, ends, digests = zip(*run)
     raws = list(map(getitem, images, map(slice, starts, ends)))
     blocks = [
-        pack_records(raws[first : first + DEFAULT_BLOCK_ENTRIES])
-        for first in range(0, len(raws), DEFAULT_BLOCK_ENTRIES)
+        pack_records(raws[first : first + BLOCK_ENTRIES])
+        for first in range(0, len(raws), BLOCK_ENTRIES)
     ]
-    bloom = BloomFilter.from_digests(b"".join(digests))
-    image, fences = assemble_image(blocks, keys[::DEFAULT_BLOCK_ENTRIES], keys[-1], bloom)
-    # The granularity and filter rate an ``SSTable`` built from entries defaults to.
-    table = SSTable.adopt(
-        image, fences, len(run), keys[-1], DEFAULT_BLOCK_ENTRIES, 0.01, next_table_id(), bloom
-    )
+    bloom = BloomFilter.from_digests(b"".join(digests), BLOOM_FP_RATE)
+    image, fences = assemble_image(blocks, keys[::BLOCK_ENTRIES], keys[-1], bloom)
+    table = SSTable.adopt(image, fences, len(run), keys[-1], next_table_id(), bloom)
     table.high_ts = -min(neg_ts)
     return table
 

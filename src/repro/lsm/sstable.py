@@ -3,14 +3,16 @@ fence pointers.
 
 An :class:`SSTable` is the unit that moves through the LSM tree — and,
 in CooLSM, the unit that moves *between machines* (Ingestor → Compactor
-→ Reader).  It is an immutable, key-sorted run of entries:
+→ Reader).  It is an immutable, key-sorted run of entries and, from the
+moment it exists, its checksummed :mod:`~repro.lsm.sstable_io` image:
+:data:`BLOCK_ENTRIES` entries a data block, an index of **fence
+pointers** (each block's first key, offset and length) and a **bloom
+filter** at :data:`BLOOM_FP_RATE`.  The same bytes go to disk and over
+the wire.
 
-* a **bloom filter** over the keys answers "definitely absent" cheaply;
-* **fence pointers** (the first key of each block) narrow a point lookup
-  to a single block, which is then binary-searched.
-
-The paper attributes CooLSM's flat read latency (Figure 6) to exactly
-these two structures.
+A point lookup asks the bloom filter first, which answers "definitely
+absent" cheaply, then binary-searches the table's sorted key list.  The
+fence pointers are what a decode or a merge walks, one block at a time.
 
 Entries within a table are sorted by ``(key, version descending)`` so a
 table may hold several versions of one key (needed when CooLSM's
@@ -23,15 +25,15 @@ needs no invalidation — only eviction.
 
 Observability: each table counts how many scan cursors were actually
 opened on it (:attr:`SSTable.opens`) and how many point lookups reached
-its block search (:attr:`SSTable.probes`).  Laziness tests use these to
+its key search (:attr:`SSTable.probes`).  Laziness tests use these to
 prove an early-terminated scan never touched tables beyond its cursor
 frontier.
 
-A table received as a :mod:`~repro.lsm.sstable_io` image is *adopted*
-(:meth:`SSTable.adopt`): it keeps the verified image and decodes its
-entries on first read, because compaction replaces most received tables
-before anything reads them.  A merge's outputs are born adopted
-(:func:`~repro.lsm.compaction.merge_tables`).
+A table built from entries encodes its image at birth.  A table
+received as an image is *adopted* (:meth:`SSTable.adopt`): it keeps the
+verified image and decodes its entries on first read, because compaction
+replaces most received tables before anything reads them.  A merge's
+outputs are born adopted (:func:`~repro.lsm.compaction.merge_tables`).
 """
 
 from __future__ import annotations
@@ -40,14 +42,18 @@ import bisect
 import itertools
 from typing import Iterator, Sequence
 
-from .block import decode_entries
+from . import sstable_io  # imports this module back: names resolve at call time
+from .block import decode_entries, encode_entries
 from .bloom import BloomFilter
 from .cache import MISS, ReadCache
 from .entry import Entry
 from .errors import CorruptionError, InvalidConfigError
 
-#: Number of entries per data block (fence-pointer granularity).
-DEFAULT_BLOCK_ENTRIES = 64
+#: Entries per data block: every block of every table but its last is full.
+BLOCK_ENTRIES = 64
+
+#: Target false-positive rate of every table's bloom filter.
+BLOOM_FP_RATE = 0.01
 
 _next_table_id = 1
 
@@ -97,21 +103,17 @@ def sort_run(entries: Sequence[Entry]) -> list[Entry]:
 
 
 class SSTable:
-    """An immutable sorted run of entries.
+    """An immutable sorted run of entries, and its image.
 
     Build with :meth:`from_entries` (sorts and validates) or pass
-    pre-sorted entries to the constructor.
+    pre-sorted entries to the constructor; either encodes the image.
 
     Args:
         entries: Entries in sstable order (see :func:`sort_run`).
-        block_entries: Fence-pointer granularity.
-        bloom_fp_rate: Target bloom false-positive rate (retained on the
-            table so derived tables — e.g. :meth:`split_at` pieces —
-            inherit it).
         table_id: Unique id; allocated automatically if omitted.
-        bloom: A pre-built filter over exactly these entries' keys (the
-            on-disk reader passes its deserialised filter to avoid a
-            rebuild); built from scratch when omitted.
+        bloom: A pre-built filter over exactly these entries' keys (a
+            restart passes the one its file holds, to avoid a rebuild);
+            built from scratch when omitted.
     """
 
     __slots__ = (
@@ -120,14 +122,11 @@ class SSTable:
         "min_key",
         "max_key",
         "bloom",
-        "bloom_fp_rate",
         "high_ts",
         "opens",
         "probes",
-        "_fences",
         "_keys",
         "_count",
-        "_block_entries",
         "_image",
         "_blocks",
     )
@@ -135,45 +134,36 @@ class SSTable:
     def __init__(
         self,
         entries: list[Entry],
-        block_entries: int = DEFAULT_BLOCK_ENTRIES,
-        bloom_fp_rate: float = 0.01,
         table_id: int | None = None,
         bloom: BloomFilter | None = None,
     ) -> None:
         if not entries:
             raise InvalidConfigError("an sstable must contain at least one entry")
-        if block_entries <= 0:
-            raise InvalidConfigError("block_entries must be positive")
         self.table_id = next_table_id() if table_id is None else table_id
         self.entries = entries
         self.min_key = entries[0].key
         self.max_key = entries[-1].key
-        self._block_entries = block_entries
-        self.bloom_fp_rate = bloom_fp_rate
-        # Fence pointers: first key of each block.
-        self._fences = [entries[i].key for i in range(0, len(entries), block_entries)]
-        self._keys = [e.key for e in entries]
+        self._keys = keys = [e.key for e in entries]
         self._count = len(entries)
-        self.bloom = (
-            bloom
-            if bloom is not None
-            else BloomFilter.build((e.key for e in entries), bloom_fp_rate)
-        )
+        self.bloom = bloom if bloom is not None else BloomFilter.build(keys, BLOOM_FP_RATE)
         self.opens = 0
         self.probes = 0
-        #: The :mod:`~repro.lsm.sstable_io` image at this granularity, once
-        #: encoded or adopted: the same bytes go to disk and over the wire.
-        self._image: bytes | None = None
+        #: The :mod:`~repro.lsm.sstable_io` image and its fence pointers
+        #: ``(first_key, offset, length)``: what goes to disk and over the wire.
+        self._image, self._blocks = sstable_io.assemble_image(
+            [
+                encode_entries(entries[start : start + BLOCK_ENTRIES])
+                for start in range(0, len(entries), BLOCK_ENTRIES)
+            ],
+            keys[::BLOCK_ENTRIES],
+            self.max_key,
+            self.bloom,
+        )
 
     @classmethod
-    def from_entries(
-        cls,
-        entries: Sequence[Entry],
-        block_entries: int = DEFAULT_BLOCK_ENTRIES,
-        bloom_fp_rate: float = 0.01,
-    ) -> "SSTable":
+    def from_entries(cls, entries: Sequence[Entry]) -> "SSTable":
         """Sort arbitrary entries into sstable order and build a table."""
-        return cls(sort_run(entries), block_entries, bloom_fp_rate)
+        return cls(sort_run(entries))
 
     @classmethod
     def adopt(
@@ -182,8 +172,6 @@ class SSTable:
         blocks: list[tuple[bytes, int, int]],
         count: int,
         max_key: bytes,
-        block_entries: int,
-        bloom_fp_rate: float,
         table_id: int,
         bloom: BloomFilter,
     ) -> "SSTable":
@@ -195,9 +183,6 @@ class SSTable:
         table.table_id = table_id
         table.min_key = blocks[0][0]
         table.max_key = max_key
-        table._block_entries = block_entries
-        table.bloom_fp_rate = bloom_fp_rate
-        table._fences = [first_key for first_key, __, __ in blocks]
         table._count = count
         table.bloom = bloom
         table.opens = table.probes = 0
@@ -258,8 +243,7 @@ class SSTable:
         """Newest version of ``key`` in this table, or None.
 
         Consults the row cache (if given), then the bloom filter, then
-        fence pointers and binary search within the run — the read path
-        the paper describes.
+        binary-searches the run's keys.
         """
         versions = self.versions(key, cache)
         return versions[0] if versions else None
@@ -328,9 +312,8 @@ class SSTable:
         extremes.  Used by the Ingestor when a forwarded sstable spans
         more than one Compactor's range (Section III-C).
 
-        Pieces inherit this table's block granularity and bloom
-        false-positive rate, and are sliced directly out of the parent's
-        already-sorted run (no per-entry re-accumulation).
+        Pieces are sliced directly out of the parent's already-sorted run
+        (no per-entry re-accumulation) and encode their own images.
         """
         cuts = [0]
         for bound in boundaries:
@@ -339,11 +322,5 @@ class SSTable:
         pieces: list[SSTable] = []
         for start, stop in zip(cuts, cuts[1:]):
             if stop > start:
-                pieces.append(
-                    SSTable(
-                        self.entries[start:stop],
-                        self._block_entries,
-                        self.bloom_fp_rate,
-                    )
-                )
+                pieces.append(SSTable(self.entries[start:stop]))
         return pieces

@@ -20,13 +20,16 @@ Data blocks use :mod:`repro.lsm.block` encoding (per-block CRC32) and
 the footer CRC covers every other byte, so a flipped bit anywhere is
 detected by one or the other, each checked before what it covers is parsed.
 
-The image is also a table's wire form (:mod:`repro.live.wire`):
-:func:`encode_sstable` builds it once per table, :func:`write_sstable`
-installs those bytes, and :func:`decode_sstable` lets a receiver verify
-and adopt them, so the file it then writes is the sender's, byte for byte.
-Adoption decodes no entry: the count comes from the block headers, the
-key range from the index, the filter from the bloom block, and the
-entries are decoded on the table's first read (:meth:`SSTable.adopt`).
+Every :class:`~repro.lsm.sstable.SSTable` holds its image from birth:
+a table built from entries assembles it (:func:`assemble_image`), a
+merge's output is assembled from raw records, and a received table is
+the image it arrived as.  The image is also a table's wire form
+(:mod:`repro.live.wire`): :func:`write_sstable` installs those bytes,
+and :func:`decode_sstable` lets a receiver verify and adopt them, so the
+file it then writes is the sender's, byte for byte.  Adoption decodes no
+entry: the count comes from the block headers, the key range from the
+index, the filter from the bloom block, and the entries are decoded on
+the table's first read (:meth:`SSTable.adopt`).
 """
 
 from __future__ import annotations
@@ -39,38 +42,17 @@ from typing import BinaryIO, Iterator
 
 from repro.store.fsutil import atomic_write_bytes
 
-from .block import decode_entries, decode_varint, encode_entries, encode_varint, verified_count
+from . import sstable  # imports this module back: names resolve at call time
+from .block import decode_entries, decode_varint, encode_varint, verified_count
 from .bloom import BloomFilter
 from .entry import Entry
 from .errors import ClosedError, CorruptionError
-from .sstable import DEFAULT_BLOCK_ENTRIES, SSTable
 
 _MAGIC = b"COOLSST3"
 _FIELDS = struct.Struct("<QIQI")  # index_off, index_len, bloom_off, bloom_len
 _CRC = struct.Struct("<I")
 _FOOTER_SIZE = _FIELDS.size + _CRC.size + len(_MAGIC)
 _FENCE = struct.Struct("<QI")  # block offset, block length
-
-
-def encode_sstable(table: SSTable, block_entries: int) -> bytes:
-    """The complete file image of ``table``, memoised on it with its fence
-    pointers when ``block_entries`` is the table's own granularity (what
-    ``NodeStore`` and the wire both ask for): one encoding serves the
-    local disk and every peer the table is sent to."""
-    own = block_entries == table._block_entries
-    if own and table._image is not None:
-        return table._image
-    entries = table.entries
-    starts = range(0, len(entries), block_entries)
-    image, fences = assemble_image(
-        [encode_entries(entries[start : start + block_entries]) for start in starts],
-        [entries[start].key for start in starts],
-        entries[-1].key,
-        table.bloom,
-    )
-    if own:
-        table._image, table._blocks = image, fences
-    return image
 
 
 def assemble_image(
@@ -94,33 +76,31 @@ def assemble_image(
     return bytes(out), fences
 
 
-def write_sstable(table: SSTable, path: str, block_entries: int = DEFAULT_BLOCK_ENTRIES) -> int:
-    """Persist an in-memory sstable to ``path`` (atomic via rename plus
+def write_sstable(table: sstable.SSTable, path: str) -> int:
+    """Persist ``table``'s image to ``path`` (atomic via rename plus
     directory fsync); returns the number of bytes written."""
-    return atomic_write_bytes(path, encode_sstable(table, block_entries))
+    return atomic_write_bytes(path, table._image)
 
 
-def decode_sstable(
-    image: bytes, table_id: int, block_entries: int, bloom_fp_rate: float
-) -> SSTable:
-    """Inverse of :func:`encode_sstable`, minus the entries: check the
+def decode_sstable(image: bytes, table_id: int) -> sstable.SSTable:
+    """A table's image back as the table, minus the entries: check the
     layout, the footer CRC and every block CRC (:class:`CorruptionError`
-    on any damage, or on blocks not cut at ``block_entries``), and adopt
-    the image — count from the block headers, bloom filter from its
-    block.  Entries are decoded on the table's first read; writing or
-    re-sending it encodes nothing."""
+    on any damage, or on blocks not cut at
+    :data:`~repro.lsm.sstable.BLOCK_ENTRIES`), and adopt the image —
+    count from the block headers, bloom filter from its block.  Entries
+    are decoded on the table's first read; writing or re-sending it
+    encodes nothing."""
     image = bytes(image)
     what = f"sstable {table_id}"
     fences, last_key, bloom = _load_meta(io.BytesIO(image), what)
     view = memoryview(image)
     counts = [verified_count(view[offset : offset + length]) for __, offset, length in fences]
-    # Every block but the last is full, as SSTable's fences assume, and
-    # none is empty (which also refuses ``block_entries <= 0``).
-    if any(n != block_entries for n in counts[:-1]) or not 0 < counts[-1] <= block_entries:
-        raise CorruptionError(f"{what}: blocks not cut at {block_entries} entries")
-    return SSTable.adopt(
-        image, fences, sum(counts), last_key, block_entries, bloom_fp_rate, table_id, bloom
-    )
+    # Every block but the last is full, as a built table's are, and none
+    # is empty.
+    full = sstable.BLOCK_ENTRIES
+    if any(n != full for n in counts[:-1]) or not 0 < counts[-1] <= full:
+        raise CorruptionError(f"{what}: blocks not cut at {full} entries")
+    return sstable.SSTable.adopt(image, fences, sum(counts), last_key, table_id, bloom)
 
 
 def _load_meta(
@@ -194,7 +174,7 @@ class SSTableReader:
         self._file = open(path, "rb")
         self._closed = False
         try:
-            self._fences, __, self.bloom = _load_meta(self._file, path)
+            self._blocks, __, self.bloom = _load_meta(self._file, path)
         except BaseException:
             self.close()
             raise
@@ -214,17 +194,6 @@ class SSTableReader:
         """Iterate all entries in sstable order, reading a block at a time."""
         if self._closed:
             raise ClosedError("reader is closed")
-        for __, offset, length in self._fences:
+        for __, offset, length in self._blocks:
             self._file.seek(offset)
             yield from decode_entries(self._file.read(length))
-
-    def load(self) -> SSTable:
-        """Materialise the whole file as an in-memory :class:`SSTable`,
-        reusing the deserialised bloom filter instead of rebuilding it."""
-        return SSTable(list(self.scan()), bloom=self.bloom)
-
-
-def read_sstable(path: str) -> SSTable:
-    """Load an on-disk sstable fully into memory."""
-    with SSTableReader(path) as reader:
-        return reader.load()

@@ -59,8 +59,8 @@ class RecoveredState:
 
     version: int
     state: dict
-    #: table_id -> in-memory table (ids, block size, and bloom FP rate
-    #: are restored from the manifest, not re-allocated).
+    #: table_id -> in-memory table (ids are restored from the manifest,
+    #: not re-allocated; the bloom filter is the one the file holds).
     tables: dict[int, SSTable] = field(default_factory=dict)
     #: WAL entries newer than the manifest's ``wal_floor`` (older ones
     #: were already flushed into a persisted sstable before a crash
@@ -197,13 +197,11 @@ class NodeStore:
                 )
             with SSTableReader(path) as reader:
                 tables[table_id] = SSTable(
-                    list(reader.scan()),
-                    block_entries=int(meta.get("block_entries", 64)),
-                    bloom_fp_rate=float(meta.get("fp_rate", 0.01)),
-                    table_id=table_id,
-                    bloom=reader.bloom,
+                    list(reader.scan()), table_id=table_id, bloom=reader.bloom
                 )
-            self._table_meta[table_id] = dict(meta)
+            # Older manifests also carried each table's block size and
+            # filter rate; both are constants now, so only the file is kept.
+            self._table_meta[table_id] = {"file": meta["file"]}
             max_id = max(max_id, table_id)
         # Never re-issue an id a persisted sstable already holds.
         advance_table_ids(max_id + 1)
@@ -272,15 +270,9 @@ class NodeStore:
             if meta is None:
                 name = _table_filename(table.table_id)
                 self.sstable_bytes_written += write_sstable(
-                    table,
-                    os.path.join(self.directory, name),
-                    block_entries=table._block_entries,
+                    table, os.path.join(self.directory, name)
                 )
-                meta = {
-                    "file": name,
-                    "block_entries": table._block_entries,
-                    "fp_rate": table.bloom_fp_rate,
-                }
+                meta = {"file": name}
             live[table.table_id] = meta
         self.version += 1
         # ``self.wal_floor`` only moves once the manifest carrying it is

@@ -1,5 +1,6 @@
 """Unit tests for CooLSM configuration."""
 
+import inspect
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.core.config import CooLSMConfig
 from repro.lsm.errors import InvalidConfigError
+from repro.lsm.sstable import SSTable
+from repro.lsm.sstable_io import decode_sstable, write_sstable
 from repro.lsm.tree import LSMConfig
 
 
@@ -125,3 +128,22 @@ class TestNoFeatureFlags:
     def test_lsm_config_has_no_boolean_field(self):
         hints = get_type_hints(LSMConfig)
         assert [name for name, hint in hints.items() if hint is bool] == []
+
+
+class TestOneSSTableGranularity:
+    """Every table is cut at one block size under one filter rate, both
+    module constants of :mod:`repro.lsm.sstable`: no signature takes
+    either, and no table carries either."""
+
+    KNOBS = {"block_entries", "bloom_fp_rate"}
+
+    @pytest.mark.parametrize(
+        "function",
+        [SSTable, SSTable.from_entries, SSTable.adopt, decode_sstable, write_sstable],
+        ids=lambda function: function.__qualname__,
+    )
+    def test_no_signature_takes_a_granularity(self, function):
+        assert self.KNOBS.isdisjoint(inspect.signature(function).parameters)
+
+    def test_no_table_carries_a_granularity_or_a_fence_list(self):
+        assert {"_fences", "_block_entries", "bloom_fp_rate"}.isdisjoint(SSTable.__slots__)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core import messages
 from repro.lsm import sstable as sstable_module
-from repro.lsm import sstable_io
 from repro.lsm.block import encode_entries
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.entry import Entry, encode_key
@@ -171,12 +170,7 @@ class TestEntryAndSSTable:
         assert_entries_equal(decoded, tomb)
 
     def test_sstable_round_trip_ships_structures(self, monkeypatch):
-        table = SSTable(
-            make_table(range(200)).entries,
-            block_entries=7,
-            bloom_fp_rate=0.05,
-            table_id=123456789,
-        )
+        table = SSTable(make_table(range(200)).entries, table_id=123456789)
         builds = []
         original = BloomFilter.build.__func__
         monkeypatch.setattr(
@@ -187,23 +181,25 @@ class TestEntryAndSSTable:
         decoded = roundtrip(table)
         assert builds == [], "the filter is taken from the image, not rebuilt"
         assert_tables_equal(decoded, table)
-        assert decoded._block_entries == 7 and decoded.bloom_fp_rate == 0.05
         assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
-        assert decoded._fences == table._fences
+        assert decoded._blocks == table._blocks
+        assert len(decoded._blocks) == 4, "three full 64-entry blocks and a partial one"
         assert decoded.get(encode_key(17)) is not None
 
     def test_same_table_is_encoded_once(self, monkeypatch):
-        table = SSTable(make_table(range(200)).entries, block_entries=64)
+        entries = make_table(range(200)).entries
         blocks = []
         monkeypatch.setattr(
-            sstable_io,
+            sstable_module,
             "encode_entries",
             lambda entries: blocks.append(len(entries)) or encode_entries(entries),
         )
+        table = SSTable(entries)
         first, second = bytearray(), bytearray()
         wire.encode_value(messages.BackupUpdate("compactor-0", 1, (), (table,), ()), first)
         wire.encode_value(messages.ForwardRequest((table,), 0.0, 1, "ingestor-0"), second)
         assert blocks == [64, 64, 64, 8], "one encode_entries call per block in total"
+        assert first.count(table._image) == second.count(table._image) == 1
 
     def test_corrupt_image_is_a_wire_error(self):
         out = bytearray()
@@ -227,33 +223,31 @@ class TestEntryAndSSTable:
         assert_tables_equal(roundtrip(table), table)
 
 
-_wire_entries = st.lists(
-    st.builds(
-        Entry,
-        # Few distinct keys, so runs hold several versions of one key;
-        # the 300-byte key and value take the multi-byte varint path.
-        key=st.sampled_from([b"a", b"b", b"k" * 127, b"K" * 128, b"x" * 300]),
-        seqno=st.integers(min_value=1, max_value=10**6),
-        timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-        value=st.sampled_from([b"", b"v", b"w" * 127, b"W" * 128, b"y" * 300]),
-        tombstone=st.booleans(),
-    ),
-    min_size=1,
-    max_size=40,
+_wire_entry = st.builds(
+    Entry,
+    # Few distinct keys, so runs hold several versions of one key;
+    # the 300-byte key and value take the multi-byte varint path.
+    key=st.sampled_from([b"a", b"b", b"k" * 127, b"K" * 128, b"x" * 300]),
+    seqno=st.integers(min_value=1, max_value=10**6),
+    timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    value=st.sampled_from([b"", b"v", b"w" * 127, b"W" * 128, b"y" * 300]),
+    tombstone=st.booleans(),
+)
+#: Up to three 64-entry blocks, the last often partial.
+_wire_entries = st.integers(min_value=1, max_value=150).flatmap(
+    lambda n: st.lists(_wire_entry, min_size=n, max_size=n)
 )
 
 
 @settings(max_examples=40, deadline=None)
-@given(entries=_wire_entries, block_entries=st.sampled_from([1, 7, 64]))
-def test_sstable_round_trip_inside_messages(entries, block_entries):
-    table = SSTable(sort_run(entries), block_entries=block_entries, bloom_fp_rate=0.02)
+@given(entries=_wire_entries)
+def test_sstable_round_trip_inside_messages(entries):
+    table = SSTable(sort_run(entries))
     backup = roundtrip(messages.BackupUpdate("compactor-0", 3, (7,), (table,), (table,)))
     forward = roundtrip(messages.ForwardRequest((table,), 1.5, 9, "ingestor-0"))
     for decoded in (*backup.l2, *backup.l3, *forward.tables):
         assert decoded.entries == table.entries
         assert decoded.table_id == table.table_id
-        assert decoded._block_entries == block_entries
-        assert decoded.bloom_fp_rate == 0.02
         assert decoded.bloom.to_bytes() == table.bloom.to_bytes()
         for entry in entries:
             assert decoded.get(entry.key) == table.get(entry.key)
@@ -269,12 +263,12 @@ def test_backup_update_carries_the_whole_edit(monkeypatch):
     )
     blocks = []
     monkeypatch.setattr(
-        sstable_io,
+        sstable_module,
         "encode_entries",
         lambda entries: blocks.append(len(entries)) or encode_entries(entries),
     )
     decoded = roundtrip(update)
-    assert blocks == [50], "only the built L2 table is encoded"
+    assert blocks == [], "every table ships the image it was born with"
     assert (decoded.compactor, decoded.seq, decoded.removed_ids) == (
         "compactor-1",
         42,
@@ -311,14 +305,14 @@ def test_backup_update_is_installed_and_persisted_undecoded(tmp_path, monkeypatc
     assert len(reader.level2) == 3
     for table in sent:
         with open(tmp_path / store._table_meta[table.table_id]["file"], "rb") as f:
-            assert f.read() == sstable_io.encode_sstable(table, 64)
+            assert f.read() == table._image
     key = encode_key(150)
     admitted = [
         t for t in reader.level2 if t.key_in_range(key) and t.bloom.might_contain(key)
     ]
     reply = cluster.run_process(reader._handle_read("client", messages.ReadRequest(key)))
     assert reply.entry == sent[1].get(key)
-    assert len(decodes) == sum(len(t._fences) for t in admitted) == 2
+    assert len(decodes) == sum(len(t._blocks) for t in admitted) == 2
     store.close()
 
 

@@ -14,13 +14,15 @@ table never decodes it.
 """
 
 import math
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm import block, compaction, sstable_io
+from repro.lsm import block, compaction
+from repro.lsm import sstable as sstable_module
 from repro.lsm.bloom import BloomFilter, _hash_pair
 from repro.lsm.compaction import (
     NEWEST_WINS,
@@ -35,7 +37,7 @@ from repro.lsm.errors import CorruptionError
 from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.policy import POLICIES
 from repro.lsm.sstable import SSTable, next_table_id
-from repro.lsm.sstable_io import decode_sstable, encode_sstable
+from repro.lsm.sstable_io import decode_sstable
 
 from tests.core.conftest import tiny_cluster
 from tests.core.test_ingestor import run_fill
@@ -132,7 +134,19 @@ entry_st = st.builds(
     value=st.one_of(st.binary(max_size=12), st.binary(min_size=128, max_size=200)),
     tombstone=st.booleans(),
 )
-entries_st = st.lists(entry_st, min_size=1, max_size=30)
+
+
+@st.composite
+def entries_st(draw):
+    """Up to 150 entries: up to thirty drawn, cycled under fresh seqnos —
+    tables of one to three 64-entry blocks, the last often partial."""
+    drawn = draw(st.lists(entry_st, min_size=1, max_size=30))
+    count = draw(st.integers(min_value=1, max_value=150))
+    return [
+        replace(drawn[i % len(drawn)], seqno=drawn[i % len(drawn)].seqno + 40 * (i // len(drawn)))
+        for i in range(count)
+    ]
+
 
 #: Every shape of keep policy: newest-wins, horizon retention (below,
 #: at, between and above the timestamps), with and without tombstones.
@@ -153,13 +167,12 @@ ROWS = sorted(
 
 
 def as_kind(table: SSTable, kind: str) -> SSTable:
-    """``table`` as a built table, an adopted image (at a granularity of
-    its own), or — already — a merge output."""
+    """``table`` as a built table, an adopted image, or — already — a
+    merge output."""
     if kind == "built":
-        return SSTable(table.entries, block_entries=3 if len(table) % 2 else 64)
+        return SSTable(table.entries)
     if kind == "adopted":
-        image = encode_sstable(table, 4)
-        return decode_sstable(image, next_table_id(), 4, 0.05)
+        return decode_sstable(table._image, next_table_id())
     return table
 
 
@@ -170,24 +183,24 @@ def merge_built(entries: list[Entry], run_size: int) -> list[SSTable]:
 @st.composite
 def merge_inputs(draw):
     picked = [
-        as_kind(SSTable.from_entries(draw(entries_st)), draw(st.sampled_from(["built", "adopted"])))
+        as_kind(SSTable.from_entries(draw(entries_st())), draw(st.sampled_from(["built", "adopted"])))
         for __ in range(draw(st.integers(1, 3)))
     ]
     if draw(st.booleans()):  # a merge output among the picked tables
-        picked.insert(draw(st.integers(0, len(picked))), merge_built(draw(entries_st), 1000)[0])
+        picked.insert(draw(st.integers(0, len(picked))), merge_built(draw(entries_st()), 1000)[0])
     # A target level: a disjoint sorted run, as leveling keeps one.
     target = merge_built(draw(st.lists(entry_st, max_size=40)) or [draw(entry_st)], 4)
     target_kind = draw(st.sampled_from(["merged", "built", "adopted"]))
     target = [as_kind(t, target_kind) for t in target]
     if not draw(st.booleans()):
         target = []
-    return picked, target, draw(st.sampled_from([1, 3, 5, 64]))
+    return picked, target, draw(st.sampled_from([1, 3, 5, 64, 100]))
 
 
 def compare(new, ref, new_first, ref_first):
     """The two results hold byte-equal tables, under the same stats and id sequence."""
     assert new.stats == ref.stats
-    assert [t._image for t in new.tables] == [encode_sstable(t, 64) for t in ref.tables]
+    assert [t._image for t in new.tables] == [t._image for t in ref.tables]
     assert [t.table_id - new_first for t in new.tables] == [
         t.table_id - ref_first for t in ref.tables
     ]
@@ -246,7 +259,7 @@ def sample_tables(count=3, per=150):
 
 
 def adopted(table: SSTable) -> SSTable:
-    return decode_sstable(encode_sstable(table, 64), next_table_id(), 64, 0.01)
+    return decode_sstable(table._image, next_table_id())
 
 
 def test_merge_over_adopted_inputs_encodes_no_entry(monkeypatch):
@@ -258,11 +271,9 @@ def test_merge_over_adopted_inputs_encodes_no_entry(monkeypatch):
         return block.encode_entries(entries)
 
     monkeypatch.setattr(block, "encode_entries", counting)
-    monkeypatch.setattr(sstable_io, "encode_entries", counting)
+    monkeypatch.setattr(sstable_module, "encode_entries", counting)
     result = merge_tables(inputs, 100)
     assert len(result.tables) == 5
-    for table in result.tables:
-        assert encode_sstable(table, 64) is table._image  # what commit and the wire send
     assert calls == []
 
 
@@ -270,7 +281,7 @@ def test_every_output_round_trips_through_decode_sstable():
     result = merge_tables(sample_tables(), 100)
     result = merge_tables(result.tables[:2], 70)  # merge-built inputs too
     for table in result.tables:
-        back = decode_sstable(table._image, table.table_id, 64, 0.01)
+        back = decode_sstable(table._image, table.table_id)
         assert len(back) == len(table)
         assert (back.min_key, back.max_key) == (table.min_key, table.max_key)
         assert back.bloom.to_bytes() == table.bloom.to_bytes()
@@ -281,18 +292,11 @@ def test_every_output_round_trips_through_decode_sstable():
 def test_damaged_input_block_raises_and_emits_no_table(where):
     good = sample_tables(count=2)
     source = sample_tables(count=1)[0]
-    image = bytearray(encode_sstable(source, 64))
+    image = bytearray(source._image)
     __, offset, length = source._blocks[0 if where == "first block" else -1]
     image[offset + length - 3] ^= 0x40  # inside a record, past the block header
     damaged = SSTable.adopt(
-        bytes(image),
-        source._blocks,
-        len(source),
-        source.max_key,
-        64,
-        0.01,
-        next_table_id(),
-        source.bloom,
+        bytes(image), source._blocks, len(source), source.max_key, next_table_id(), source.bloom
     )
     before = next_table_id()
     with pytest.raises(CorruptionError, match="checksum"):
@@ -302,13 +306,11 @@ def test_damaged_input_block_raises_and_emits_no_table(where):
 
 def test_index_that_disagrees_with_its_blocks_raises():
     source = sample_tables(count=1)[0]
-    image = encode_sstable(source, 64)
+    image = source._image
     (first_key, offset, length), *rest = source._blocks
     shifted = [(first_key + b"!", offset, length), *rest]
     for blocks, count, what in ((shifted, len(source), "fence"), (source._blocks, 7, "index")):
-        table = SSTable.adopt(
-            image, blocks, count, source.max_key, 64, 0.01, next_table_id(), source.bloom
-        )
+        table = SSTable.adopt(image, blocks, count, source.max_key, next_table_id(), source.bloom)
         with pytest.raises(CorruptionError, match=what):
             merge_tables([table], 100)
 

@@ -5,43 +5,49 @@ from hypothesis import strategies as st
 
 from repro.lsm.entry import Entry
 from repro.lsm.sstable import SSTable
-from repro.lsm.sstable_io import decode_sstable, read_sstable, write_sstable
+from repro.lsm.sstable_io import SSTableReader, decode_sstable, write_sstable
 from repro.lsm.wal import WriteAheadLog, replay
 
 keys_st = st.binary(min_size=1, max_size=16)
 values_st = st.binary(max_size=48)
 
-entries_st = st.lists(
-    st.builds(
-        Entry,
-        key=keys_st,
-        seqno=st.integers(min_value=1, max_value=10**6),
-        timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-        value=values_st,
-        tombstone=st.booleans(),
-    ),
-    min_size=1,
-    max_size=60,
+entry_st = st.builds(
+    Entry,
+    key=keys_st,
+    seqno=st.integers(min_value=1, max_value=10**6),
+    timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    value=values_st,
+    tombstone=st.booleans(),
+)
+entries_st = st.lists(entry_st, min_size=1, max_size=60)
+
+
+#: Tables of one to three 64-entry blocks, the last often partial.
+table_entries_st = st.integers(min_value=1, max_value=160).flatmap(
+    lambda n: st.lists(entry_st, min_size=n, max_size=n)
 )
 
 
 @settings(max_examples=40, deadline=None)
-@given(entries=entries_st, block_entries=st.integers(min_value=1, max_value=16))
-def test_sstable_file_roundtrip(tmp_path_factory, entries, block_entries):
+@given(entries=table_entries_st)
+def test_sstable_file_roundtrip(tmp_path_factory, entries):
     table = SSTable.from_entries(entries)
     path = str(tmp_path_factory.mktemp("sst") / "t.sst")
-    write_sstable(table, path, block_entries=block_entries)
-    assert read_sstable(path).entries == table.entries
+    write_sstable(table, path)
+    with open(path, "rb") as f:
+        assert decode_sstable(f.read(), table.table_id).entries == table.entries
+    with SSTableReader(path) as reader:
+        assert list(reader.scan()) == table.entries
 
 
 @settings(max_examples=25, deadline=None)
-@given(entries=entries_st)
+@given(entries=table_entries_st)
 def test_sstable_file_point_lookups(tmp_path_factory, entries):
     table = SSTable.from_entries(entries)
     path = str(tmp_path_factory.mktemp("sst") / "t.sst")
-    write_sstable(table, path, block_entries=4)
+    write_sstable(table, path)
     with open(path, "rb") as f:
-        adopted = decode_sstable(f.read(), table.table_id, 4, 0.01)
+        adopted = decode_sstable(f.read(), table.table_id)
     for entry in table.entries:
         found = adopted.get(entry.key)
         assert found is not None

@@ -88,7 +88,7 @@ class TestLookup:
 
     def test_bloom_false_positive_is_a_probe_without_an_entry(self):
         keys = [k for k in range(0, 4_000, 2)]
-        run = SSTable([entry(k) for k in keys], bloom_fp_rate=0.3)
+        run = SSTable([entry(k) for k in keys])
         absent = next(
             encode_key(k)
             for k in range(1, 4_000, 2)

@@ -40,7 +40,7 @@ def make_runs(seed: int, num_runs: int = 6, per_run: int = 300):
                     tombstone=rng.random() < 0.1,
                 )
             )
-        runs.append(SSTable.from_entries(entries, block_entries=16))
+        runs.append(SSTable.from_entries(entries))
     return runs
 
 

@@ -9,18 +9,14 @@ from repro.lsm.sstable import SSTable, sort_run
 from tests.conftest import entry
 
 
-def build_table(keys, block_entries=4):
-    return SSTable.from_entries([entry(k, k + 1) for k in keys], block_entries)
+def build_table(keys):
+    return SSTable.from_entries([entry(k, k + 1) for k in keys])
 
 
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(InvalidConfigError):
             SSTable([])
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(InvalidConfigError):
-            SSTable([entry("a", 1)], block_entries=0)
 
     def test_min_max_keys(self):
         table = build_table([5, 1, 9])
@@ -38,15 +34,16 @@ class TestConstruction:
 
 class TestGet:
     def test_finds_every_key_across_blocks(self):
-        keys = list(range(0, 100, 2))
-        table = build_table(keys, block_entries=7)
+        keys = list(range(0, 300, 2))  # three blocks, the last partial
+        table = build_table(keys)
+        assert len(table._blocks) == 3
         for k in keys:
             found = table.get(encode_key(k))
             assert found is not None and found.key == encode_key(k)
 
     def test_missing_keys_return_none(self):
-        table = build_table(list(range(0, 100, 2)), block_entries=7)
-        for k in range(1, 100, 2):
+        table = build_table(list(range(0, 300, 2)))
+        for k in range(1, 300, 2):
             assert table.get(encode_key(k)) is None
 
     def test_out_of_range_short_circuits(self):
@@ -116,16 +113,6 @@ class TestSplit:
         table = build_table([10, 11])
         pieces = table.split_at([encode_key(1), encode_key(5)])
         assert len(pieces) == 1
-
-    def test_split_inherits_bloom_fp_rate_and_block_size(self):
-        table = SSTable.from_entries(
-            [entry(k, k + 1) for k in range(40)],
-            block_entries=8,
-            bloom_fp_rate=0.001,
-        )
-        for piece in table.split_at([encode_key(15), encode_key(30)]):
-            assert piece.bloom_fp_rate == 0.001
-            assert piece._block_entries == 8
 
     def test_split_pieces_answer_lookups(self):
         table = build_table(list(range(30)))

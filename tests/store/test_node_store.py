@@ -316,6 +316,36 @@ def test_legacy_manifest_without_policy_opens_under_a_policy(tmp_path):
     assert [[t.table_id for t in level] for level in manifest.snapshot()] == [[1], [2]]
 
 
+def test_manifest_naming_a_granularity_per_table_opens_and_drops_it(tmp_path):
+    """A manifest from when every table entry also named its block size
+    and filter rate (both constants now) recovers the same tables and
+    role state, and the next commit writes entries without those keys."""
+    state = {"policy": "leveling", "levels": [[1], [2]], "ts_c": 3.5}
+    with open_store(tmp_path / "n", policy="leveling") as store:
+        t1, t2 = table(1, count=100), table(2, base=200)
+        store.commit([t1, t2], state)
+    manifest_path = tmp_path / "n" / MANIFEST_NAME
+    document = json.loads(manifest_path.read_text())
+    for meta in document["tables"].values():
+        meta.update(block_entries=64, fp_rate=0.01)
+    manifest_path.write_text(json.dumps(document))
+    with open_store(tmp_path / "n", policy="leveling") as store:
+        recovered = store.recovered
+        assert recovered.state == state
+        assert sorted(recovered.tables) == [1, 2]
+        for original in (t1, t2):
+            back = recovered.tables[original.table_id]
+            assert back.entries == original.entries
+            assert back._image == original._image
+        manifest = Manifest(2)
+        manifest.apply(recovered.levels_for("ingestor-0", "leveling"))
+        assert [[t.table_id for t in level] for level in manifest.snapshot()] == [[1], [2]]
+        store.commit([*recovered.tables.values(), table(3, base=400)], recovered.state)
+    assert json.loads(manifest_path.read_text())["tables"] == {
+        str(tid): {"file": "sst-%016x.sst" % tid} for tid in (1, 2, 3)
+    }
+
+
 def imported_modules(node: ast.AST, package: str) -> set[str]:
     """Absolute dotted names an import statement in ``package`` reaches
     (``from a import b`` reaches both ``a`` and ``a.b``)."""
