@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.lsm.cache import ReadCache
@@ -262,22 +262,8 @@ class Ingestor(RpcNode):
     # Write path
     # ------------------------------------------------------------------
     def _handle_upsert(self, src: str, request: UpsertRequest):
-        self._check_owner(request.key)
-        yield from self.compute(self.config.costs.upsert_cpu)
-        entry = self._stamp(request)
-        self.stats.upserts += 1
-        if self._memtable.is_full():
-            # The batch is full: this request pays for the flush (and any
-            # cascading minor compaction + forwarding stall) — the
-            # occasional slow writes of Table II.  Flushing right after
-            # the stamp, not after the durability wait, keeps what one
-            # L0 table holds independent of how handlers group below.
-            yield from self._flush_and_compact()
-        # Durable-then-ack: the reply below is only sent once the fsync
-        # covering the entry's WAL record (or the L0 table it was just
-        # flushed into) completes, so "acked" means "survives SIGKILL".
-        yield from self._log_durable([entry])
-        return UpsertReply(entry.timestamp, entry.seqno)
+        (reply,) = yield from self._apply((request,))
+        return reply
 
     def _handle_upsert_batch(self, src: str, request: UpsertBatchRequest):
         """Apply a whole client batch with one durability wait.
@@ -289,23 +275,34 @@ class Ingestor(RpcNode):
         """
         if not request.ops:
             return UpsertBatchReply(())
+        return UpsertBatchReply((yield from self._apply(request.ops, batch=True)))
+
+    def _apply(self, ops: Sequence[UpsertRequest], batch: bool = False):
+        """Stamp and apply ``ops`` in order, make them durable, and
+        return one reply per op.  ``batch`` counts a client batch."""
         # All-or-nothing ownership: a batch containing any key this node
         # does not own bounces whole, before any op is applied — the
         # client refreshes its map and re-splits the batch per shard.
-        for op in request.ops:
+        for op in ops:
             self._check_owner(op.key)
-        yield from self.compute(len(request.ops) * self.config.costs.upsert_cpu)
-        entries = [self._stamp(op) for op in request.ops]
+        yield from self.compute(len(ops) * self.config.costs.upsert_cpu)
+        entries = [self._stamp(op) for op in ops]
         self.stats.upserts += len(entries)
-        self.stats.batch_upserts += 1
+        if batch:
+            self.stats.batch_upserts += 1
         if self._memtable.is_full():
-            # The memtable tolerates overshoot, so the whole batch lands
-            # in one generation and pays for at most one flush.
+            # The batch is full: this request pays for the flush (and any
+            # cascading minor compaction + forwarding stall) — the
+            # occasional slow writes of Table II.  Flushing right after
+            # the stamp, not after the durability wait, keeps what one
+            # L0 table holds independent of how handlers group below;
+            # a whole client batch overshoots into one generation.
             yield from self._flush_and_compact()
+        # Durable-then-ack: the replies wait for the fsync covering the
+        # entries' WAL record (or the L0 table they were just flushed
+        # into), so "acked" means "survives SIGKILL".
         yield from self._log_durable(entries)
-        return UpsertBatchReply(
-            tuple(UpsertReply(e.timestamp, e.seqno) for e in entries)
-        )
+        return tuple(UpsertReply(e.timestamp, e.seqno) for e in entries)
 
     def _stamp(self, request: UpsertRequest) -> Entry:
         """Stamp one op and apply it to the in-memory write state."""
@@ -634,13 +631,11 @@ class Ingestor(RpcNode):
     # ------------------------------------------------------------------
     # Crash recovery (Section III-H)
     # ------------------------------------------------------------------
-    def crash(self, lose_memtable: bool = True) -> None:
-        """Fail-stop.  With ``lose_memtable`` (the realistic default)
-        the in-memory buffer is wiped — L0/L1, the in-flight set, and
-        the WAL survive (they model durable state)."""
+    def crash(self) -> None:
+        """Fail-stop.  The in-memory buffer is wiped — L0/L1, the
+        in-flight set, and the WAL survive (they model durable state)."""
         super().crash()
-        if lose_memtable:
-            self._memtable = self._new_memtable()
+        self._memtable = self._new_memtable()
         if self.read_cache is not None:
             self.read_cache.clear()
 

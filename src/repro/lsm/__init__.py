@@ -36,7 +36,7 @@ from .errors import (
 )
 from .iterators import dedup_newest, k_way_merge, level_scan
 from .manifest import LevelEdit, LevelFenceIndex, Manifest
-from .memtable import Memtable, SkipList
+from .memtable import Memtable
 from .sstable import SSTable, sort_run
 from .sstable_io import SSTableReader, write_sstable
 from .tree import CompactionEvent, LSMConfig, LSMTree, TreeStats
@@ -68,7 +68,6 @@ __all__ = [
     "ReadCache",
     "SSTable",
     "SSTableReader",
-    "SkipList",
     "TreeStats",
     "WriteAheadLog",
     "compact_step",

@@ -1,131 +1,22 @@
-"""In-memory write buffer: a hand-rolled skip list memtable.
+"""In-memory write buffer: a dict of versions, sorted once at flush.
 
 The memtable is the L0-feeding buffer of the LSM tree.  Writes are
-appended here first; when the memtable reaches its threshold the sorted
-contents are frozen into an L0 sstable (the paper's "batch ... ordered
-and added as a new table in L0").
+appended here first; when the memtable reaches its threshold the
+contents are ordered once and frozen into an L0 sstable (the paper's
+"batch ... ordered and added as a new table in L0").
 
-A skip list gives O(log n) insert and lookup with sorted iteration and no
-rebalancing, which is why LevelDB and RocksDB use one.  Ours stores the
-newest version per key (newest-wins by ``Entry.version``) plus retains
-older versions optionally when a version-retention horizon is configured
-(needed by CooLSM's Linearizable+Concurrent garbage-collection rule).
+One event loop owns each memtable, so nothing iterates it while it is
+written: a dict from key to that key's versions, newest first, is
+enough.  Puts and point reads are dict operations; only :meth:`entries`
+(the flush) and :meth:`range` sort, and only the keys they return.
+It keeps the newest version per key (newest-wins by ``Entry.version``),
+or every version with ``retain_versions`` (needed by CooLSM's
+Linearizable+Concurrent garbage-collection rule).
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterator
-
 from .entry import Entry
-
-_MAX_LEVEL = 16
-_P = 0.25
-
-
-class _Node:
-    __slots__ = ("key", "versions", "forward")
-
-    def __init__(self, key: bytes | None, level: int) -> None:
-        self.key = key
-        # Versions of this key, newest first.  Most keys hold exactly one.
-        self.versions: list[Entry] = []
-        self.forward: list["_Node | None"] = [None] * level
-
-
-class SkipList:
-    """Sorted map from key to a newest-first list of entry versions."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._head = _Node(None, _MAX_LEVEL)
-        self._level = 1
-        self._rng = random.Random(seed)
-        self._num_keys = 0
-
-    def __len__(self) -> int:
-        return self._num_keys
-
-    def _random_level(self) -> int:
-        level = 1
-        while level < _MAX_LEVEL and self._rng.random() < _P:
-            level += 1
-        return level
-
-    def _find_predecessors(self, key: bytes) -> list[_Node]:
-        update = [self._head] * _MAX_LEVEL
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            nxt = node.forward[i]
-            while nxt is not None and nxt.key < key:  # type: ignore[operator]
-                node = nxt
-                nxt = node.forward[i]
-            update[i] = node
-        return update
-
-    def insert(self, entry: Entry, retain_versions: bool = False) -> None:
-        """Insert an entry, keeping versions newest-first.
-
-        With ``retain_versions=False`` only the newest version per key is
-        kept (classic LSM semantics).  With ``retain_versions=True`` all
-        versions are retained for later horizon-aware garbage collection.
-        """
-        update = self._find_predecessors(entry.key)
-        node = update[0].forward[0]
-        if node is not None and node.key == entry.key:
-            if retain_versions:
-                node.versions.append(entry)
-                node.versions.sort(key=lambda e: e.version, reverse=True)
-            elif not node.versions or entry.version >= node.versions[0].version:
-                node.versions = [entry]
-            return
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        new_node = _Node(entry.key, level)
-        new_node.versions = [entry]
-        for i in range(level):
-            new_node.forward[i] = update[i].forward[i]
-            update[i].forward[i] = new_node
-        self._num_keys += 1
-
-    def get(self, key: bytes) -> Entry | None:
-        """Return the newest version of ``key``, or None."""
-        versions = self.versions(key)
-        return versions[0] if versions else None
-
-    def versions(self, key: bytes) -> list[Entry]:
-        """All stored versions of ``key``, newest first."""
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            nxt = node.forward[i]
-            while nxt is not None and nxt.key < key:  # type: ignore[operator]
-                node = nxt
-                nxt = node.forward[i]
-        node = node.forward[0]
-        if node is not None and node.key == key:
-            return list(node.versions)
-        return []
-
-    def __iter__(self) -> Iterator[Entry]:
-        """Yield all versions in key order, newest version first per key."""
-        node = self._head.forward[0]
-        while node is not None:
-            yield from node.versions
-            node = node.forward[0]
-
-    def range(self, lo: bytes | None, hi: bytes | None) -> Iterator[Entry]:
-        """Yield versions with lo <= key < hi (None = unbounded)."""
-        node = self._head
-        if lo is not None:
-            for i in range(self._level - 1, -1, -1):
-                nxt = node.forward[i]
-                while nxt is not None and nxt.key < lo:  # type: ignore[operator]
-                    node = nxt
-                    nxt = node.forward[i]
-        node = node.forward[0]
-        while node is not None and (hi is None or node.key < hi):  # type: ignore[operator]
-            yield from node.versions
-            node = node.forward[0]
 
 
 class Memtable:
@@ -137,18 +28,13 @@ class Memtable:
             an L0 sstable.
         retain_versions: Keep all versions per key (CooLSM multi-ingestor
             mode) instead of newest-wins.
-        seed: Seed for the skip list's level RNG, for reproducibility.
     """
 
-    def __init__(
-        self,
-        capacity_entries: int,
-        retain_versions: bool = False,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, capacity_entries: int, retain_versions: bool = False) -> None:
         self.capacity_entries = capacity_entries
         self.retain_versions = retain_versions
-        self._list = SkipList(seed=seed)
+        # Versions of each key, newest first.  Most keys hold exactly one.
+        self._versions: dict[bytes, list[Entry]] = {}
         self._num_entries = 0
 
     def __len__(self) -> int:
@@ -156,34 +42,47 @@ class Memtable:
 
     @property
     def num_keys(self) -> int:
-        return len(self._list)
+        return len(self._versions)
 
     def put(self, entry: Entry) -> None:
-        """Insert or overwrite an entry."""
-        self._list.insert(entry, retain_versions=self.retain_versions)
+        """Insert or overwrite an entry.
+
+        Newest-wins keeps ``entry`` only if its version is at least the
+        held one's.  Every put counts toward :meth:`is_full`, stored or
+        not: capacity is measured in writes, not distinct keys.
+        """
         self._num_entries += 1
+        held = self._versions.get(entry.key)
+        if held is None:
+            self._versions[entry.key] = [entry]
+        elif self.retain_versions:
+            held.append(entry)
+            held.sort(key=lambda e: e.version, reverse=True)
+        elif entry.version >= held[0].version:
+            self._versions[entry.key] = [entry]
 
     def get(self, key: bytes) -> Entry | None:
         """Newest version of ``key`` in this memtable, or None."""
-        return self._list.get(key)
+        held = self._versions.get(key)
+        return held[0] if held else None
 
     def versions(self, key: bytes) -> list[Entry]:
         """All buffered versions of ``key``, newest first."""
-        return self._list.versions(key)
+        return list(self._versions.get(key, ()))
 
     def is_full(self) -> bool:
         return self._num_entries >= self.capacity_entries
 
     def entries(self) -> list[Entry]:
         """All buffered versions in sorted key order (newest first per key)."""
-        return list(self._list)
+        return [e for key in sorted(self._versions) for e in self._versions[key]]
 
     def range(self, lo: bytes | None, hi: bytes | None) -> list[Entry]:
-        """All buffered versions with lo <= key < hi."""
-        return list(self._list.range(lo, hi))
-
-    def iter_range(self, lo: bytes | None, hi: bytes | None) -> Iterator[Entry]:
-        """Lazy variant of :meth:`range`.  The iterator walks the live
-        skip list, so interleaving writes with iteration is undefined —
-        callers that mutate mid-scan should use :meth:`range`."""
-        return self._list.range(lo, hi)
+        """All buffered versions with lo <= key < hi (None = unbounded),
+        in sorted key order; only the keys inside the bounds are sorted."""
+        keys = sorted(
+            key
+            for key in self._versions
+            if (lo is None or key >= lo) and (hi is None or key < hi)
+        )
+        return [e for key in keys for e in self._versions[key]]

@@ -288,18 +288,21 @@ class LSMTree:
         """Yield (key, value) pairs with lo <= key < hi, newest versions,
         tombstones elided, at most ``limit`` of them.
 
-        Fully streaming: one lazy cursor per table of an overlapping
-        level plus one :func:`~repro.lsm.iterators.level_scan` cursor
-        per disjoint level feed a k-way merge, so an early-terminated
-        scan costs O(result + tables primed at the frontier), not
-        O(level).  The iterator reflects the tree as of its first
-        element; interleaving writes with iteration is undefined (finish
-        or drop the iterator before mutating).
+        Streaming over the tables: one lazy cursor per table of an
+        overlapping level plus one
+        :func:`~repro.lsm.iterators.level_scan` cursor per disjoint
+        level feed a k-way merge, so an early-terminated scan costs
+        O(result + tables primed at the frontier), not O(level).  The
+        memtable's part is a sorted list of its versions inside
+        ``[lo, hi)``, taken when the iterator starts — it is bounded by
+        the memtable's capacity.  The iterator reflects the tree as of
+        its first element; interleaving writes with iteration is
+        undefined (finish or drop the iterator before mutating).
         """
         lo_b = encode_key(lo) if lo is not None else None
         hi_b = encode_key(hi) if hi is not None else None
         levels = range(self.manifest.num_levels)
-        sources = [self._memtable.iter_range(lo_b, hi_b)]
+        sources = [self._memtable.range(lo_b, hi_b)]
         sources += level_sources(self.manifest, levels, lo_b, hi_b)
         yield from live_pairs(sources, limit)
 

@@ -10,7 +10,7 @@ from repro.lsm.block import decode_entries, encode_entries
 from repro.lsm.entry import Entry, encode_key
 from repro.lsm.compaction import KeepPolicy, merge_tables
 from repro.lsm.iterators import dedup_newest, k_way_merge
-from repro.lsm.memtable import SkipList
+from repro.lsm.memtable import Memtable
 from repro.lsm.sstable import SSTable, sort_run
 from repro.lsm.tree import LSMConfig, LSMTree
 
@@ -105,17 +105,48 @@ def test_retention_is_superset_of_dedup(entries, horizon):
     assert deduped <= retained
 
 
-@given(st.lists(st.tuples(keys_st, st.integers(1, 1000)), max_size=100))
-def test_skiplist_matches_dict(pairs):
-    sl = SkipList(seed=3)
-    model = {}
-    for i, (key, seq) in enumerate(pairs):
-        e = Entry(key, i + 1, float(i + 1), b"v%d" % seq)
-        sl.insert(e)
-        model[key] = e
-    for key, expected in model.items():
-        assert sl.get(key) == expected
-    assert [e.key for e in sl] == sorted(model.keys())
+@st.composite
+def arrivals_st(draw):
+    """Writes with unique seqnos and timestamps, each drawn out of
+    arrival order, over a key space small enough to collide."""
+    ops = draw(
+        st.lists(
+            st.tuples(st.binary(min_size=1, max_size=2), values_st, st.booleans()),
+            max_size=60,
+        )
+    )
+    seqnos = draw(st.permutations(range(1, len(ops) + 1)))
+    stamps = draw(st.permutations(range(1, len(ops) + 1)))
+    return [
+        Entry(key, seqno, float(stamp), value, tombstone)
+        for (key, value, tombstone), seqno, stamp in zip(ops, seqnos, stamps)
+    ]
+
+
+bound_st = st.none() | st.binary(min_size=1, max_size=2)
+
+
+@given(arrivals_st(), bound_st, bound_st)
+def test_memtable_matches_sorted_model(arrivals, lo, hi):
+    """The memtable holds what sorting the arrivals once would: every
+    version in retain mode, else the newest per key."""
+    run = sort_run(arrivals)
+    newest = [e for i, e in enumerate(run) if i == 0 or run[i - 1].key != e.key]
+    keys = {e.key for e in arrivals} | {b"absent"}
+    for retain, model in ((False, newest), (True, run)):
+        mt = Memtable(len(arrivals) + 1, retain_versions=retain)
+        for e in arrivals:
+            mt.put(e)
+        assert mt.entries() == model
+        for key in keys:
+            held = [e for e in model if e.key == key]
+            assert mt.versions(key) == held
+            assert mt.get(key) == (held[0] if held else None)
+        assert mt.range(lo, hi) == [
+            e for e in model if (lo is None or e.key >= lo) and (hi is None or e.key < hi)
+        ]
+        assert len(mt) == len(arrivals)
+        assert mt.num_keys == len(keys) - 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -384,7 +384,7 @@ def old_tree_scan(self, lo=None, hi=None):
     lo_b = encode_key(lo) if lo is not None else None
     hi_b = encode_key(hi) if hi is not None else None
 
-    sources: list = [self._memtable.iter_range(lo_b, hi_b)]
+    sources: list = [self._memtable.range(lo_b, hi_b)]
     for table in reversed(self.manifest.level(0)):
         if (hi_b is None or table.min_key < hi_b) and (
             lo_b is None or table.max_key >= lo_b
