@@ -321,7 +321,14 @@ def run_and_report(
     check: str | None = None,
     max_regression: float = 2.5,
 ) -> int:
-    """CLI entrypoint: run, print, write JSON, gate against a baseline."""
+    """CLI entrypoint: run, print, write JSON, gate against a baseline.
+
+    The baseline is read before ``out`` is written, so ``--out`` and
+    ``--check`` may name the same file."""
+    baseline = None
+    if check is not None:
+        with open(check) as source:
+            baseline = json.load(source)
     document = run(ops=ops, seed=seed)
     phases = document["phases"]
     print(
@@ -351,10 +358,6 @@ def run_and_report(
         json.dump(document, sink, indent=2)
         sink.write("\n")
     print(f"wrote {out}")
-    baseline = None
-    if check is not None:
-        with open(check) as source:
-            baseline = json.load(source)
     failures = check_regression(document, baseline, max_regression)
     for failure in failures:
         print(f"  !! {failure}")

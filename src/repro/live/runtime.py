@@ -7,11 +7,24 @@ own waitable classes (:mod:`repro.sim.kernel`: ``Event``, ``Timeout``,
 classes reach their kernel through three methods only, and this module
 supplies the live versions:
 
-* ``_schedule_now(cb)`` — ``loop.call_soon``;
+* ``_schedule_now(cb)`` — append to the kernel's own FIFO of due
+  callbacks, which runs before the loop polls again;
 * ``_schedule_after(delay, cb)`` — ``loop.call_later`` (i.e. real
-  ``asyncio.sleep``);
+  ``asyncio.sleep``); the timer runs ``cb`` and then everything it
+  made due;
 * ``_unhandled_failure(exc)`` — log and keep serving, where the sim
   escalates out of ``Kernel.run()``.
+
+The due FIFO is how the sim ``Kernel`` runs the events of one instant:
+callbacks run in the order they were scheduled, each one's follow-ups
+after everything already due.  The loop callback that makes work due —
+a received frame (:meth:`LiveNetwork._on_payload`) or a fired timer —
+drains the FIFO before it returns, so a request that resumes three
+processes and writes its reply costs one loop pass, not one pass per
+hand-off.  Work made due from plain async code (``kernel.run``, a test)
+gets one ``call_soon`` drain.  A callback that raises is reported to
+the loop's exception handler and the drain carries on, as an asyncio
+``Handle`` would; it never escapes into the transport.
 
 Because the resume / interrupt / barrier code is the same code, node
 code cannot tell the backends apart: ``yield self.call(...)`` waits on
@@ -19,17 +32,21 @@ a reply event either way; only *what fires the event* differs (a heap
 pop vs a TCP frame).
 
 :class:`LiveMachine` satisfies the compute protocol.  The modelled cost
-becomes a plain cooperative yield, since on real hardware the
-merge/probe work inside the generator already costs real CPU time.
+becomes a plain cooperative yield (a zero-delay loop timer), since on
+real hardware the merge/probe work inside the generator already costs
+real CPU time; the yield is what gives the loop a turn during a long
+merge.
 
 :class:`LiveNetwork` satisfies the fabric protocol: local destinations
-get loopback delivery on the loop; remote destinations are serialised
-with :mod:`repro.live.wire` and shipped by :mod:`repro.live.transport`.
+get loopback delivery through the due FIFO; remote destinations are
+serialised with :mod:`repro.live.wire` and shipped by
+:mod:`repro.live.transport`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import logging
 import random
@@ -59,6 +76,12 @@ class AsyncioKernel(Scheduler):
         self._loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
         self.events_dispatched = 0
+        #: Callbacks due now, run in FIFO order by :meth:`_drain`.
+        self._due: collections.deque[Callable[[], None]] = collections.deque()
+        #: A drain is running: what is scheduled now joins its FIFO.
+        self._draining = False
+        #: A ``call_soon`` drain is queued on the loop.
+        self._drain_queued = False
 
     # ------------------------------------------------------------------
     # Scheduling primitives (``Scheduler``'s three abstract methods)
@@ -69,10 +92,53 @@ class AsyncioKernel(Scheduler):
 
     def _schedule_now(self, callback: Callable[[], None]) -> None:
         self.events_dispatched += 1
-        self._loop.call_soon(callback)
+        self._due.append(callback)
+        if not self._draining and not self._drain_queued:
+            self._drain_queued = True
+            self._loop.call_soon(self._drain_soon)
 
     def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        self._loop.call_later(delay, callback)
+        self._loop.call_later(delay, self._run_callback, callback)
+
+    def _run_callback(self, callback: Callable[..., Any], *args: Any) -> Any:
+        """Run a loop callback, then everything it made due, before
+        returning to the loop.  Inside a drain it just runs ``callback``:
+        the drain already running picks up what it schedules."""
+        if self._draining:
+            return callback(*args)
+        self._draining = True
+        try:
+            return callback(*args)
+        finally:
+            self._drain()
+
+    def _drain_soon(self) -> None:
+        self._drain_queued = False
+        if not self._draining:
+            self._draining = True
+            self._drain()
+
+    def _drain(self) -> None:
+        """Run due callbacks FIFO until none is left; clears the
+        draining state the caller set."""
+        due = self._due
+        try:
+            while due:
+                callback = due.popleft()
+                try:
+                    callback()
+                except (SystemExit, KeyboardInterrupt):
+                    raise
+                except BaseException as error:  # noqa: BLE001 - as a Handle does
+                    self._loop.call_exception_handler({
+                        "message": "exception in kernel callback",
+                        "exception": error,
+                    })
+        finally:
+            self._draining = False
+            if due and not self._drain_queued:
+                self._drain_queued = True
+                self._loop.call_soon(self._drain_soon)
 
     def _unhandled_failure(self, exception: BaseException) -> None:
         # The sim escalates into Kernel.run(); a live node logs and
@@ -164,8 +230,9 @@ class LiveNetwork:
     def send(self, src: str, dst: str, message: Any, size_bytes: int = 256) -> None:
         inbox = self._inboxes.get(dst)
         if inbox is not None:
-            # Loopback: deliver on the next loop tick so the send/receive
-            # asynchrony the node layer assumes is preserved in-process.
+            # Loopback: deliver after everything already due, so the
+            # send/receive asynchrony the node layer assumes holds
+            # in-process.
             self.kernel._schedule_now(lambda: inbox.put((src, message)))
             return
         payload = wire.encode_envelope_buffer(next(self._frame_ids), src, dst, message)
@@ -183,7 +250,9 @@ class LiveNetwork:
             self.unroutable += 1
             logger.warning("frame for unknown local node %s from %s", dst, src)
             return
-        inbox.put((src, message))
+        # The frame's whole cascade — handler resumes, replies posted to
+        # the transport — runs before the loop polls again.
+        self.kernel._run_callback(inbox.put, (src, message))
 
     async def listen(self, host: str, port: int) -> None:
         await self.transport.listen(host, port)

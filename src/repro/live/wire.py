@@ -27,11 +27,16 @@ CRC guards against framing bugs and partial writes around reconnects).
 
 Hot-path framing is zero-copy: :func:`encode_frame_into` appends the
 header and payload to a caller-owned ``bytearray`` (the transport
-reuses one scratch buffer per peer and drains many frames into a
-single socket write), and the decode path slices a ``memoryview`` of
-the received payload so nested values never copy the buffer before
-their final ``bytes`` materialisation.  :func:`encode_frame` remains
-as the one-shot convenience used by tests and the chaos proxy.
+frames a whole pending list into one buffer for a single socket
+write), and the decode path slices a ``memoryview`` of the received
+payload so nested values never copy the buffer before their final
+``bytes`` materialisation.  :func:`encode_frame` remains as the
+one-shot convenience used by tests and the chaos proxy.
+
+Both directions dispatch through tables: the encoder on the value's
+exact type (each registered message class gets an encoder holding its
+field names, read once at registration), the decoder on the tag.  A
+subclass of a carriable type falls back to an ``isinstance`` scan.
 
 **Registry.**  Message dataclasses are registered with *explicit* type
 ids so every process agrees on the numbering regardless of import
@@ -91,8 +96,8 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 def encode_frame_into(out: bytearray, payload: bytes) -> None:
     """Append one framed payload to ``out`` without intermediate copies.
 
-    The transport writer drains its whole queue through this into one
-    reused scratch buffer, then issues a single socket write.
+    The transport frames a whole pending list through this into one
+    buffer, then issues a single socket write.
     """
     length = len(payload)
     if length > MAX_FRAME_BYTES:
@@ -169,6 +174,8 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 #: message class -> explicit type id (and the inverse).
 _MESSAGE_IDS: dict[type, int] = {}
 _MESSAGE_BY_ID: dict[int, type] = {}
+#: message class -> its field names, read once at registration.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def register_message(cls: type, type_id: int) -> type:
@@ -180,6 +187,9 @@ def register_message(cls: type, type_id: int) -> type:
         raise WireError(f"type id {type_id} already bound to {existing.__name__}")
     _MESSAGE_IDS[cls] = type_id
     _MESSAGE_BY_ID[type_id] = cls
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    _FIELD_NAMES[cls] = names
+    _ENCODERS[cls] = _message_encoder(type_id, names)
     return cls
 
 
@@ -210,79 +220,142 @@ def _decode_entry_body(buf: bytes, pos: int) -> tuple[Entry, int]:
     return Entry(key, seqno, timestamp, value, tombstone=bool(tombstone)), pos
 
 
+# Encoders, one per form: ``(value, out) -> None``.
+def _encode_none(value: None, out: bytearray) -> None:
+    out.append(_T_NONE)
+
+
+def _encode_bool(value: bool, out: bytearray) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise WireError(f"int out of 64-bit range: {value}")
+    out.append(_T_INT)
+    out += _I64.pack(value)
+
+
+def _encode_float(value: float, out: bytearray) -> None:
+    out.append(_T_FLOAT)
+    out += _F64.pack(value)
+
+
+def _encode_bytes(value: bytes, out: bytearray) -> None:
+    out.append(_T_BYTES)
+    out += _U32.pack(len(value))
+    out += value
+
+
+def _encode_str(value: str, out: bytearray) -> None:
+    encoded = value.encode("utf-8")
+    out.append(_T_STR)
+    out += _U32.pack(len(encoded))
+    out += encoded
+
+
+def _encode_entry(value: Entry, out: bytearray) -> None:
+    out.append(_T_ENTRY)
+    _encode_entry_body(value, out)
+
+
+def _encode_sstable(value: SSTable, out: bytearray) -> None:
+    out.append(_T_SSTABLE)
+    out += _SSTABLE_FIXED.pack(value.table_id, len(value._image))
+    out += value._image
+
+
+def _encode_tuple(value: tuple, out: bytearray) -> None:
+    out.append(_T_TUPLE)
+    out += _U32.pack(len(value))
+    for item in value:
+        encode_value(item, out)
+
+
+def _encode_list(value: list, out: bytearray) -> None:
+    out.append(_T_LIST)
+    out += _U32.pack(len(value))
+    for item in value:
+        encode_value(item, out)
+
+
+def _encode_dict(value: dict, out: bytearray) -> None:
+    out.append(_T_DICT)
+    out += _U32.pack(len(value))
+    for key, item in value.items():
+        encode_value(key, out)
+        encode_value(item, out)
+
+
+def _encode_upsert_batch(value: typing.Any, out: bytearray) -> None:
+    out.append(_T_UPSERT_BATCH)
+    out += _U32.pack(len(value.ops))
+    for op in value.ops:
+        out += _U32.pack(len(op.key))
+        out += op.key
+        out += _U32.pack(len(op.value))
+        out += op.value
+        out.append(1 if op.tombstone else 0)
+
+
+def _encode_upsert_batch_reply(value: typing.Any, out: bytearray) -> None:
+    out.append(_T_UPSERT_BATCH_REPLY)
+    out += _U32.pack(len(value.replies))
+    for reply in value.replies:
+        out += _REPLY_FIXED.pack(reply.timestamp, reply.seqno)
+
+
+def _message_encoder(type_id: int, names: tuple[str, ...]):
+    header = bytes([_T_MSG]) + _U16.pack(type_id) + _U16.pack(len(names))
+
+    def encode(value: typing.Any, out: bytearray) -> None:
+        out += header
+        for name in names:
+            encode_value(getattr(value, name), out)
+
+    return encode
+
+
+#: Exact type -> encoder; registered message classes join at
+#: registration, the batch classes with their packed forms.
+_ENCODERS: dict[type, typing.Callable[[typing.Any, bytearray], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    bytes: _encode_bytes,
+    str: _encode_str,
+    Entry: _encode_entry,
+    SSTable: _encode_sstable,
+    tuple: _encode_tuple,
+    list: _encode_list,
+    dict: _encode_dict,
+}
+#: The fallback for a subclass of a carriable type, first match wins.
+_SUBCLASS_ENCODERS = (
+    (int, _encode_int),
+    (float, _encode_float),
+    (bytes, _encode_bytes),
+    (str, _encode_str),
+    (Entry, _encode_entry),
+    (SSTable, _encode_sstable),
+    (tuple, _encode_tuple),
+    (list, _encode_list),
+    (dict, _encode_dict),
+)
+
+
 def encode_value(value: typing.Any, out: bytearray) -> None:
     """Append the tagged encoding of ``value`` to ``out``."""
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise WireError(f"int out of 64-bit range: {value}")
-        out.append(_T_INT)
-        out += _I64.pack(value)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        out += _U32.pack(len(value))
-        out += value
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _U32.pack(len(encoded))
-        out += encoded
-    elif isinstance(value, Entry):
-        out.append(_T_ENTRY)
-        _encode_entry_body(value, out)
-    elif isinstance(value, SSTable):
-        out.append(_T_SSTABLE)
-        out += _SSTABLE_FIXED.pack(value.table_id, len(value._image))
-        out += value._image
-    elif type(value) is _BATCH_REQUEST_CLS:
-        out.append(_T_UPSERT_BATCH)
-        out += _U32.pack(len(value.ops))
-        for op in value.ops:
-            out += _U32.pack(len(op.key))
-            out += op.key
-            out += _U32.pack(len(op.value))
-            out += op.value
-            out.append(1 if op.tombstone else 0)
-    elif type(value) is _BATCH_REPLY_CLS:
-        out.append(_T_UPSERT_BATCH_REPLY)
-        out += _U32.pack(len(value.replies))
-        for reply in value.replies:
-            out += _REPLY_FIXED.pack(reply.timestamp, reply.seqno)
-    elif type(value) in _MESSAGE_IDS:
-        out.append(_T_MSG)
-        out += _U16.pack(_MESSAGE_IDS[type(value)])
-        field_values = [
-            getattr(value, f.name) for f in dataclasses.fields(value)
-        ]
-        out += _U16.pack(len(field_values))
-        for item in field_values:
-            encode_value(item, out)
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        out += _U32.pack(len(value))
-        for item in value:
-            encode_value(item, out)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        out += _U32.pack(len(value))
-        for item in value:
-            encode_value(item, out)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            encode_value(key, out)
-            encode_value(item, out)
-    else:
-        raise WireError(f"unencodable value of type {type(value).__name__}")
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        for base, fallback in _SUBCLASS_ENCODERS:
+            if isinstance(value, base):
+                encoder = fallback
+                break
+        else:
+            raise WireError(f"unencodable value of type {type(value).__name__}")
+    encoder(value, out)
 
 
 def decode_value(buf: bytes, pos: int = 0) -> tuple[typing.Any, int]:
@@ -296,97 +369,136 @@ def decode_value(buf: bytes, pos: int = 0) -> tuple[typing.Any, int]:
 
 
 def _decode(buf: bytes, pos: int) -> tuple[typing.Any, int]:
-    tag = buf[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        (value,) = _I64.unpack_from(buf, pos)
-        return value, pos + 8
-    if tag == _T_FLOAT:
-        (value,) = _F64.unpack_from(buf, pos)
-        return value, pos + 8
-    if tag in (_T_BYTES, _T_STR):
-        (length,) = _U32.unpack_from(buf, pos)
+    return _DECODERS[buf[pos]](buf, pos + 1)
+
+
+# Decoders, one per tag: ``(buf, pos after the tag) -> (value, end)``.
+def _decode_int(buf: bytes, pos: int) -> tuple[int, int]:
+    return _I64.unpack_from(buf, pos)[0], pos + 8
+
+
+def _decode_float(buf: bytes, pos: int) -> tuple[float, int]:
+    return _F64.unpack_from(buf, pos)[0], pos + 8
+
+
+def _decode_raw(buf: bytes, pos: int) -> tuple[bytes, int]:
+    (length,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    if pos + length > len(buf):
+        raise WireError("truncated bytes/str value")
+    return bytes(buf[pos : pos + length]), pos + length
+
+
+def _decode_str(buf: bytes, pos: int) -> tuple[str, int]:
+    raw, pos = _decode_raw(buf, pos)
+    return raw.decode("utf-8"), pos
+
+
+def _decode_sstable(buf: bytes, pos: int) -> tuple[SSTable, int]:
+    table_id, length = _SSTABLE_FIXED.unpack_from(buf, pos)
+    pos += _SSTABLE_FIXED.size
+    table = decode_sstable(buf[pos : pos + length], table_id)
+    return table, pos + length
+
+
+def _decode_upsert_batch(buf: bytes, pos: int) -> tuple[typing.Any, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    ops = []
+    for __ in range(count):
+        (key_len,) = _U32.unpack_from(buf, pos)
         pos += 4
-        if pos + length > len(buf):
-            raise WireError("truncated bytes/str value")
-        raw = bytes(buf[pos : pos + length])
-        pos += length
-        return (raw if tag == _T_BYTES else raw.decode("utf-8")), pos
-    if tag == _T_ENTRY:
-        return _decode_entry_body(buf, pos)
-    if tag == _T_SSTABLE:
-        table_id, length = _SSTABLE_FIXED.unpack_from(buf, pos)
-        pos += _SSTABLE_FIXED.size
-        table = decode_sstable(buf[pos : pos + length], table_id)
-        return table, pos + length
-    if tag == _T_UPSERT_BATCH:
-        (count,) = _U32.unpack_from(buf, pos)
+        key = bytes(buf[pos : pos + key_len])
+        pos += key_len
+        (value_len,) = _U32.unpack_from(buf, pos)
         pos += 4
-        ops = []
-        for __ in range(count):
-            (key_len,) = _U32.unpack_from(buf, pos)
-            pos += 4
-            key = bytes(buf[pos : pos + key_len])
-            pos += key_len
-            (value_len,) = _U32.unpack_from(buf, pos)
-            pos += 4
-            value = bytes(buf[pos : pos + value_len])
-            pos += value_len
-            tombstone = buf[pos]
-            pos += 1
-            ops.append(_UPSERT_REQUEST_CLS(key, value, tombstone=bool(tombstone)))
-        return _BATCH_REQUEST_CLS(tuple(ops)), pos
-    if tag == _T_UPSERT_BATCH_REPLY:
-        (count,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        replies = []
-        for __ in range(count):
-            timestamp, seqno = _REPLY_FIXED.unpack_from(buf, pos)
-            pos += _REPLY_FIXED.size
-            replies.append(_UPSERT_REPLY_CLS(timestamp, seqno))
-        return _BATCH_REPLY_CLS(tuple(replies)), pos
-    if tag == _T_MSG:
-        (type_id,) = _U16.unpack_from(buf, pos)
-        pos += 2
-        cls = _MESSAGE_BY_ID.get(type_id)
-        if cls is None:
-            raise WireError(f"unknown message type id {type_id}")
-        (count,) = _U16.unpack_from(buf, pos)
-        pos += 2
-        declared = dataclasses.fields(cls)
-        if count != len(declared):
-            raise WireError(
-                f"{cls.__name__}: expected {len(declared)} fields, frame has {count}"
-            )
-        values = []
-        for __ in range(count):
-            value, pos = _decode(buf, pos)
-            values.append(value)
-        return cls(*values), pos
-    if tag in (_T_TUPLE, _T_LIST):
-        (count,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        items = []
-        for __ in range(count):
-            item, pos = _decode(buf, pos)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        (count,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        result: dict = {}
-        for __ in range(count):
-            key, pos = _decode(buf, pos)
-            value, pos = _decode(buf, pos)
-            result[key] = value
-        return result, pos
-    raise WireError(f"unknown value tag {tag}")
+        value = bytes(buf[pos : pos + value_len])
+        pos += value_len
+        tombstone = buf[pos]
+        pos += 1
+        ops.append(_UPSERT_REQUEST_CLS(key, value, tombstone=bool(tombstone)))
+    return _BATCH_REQUEST_CLS(tuple(ops)), pos
+
+
+def _decode_upsert_batch_reply(buf: bytes, pos: int) -> tuple[typing.Any, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    replies = []
+    for __ in range(count):
+        timestamp, seqno = _REPLY_FIXED.unpack_from(buf, pos)
+        pos += _REPLY_FIXED.size
+        replies.append(_UPSERT_REPLY_CLS(timestamp, seqno))
+    return _BATCH_REPLY_CLS(tuple(replies)), pos
+
+
+def _decode_message(buf: bytes, pos: int) -> tuple[typing.Any, int]:
+    (type_id,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    cls = _MESSAGE_BY_ID.get(type_id)
+    if cls is None:
+        raise WireError(f"unknown message type id {type_id}")
+    (count,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    declared = len(_FIELD_NAMES[cls])
+    if count != declared:
+        raise WireError(f"{cls.__name__}: expected {declared} fields, frame has {count}")
+    values = []
+    for __ in range(count):
+        value, pos = _decode(buf, pos)
+        values.append(value)
+    return cls(*values), pos
+
+
+def _decode_items(buf: bytes, pos: int) -> tuple[list, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    items = []
+    for __ in range(count):
+        item, pos = _decode(buf, pos)
+        items.append(item)
+    return items, pos
+
+
+def _decode_tuple(buf: bytes, pos: int) -> tuple[tuple, int]:
+    items, pos = _decode_items(buf, pos)
+    return tuple(items), pos
+
+
+def _decode_dict(buf: bytes, pos: int) -> tuple[dict, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    result: dict = {}
+    for __ in range(count):
+        key, pos = _decode(buf, pos)
+        value, pos = _decode(buf, pos)
+        result[key] = value
+    return result, pos
+
+
+def _decode_unknown(buf: bytes, pos: int) -> typing.NoReturn:
+    raise WireError(f"unknown value tag {buf[pos - 1]}")
+
+
+#: Tag -> decoder, for every byte value.
+_DECODERS = [_decode_unknown] * 256
+for _tag, _decoder in (
+    (_T_NONE, lambda buf, pos: (None, pos)),
+    (_T_TRUE, lambda buf, pos: (True, pos)),
+    (_T_FALSE, lambda buf, pos: (False, pos)),
+    (_T_INT, _decode_int),
+    (_T_FLOAT, _decode_float),
+    (_T_BYTES, _decode_raw),
+    (_T_STR, _decode_str),
+    (_T_TUPLE, _decode_tuple),
+    (_T_LIST, _decode_items),
+    (_T_DICT, _decode_dict),
+    (_T_ENTRY, _decode_entry_body),
+    (_T_SSTABLE, _decode_sstable),
+    (_T_MSG, _decode_message),
+    (_T_UPSERT_BATCH, _decode_upsert_batch),
+    (_T_UPSERT_BATCH_REPLY, _decode_upsert_batch_reply),
+):
+    _DECODERS[_tag] = _decoder
 
 
 # ----------------------------------------------------------------------
@@ -472,14 +584,16 @@ def _register_all() -> None:
     ]
     for type_id, cls in protocol:
         register_message(cls, type_id)
-    # Hot-path classes for the packed batch forms (the registry entries
-    # above keep the generic _T_MSG encoding decodable too).
+    # Hot-path classes travel in the packed batch forms (the registry
+    # entries above keep the generic _T_MSG encoding decodable too).
     global _BATCH_REQUEST_CLS, _BATCH_REPLY_CLS
     global _UPSERT_REQUEST_CLS, _UPSERT_REPLY_CLS
     _BATCH_REQUEST_CLS = messages.UpsertBatchRequest
     _BATCH_REPLY_CLS = messages.UpsertBatchReply
     _UPSERT_REQUEST_CLS = messages.UpsertRequest
     _UPSERT_REPLY_CLS = messages.UpsertReply
+    _ENCODERS[_BATCH_REQUEST_CLS] = _encode_upsert_batch
+    _ENCODERS[_BATCH_REPLY_CLS] = _encode_upsert_batch_reply
 
 
 _register_all()

@@ -182,9 +182,16 @@ class Process(Event):
             self.kernel._schedule_now(self._dispatch)
             return
         if not isinstance(target, Event):
-            raise SimError(
+            # A programming error: fail the process (its waiters see the
+            # error) rather than raise out of whichever callback resumed it.
+            self.generator.close()
+            self.triggered = True
+            self.ok = False
+            self.value = SimError(
                 f"process {self.name!r} yielded {type(target).__name__}, not an Event"
             )
+            self.kernel._schedule_now(self._dispatch)
+            return
         self._waiting_on = target
         target._add_callback(self._on_event)
 

@@ -5,6 +5,9 @@ chaos-smoke job; these tests pin the analysis and gating logic on
 synthetic documents so a gate bug cannot hide behind a slow run.
 """
 
+import json
+
+from repro.bench import chaos_bench
 from repro.bench.chaos_bench import (
     SLA_WINDOW_S,
     _recovery_to_sla,
@@ -124,3 +127,19 @@ class TestCheckRegression:
         baseline["config"] = dict(baseline["config"], ops=999)
         current = _document(drop={"ratio": 0.01})
         assert check_regression(current, baseline, max_regression=2.5) == []
+
+
+class TestRunAndReport:
+    def test_baseline_is_read_before_out_is_written(self, tmp_path, monkeypatch):
+        """With ``--out`` and ``--check`` on one file, the gate compares
+        the run with the checked-in baseline, not with itself."""
+        path = tmp_path / "BENCH_chaos.json"
+        path.write_text(json.dumps(_document()))
+        slow = _document(crash={"recovery_to_sla_s": 30.0})
+        slow.update(total_acked_ops=1, client_retries=0, baseline_throughput=800.0)
+        for phase in slow["phases"].values():
+            phase.update(ack_p50_s=0.001, ack_p99_s=0.002)
+        monkeypatch.setattr(chaos_bench, "run", lambda ops, seed: slow)
+        code = chaos_bench.run_and_report(out=str(path), check=str(path))
+        assert code == 1
+        assert json.loads(path.read_text()) == slow

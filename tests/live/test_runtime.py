@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from repro.core.config import CooLSMConfig
 from repro.core.consistency import check_linearizable
 from repro.core.history import History
 from repro.effects import ComputeHost, EffectKernel, Fabric
-from repro.live.harness import ClientPool, localhost_spec
+from repro.live.harness import ClientPool, free_port, localhost_spec
 from repro.live.node import LiveNode, LiveSpec, load_spec, spec_from_dict, spec_to_dict
 from repro.live.runtime import AsyncioKernel, LiveMachine, LiveNetwork
 from repro.lsm.errors import InvalidConfigError
@@ -205,15 +206,11 @@ class TestKernelSemantics:
             def proc():
                 yield 42
 
-            with pytest.raises(SimError, match="yielded"):
-                # The resume runs on the loop; run() surfaces the error.
-                await kernel.run(proc())
+            # The process fails with the error, so run() raises it.
+            await kernel.run(proc())
 
-        # SimError escapes via the loop's exception handling path: the
-        # first resume happens inside a callback, so assert it at least
-        # does not hang and the process never completes normally.
-        with pytest.raises(Exception):
-            run_async(main(), timeout=5.0)
+        with pytest.raises(SimError, match="yielded"):
+            run_async(main(), timeout=1.0)
 
     def test_now_is_monotonic_and_starts_near_zero(self):
         async def main():
@@ -269,6 +266,166 @@ class TestKernelSemantics:
             return await kernel.run(proc())
 
         assert run_async(main()) == 2.0
+
+
+# ----------------------------------------------------------------------
+# The due FIFO: sim order, and a failing callback inside a frame's drain
+# ----------------------------------------------------------------------
+#: Gap between the timers that open each instant of the order program.
+_SPACING = 0.02
+_POOL = 4
+
+
+def _order_plan(seed: int) -> list:
+    """Rounds of workers, each a list of steps drawn from ``seed``."""
+    rng = random.Random(seed)
+    plan = []
+    for __ in range(3):
+        workers = []
+        for __ in range(4):
+            steps = []
+            for __ in range(rng.randint(2, 5)):
+                kind = rng.choice(["all", "any", "succeed", "pool"])
+                if kind in ("all", "any"):
+                    arg = [
+                        (rng.choice(["own", "pool", "plain"]), rng.randrange(_POOL))
+                        for __ in range(rng.randint(1, 3))
+                    ]
+                else:
+                    arg = rng.randrange(_POOL)
+                steps.append((kind, arg))
+            workers.append(steps)
+        plan.append(workers)
+    return plan
+
+
+def _order_program(kernel, plan, record):
+    """Each instant opens with one timer (distinct times), and a zero
+    timeout only directly after a wake-up, when nothing else is due: so
+    every resume order below is fixed by the FIFO rule alone."""
+
+    def child(tag, kind, index, pool):
+        record(tag + ("start",))
+        value = None
+        if kind == "own":
+            event = kernel.event()
+            event.succeed(tag)
+            value = yield event
+        elif kind == "pool":
+            value = yield pool[index]
+        record(tag + ("end", value))
+        return tag
+
+    def worker(r, w, steps, pool):
+        yield kernel.timeout(_SPACING * (w + 1))
+        record((r, w, "wake"))
+        yield kernel.timeout(0.0)
+        record((r, w, "zero"))
+        for s, (kind, arg) in enumerate(steps):
+            tag = (r, w, s)
+            if kind in ("all", "any"):
+                kids = [
+                    kernel.spawn(child(tag + (c,), ck, ci, pool))
+                    for c, (ck, ci) in enumerate(arg)
+                ]
+                barrier = kernel.all_of(kids) if kind == "all" else kernel.any_of(kids)
+                value = yield barrier
+            elif kind == "succeed":
+                value = not pool[arg].triggered
+                if value:
+                    pool[arg].succeed(tag)
+            else:
+                value = yield pool[arg]
+            record(tag + (kind, value))
+
+    def driver():
+        for r, workers in enumerate(plan):
+            pool = [kernel.event() for __ in range(_POOL)]
+            procs = [
+                kernel.spawn(worker(r, w, steps, pool)) for w, steps in enumerate(workers)
+            ]
+            yield kernel.timeout(_SPACING * (len(workers) + 1))
+            record((r, "release"))
+            for event in pool:
+                if not event.triggered:
+                    event.succeed(("driver", r))
+            yield kernel.all_of(procs)
+            record((r, "done"))
+            yield kernel.timeout(0.0)
+
+    return driver()
+
+
+class TestDueFifo:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_resume_order_equals_the_sim_kernel(self, seed):
+        plan = _order_plan(seed)
+        sim_order: list = []
+        sim = sim_kernel.Kernel()
+        sim.run_process(_order_program(sim, plan, sim_order.append))
+
+        async def main():
+            live_order: list = []
+            kernel = AsyncioKernel()
+            await kernel.run(_order_program(kernel, plan, live_order.append))
+            return live_order
+
+        live_order = run_async(main())
+        assert len(sim_order) > 60
+        assert live_order == sim_order
+
+    def test_failing_callback_in_a_frame_drain_is_reported_and_skipped(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported: list = []
+            loop.set_exception_handler(lambda __, context: reported.append(context))
+            port = free_port()
+            receiver_kernel = AsyncioKernel()
+            receiver = LiveNetwork(receiver_kernel, {})
+            inbox = receiver.register("b", LiveMachine(receiver_kernel, "mb"))
+            sender_kernel = AsyncioKernel()
+            sender = LiveNetwork(sender_kernel, {"b": ("127.0.0.1", port)})
+            await receiver.listen("127.0.0.1", port)
+            order: list = []
+
+            def boom():
+                order.append("boom")
+                raise RuntimeError("callback failed")
+
+            def consumer():
+                for __ in range(2):
+                    __, message = yield inbox.get()
+                    # Both run in this frame's drain, the second after
+                    # the first has raised.
+                    receiver_kernel._schedule_now(boom)
+                    receiver_kernel._schedule_now(lambda m=message: order.append(m))
+
+            done = receiver_kernel.spawn(consumer())
+            try:
+                sender.send("a", "b", "first")
+                await asyncio.wait_for(_until(lambda: len(order) == 2), 5.0)
+                (connection,) = receiver.transport._inbound
+                sender.send("a", "b", "second")
+                await asyncio.wait_for(_until(lambda: done.triggered), 5.0)
+                # One connection carried both frames: nothing closed it.
+                assert receiver.transport._inbound == {connection}
+                assert not connection.is_closing()
+            finally:
+                await sender.close()
+                await receiver.close()
+            return order, reported, receiver.transport.stats
+
+        order, reported, received = run_async(main())
+        assert order == ["boom", "first", "boom", "second"]
+        assert [(c["message"], type(c["exception"])) for c in reported] == [
+            ("exception in kernel callback", RuntimeError)
+        ] * 2
+        assert received.frames_received == 2 and received.decode_errors == 0
+
+
+async def _until(predicate) -> None:
+    while not predicate():
+        await asyncio.sleep(0.005)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Write-path batching on the framed TCP transport.
 
-The writer task drains its whole queue into one socket write per
-wakeup (coalescing), which surfaces in :class:`TransportStats` so the
-monitor can see bytes-per-write; and a receiver rejects any frame that
+Frames that waited for the channel (while it connected) go out as one
+socket write (coalescing), which surfaces in :class:`TransportStats` so
+the monitor can see bytes-per-write; and a receiver rejects any frame that
 sets a flag bit, since this codec version defines none.
 """
 
@@ -56,7 +56,7 @@ class TestWriteCoalescing:
             receiver = Transport({}, on_payload=received.append)
             try:
                 # Queue a burst while nothing listens: on connect the
-                # writer must drain it as ONE buffer, not 10 writes.
+                # channel must write it as ONE buffer, not 10 writes.
                 for index in range(10):
                     sender.post("peer", _payload(index))
                 await receiver.listen("127.0.0.1", port)

@@ -18,14 +18,14 @@ from repro.live.harness import free_port
 from repro.live.transport import RetryPolicy, Transport, TransportStats
 
 
-def _payload(index: int) -> bytes:
+def _payload(index: int, pad: bytes = b"") -> bytes:
     out = bytearray()
-    wire.encode_value(index, out)
+    wire.encode_value((index, pad), out)
     return bytes(out)
 
 
 def _indices(payloads: list[bytes]) -> list[int]:
-    return [wire.decode_value(p)[0] for p in payloads]
+    return [wire.decode_value(p)[0][0] for p in payloads]
 
 
 def _fast_policy() -> RetryPolicy:
@@ -53,7 +53,7 @@ class TestConnectionRefusedAtStartup:
             )
             receiver = Transport({}, on_payload=received.append)
             try:
-                # Post while nothing listens: the writer task sits in its
+                # Post while nothing listens: the channel sits in its
                 # reconnect backoff loop; nothing is lost.
                 for index in range(5):
                     sender.post("peer", _payload(index))
@@ -130,6 +130,103 @@ class TestPeerDeathMidStream:
                 await receiver.close()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+
+
+class TestPeerHangUp:
+    def test_one_frame_after_peer_hang_up_arrives(self):
+        """A peer that hangs up must take the channel down at once: the
+        next frame reconnects instead of vanishing into the half-closed
+        socket (which cost a whole RPC timeout per hang-up)."""
+        async def scenario():
+            port = free_port()
+            received: list[bytes] = []
+            sender = Transport(
+                {"peer": ("127.0.0.1", port)},
+                on_payload=lambda p: None,
+                policy=_fast_policy(),
+                rng=random.Random(4),
+            )
+            receiver = Transport({}, on_payload=received.append)
+            try:
+                await receiver.listen("127.0.0.1", port)
+                sender.post("peer", _payload(0))
+                await _wait_for(lambda: len(received) == 1, message="first frame")
+                await receiver.close()
+                await asyncio.sleep(0.1)  # the hang-up reaches the sender
+
+                revived: list[bytes] = []
+                receiver2 = Transport({}, on_payload=revived.append)
+                await receiver2.listen("127.0.0.1", port)
+                try:
+                    sender.post("peer", _payload(1))
+                    await _wait_for(
+                        lambda: len(revived) == 1, timeout=3.0,
+                        message="the one frame sent after the hang-up",
+                    )
+                    assert _indices(revived) == [1]
+                finally:
+                    await receiver2.close()
+            finally:
+                await sender.close()
+                await receiver.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+
+
+class TestPausedWriting:
+    def test_frames_wait_in_order_shed_and_flow_after_resume(self):
+        """A receiver that stops reading fills the socket until the
+        sender pauses; frames then wait in order, shed beyond
+        ``max_queued``, and arrive strictly increasing after resume."""
+        max_queued = 8
+        extra = max_queued + 4
+
+        async def scenario():
+            port = free_port()
+            received: list[bytes] = []
+            sender = Transport(
+                {"peer": ("127.0.0.1", port)},
+                on_payload=lambda p: None,
+                policy=_fast_policy(),
+                rng=random.Random(6),
+                max_queued=max_queued,
+            )
+            receiver = Transport({}, on_payload=received.append)
+            pad = b"p" * (128 * 1024)
+            try:
+                await receiver.listen("127.0.0.1", port)
+                sender.post("peer", _payload(0))
+                await _wait_for(lambda: len(received) == 1, message="connection")
+                for inbound in receiver._inbound:
+                    inbound.pause_reading()
+                # Write until a frame has to wait: the sender paused.
+                sent = 1
+                while True:
+                    sender.post("peer", _payload(sent, pad))
+                    sent += 1
+                    if sender.stats.frames_sent < sent:
+                        break
+                    assert sent < 400, "sender never paused"
+                    await asyncio.sleep(0)
+                # The paused channel keeps max_queued frames, sheds the rest
+                # (no loop turn in between, so it cannot resume meanwhile).
+                for __ in range(extra):
+                    sender.post("peer", _payload(sent, pad))
+                    sent += 1
+                assert sender.stats.queue_high_water == max_queued
+                assert sender.stats.frames_dropped == extra + 1 - max_queued
+                kept = sent - sender.stats.frames_dropped
+                for inbound in receiver._inbound:
+                    inbound.resume_reading()
+                await _wait_for(lambda: len(received) == kept, message="resumed delivery")
+                indices = _indices(received)
+                assert indices == list(range(kept))
+                assert sender.stats.reconnects == 0
+            finally:
+                await sender.close()
+                await receiver.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
 
 
 class TestOverflowPolicies:
