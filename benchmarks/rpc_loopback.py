@@ -7,7 +7,10 @@ Three processes on localhost TCP, each running the live runtime
 
 The client issues ``--requests`` sequential ``relay`` calls after a
 warm-up; the middle node answers each by calling the leaf, as an
-Ingestor's read path calls a Compactor.  Reported per request:
+Ingestor's read path calls a Compactor.  The leaf echoes a 16-byte
+payload, or with ``--pairs N`` answers with the reply of an N-pair range
+scan (20-byte keys, 16-byte values), which the middle relays: the codec
+cost of a scan on every hop.  Reported per request:
 
 * round trip p50 / p90 at the client;
 * user+sys CPU of each process;
@@ -19,6 +22,7 @@ machine: it exits 1 when the leaf takes more than 3 passes per request
 or the middle hop more than 4.
 
     PYTHONPATH=src python3 benchmarks/rpc_loopback.py --requests 2000 --check
+    PYTHONPATH=src python3 benchmarks/rpc_loopback.py --requests 2000 --pairs 50 --check
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.core.messages import RangeQueryReply  # noqa: E402
 from repro.live.harness import free_port  # noqa: E402
 from repro.live.runtime import AsyncioKernel, LiveMachine, LiveNetwork  # noqa: E402
 from repro.sim.rpc import RpcNode  # noqa: E402
@@ -64,16 +69,24 @@ def _cpu() -> float:
     return times.user + times.system
 
 
+def scan_reply(pairs: int) -> RangeQueryReply:
+    """An N-pair range reply: 20-byte keys, 16-byte values."""
+    return RangeQueryReply(
+        tuple((b"key-%016d" % i, b"value-%010d" % i) for i in range(pairs))
+    )
+
+
 class Leaf(RpcNode):
-    def __init__(self, kernel, network, machine, name, selector) -> None:
+    def __init__(self, kernel, network, machine, name, selector, pairs) -> None:
         super().__init__(kernel, network, machine, name)
         self.selector = selector
+        self.reply = scan_reply(pairs) if pairs else None
         self.on("ping", self._ping)
         self.on("probe", self._probe)
 
     def _ping(self, src, payload):
         yield from ()
-        return payload
+        return payload if self.reply is None else self.reply
 
     def _probe(self, src, payload):
         yield from ()
@@ -81,8 +94,8 @@ class Leaf(RpcNode):
 
 
 class Middle(Leaf):
-    def __init__(self, kernel, network, machine, name, selector) -> None:
-        super().__init__(kernel, network, machine, name, selector)
+    def __init__(self, kernel, network, machine, name, selector, pairs) -> None:
+        super().__init__(kernel, network, machine, name, selector, pairs)
         self.on("relay", self._relay)
 
     def _relay(self, src, payload):
@@ -94,12 +107,14 @@ def _addresses(ports: dict[str, int]) -> dict[str, tuple[str, int]]:
     return {name: (HOST, port) for name, port in ports.items()}
 
 
-async def _serve(role: str, ports: dict[str, int], selector: CountingSelector) -> None:
+async def _serve(
+    role: str, ports: dict[str, int], selector: CountingSelector, pairs: int
+) -> None:
     kernel = AsyncioKernel()
     network = LiveNetwork(kernel, _addresses(ports))
     machine = LiveMachine(kernel, role)
     node_cls = Middle if role == "middle" else Leaf
-    node_cls(kernel, network, machine, role, selector)
+    node_cls(kernel, network, machine, role, selector, pairs)
     await network.listen(HOST, ports[role])
     print("READY", role, flush=True)
     # The parent closes our stdin when the run is over.
@@ -107,11 +122,11 @@ async def _serve(role: str, ports: dict[str, int], selector: CountingSelector) -
     await network.close()
 
 
-def serve(role: str, ports: dict[str, int]) -> None:
+def serve(role: str, ports: dict[str, int], pairs: int) -> None:
     selector = CountingSelector()
     loop = asyncio.SelectorEventLoop(selector)
     try:
-        loop.run_until_complete(_serve(role, ports, selector))
+        loop.run_until_complete(_serve(role, ports, selector, pairs))
     finally:
         loop.close()
 
@@ -160,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=2000)
     parser.add_argument("--warmup", type=int, default=200)
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="the leaf answers with an N-pair range reply (0: echo)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if passes per request exceed the bounds")
     parser.add_argument("--role", choices=("leaf", "middle"), help=argparse.SUPPRESS)
@@ -168,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.role:
         names = ("leaf", "middle", "client")
-        serve(args.role, dict(zip(names, map(int, args.ports.split(",")))))
+        serve(args.role, dict(zip(names, map(int, args.ports.split(",")))), args.pairs)
         return 0
 
     ports = {"leaf": free_port(), "middle": free_port(), "client": free_port()}
@@ -177,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for role in ("leaf", "middle"):
             server = subprocess.Popen(
-                [sys.executable, __file__, "--role", role, "--ports", port_arg],
+                [sys.executable, __file__, "--role", role, "--ports", port_arg,
+                 "--pairs", str(args.pairs)],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             )
             servers.append(server)
@@ -197,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
 
     passes = report["passes_per_request"]
     cpu = report["cpu_us_per_request"]
-    print(f"rpc loopback: {report['requests']} requests, client -> middle -> leaf")
+    reply = f"{args.pairs}-pair range reply" if args.pairs else "echo"
+    print(f"rpc loopback: {report['requests']} requests, client -> middle -> leaf ({reply})")
     print(f"  round trip  p50 {report['rtt_p50_us']:.0f} us  p90 {report['rtt_p90_us']:.0f} us")
     for role in ("client", "middle", "leaf"):
         line = f"  {role:<7} cpu {cpu[role]:.0f} us/request"

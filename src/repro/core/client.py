@@ -432,7 +432,11 @@ class Client(RpcNode):
         return (yield from self._range_query("scan", lo, hi, limit, ingestor, self.ingestors))
 
     def analytics_query(self, lo, hi, limit: int | None = None, reader: str | None = None):
-        """Range query served by a Reader (the paper's analytics task)."""
+        """Range query served by a Reader (the paper's analytics task).
+
+        Covers the half-open key range ``[lo, hi)``: ``hi`` is excluded.
+        Returns sorted (key, value) pairs, tombstones elided.
+        """
         if not self.readers and reader is None:
             raise ValueError("deployment has no Readers")
         return (yield from self._range_query("analytics", lo, hi, limit, reader, self.readers))

@@ -208,9 +208,9 @@ class Ingestor(RpcNode):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _new_memtable(self) -> Memtable:
+    def _new_memtable(self, capacity: int | None = None) -> Memtable:
         return Memtable(
-            self.config.memtable_entries, retain_versions=self.multi_ingestor
+            capacity or self.config.memtable_entries, retain_versions=self.multi_ingestor
         )
 
     def _next_seqno(self) -> int:
@@ -371,7 +371,15 @@ class Ingestor(RpcNode):
         ``_compact_lock`` and has checked the memtable is not empty.
         """
         entries = self._memtable.entries()
-        self._memtable = self._new_memtable()
+        # Puts past the capacity (the rest of the client batch that
+        # filled it, and every request stamped while this flush waited
+        # for the lock) are taken from the next batch's capacity, so
+        # flushes fall every ``memtable_entries`` puts of the stamp
+        # order however the puts were grouped or timed.
+        overshoot = max(0, len(self._memtable) - self._memtable.capacity_entries)
+        self._memtable = self._new_memtable(
+            max(1, self.config.memtable_entries - overshoot)
+        )
         self._unflushed = []  # batch is durable in L0 now
         self.manifest.apply(LevelEdit().add(0, [SSTable(entries)]))
         if self._store is not None:
@@ -819,8 +827,8 @@ class Ingestor(RpcNode):
         return reply
 
     def _handle_range_query(self, src: str, request: RangeQuery):
-        """Global range scan: merge the local levels with the range
-        results of every Compactor partition intersecting [lo, hi]."""
+        """Global range scan of ``[lo, hi)``: merge the local levels with
+        the range results of every Compactor partition intersecting it."""
         self.stats.reads += 1
         yield from self.compute(self.config.costs.read_base)
         lo, hi = request.lo, request.hi

@@ -163,7 +163,8 @@ class IngestorL1Update:
 
 @dataclass(frozen=True, slots=True)
 class RangeQuery:
-    """Client -> Reader/Compactor: analytics range read."""
+    """Client -> Reader/Compactor/Ingestor: range read of the half-open
+    key range ``[lo, hi)`` (``hi`` excluded), at most ``limit`` pairs."""
 
     lo: bytes
     hi: bytes

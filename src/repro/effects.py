@@ -64,6 +64,15 @@ class Waitable(Protocol):
 
 
 @runtime_checkable
+class Timer(Waitable, Protocol):
+    """A waitable that fires after a delay.  ``cancel`` drops it once
+    nothing will wait on it; where the backend cannot drop it, it still
+    fires, to no waiter."""
+
+    def cancel(self) -> None: ...
+
+
+@runtime_checkable
 class EffectKernel(Protocol):
     """Time and concurrency primitives.
 
@@ -78,7 +87,7 @@ class EffectKernel(Protocol):
 
     def event(self) -> Waitable: ...
 
-    def timeout(self, delay: float, value: Any = None) -> Waitable: ...
+    def timeout(self, delay: float, value: Any = None) -> Timer: ...
 
     def spawn(self, generator: ProcessGen, name: str = "") -> Waitable: ...
 

@@ -11,7 +11,7 @@ supplies the live versions:
   callbacks, which runs before the loop polls again;
 * ``_schedule_after(delay, cb)`` — ``loop.call_later`` (i.e. real
   ``asyncio.sleep``); the timer runs ``cb`` and then everything it
-  made due;
+  made due, and a ``Timeout``'s ``cancel()`` cancels it;
 * ``_unhandled_failure(exc)`` — log and keep serving, where the sim
   escalates out of ``Kernel.run()``.
 
@@ -97,8 +97,8 @@ class AsyncioKernel(Scheduler):
             self._drain_queued = True
             self._loop.call_soon(self._drain_soon)
 
-    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        self._loop.call_later(delay, self._run_callback, callback)
+    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> asyncio.TimerHandle:
+        return self._loop.call_later(delay, self._run_callback, callback)
 
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> Any:
         """Run a loop callback, then everything it made due, before

@@ -11,7 +11,9 @@ unit that dominates traffic — travels as its checksummed
 :mod:`repro.lsm.sstable_io` file image behind ``table_id`` and the image
 length: the bytes the sender wrote to its disk, verified and adopted by
 the receiver (bloom filter included, nothing rebuilt) and written to its
-disk unchanged.
+disk unchanged.  The three hot messages — an upsert batch, its per-op
+replies and a range scan's reply — each travel as one packed block
+with no per-op or per-pair tags.
 
 **Frames.**  Length-prefixed with a magic and a CRC32 over the payload::
 
@@ -49,6 +51,7 @@ without wire support.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 import types
 import typing
@@ -148,11 +151,13 @@ _T_DICT = 9
 _T_ENTRY = 10
 _T_SSTABLE = 11
 _T_MSG = 12
-# Dedicated forms for the pipelined write path: a batch of upserts (and
-# its per-op replies) is the hot message under load, so each gets a
-# packed block encoding instead of one recursive _T_MSG per op.
+# Dedicated forms for the hot messages: a batch of upserts (and its
+# per-op replies) under write load, a range scan's pairs under analytics
+# load.  Each gets a packed block encoding instead of one recursive
+# _T_MSG per op or pair.
 _T_UPSERT_BATCH = 13
 _T_UPSERT_BATCH_REPLY = 14
+_T_RANGE_REPLY = 15
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -162,12 +167,13 @@ _ENTRY_FIXED = struct.Struct(">qdB")  # seqno, timestamp, tombstone
 _SSTABLE_FIXED = struct.Struct(">qI")  # table_id, image length
 _REPLY_FIXED = struct.Struct(">dq")  # timestamp, seqno
 
-#: Bound to the batch message classes once the registry loads (late, to
-#: avoid importing repro.core.messages at module import time).
+#: Bound to the packed-form message classes once the registry loads
+#: (late, to avoid importing repro.core.messages at module import time).
 _BATCH_REQUEST_CLS: type | None = None
 _BATCH_REPLY_CLS: type | None = None
 _UPSERT_REQUEST_CLS: type | None = None
 _UPSERT_REPLY_CLS: type | None = None
+_RANGE_REPLY_CLS: type | None = None
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -305,6 +311,25 @@ def _encode_upsert_batch_reply(value: typing.Any, out: bytearray) -> None:
         out += _REPLY_FIXED.pack(reply.timestamp, reply.seqno)
 
 
+def _encode_range_reply(value: typing.Any, out: bytearray) -> None:
+    """The pair count, every key's and value's length, then their bytes
+    back to back: one ``struct`` call for the lengths, one join for the
+    data, so a decoder reads both regions whole."""
+    pairs = value.pairs
+    lengths: list[int] = []
+    try:
+        for key, item in pairs:
+            if not (isinstance(key, bytes) and isinstance(item, bytes)):
+                raise TypeError
+            lengths.append(len(key))
+            lengths.append(len(item))
+    except (TypeError, ValueError):
+        raise WireError("RangeQueryReply pairs must be (bytes, bytes)") from None
+    out.append(_T_RANGE_REPLY)
+    out += struct.pack(f">I{len(lengths)}I", len(pairs), *lengths)
+    out += b"".join(itertools.chain.from_iterable(pairs))
+
+
 def _message_encoder(type_id: int, names: tuple[str, ...]):
     header = bytes([_T_MSG]) + _U16.pack(type_id) + _U16.pack(len(names))
 
@@ -317,7 +342,7 @@ def _message_encoder(type_id: int, names: tuple[str, ...]):
 
 
 #: Exact type -> encoder; registered message classes join at
-#: registration, the batch classes with their packed forms.
+#: registration, the hot ones with their packed forms.
 _ENCODERS: dict[type, typing.Callable[[typing.Any, bytearray], None]] = {
     type(None): _encode_none,
     bool: _encode_bool,
@@ -431,6 +456,24 @@ def _decode_upsert_batch_reply(buf: bytes, pos: int) -> tuple[typing.Any, int]:
     return _BATCH_REPLY_CLS(tuple(replies)), pos
 
 
+def _decode_range_reply(buf: bytes, pos: int) -> tuple[typing.Any, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    fields = 2 * count
+    if pos + 4 * fields > len(buf):
+        raise WireError(f"truncated range reply: {count} pairs declared")
+    lengths = struct.unpack_from(f">{fields}I", buf, pos)
+    pos += 4 * fields
+    end = pos + sum(lengths)
+    if end > len(buf):
+        raise WireError("truncated range reply data")
+    # One copy of the data region; every key and value is a slice of it.
+    data = bytes(buf[pos:end])
+    offsets = list(itertools.accumulate(lengths, initial=0))
+    items = iter([data[start:stop] for start, stop in zip(offsets, offsets[1:])])
+    return _RANGE_REPLY_CLS(tuple(zip(items, items))), end
+
+
 def _decode_message(buf: bytes, pos: int) -> tuple[typing.Any, int]:
     (type_id,) = _U16.unpack_from(buf, pos)
     pos += 2
@@ -497,6 +540,7 @@ for _tag, _decoder in (
     (_T_MSG, _decode_message),
     (_T_UPSERT_BATCH, _decode_upsert_batch),
     (_T_UPSERT_BATCH_REPLY, _decode_upsert_batch_reply),
+    (_T_RANGE_REPLY, _decode_range_reply),
 ):
     _DECODERS[_tag] = _decoder
 
@@ -584,16 +628,18 @@ def _register_all() -> None:
     ]
     for type_id, cls in protocol:
         register_message(cls, type_id)
-    # Hot-path classes travel in the packed batch forms (the registry
-    # entries above keep the generic _T_MSG encoding decodable too).
+    # Hot-path classes travel in their packed forms (the registry entries
+    # above keep the generic _T_MSG encoding decodable too).
     global _BATCH_REQUEST_CLS, _BATCH_REPLY_CLS
-    global _UPSERT_REQUEST_CLS, _UPSERT_REPLY_CLS
+    global _UPSERT_REQUEST_CLS, _UPSERT_REPLY_CLS, _RANGE_REPLY_CLS
     _BATCH_REQUEST_CLS = messages.UpsertBatchRequest
     _BATCH_REPLY_CLS = messages.UpsertBatchReply
     _UPSERT_REQUEST_CLS = messages.UpsertRequest
     _UPSERT_REPLY_CLS = messages.UpsertReply
+    _RANGE_REPLY_CLS = messages.RangeQueryReply
     _ENCODERS[_BATCH_REQUEST_CLS] = _encode_upsert_batch
     _ENCODERS[_BATCH_REPLY_CLS] = _encode_upsert_batch_reply
+    _ENCODERS[_RANGE_REPLY_CLS] = _encode_range_reply
 
 
 _register_all()

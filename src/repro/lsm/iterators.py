@@ -59,7 +59,8 @@ def k_way_merge(streams: list[Iterable[Entry]]) -> Iterator[Entry]:
 
     Each input stream must already be in sstable order.  Between equal
     (key, version) pairs, entries from earlier streams win, so callers
-    should pass newer sources first.
+    should pass newer sources first.  Once a single stream is left it is
+    yielded straight through.
     """
     heap: list[tuple[bytes, float, int, int, Entry, Iterator[Entry]]] = []
     for index, stream in enumerate(streams):
@@ -68,12 +69,19 @@ def k_way_merge(streams: list[Iterable[Entry]]) -> Iterator[Entry]:
         if first is not None:
             heap.append(_heap_item(first, index, iterator))
     heapq.heapify(heap)
-    while heap:
-        key, neg_ts, neg_seq, index, entry, iterator = heapq.heappop(heap)
+    while len(heap) > 1:
+        __, __, __, index, entry, iterator = heap[0]
         yield entry
         nxt = next(iterator, None)
-        if nxt is not None:
-            heapq.heappush(heap, _heap_item(nxt, index, iterator))
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, _heap_item(nxt, index, iterator))
+    # One stream left: nothing to order it against.
+    if heap:
+        __, __, __, __, entry, iterator = heap[0]
+        yield entry
+        yield from iterator
 
 
 def _heap_item(entry: Entry, index: int, iterator: Iterator[Entry]):

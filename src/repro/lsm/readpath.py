@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cache import ReadCache
 from .entry import Entry
-from .iterators import dedup_newest, k_way_merge, level_scan
+from .iterators import k_way_merge, level_scan
 from .manifest import Manifest
 from .sstable import SSTable
 
@@ -107,9 +107,17 @@ def live_pairs(
     sorted ``sources`` (newer sources first), tombstones elided, at most
     ``limit`` pairs — none for ``limit <= 0``: the limit arrives off the
     wire.  Lazy throughout: a limited scan pulls O(limit) merged entries."""
-    pairs = (
-        (entry.key, entry.value)
-        for entry in dedup_newest(k_way_merge(sources))
-        if not entry.tombstone
-    )
+    pairs = _newest_live(k_way_merge(sources))
     return pairs if limit is None else itertools.islice(pairs, max(limit, 0))
+
+
+def _newest_live(merged: Iterable[Entry]) -> Iterator[tuple[bytes, bytes]]:
+    """``dedup_newest`` and the tombstone skip in one pass: the first
+    (newest) version of each key, as a pair, unless it is a tombstone."""
+    last_key = None
+    for entry in merged:
+        key = entry.key
+        if key != last_key:
+            last_key = key
+            if not entry.tombstone:
+                yield key, entry.value

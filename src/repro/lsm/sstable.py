@@ -39,7 +39,6 @@ outputs are born adopted (:func:`~repro.lsm.compaction.merge_tables`).
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Iterator, Sequence
 
 from . import sstable_io  # imports this module back: names resolve at call time
@@ -293,13 +292,12 @@ class SSTable:
         reaches this table never touches it.
         """
         self.opens += 1
-        start = 0
-        if lo is not None:
-            start = bisect.bisect_left(self._keys, lo)
-        for entry in itertools.islice(self.entries, start, None):
-            if hi is not None and entry.key >= hi:
-                return
-            yield entry
+        keys = self._keys
+        start = 0 if lo is None else bisect.bisect_left(keys, lo)
+        stop = self._count if hi is None else bisect.bisect_left(keys, hi)
+        # A slice, not islice: islice would step over the ``start``
+        # entries before the range one by one.
+        yield from self.entries[start:stop]
 
     # ------------------------------------------------------------------
     # Splitting (used when an sstable straddles compactor partitions)

@@ -101,15 +101,27 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ()
+    __slots__ = ("_timer",)
 
     def __init__(self, kernel: "Scheduler", delay: float, value: Any = None) -> None:
         super().__init__(kernel)
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        kernel._schedule_after(delay, lambda: self._fire(value))
+        self._timer = kernel._schedule_after(delay, lambda: self._fire(value))
+
+    def cancel(self) -> None:
+        """Drop the pending timer when nothing will wait on it any more
+        (a reply beat it).  The live kernel frees its loop timer; the sim
+        kernel hands back no timer, so its schedule runs unchanged."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _fire(self, value: Any) -> None:
+        # A live timer holds the callback that holds this event: let go
+        # of it, or every fired timeout is a reference cycle left for
+        # the cyclic garbage collector.
+        self._timer = None
         self.triggered = True
         self.value = value
         self._dispatch()
@@ -262,8 +274,9 @@ class Scheduler:
         """Run ``callback`` on the next tick, after everything already due."""
         raise NotImplementedError
 
-    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` seconds from now."""
+    def _schedule_after(self, delay: float, callback: Callable[[], None]) -> Any:
+        """Run ``callback`` ``delay`` seconds from now.  Returns a timer
+        with a ``cancel()`` method, or None where the timer stays."""
         raise NotImplementedError
 
     def _unhandled_failure(self, exception: BaseException) -> None:

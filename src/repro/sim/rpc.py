@@ -129,9 +129,9 @@ class RpcNode:
             if timeout is None:
                 response = yield reply_event
             else:
-                which, value = yield self.kernel.any_of(
-                    [reply_event, self.kernel.timeout(timeout)]
-                )
+                timer = self.kernel.timeout(timeout)
+                which, value = yield self.kernel.any_of([reply_event, timer])
+                timer.cancel()
                 if which == 1:
                     self._pending.pop(rpc_id, None)
                     reply_event.defused = True

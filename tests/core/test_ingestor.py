@@ -1,5 +1,7 @@
 """Tests for the Ingestor: write path, forwarding, retention, reads."""
 
+import pytest
+
 from repro.core import ClusterSpec, CooLSMConfig, build_cluster
 from repro.lsm.entry import encode_key
 
@@ -20,6 +22,22 @@ class TestWritePath:
     def test_flush_at_batch_threshold(self, cluster):
         run_fill(cluster, TINY.memtable_entries * 3)
         assert cluster.ingestors[0].stats.flushes == 3
+
+    @pytest.mark.parametrize("batch", [1, 7, 30])
+    def test_flushes_fall_every_capacity_puts_however_batched(self, cluster, batch):
+        """A batch's overshoot past the capacity comes off the next
+        batch's, so 6 x ``memtable_entries`` puts make 6 flushes whether
+        they arrive one at a time or in client batches of 7 or 30."""
+        client = cluster.add_client(colocate_with="ingestor-0")
+        total = 6 * TINY.memtable_entries
+
+        def driver():
+            for start in range(0, total, batch):
+                keys = range(start, min(start + batch, total))
+                yield from client.upsert_many((k, b"v") for k in keys)
+
+        cluster.run_process(driver())
+        assert cluster.ingestors[0].stats.flushes == 6
 
     def test_minor_compaction_triggers_at_l0_threshold(self, cluster):
         # (l0_threshold + 1) flushes force one minor compaction.

@@ -423,6 +423,70 @@ class TestDueFifo:
         assert received.frames_received == 2 and received.decode_errors == 0
 
 
+class TestRpcTimers:
+    def test_a_won_call_leaves_no_live_timer(self):
+        """Each call races its reply against a timeout; once the reply
+        wins, the loop timer is cancelled instead of lingering in the
+        loop's heap until it fires to no waiter."""
+        from repro.sim.rpc import RpcNode
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            addresses = {"s": ("127.0.0.1", free_port()), "c": ("127.0.0.1", free_port())}
+            server_kernel = AsyncioKernel()
+            server_net = LiveNetwork(server_kernel, addresses)
+            server = RpcNode(server_kernel, server_net, LiveMachine(server_kernel, "ms"), "s")
+
+            def echo(src, payload):
+                yield from ()
+                return payload
+
+            server.on("echo", echo)
+            kernel = AsyncioKernel()
+            network = LiveNetwork(kernel, addresses)
+            client = RpcNode(kernel, network, LiveMachine(kernel, "mc"), "c")
+            await server_net.listen(*addresses["s"])
+            await network.listen(*addresses["c"])
+
+            def calls():
+                for i in range(2000):
+                    assert (yield client.call("s", "echo", i, timeout=10.0)) == i
+
+            try:
+                await kernel.run(calls())
+                return sum(not handle.cancelled() for handle in loop._scheduled)
+            finally:
+                await network.close()
+                await server_net.close()
+
+        assert run_async(main(), timeout=60.0) < 10
+
+    def test_fired_and_cancelled_timeouts_leave_no_reference_cycles(self):
+        """A timeout holds its loop timer (to cancel it) and the timer
+        holds the callback that fires the timeout: once it has fired or
+        been cancelled that loop is cut, so the servers' many timeouts
+        are freed by reference counting, not left to the cyclic
+        collector, whose passes stall the loop."""
+        import gc
+
+        def waits(kernel):
+            for __ in range(500):
+                yield kernel.timeout(0.0)
+                kernel.timeout(5.0).cancel()
+
+        async def main():
+            kernel = AsyncioKernel()
+            gc.collect()
+            gc.disable()
+            try:
+                await kernel.run(waits(kernel))
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert run_async(main()) == 0
+
+
 async def _until(predicate) -> None:
     while not predicate():
         await asyncio.sleep(0.005)

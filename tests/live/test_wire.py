@@ -495,6 +495,75 @@ class TestBatchMessages:
         assert roundtrip(messages.UpsertBatchRequest(())) == messages.UpsertBatchRequest(())
 
 
+_pair_bytes = st.one_of(st.binary(max_size=8), st.binary(min_size=128, max_size=300))
+
+
+class TestRangeQueryReply:
+    """A scan's reply travels as one packed block: the pair count, every
+    length, then the data."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_pair_bytes, _pair_bytes), max_size=200))
+    def test_round_trip(self, pairs):
+        reply = messages.RangeQueryReply(tuple(pairs))
+        decoded = roundtrip(reply)
+        assert decoded == reply
+        assert all(type(k) is bytes and type(v) is bytes for k, v in decoded.pairs)
+
+    def test_round_trip_inside_a_response_from_a_memoryview(self):
+        reply = messages.RangeQueryReply(((b"a" * 20, b""), (b"b" * 200, b"v" * 130)))
+        payload = wire.encode_envelope(3, "r", "c", rpc._Response(9, reply, None))
+        assert wire.decode_envelope(memoryview(payload))[3] == rpc._Response(9, reply, None)
+
+    def test_every_truncation_raises(self):
+        reply = messages.RangeQueryReply(
+            tuple((encode_key(i), b"v" * (i % 3)) for i in range(5))
+        )
+        out = bytearray()
+        wire.encode_value(reply, out)
+        for cut in range(len(out)):
+            with pytest.raises(wire.WireError):
+                wire.decode_value(bytes(out[:cut]))
+        payload = wire.encode_envelope(1, "a", "b", rpc._Response(1, reply, None))
+        for cut in range(len(payload)):
+            with pytest.raises(wire.WireError):
+                wire.decode_envelope(payload[:cut])
+
+    def test_garbled_count_raises_without_allocating(self):
+        out = bytearray()
+        wire.encode_value(messages.RangeQueryReply(((b"k", b"v"),)), out)
+        out[1:5] = (2**32 - 1).to_bytes(4, "big")
+        with pytest.raises(wire.WireError, match="truncated range reply"):
+            wire.decode_value(bytes(out))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((b"k", "v"),),
+            (("k", b"v"),),
+            ((b"k", None),),
+            ((b"k", bytearray(b"v")),),
+            ((b"k", b"v", b"x"),),
+            ((b"k",),),
+            (b"kv",),
+            None,
+        ],
+    )
+    def test_non_bytes_pair_rejected_at_encode(self, pairs):
+        with pytest.raises(wire.WireError):
+            wire.encode_value(messages.RangeQueryReply(pairs), bytearray())
+
+    def test_generic_message_form_still_decodes(self):
+        cls = messages.RangeQueryReply
+        reply = cls(((b"k", b"v"), (b"k2", b"")))
+        generic = bytearray()
+        wire._message_encoder(wire.message_registry()[cls], ("pairs",))(reply, generic)
+        packed = bytearray()
+        wire.encode_value(reply, packed)
+        assert generic[0] == wire._T_MSG and packed != generic
+        assert roundtrip(reply) == wire.decode_value(bytes(generic))[0] == reply
+
+
 class TestEnvelopes:
     def test_envelope_round_trip(self):
         message = rpc._Request(3, "read", messages.ReadRequest(b"k"), 128)

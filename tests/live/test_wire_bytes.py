@@ -3,8 +3,10 @@
 The encoder dispatches on the value's type through tables; these
 digests were taken from the ``isinstance``-chain encoder it replaced,
 so a table that sends a class through the wrong form (the generic
-message form instead of a packed batch form, say) changes bytes here
-before it changes ``live.wire.bytes_per_op`` in a benchmark.
+message form instead of a packed form, say) changes bytes here
+before it changes ``live.wire.bytes_per_op`` in a benchmark.  The
+``RangeQueryReply`` digest is the one taken since, when the scan reply
+got its packed form.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ DIGESTS = {
     "Phase1Reply": "80042fd75e7d78b58339d7f25dd6671d1934deec25787715ef92cb8c9b9ba61f",
     "Phase1Request": "733c7c6389c178f4b59a8832964df05f2a5663aa61b04f926d1821ffad39375a",
     "RangeQuery": "a4a88dde10ac0a8ac5f91df983578e220db4411751fe97d6c087531151e35498",
-    "RangeQueryReply": "ddd9ea3c10aa4d20cfa832a67943182625cddcf430aea8497e74c820afc2b517",
+    "RangeQueryReply": "8022c7bb2286c483b35e611212962ee4ba249d1afa3a0763de8767c8ddbfd1cf",
     "ReadReply": "fab5e417ec42a5d858f5f06a1a2273e07453f90cc3eb9faf9f3dfe9f01516cd5",
     "ReadRequest": "19adb18f5875bb7469f3c42554ce9cc4dfda0a28c11303b1590d76579efeece4",
     "Shard": "b8d9bbe9a8467627c9a8bf84e6f12c4d4baf9b37aed2a346276bff3bb010808e",
@@ -109,6 +111,8 @@ DIGESTS = {
 }
 
 BATCH_DIGEST = "98e12effa7470b01a64e41f8afdc9110aa8e955b210810959187c9a8d464d0f9"
+
+RANGE_REPLY_DIGEST = "884a8ea72dad2fc0d272c486b21d39248d597e4a53aab960dd117d04dff2b404"
 
 
 def _digest(message) -> str:
@@ -131,3 +135,9 @@ def test_128_op_batch_request_bytes_unchanged():
     )
     request = rpc._Request(9, "upsert_batch", messages.UpsertBatchRequest(ops), 256)
     assert _digest(request) == BATCH_DIGEST
+
+
+def test_100_pair_range_reply_bytes_unchanged():
+    pairs = tuple((b"key-%016d" % i, b"value-%010d" % i) for i in range(100))
+    response = rpc._Response(9, messages.RangeQueryReply(pairs), None)
+    assert _digest(response) == RANGE_REPLY_DIGEST

@@ -30,6 +30,17 @@ def test_timeouts_fire_in_order():
     assert fired == ["a", "b", "c"]
 
 
+def test_cancelled_timeout_still_runs_in_the_sim():
+    """The sim kernel keeps a cancelled timer: schedules (and with them
+    the seed-0 fingerprints) are the same whether a caller cancels."""
+    kernel = Kernel()
+    timer = kernel.timeout(2.0, "late")
+    timer.cancel()
+    kernel.run()
+    assert (timer.triggered, timer.value, kernel.now) == (True, "late", 2.0)
+    assert kernel.events_dispatched == 1
+
+
 def test_same_time_ties_broken_by_insertion_order():
     kernel = Kernel()
     fired = []
