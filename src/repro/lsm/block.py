@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .bloom import key_digest
+from .bloom import DIGEST_SIZE, key_digest
 from .entry import Entry
 from .errors import CorruptionError
 
@@ -145,15 +145,23 @@ def decode_entries(data: bytes) -> list[Entry]:
     return entries
 
 
-def read_records(image: bytes, offset: int, length: int) -> list[tuple]:
+def read_records(
+    image: bytes, offset: int, length: int, source: int, digests: bytes | None, at: int
+) -> list[tuple]:
     """The records of the block at ``image[offset : offset + length]``,
-    once its checksum holds, each as ``(key, -timestamp, -seqno,
-    tombstone, image, start, end, key digest)``: what a merge sorts and
-    filters on, where the record's bytes lie, and the key's
-    :func:`~repro.lsm.bloom.key_digest`.  Nothing is copied but the key."""
+    once its checksum holds, each as ``(key, -timestamp, -seqno, source,
+    start, end, tombstone, image, key digest)``: what a merge sorts on —
+    ``source`` ranks the block's table among the merge's inputs and
+    ``start`` is unique within it, so records order as tuples without
+    comparing past them — where the record's bytes lie, what a merge
+    filters on, and the key's :func:`~repro.lsm.bloom.key_digest`.  The
+    digests are sliced from ``digests`` (a table's carried digests, the
+    block's first record's at byte ``at``), or hashed when there are
+    none.  Each key and digest is a new ``bytes``; a record's other
+    bytes stay in ``image``."""
     count = verified_count(memoryview(image)[offset : offset + length])
     pos, end = offset + _HEADER.size, offset + length
-    unpack_fixed, fixed_size = _FIXED.unpack_from, _FIXED.size
+    unpack_fixed, fixed_size, digest_size = _FIXED.unpack_from, _FIXED.size, DIGEST_SIZE
     records: list[tuple] = []
     append = records.append
     try:
@@ -173,7 +181,12 @@ def read_records(image: bytes, offset: int, length: int) -> list[tuple]:
             else:
                 value_len, pos = decode_varint(image, pos)
             pos += value_len
-            append((key, -timestamp, -seqno, tomb, image, start, pos, key_digest(key)))
+            if digests is None:
+                digest = key_digest(key)
+            else:
+                digest = digests[at : at + digest_size]
+                at += digest_size
+            append((key, -timestamp, -seqno, source, start, pos, tomb, image, digest))
     except (IndexError, struct.error):
         raise CorruptionError("truncated block record") from None
     # Every length is checked at once: the records must end at the block's end.

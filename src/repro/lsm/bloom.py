@@ -22,11 +22,16 @@ from .errors import CorruptionError, InvalidConfigError
 _MAGIC = b"BLM1"
 _PAIR = struct.Struct("<QQ")
 
+#: Bytes of one :func:`key_digest`.
+DIGEST_SIZE = _PAIR.size
+
 
 def key_digest(key: bytes) -> bytes:
-    """The 16-byte blake2b digest a key's two probe hashes are read from:
-    what a merge keeps per record so that it hashes each key once."""
-    return hashlib.blake2b(key, digest_size=16).digest()
+    """The 16-byte blake2b digest a key's two probe hashes are read from.
+    A table built on a node keeps its keys' digests, which its builder
+    hashed for the filter, so a merge of it rehashes none of its keys
+    (:attr:`~repro.lsm.sstable.SSTable._digests`)."""
+    return hashlib.blake2b(key, digest_size=DIGEST_SIZE).digest()
 
 
 def _hash_pair(data: bytes) -> tuple[int, int]:

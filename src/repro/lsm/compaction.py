@@ -18,15 +18,20 @@ The one merge, :func:`merge_tables`, never builds an
 its inputs' images (:func:`~repro.lsm.block.read_records`) on their
 header fields, and builds each output's image by concatenating them
 under fresh block headers and checksums.  The outputs are born adopted.
+Each record carries its key's digest, which every output's bloom filter
+is set from: sliced from the digests an input built on this node keeps
+(a flush, a split piece, an earlier merge's output), and hashed only for
+an input that arrived as an image or was recovered.  The outputs keep
+theirs, so the merges that rewrite a node's own tables hash no key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .block import pack_records, read_records
-from .bloom import BloomFilter
+from .bloom import DIGEST_SIZE, BloomFilter
 from .errors import CorruptionError
 from .sstable import BLOCK_ENTRIES, BLOOM_FP_RATE, SSTable, next_table_id
 from .sstable_io import assemble_image
@@ -77,9 +82,6 @@ class CompactionResult:
     stats: CompactionStats = field(default_factory=CompactionStats)
 
 
-_VERSION = itemgetter(0, 1, 2)  # a record's (key, -timestamp, -seqno)
-
-
 def merge_tables(
     tables: list[SSTable],
     run_size: int,
@@ -99,11 +101,13 @@ def merge_tables(
         entries_in=sum(len(t) for t in sources), tables_in=len(sources)
     )
     records: list[tuple] = []
-    for table in sources:
-        records += _records_of(table)
-    # Each source is sorted, so this merges runs; it is stable, so
-    # between equal versions the earlier (newer) source comes first.
-    records.sort(key=_VERSION)
+    for source, table in enumerate(sources):
+        records += _records_of(table, source)
+    # Each source is sorted, so this merges runs.  A record sorts as
+    # ``(key, -timestamp, -seqno, source, start)``, so between equal
+    # versions the earlier (newer) source comes first, and within one
+    # source the earlier record.
+    records.sort()
     kept = _keep(records, policy)
     out_tables = [_build(kept[start:stop]) for start, stop in _runs(kept, run_size)]
     stats.entries_out = len(kept)
@@ -111,12 +115,14 @@ def merge_tables(
     return CompactionResult(out_tables, stats)
 
 
-def _records_of(table: SSTable) -> list[tuple]:
+def _records_of(table: SSTable, source: int) -> list[tuple]:
     """``table``'s records in table order, read from its image, held to
-    its index as :meth:`SSTable.__getattr__` holds a decode."""
+    its index as :meth:`SSTable.__getattr__` holds a decode.  Their key
+    digests are the table's own if it carries them, and hashed if not."""
+    image, digests = table._image, table._digests
     records: list[tuple] = []
     for first_key, offset, length in table._blocks:
-        block = read_records(table._image, offset, length)
+        block = read_records(image, offset, length, source, digests, len(records) * DIGEST_SIZE)
         if not block or block[0][0] != first_key:
             raise CorruptionError(f"sstable {table.table_id}: block not at its fence key")
         records += block
@@ -144,7 +150,7 @@ def _keep(records: list[tuple], policy: KeepPolicy) -> list[tuple]:
         superseding = -record[1]
         append(record)
     if policy.drop_tombstones:
-        kept = [record for record in kept if not record[3]]
+        kept = [record for record in kept if not record[6]]
     return kept
 
 
@@ -165,16 +171,17 @@ def _runs(records: list[tuple], run_size: int):
 def _build(run: list[tuple]) -> SSTable:
     """An adopted table over sorted records: each block is its records'
     bytes under a fresh header and checksum, and the filter is set from
-    the records' key digests."""
-    keys, neg_ts, __, __, images, starts, ends, digests = zip(*run)
+    the records' key digests, which the table keeps for its next merge."""
+    keys, neg_ts, __, __, starts, ends, __, images, digests = zip(*run)
     raws = list(map(getitem, images, map(slice, starts, ends)))
     blocks = [
         pack_records(raws[first : first + BLOCK_ENTRIES])
         for first in range(0, len(raws), BLOCK_ENTRIES)
     ]
-    bloom = BloomFilter.from_digests(b"".join(digests), BLOOM_FP_RATE)
+    digests = b"".join(digests)
+    bloom = BloomFilter.from_digests(digests, BLOOM_FP_RATE)
     image, fences = assemble_image(blocks, keys[::BLOCK_ENTRIES], keys[-1], bloom)
-    table = SSTable.adopt(image, fences, len(run), keys[-1], next_table_id(), bloom)
+    table = SSTable.adopt(image, fences, len(run), keys[-1], next_table_id(), bloom, digests)
     table.high_ts = -min(neg_ts)
     return table
 

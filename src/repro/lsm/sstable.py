@@ -34,6 +34,13 @@ received as an image is *adopted* (:meth:`SSTable.adopt`): it keeps the
 verified image and decodes its entries on first read, because compaction
 replaces most received tables before anything reads them.  A merge's
 outputs are born adopted (:func:`~repro.lsm.compaction.merge_tables`).
+
+A table built on this node — from entries, or by a merge — keeps the
+:func:`~repro.lsm.bloom.key_digest` of each of its keys, which its
+builder hashed for the filter, as one ``bytes`` of 16 bytes a key
+(``_digests``), so that merging it hashes none of its keys again.  A
+table that arrived as an image or was recovered from its file carries
+none: a merge hashes its keys, and nothing keeps them.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Iterator, Sequence
 
 from . import sstable_io  # imports this module back: names resolve at call time
 from .block import decode_entries, encode_entries
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_digest
 from .cache import MISS, ReadCache
 from .entry import Entry
 from .errors import CorruptionError, InvalidConfigError
@@ -128,6 +135,7 @@ class SSTable:
         "_count",
         "_image",
         "_blocks",
+        "_digests",
     )
 
     def __init__(
@@ -144,7 +152,16 @@ class SSTable:
         self.max_key = entries[-1].key
         self._keys = keys = [e.key for e in entries]
         self._count = len(entries)
-        self.bloom = bloom if bloom is not None else BloomFilter.build(keys, BLOOM_FP_RATE)
+        if bloom is None:
+            #: The keys' :func:`~repro.lsm.bloom.key_digest` values, in
+            #: table order, as one ``bytes``: hashed once for the filter
+            #: and kept for the table's merge.  None on a table whose
+            #: filter came with it (adopted, or recovered from its file).
+            self._digests = b"".join(map(key_digest, keys))
+            bloom = BloomFilter.from_digests(self._digests, BLOOM_FP_RATE)
+        else:
+            self._digests = None
+        self.bloom = bloom
         self.opens = 0
         self.probes = 0
         #: The :mod:`~repro.lsm.sstable_io` image and its fence pointers
@@ -173,11 +190,14 @@ class SSTable:
         max_key: bytes,
         table_id: int,
         bloom: BloomFilter,
+        digests: bytes | None = None,
     ) -> "SSTable":
         """A table over a verified image (:func:`~repro.lsm.sstable_io.decode_sstable`):
         ``blocks`` are its ``(first_key, offset, length)`` fence pointers
         and ``count`` its number of entries.  Nothing is decoded until
-        ``entries`` or ``_keys`` is first read (:meth:`__getattr__`)."""
+        ``entries`` or ``_keys`` is first read (:meth:`__getattr__`).
+        ``digests`` are its keys' digests if its builder hashed them (a
+        merge output); a received image carries none."""
         table = cls.__new__(cls)
         table.table_id = table_id
         table.min_key = blocks[0][0]
@@ -187,6 +207,7 @@ class SSTable:
         table.opens = table.probes = 0
         table._image = image
         table._blocks = blocks
+        table._digests = digests
         return table
 
     def __getattr__(self, name: str):

@@ -7,7 +7,9 @@ body it replaced is kept below as the reference twin — a heap
 ``SSTable`` per chunk — and a Hypothesis differential holds the two to
 byte-equal output images, equal stats, replaced tables and table-id
 sequence, over every keep-policy shape, every move and the rows of all
-four compaction policies.  Then: adopted inputs encode no entry, every
+four compaction policies, from inputs that are built tables, adopted
+images and earlier merge outputs; every output keeps the digests of its
+keys.  Then: adopted inputs encode no entry, every
 output round-trips through ``decode_sstable``, a damaged input block
 stops the merge before any output exists, and forwarding a merge-built
 table never decodes it.
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.lsm import block, compaction
 from repro.lsm import sstable as sstable_module
-from repro.lsm.bloom import BloomFilter, _hash_pair
+from repro.lsm.bloom import BloomFilter, _hash_pair, key_digest
 from repro.lsm.compaction import (
     NEWEST_WINS,
     CompactionResult,
@@ -181,13 +183,17 @@ def merge_built(entries: list[Entry], run_size: int) -> list[SSTable]:
 
 
 @st.composite
+def picked_table(draw):
+    """A built table, an adopted image of one, or an earlier merge's output."""
+    kind = draw(st.sampled_from(["built", "adopted", "merged"]))
+    if kind == "merged":
+        return merge_built(draw(entries_st()), 1000)[0]
+    return as_kind(SSTable.from_entries(draw(entries_st())), kind)
+
+
+@st.composite
 def merge_inputs(draw):
-    picked = [
-        as_kind(SSTable.from_entries(draw(entries_st())), draw(st.sampled_from(["built", "adopted"])))
-        for __ in range(draw(st.integers(1, 3)))
-    ]
-    if draw(st.booleans()):  # a merge output among the picked tables
-        picked.insert(draw(st.integers(0, len(picked))), merge_built(draw(entries_st()), 1000)[0])
+    picked = draw(st.lists(picked_table(), min_size=1, max_size=4))
     # A target level: a disjoint sorted run, as leveling keeps one.
     target = merge_built(draw(st.lists(entry_st, max_size=40)) or [draw(entry_st)], 4)
     target_kind = draw(st.sampled_from(["merged", "built", "adopted"]))
@@ -208,6 +214,12 @@ def compare(new, ref, new_first, ref_first):
     for table, twin in zip(new.tables, ref.tables):
         assert table.high_ts == max(e.timestamp for e in twin.entries)
         assert table.bloom.to_bytes() == reference_bloom_build(twin._keys).to_bytes()
+        assert_keeps_its_digests(table)
+
+
+def assert_keeps_its_digests(table):
+    """A merge output keeps its keys' digests, in table order."""
+    assert table._digests == b"".join(map(key_digest, table._keys))
 
 
 @settings(max_examples=12, deadline=None)
@@ -231,6 +243,8 @@ def test_image_merge_is_byte_equal_to_the_entry_merge(row, keep, inputs):
         again = merge_tables(new.tables, run_size, keep)
         fresh = merge_tables([as_kind(t, "adopted") for t in new.tables], run_size, keep)
         assert [t._image for t in again.tables] == [t._image for t in fresh.tables]
+        for table in again.tables + fresh.tables:
+            assert_keeps_its_digests(table)
 
 
 @settings(max_examples=60, deadline=None)
