@@ -1,13 +1,17 @@
 """Loopback RPC microbench: what one live request costs the runtime.
 
 Three processes on localhost TCP, each running the live runtime
-(:mod:`repro.live.runtime`) with trivial handlers::
+(:mod:`repro.live.runtime`) with read-shaped handlers::
 
     client --relay--> middle --ping--> leaf
 
 The client issues ``--requests`` sequential ``relay`` calls after a
 warm-up; the middle node answers each by calling the leaf, as an
-Ingestor's read path calls a Compactor.  The leaf echoes a 16-byte
+Ingestor's read path calls a Compactor.  The handlers charge the
+modelled computes a point read charges: the leaf ``read_base`` then
+``probe_table``, as ``Compactor._handle_read`` does, and the middle
+``read_base`` before its hop, as ``Ingestor._handle_read`` does when
+its own levels hold nothing to probe.  The leaf echoes a 16-byte
 payload, or with ``--pairs N`` answers with the reply of an N-pair range
 scan (20-byte keys, 16-byte values), which the middle relays: the codec
 cost of a scan on every hop.  Reported per request:
@@ -18,8 +22,8 @@ cost of a scan on every hop.  Reported per request:
   one per pass of the asyncio loop (each is an ``epoll_wait``).
 
 The pass counts are counts, not times, so ``--check`` gates them on any
-machine: it exits 1 when the leaf takes more than 3 passes per request
-or the middle hop more than 4.
+machine: it exits 1 when the leaf takes more than 1.5 passes per request
+or the middle hop more than 2.5 — a modelled compute must cost no pass.
 
     PYTHONPATH=src python3 benchmarks/rpc_loopback.py --requests 2000 --check
     PYTHONPATH=src python3 benchmarks/rpc_loopback.py --requests 2000 --pairs 50 --check
@@ -41,6 +45,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.core.costs import DEFAULT_COSTS  # noqa: E402
 from repro.core.messages import RangeQueryReply  # noqa: E402
 from repro.live.harness import free_port  # noqa: E402
 from repro.live.runtime import AsyncioKernel, LiveMachine, LiveNetwork  # noqa: E402
@@ -49,7 +54,7 @@ from repro.sim.rpc import RpcNode  # noqa: E402
 HOST = "127.0.0.1"
 PAYLOAD = b"x" * 16
 CALL_TIMEOUT = 10.0
-MAX_PASSES = {"leaf": 3.0, "middle": 4.0}
+MAX_PASSES = {"leaf": 1.5, "middle": 2.5}
 
 
 class CountingSelector(selectors.DefaultSelector):
@@ -85,7 +90,8 @@ class Leaf(RpcNode):
         self.on("probe", self._probe)
 
     def _ping(self, src, payload):
-        yield from ()
+        yield from self.compute(DEFAULT_COSTS.read_base)
+        yield from self.compute(DEFAULT_COSTS.probe_table)
         return payload if self.reply is None else self.reply
 
     def _probe(self, src, payload):
@@ -99,6 +105,7 @@ class Middle(Leaf):
         self.on("relay", self._relay)
 
     def _relay(self, src, payload):
+        yield from self.compute(DEFAULT_COSTS.read_base)
         reply = yield self.call("leaf", "ping", payload, timeout=CALL_TIMEOUT)
         return reply
 

@@ -209,9 +209,9 @@ class Ingestor(RpcNode):
     # Helpers
     # ------------------------------------------------------------------
     def _new_memtable(self, capacity: int | None = None) -> Memtable:
-        return Memtable(
-            capacity or self.config.memtable_entries, retain_versions=self.multi_ingestor
-        )
+        if capacity is None:
+            capacity = self.config.memtable_entries
+        return Memtable(capacity, retain_versions=self.multi_ingestor)
 
     def _next_seqno(self) -> int:
         self._seqno += 1
@@ -373,13 +373,13 @@ class Ingestor(RpcNode):
         entries = self._memtable.entries()
         # Puts past the capacity (the rest of the client batch that
         # filled it, and every request stamped while this flush waited
-        # for the lock) are taken from the next batch's capacity, so
-        # flushes fall every ``memtable_entries`` puts of the stamp
-        # order however the puts were grouped or timed.
+        # for the lock) are taken from the next batch's capacity, all
+        # of them: an overshoot of a whole batch or more leaves that
+        # capacity at zero or below, so the next put flushes again.
+        # Flushes thus fall every ``memtable_entries`` puts of the stamp
+        # order however the puts were grouped or how long a flush waited.
         overshoot = max(0, len(self._memtable) - self._memtable.capacity_entries)
-        self._memtable = self._new_memtable(
-            max(1, self.config.memtable_entries - overshoot)
-        )
+        self._memtable = self._new_memtable(self.config.memtable_entries - overshoot)
         self._unflushed = []  # batch is durable in L0 now
         self.manifest.apply(LevelEdit().add(0, [SSTable(entries)]))
         if self._store is not None:

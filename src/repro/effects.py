@@ -101,9 +101,10 @@ class ComputeHost(Protocol):
     """A host with bounded compute that nodes charge costs against.
 
     The simulator turns ``execute`` into queueing on a core pool in
-    virtual time; the live runtime turns it into one cooperative yield
-    — the actual Python work of a merge or probe runs at hardware speed
-    either way.
+    virtual time; the live runtime resumes the process at once, and
+    yields the event loop only when the running pass has held it past
+    a slice — the actual Python work of a merge or probe runs at
+    hardware speed either way.
     """
 
     name: str

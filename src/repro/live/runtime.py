@@ -32,10 +32,12 @@ a reply event either way; only *what fires the event* differs (a heap
 pop vs a TCP frame).
 
 :class:`LiveMachine` satisfies the compute protocol.  The modelled cost
-becomes a plain cooperative yield (a zero-delay loop timer), since on
-real hardware the merge/probe work inside the generator already costs
-real CPU time; the yield is what gives the loop a turn during a long
-merge.
+resumes the process from the due FIFO, since on real hardware the
+merge/probe work inside the generator already costs real CPU time: a
+handler that charges two computes still costs one loop pass.  Each drain
+stamps when it took the loop; once it has held the loop for
+:data:`YIELD_SLICE_S`, a charge yields a zero-delay loop timer instead,
+which is what gives the loop a turn during a long merge.
 
 :class:`LiveNetwork` satisfies the fabric protocol: local destinations
 get loopback delivery through the due FIFO; remote destinations are
@@ -62,6 +64,11 @@ from .transport import RetryPolicy, Transport
 
 logger = logging.getLogger("repro.live.runtime")
 
+#: How long one drain may hold the event loop before a modelled compute
+#: (:meth:`LiveMachine.execute`) hands the loop a turn.  Short handlers
+#: finish well inside it; a merge that outlasts it yields.
+YIELD_SLICE_S = 0.001
+
 
 class AsyncioKernel(Scheduler):
     """The live implementation of the effect-kernel protocol.
@@ -82,6 +89,12 @@ class AsyncioKernel(Scheduler):
         self._draining = False
         #: A ``call_soon`` drain is queued on the loop.
         self._drain_queued = False
+        #: ``time.monotonic()`` when the running drain took the loop.
+        self._drain_started = 0.0
+        #: Already triggered: a process that yields it resumes from the
+        #: due FIFO, within the running drain.
+        self._resumed = Event(self)
+        self._resumed.triggered = True
 
     # ------------------------------------------------------------------
     # Scheduling primitives (``Scheduler``'s three abstract methods)
@@ -107,6 +120,7 @@ class AsyncioKernel(Scheduler):
         if self._draining:
             return callback(*args)
         self._draining = True
+        self._drain_started = time.monotonic()
         try:
             return callback(*args)
         finally:
@@ -116,6 +130,7 @@ class AsyncioKernel(Scheduler):
         self._drain_queued = False
         if not self._draining:
             self._draining = True
+            self._drain_started = time.monotonic()
             self._drain()
 
     def _drain(self) -> None:
@@ -169,10 +184,14 @@ class AsyncioKernel(Scheduler):
 class LiveMachine:
     """Compute host for the live backend.
 
-    ``execute`` is a single cooperative yield: the real CPU work of the
-    surrounding generator code *is* the cost, and the yield keeps long
-    merges from starving the event loop between entries of the effect
-    protocol.  ``busy_time`` still accumulates the modelled seconds.
+    The real CPU work of the surrounding generator code *is* the cost,
+    so ``execute`` waits for nothing: it resumes the process from the
+    kernel's due FIFO, inside the drain already running — no loop timer,
+    no extra loop pass.  Only once that drain has held the loop for
+    :data:`YIELD_SLICE_S` (a long merge, or a burst of handlers) does it
+    yield a zero-delay loop timer, so the loop polls its sockets and
+    runs its due timers before the process goes on.  ``busy_time``
+    still accumulates the modelled seconds.
     """
 
     def __init__(self, kernel: AsyncioKernel, name: str) -> None:
@@ -186,7 +205,11 @@ class LiveMachine:
         if cost_seconds == 0:
             return
         self.busy_time += cost_seconds
-        yield self.kernel.timeout(0.0)
+        kernel = self.kernel
+        if time.monotonic() - kernel._drain_started < YIELD_SLICE_S:
+            yield kernel._resumed
+        else:
+            yield kernel.timeout(0.0)
 
 
 class LiveNetwork:

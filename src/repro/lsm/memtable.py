@@ -25,7 +25,9 @@ class Memtable:
     Args:
         capacity_entries: Number of entries after which :meth:`is_full`
             becomes true and the owner should freeze this memtable into
-            an L0 sstable.
+            an L0 sstable.  Zero or less (an owner carrying an earlier
+            batch's overshoot) makes the first put fill it: an empty
+            memtable is never full.
         retain_versions: Keep all versions per key (CooLSM multi-ingestor
             mode) instead of newest-wins.
     """
@@ -71,7 +73,7 @@ class Memtable:
         return list(self._versions.get(key, ()))
 
     def is_full(self) -> bool:
-        return self._num_entries >= self.capacity_entries
+        return self._num_entries >= max(1, self.capacity_entries)
 
     def entries(self) -> list[Entry]:
         """All buffered versions in sorted key order (newest first per key)."""

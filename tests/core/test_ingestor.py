@@ -39,6 +39,36 @@ class TestWritePath:
         cluster.run_process(driver())
         assert cluster.ingestors[0].stats.flushes == 6
 
+    def test_a_flush_that_waited_carries_its_whole_overshoot(self, cluster):
+        """Puts stamped while a flush waits for the lock — here two and
+        a half batches' worth — all come off the next capacities, so
+        flushes still equal puts // ``memtable_entries`` once puts go
+        on."""
+        ingestor = cluster.ingestors[0]
+        client = cluster.add_client(colocate_with="ingestor-0")
+        kernel = cluster.kernel
+        capacity = TINY.memtable_entries
+        held, total = 5 * capacity // 2, 6 * capacity
+
+        def hold_lock():
+            yield ingestor._compact_lock.request()
+            yield kernel.timeout(1.0)
+            ingestor._compact_lock.release()
+
+        def write(start):
+            yield from client.upsert_many((k, b"v") for k in range(start, start + 10))
+
+        def driver():
+            kernel.spawn(hold_lock())
+            # Side by side: every batch is stamped before the lock frees.
+            yield kernel.all_of([kernel.spawn(write(s)) for s in range(0, held, 10)])
+            for start in range(held, total, 10):
+                yield from write(start)
+
+        cluster.run_process(driver())
+        assert ingestor.stats.upserts == total
+        assert ingestor.stats.flushes == total // capacity
+
     def test_minor_compaction_triggers_at_l0_threshold(self, cluster):
         # (l0_threshold + 1) flushes force one minor compaction.
         run_fill(cluster, TINY.memtable_entries * (TINY.l0_threshold + 1))

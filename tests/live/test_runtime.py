@@ -7,6 +7,9 @@ import asyncio
 import dataclasses
 import random
 import re
+import selectors
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from repro.core.history import History
 from repro.effects import ComputeHost, EffectKernel, Fabric
 from repro.live.harness import ClientPool, free_port, localhost_spec
 from repro.live.node import LiveNode, LiveSpec, load_spec, spec_from_dict, spec_to_dict
-from repro.live.runtime import AsyncioKernel, LiveMachine, LiveNetwork
+from repro.live.runtime import YIELD_SLICE_S, AsyncioKernel, LiveMachine, LiveNetwork
 from repro.lsm.errors import InvalidConfigError
 from repro.sim import kernel as sim_kernel
 from repro.sim.kernel import Interrupted, SimError
@@ -485,6 +488,108 @@ class TestRpcTimers:
                 gc.enable()
 
         assert run_async(main()) == 0
+
+
+class _CountingSelector(selectors.DefaultSelector):
+    """The platform selector, counting its ``select`` calls: one per
+    pass of the asyncio loop."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def select(self, timeout=None):
+        self.calls += 1
+        return super().select(timeout)
+
+
+class TestComputeCharges:
+    def test_a_two_compute_handler_costs_one_server_loop_pass(self):
+        """A read-shaped handler charges two modelled computes, as the
+        Compactor's point read does; both resume from the due FIFO, so
+        the server answers each request in the one loop pass that read
+        its frame."""
+        from repro.sim.rpc import RpcNode
+
+        addresses = {"s": ("127.0.0.1", free_port()), "c": ("127.0.0.1", free_port())}
+        selector = _CountingSelector()
+        ready = threading.Event()
+        server_loop = asyncio.SelectorEventLoop(selector)
+        stop = server_loop.create_future()
+
+        async def serve():
+            kernel = AsyncioKernel()
+            network = LiveNetwork(kernel, addresses)
+            server = RpcNode(kernel, network, LiveMachine(kernel, "ms"), "s")
+
+            def read(src, payload):
+                yield from server.compute(20e-6)
+                yield from server.compute(30e-6)
+                return payload
+
+            server.on("read", read)
+            await network.listen(*addresses["s"])
+            ready.set()
+            await stop
+            await network.close()
+
+        thread = threading.Thread(target=server_loop.run_until_complete, args=(serve(),))
+        thread.start()
+
+        async def drive():
+            kernel = AsyncioKernel()
+            network = LiveNetwork(kernel, addresses)
+            client = RpcNode(kernel, network, LiveMachine(kernel, "mc"), "c")
+            await network.listen(*addresses["c"])
+
+            def calls(count):
+                for i in range(count):
+                    assert (yield client.call("s", "read", i, timeout=10.0)) == i
+
+            try:
+                await kernel.run(calls(50))
+                before = selector.calls
+                await kernel.run(calls(300))
+                return (selector.calls - before) / 300
+            finally:
+                await network.close()
+
+        try:
+            assert ready.wait(10.0)
+            passes = run_async(drive())
+        finally:
+            server_loop.call_soon_threadsafe(stop.set_result, None)
+            thread.join(10.0)
+            server_loop.close()
+        assert passes < 1.1
+
+    def test_charges_past_the_slice_let_a_due_loop_timer_run(self):
+        """Charges inside the slice resume from the due FIFO, so a due
+        loop timer waits; once the drain has held the loop for
+        ``YIELD_SLICE_S``, the next charge gives the loop its turn."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            kernel = AsyncioKernel()
+            machine = LiveMachine(kernel, "m")
+            fired: list = []
+
+            def charge():
+                loop.call_later(0.0, fired.append, True)
+                charges = 0
+                while not fired and charges < 1_000_000:
+                    yield from machine.execute(1e-6)
+                    charges += 1
+                return charges, time.monotonic()
+
+            start = time.monotonic()
+            charges, end = await kernel.run(charge())
+            return fired, charges, end - start
+
+        fired, charges, held = run_async(main())
+        assert fired
+        assert charges > 1
+        assert held >= YIELD_SLICE_S
 
 
 async def _until(predicate) -> None:
