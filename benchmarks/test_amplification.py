@@ -1,20 +1,36 @@
 """Amplification study: the Related Work's compaction trade-offs,
-measured on our engines."""
+measured on the single-machine deployment (one Ingestor and one
+Compactor on one machine) under each policy."""
+
+from dataclasses import replace
 
 from repro.bench.reporting import paper_vs_measured, print_header, print_table
-from repro.lsm.amplification import measure_lsm_tree
-from repro.lsm.tree import LSMConfig, LSMTree
+from repro.core import MONOLITH, ClusterSpec, build_cluster
+from repro.lsm.amplification import measure_cluster
+
+from tests.core.conftest import TINY
+
+SHAPE = replace(
+    TINY, memtable_entries=32, sstable_entries=16, l0_threshold=3, l1_threshold=3, l2_threshold=8
+)
+
+
+def run_engine(policy, ops, keys):
+    config = replace(SHAPE, compaction_policy=policy)
+    cluster = build_cluster(ClusterSpec(config=config, placement=MONOLITH))
+    client = cluster.add_client(colocate_with="ingestor-0", record_history=False)
+
+    def driver():
+        for i in range(ops):
+            yield from client.upsert(i % keys, b"v-%d" % i)
+
+    cluster.run_process(driver())
+    cluster.run()
+    return measure_cluster(cluster)
 
 
 def run_engines(ops=12_000, keys=800):
-    shape = dict(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
-    leveled = LSMTree(LSMConfig(**shape))
-    tiered = LSMTree(LSMConfig(compaction_policy="tiering", **shape))
-    for i in range(ops):
-        key = i % keys
-        leveled.put(key, b"v-%d" % i)
-        tiered.put(key, b"v-%d" % i)
-    return measure_lsm_tree(leveled), measure_lsm_tree(tiered)
+    return run_engine("leveling", ops, keys), run_engine("tiering", ops, keys)
 
 
 def test_compaction_tradeoffs(run_once, show):

@@ -1,30 +1,43 @@
 """LSM design trade-offs: compaction disciplines, measured.
 
 Measures write/space amplification of leveled vs universal compaction
-on identical workloads, then watches a CooLSM deployment's compaction
-waves through the cluster monitor.
+on identical workloads (each on the single-machine engine: one Ingestor
+and one Compactor on one machine), then watches a CooLSM deployment's
+compaction waves through the cluster monitor.
 
 Run with:  python examples/lsm_tradeoffs.py
 """
 
-from repro.core import ClusterMonitor, ClusterSpec, CooLSMConfig, build_cluster
-from repro.lsm import LSMConfig, LSMTree, measure_lsm_tree
+from dataclasses import replace
+
+from repro.core import MONOLITH, ClusterMonitor, ClusterSpec, CooLSMConfig, build_cluster
+from repro.lsm import measure_cluster
 from repro.workloads import Trace, replay_trace
 
 
 def compaction_tradeoffs() -> None:
     print("== Compaction trade-offs: leveled vs universal ==")
-    shape = dict(memtable_entries=32, sstable_entries=16, level_thresholds=(3, 3, 8, 0))
-    leveled = LSMTree(LSMConfig(**shape))
-    tiered = LSMTree(LSMConfig(compaction_policy="tiering", **shape))
-    for i in range(10_000):
-        key = i % 600
-        leveled.put(key, b"v-%d" % i)
-        tiered.put(key, b"v-%d" % i)
-    for name, report in (
-        ("leveled  ", measure_lsm_tree(leveled)),
-        ("universal", measure_lsm_tree(tiered)),
-    ):
+    shape = replace(
+        CooLSMConfig.paper_100k().scaled_down(10),
+        memtable_entries=32,
+        sstable_entries=16,
+        l0_threshold=3,
+        l1_threshold=3,
+        l2_threshold=8,
+    )
+    for name, policy in (("leveled  ", "leveling"), ("universal", "tiering")):
+        # The single-machine engine: one Ingestor + one Compactor.
+        config = replace(shape, compaction_policy=policy)
+        cluster = build_cluster(ClusterSpec(config=config, placement=MONOLITH))
+        client = cluster.add_client(colocate_with="ingestor-0", record_history=False)
+
+        def overwrites():
+            for i in range(10_000):
+                yield from client.upsert(i % 600, b"v-%d" % i)
+
+        cluster.run_process(overwrites())
+        cluster.run()
+        report = measure_cluster(cluster)
         print(
             f"   {name}: write-amp {report.write_amplification:5.2f}  "
             f"space-amp {report.space_amplification:4.2f}  "

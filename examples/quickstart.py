@@ -1,25 +1,37 @@
-"""Quickstart: the embedded LSM engine and a first CooLSM cluster.
+"""Quickstart: the single-machine LSM engine and a first CooLSM cluster.
 
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import ClusterSpec, CooLSMConfig, build_cluster
-from repro.lsm import LSMConfig, LSMTree
+from repro.core import MONOLITH, ClusterSpec, CooLSMConfig, build_cluster
 
 
 def embedded_engine() -> None:
-    """Part 1 — LSMTree as a plain embedded key-value store."""
-    print("== Embedded LSM engine ==")
-    tree = LSMTree(LSMConfig(memtable_entries=100, sstable_entries=50))
-    for i in range(1_000):
-        tree.put(i % 200, f"value-{i}")
-    tree.delete(7)
+    """Part 1 — one Ingestor and one Compactor placed on one machine
+    (the paper's monolithic baseline), used as a key-value store."""
+    print("== Embedded LSM engine: one Ingestor + one Compactor, one machine ==")
+    config = CooLSMConfig.paper_100k().scaled_down(10)
+    cluster = build_cluster(ClusterSpec(config=config, placement=MONOLITH))
+    client = cluster.add_client(colocate_with="ingestor-0")
 
-    print("get(5)        ->", tree.get(5))
-    print("get(7)        ->", tree.get(7), "(deleted)")
-    print("scan(10, 14)  ->", [(k, v) for k, v in tree.scan(10, 14)])
-    print("level sizes   ->", tree.manifest.level_sizes())
-    print("compactions   ->", tree.stats.compaction_count())
+    def driver():
+        for i in range(2_000):
+            yield from client.upsert(i % 200, f"value-{i}")
+        yield from client.delete(7)
+        five = yield from client.read(5)
+        seven = yield from client.read(7)
+        pairs = yield from client.scan(10, 14)
+        return five, seven, pairs
+
+    five, seven, pairs = cluster.run_process(driver())
+    cluster.run()  # let the last forwards and merges land
+    ingestor, compactor = cluster.ingestors[0], cluster.compactors[0]
+    compactions = ingestor.stats.minor_compactions + len(compactor.stats.compactions)
+    print("get(5)        ->", five)
+    print("get(7)        ->", seven, "(deleted)")
+    print("scan(10, 14)  ->", pairs)
+    print("level sizes   ->", ingestor.manifest.level_sizes() + compactor.manifest.level_sizes())
+    print("compactions   ->", compactions)
     print()
 
 

@@ -11,8 +11,6 @@ Subpackages:
   the client protocols, and the consistency checkers.
 - :mod:`repro.replication` — Paxos-replicated logs and Compactor
   failover (Section III-H).
-- :mod:`repro.baselines` — LevelDB-like and RocksDB-like single-node
-  reference engines.
 - :mod:`repro.workloads` — workload generators, including the smart
   traffic benchmark (Section IV-E).
 - :mod:`repro.bench` — the experiment harness regenerating every table

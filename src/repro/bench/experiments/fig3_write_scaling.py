@@ -1,20 +1,44 @@
 """Figure 3: write latency (a) and throughput (b) vs number of
 Compactors, for 100K and 300K key ranges, with the monolithic CooLSM
-and the LevelDB/RocksDB-like engines as reference points."""
+and the LevelDB/RocksDB-like engines as reference points.
+
+All three reference points are one deployment: CooLSM's Ingestor and
+Compactor placed on one machine (:data:`~repro.core.MONOLITH`).  The
+reference engines are that deployment under another configuration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.baselines.nodes import build_baseline_node
 from repro.bench.harness import SCALE, drive, scaled_config
 from repro.bench.reporting import paper_vs_measured, print_header, print_series
-from repro.core import ClusterSpec, Topology, build_cluster
-from repro.core.keyspace import Partitioning
+from repro.core import MONOLITH, ClusterSpec, CooLSMConfig, build_cluster
 from repro.workloads import write_only
 
 COMPACTOR_COUNTS = (1, 2, 3, 5, 7)
 KEY_RANGES = (100_000, 300_000)
+
+#: Modelled synchronous-WAL fsync of the reference engines: "we run
+#: both with configuration to persist and sync to disk".
+WAL_SYNC_COST = 50e-6
+
+#: The reference engines and the compaction policy each runs.
+REFERENCE_POLICIES = {"leveldb": "leveling", "rocksdb": "tiering"}
+
+
+def reference_engine(config: CooLSMConfig, policy: str) -> CooLSMConfig:
+    """``config`` in LevelDB's shape — L0 compacts past 4 tables, L1
+    holds 10 — under ``policy`` (``"leveling"`` for the LevelDB-like
+    engine, ``"tiering"`` for the RocksDB-like one), every write paying
+    the WAL fsync on its core."""
+    costs = config.costs
+    return replace(
+        config,
+        l0_threshold=4,
+        l1_threshold=10,
+        compaction_policy=policy,
+        costs=replace(costs, upsert_cpu=costs.upsert_cpu + WAL_SYNC_COST),
+    )
 
 
 @dataclass(slots=True)
@@ -27,44 +51,11 @@ class Fig3Result:
     throughput: float
 
 
-def _run_coolsm(key_range: int, compactors: int, ops: int, scale: int) -> Fig3Result:
-    config = scaled_config(key_range, scale)
-    cluster = build_cluster(ClusterSpec(config=config, num_compactors=compactors))
+def _run(system: str, key_range: int, spec: ClusterSpec, ops: int) -> Fig3Result:
+    cluster = build_cluster(spec)
     client = cluster.add_client(colocate_with="ingestor-0", record_history=False)
     result = drive(cluster, [write_only(client, ops=ops)])
-    return Fig3Result(
-        f"coolsm-{compactors}c", key_range, result.writes.mean, result.write_throughput
-    )
-
-
-def _run_monolithic(key_range: int, ops: int, scale: int) -> Fig3Result:
-    config = scaled_config(key_range, scale)
-    cluster = build_cluster(ClusterSpec(config=config, monolithic=True))
-    client = cluster.add_client(colocate_with="mono-0", record_history=False)
-    result = drive(cluster, [write_only(client, ops=ops)])
-    return Fig3Result("monolithic", key_range, result.writes.mean, result.write_throughput)
-
-
-def _run_baseline(kind: str, key_range: int, ops: int, scale: int) -> Fig3Result:
-    config = scaled_config(key_range, scale)
-    kernel, network, machine, node = build_baseline_node(kind, config)
-    partitioning = Partitioning.uniform(config.key_range, [node.name])
-    client = Topology(config=config).build_client(
-        kernel, network, machine, "client-0", partitioning=partitioning, ingestors=[node.name]
-    )
-    started = kernel.now
-    writes = 0
-
-    def driver():
-        nonlocal writes
-        result = yield from write_only(client, ops=ops)
-        writes = result[0]
-        return kernel.now
-
-    ended = kernel.run_process(driver())
-    latencies = client.stats.all("write")
-    mean = sum(latencies) / len(latencies)
-    return Fig3Result(kind, key_range, mean, writes / max(ended - started, 1e-12))
+    return Fig3Result(system, key_range, result.writes.mean, result.write_throughput)
 
 
 def run(ops: int = 10_000, scale: int = SCALE) -> list[Fig3Result]:
@@ -77,11 +68,18 @@ def run(ops: int = 10_000, scale: int = SCALE) -> list[Fig3Result]:
     rows: list[Fig3Result] = []
     for key_range in KEY_RANGES:
         range_ops = ops * key_range // KEY_RANGES[0]
-        rows.append(_run_monolithic(key_range, range_ops, scale))
-        for count in COMPACTOR_COUNTS:
-            rows.append(_run_coolsm(key_range, count, range_ops, scale))
-        rows.append(_run_baseline("leveldb", key_range, range_ops, scale))
-        rows.append(_run_baseline("rocksdb", key_range, range_ops, scale))
+        config = scaled_config(key_range, scale)
+        systems = [("monolithic", ClusterSpec(config=config, placement=MONOLITH))]
+        systems += [
+            (f"coolsm-{count}c", ClusterSpec(config=config, num_compactors=count))
+            for count in COMPACTOR_COUNTS
+        ]
+        systems += [
+            (kind, ClusterSpec(config=reference_engine(config, policy), placement=MONOLITH))
+            for kind, policy in REFERENCE_POLICIES.items()
+        ]
+        for system, spec in systems:
+            rows.append(_run(system, key_range, spec, range_ops))
     return rows
 
 

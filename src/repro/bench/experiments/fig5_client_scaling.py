@@ -31,11 +31,13 @@ def _run_one(mode: str, clients: int, ops_per_client: int, scale: int) -> Fig5Po
     if mode == "multithreaded":
         spec = ClusterSpec(config=config, num_ingestors=1, num_compactors=5)
     else:
+        # Colocated: every Ingestor (and so every client) on one machine.
+        shared = {f"ingestor-{i}": "m-ingestors" for i in range(clients)}
         spec = ClusterSpec(
             config=config,
             num_ingestors=clients,
             num_compactors=5,
-            ingestors_share_machine=(mode == "colocated"),
+            placement=shared if mode == "colocated" else {},
         )
     cluster = build_cluster(spec)
     drivers = []

@@ -6,9 +6,11 @@ Public surface:
 * :class:`Topology` — the deployment both interpreters build: node
   names, roles and wiring.
 * :class:`ClusterSpec` / :func:`build_cluster` / :class:`Cluster` —
-  place any topology of the paper's design space on simulated machines.
-* :class:`Ingestor`, :class:`Compactor`, :class:`Reader`,
-  :class:`MonolithicNode` — the node types.
+  place any topology of the paper's design space on simulated machines;
+  :data:`MONOLITH` is the placement of the paper's single-machine
+  baseline.
+* :class:`Ingestor`, :class:`Compactor`, :class:`Reader` — the node
+  types.
 * :class:`Client` — the client-side protocols (including the two-phase
   multi-Ingestor read).
 * :class:`History` + the consistency checkers — machine-checkable
@@ -16,7 +18,7 @@ Public surface:
 """
 
 from .client import Client, ClientStats
-from .cluster import Cluster, ClusterSpec, build_cluster
+from .cluster import MONOLITH, Cluster, ClusterSpec, build_cluster
 from .compactor import CompactionTiming, Compactor, CompactorStats
 from .config import CooLSMConfig
 from .consistency import (
@@ -46,7 +48,6 @@ from .messages import (
     UpsertRequest,
 )
 from .monitor import ClusterMonitor, Sample, Timeline
-from .monolithic import MonolithicNode
 from .reader import Reader, ReaderStats
 from .reconfig import (
     ReconfigStats,
@@ -79,7 +80,7 @@ __all__ = [
     "IngestorReadResult",
     "IngestorStats",
     "Mark",
-    "MonolithicNode",
+    "MONOLITH",
     "Operation",
     "Partition",
     "Partitioning",

@@ -3,19 +3,26 @@
 A :class:`ClusterSpec` describes one cell of the paper's design space —
 a :class:`~repro.core.topology.Topology` (how many Ingestors, how many
 partitioned or overlapping Compactors, how many Readers) plus where
-each node runs, or the monolithic baseline — and :func:`build_cluster`
-wires the simulated machines, network, clocks, and nodes.  The
-resulting :class:`Cluster` spawns clients and runs the simulation.
+each node runs — and :func:`build_cluster` wires the simulated
+machines, network, clocks, and nodes.  The resulting :class:`Cluster`
+spawns clients and runs the simulation.
 
 Placement conventions follow the paper: Compactors and Readers live in
 the cloud region (Virginia by default); Ingestors live at edge regions;
-clients are placed next to whatever they drive.
+clients are placed next to whatever they drive.  Each node gets a
+machine of its own (``m-<name>``) unless the spec's ``placement`` puts
+it on a named one; nodes sharing a machine share its cores and talk
+over loopback.  The paper's monolithic baseline is such a placement:
+:data:`MONOLITH` puts one Ingestor and one Compactor on one machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
+from repro.lsm.errors import InvalidConfigError
 from repro.sim.clock import LooseClock
 from repro.sim.kernel import Kernel
 from repro.sim.machine import DEFAULT_CORES, Machine
@@ -28,7 +35,6 @@ from .compactor import Compactor
 from .history import History
 from .ingestor import Ingestor
 from .keyspace import Partitioning
-from .monolithic import MonolithicNode
 from .reader import Reader
 from .topology import Topology
 
@@ -42,9 +48,11 @@ class ClusterSpec(Topology):
         ingestor_regions: Region per Ingestor (cycled if shorter);
             defaults to the cloud region.
         reader_regions: Region per Reader; defaults to the cloud region.
-        ingestors_share_machine: Place all Ingestors on one machine
-            (Figure 5's "colocated scaling").
-        monolithic: Build the single-machine baseline instead.
+        placement: Node name -> machine name, for nodes that share a
+            machine (Figure 5's colocated Ingestors, the
+            :data:`MONOLITH`); a node not named here runs on its own
+            machine ``m-<name>``.  A shared machine is placed where the
+            first node built on it would be.
         drop_probability: Network fault injection.
         tolerated_failures: f > 0 replicates each Compactor's operation
             log to 2f replicas (Section III-H); Ingestor acks then wait
@@ -55,10 +63,27 @@ class ClusterSpec(Topology):
     cloud_region: Region = CLOUD_REGION
     ingestor_regions: tuple[Region, ...] | None = None
     reader_regions: tuple[Region, ...] | None = None
-    ingestors_share_machine: bool = False
-    monolithic: bool = False
+    placement: Mapping[str, str] = field(default_factory=dict)
     drop_probability: float = 0.0
     tolerated_failures: int = 0
+
+    def __post_init__(self) -> None:
+        Topology.__post_init__(self)
+        unknown = sorted(set(self.placement) - set(self.node_names))
+        if unknown:
+            raise InvalidConfigError(f"placement names unknown nodes: {unknown}")
+
+    def machine_name(self, node_name: str) -> str:
+        """The machine ``node_name`` runs on."""
+        return self.placement.get(node_name, f"m-{node_name}")
+
+
+#: The paper's monolithic baseline (Fig. 3): "an Ingestor and a
+#: Compactor ... colocated on the same machine and connected in a
+#: monolithic design so that network overhead is not incurred".  A
+#: ``ClusterSpec`` placement for the default one-Ingestor,
+#: one-Compactor topology.
+MONOLITH = MappingProxyType({"ingestor-0": "m-monolith", "compactor-0": "m-monolith"})
 
 
 class Cluster:
@@ -81,7 +106,6 @@ class Cluster:
         self.ingestors: list[Ingestor] = []
         self.compactors: list[Compactor] = []
         self.readers: list[Reader] = []
-        self.monolith: MonolithicNode | None = None
         self.clients: list[Client] = []
         self.partitioning: Partitioning | None = None
         self.replica_groups: list = []
@@ -149,8 +173,6 @@ class Cluster:
             machine = self.machine(
                 f"m-{name}", region if region is not None else self.spec.cloud_region
             )
-        if ingestors is None and self.monolith is not None:
-            ingestors = [self.monolith.name]
         client = self.spec.build_client(
             self.kernel,
             self.network,
@@ -178,28 +200,23 @@ class Cluster:
     def total_entries(self) -> int:
         """Entries across all node levels (excluding memtables)."""
         nodes = [*self.ingestors, *self.compactors, *self.readers]
-        total = sum(node.manifest.total_entries() for node in nodes)
-        if self.monolith is not None:
-            total += self.monolith.tree.manifest.total_entries()
-        return total
+        return sum(node.manifest.total_entries() for node in nodes)
 
 
 def build_cluster(spec: ClusterSpec) -> Cluster:
     """Build and wire a deployment from a spec."""
     cluster = Cluster(spec)
-    if spec.monolithic:
-        return _build_monolithic(cluster)
     cluster.partitioning = spec.partitioning()
 
     reader_regions = spec.reader_regions or (spec.cloud_region,)
     for index, name in enumerate(spec.reader_names):
         machine = cluster.machine(
-            f"m-{name}", reader_regions[index % len(reader_regions)]
+            spec.machine_name(name), reader_regions[index % len(reader_regions)]
         )
         cluster.readers.append(cluster.build_node(name, machine))
 
     for name in spec.compactor_names:
-        machine = cluster.machine(f"m-{name}", spec.cloud_region)
+        machine = cluster.machine(spec.machine_name(name), spec.cloud_region)
         if spec.tolerated_failures > 0:
             from repro.replication.replica import ReplicatedCompactor
 
@@ -223,32 +240,13 @@ def build_cluster(spec: ClusterSpec) -> Cluster:
         cluster.compactors.append(node)
 
     ingestor_regions = spec.ingestor_regions or (spec.cloud_region,)
-    shared_machine = None
-    if spec.ingestors_share_machine:
-        shared_machine = cluster.machine("m-ingestors", ingestor_regions[0])
     for index, name in enumerate(spec.ingestor_names + spec.spare_ingestor_names):
-        machine = shared_machine or cluster.machine(
-            f"m-{name}", ingestor_regions[index % len(ingestor_regions)]
+        machine = cluster.machine(
+            spec.machine_name(name), ingestor_regions[index % len(ingestor_regions)]
         )
         cluster.ingestors.append(cluster.build_node(name, machine))
     if spec.tolerated_failures > 0:
         from repro.replication.failover import build_replica_groups
 
         build_replica_groups(cluster, spec.tolerated_failures)
-    return cluster
-
-
-def _build_monolithic(cluster: Cluster) -> Cluster:
-    spec = cluster.spec
-    machine = cluster.machine("m-mono", spec.cloud_region)
-    name = "mono-0"
-    cluster.partitioning = Partitioning.uniform(spec.config.key_range, [name])
-    cluster.monolith = MonolithicNode(
-        cluster.kernel,
-        cluster.network,
-        machine,
-        name,
-        spec.config,
-        cluster.clock_for(name),
-    )
     return cluster

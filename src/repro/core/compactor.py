@@ -78,6 +78,7 @@ class CompactorStats:
     duplicate_forwards: int = 0
     snapshots_served: int = 0
     reads: int = 0
+    entries_rewritten: int = 0  # major compactions' output entries
     compactions: list[CompactionTiming] = field(default_factory=list)
 
     def mean_compaction_time(self, level: int) -> float:
@@ -271,6 +272,7 @@ class Compactor(RpcNode):
         from_l2 = picked if level == L3 else []
         edit = LevelEdit().remove(L2, from_l2).remove(level, replaced).add(level, result.tables)
         self.manifest.apply(edit)
+        self.stats.entries_rewritten += result.stats.entries_out
         self.stats.compactions.append(
             CompactionTiming(level + 2, self.kernel.now - started, total)
         )

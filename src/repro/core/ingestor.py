@@ -84,7 +84,9 @@ class IngestorStats:
     batch_upserts: int = 0
     reads: int = 0
     flushes: int = 0
+    entries_flushed: int = 0
     minor_compactions: int = 0
+    entries_rewritten: int = 0  # minor compactions' output entries
     minor_compaction_times: list[float] = field(default_factory=list)
     forwarded_tables: int = 0
     forward_retries: int = 0
@@ -388,6 +390,7 @@ class Ingestor(RpcNode):
             # for the *new* memtable carry higher seqnos.
             self._persist(wal_floor=self._seqno)
         self.stats.flushes += 1
+        self.stats.entries_flushed += len(entries)
         yield from self.compute(self.config.costs.flush_cost(len(entries)))
 
     def _flush_and_compact(self):
@@ -430,6 +433,7 @@ class Ingestor(RpcNode):
         )
         self.manifest.apply(edit)
         self.stats.minor_compactions += 1
+        self.stats.entries_rewritten += result.stats.entries_out
         self.stats.minor_compaction_times.append(self.kernel.now - started)
         if self._store is not None:
             self._persist()

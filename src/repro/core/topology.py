@@ -80,10 +80,6 @@ class Topology:
     spare_ingestors: int = 0
     seed: int = 0
 
-    #: The single-machine baseline has no Ingestors or Compactors; only
-    #: the sim builds it (``ClusterSpec.monolithic`` overrides this).
-    monolithic = False
-
     def __post_init__(self) -> None:
         if self.compactor_replicas < 1:
             raise InvalidConfigError("compactor_replicas must be at least 1")
@@ -93,7 +89,7 @@ class Topology:
             raise InvalidConfigError("spare_ingestors must be non-negative")
         if self.spare_ingestors and not self.sharded:
             raise InvalidConfigError("spare_ingestors require sharded=True")
-        if not self.monolithic and (self.num_ingestors < 1 or self.num_compactors < 1):
+        if self.num_ingestors < 1 or self.num_compactors < 1:
             raise InvalidConfigError("need at least one Ingestor and one Compactor")
         if self.num_compactors % self.compactor_replicas != 0:
             raise InvalidConfigError(

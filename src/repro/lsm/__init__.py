@@ -1,17 +1,14 @@
-"""Single-node LSM tree substrate, built from scratch.
+"""The LSM substrate every CooLSM role is built from.
 
 This subpackage implements everything a classic LSM engine needs —
 memtable, sstables with bloom filters and fence pointers, WAL, manifest,
-tiering and leveling compaction — and exposes :class:`LSMTree` as an
-embeddable in-memory key-value store.  CooLSM (:mod:`repro.core`) deconstructs
-these same parts across Ingestor, Compactor, and Reader nodes.
+compaction policies as rows of one step, and the one read path.  CooLSM
+(:mod:`repro.core`) deconstructs these parts across Ingestor,
+Compactor, and Reader nodes; its one-machine baseline is those same
+roles placed on one machine (:data:`repro.core.MONOLITH`).
 """
 
-from .amplification import (
-    AmplificationReport,
-    measure_cluster,
-    measure_lsm_tree,
-)
+from .amplification import AmplificationReport, measure_cluster
 from .bloom import BloomFilter
 from .cache import MISS, CacheStats, ReadCache
 from .compaction import (
@@ -39,7 +36,6 @@ from .manifest import LevelEdit, LevelFenceIndex, Manifest
 from .memtable import Memtable
 from .sstable import SSTable, sort_run
 from .sstable_io import SSTableReader, write_sstable
-from .tree import CompactionEvent, LSMConfig, LSMTree, TreeStats
 from .wal import WriteAheadLog, replay
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "BloomFilter",
     "CacheStats",
     "ClosedError",
-    "CompactionEvent",
     "CompactionResult",
     "CompactionStats",
     "CorruptionError",
@@ -55,9 +50,7 @@ __all__ = [
     "InvalidConfigError",
     "InvalidKeyError",
     "KeepPolicy",
-    "LSMConfig",
     "LSMError",
-    "LSMTree",
     "LevelEdit",
     "LevelFenceIndex",
     "MISS",
@@ -68,7 +61,6 @@ __all__ = [
     "ReadCache",
     "SSTable",
     "SSTableReader",
-    "TreeStats",
     "WriteAheadLog",
     "compact_step",
     "dedup_newest",
@@ -80,7 +72,6 @@ __all__ = [
     "make_tombstone",
     "make_upsert",
     "measure_cluster",
-    "measure_lsm_tree",
     "merge_tables",
     "pick_tables",
     "replay",

@@ -10,9 +10,10 @@ compaction ... suffers from space amplification", "leveled compaction
   (obsolete versions and tombstones are the overhead).
 * **read amplification** — sstables a point lookup may touch.
 
-Works over an :class:`~repro.lsm.tree.LSMTree` under any compaction
-policy (``"leveling"`` vs ``"tiering"`` is the comparison above), and
-over CooLSM deployments (aggregate across Ingestors and Compactors).
+Measured over a CooLSM deployment under any compaction policy
+(``"leveling"`` vs ``"tiering"`` is the comparison above), aggregated
+across its Ingestors and Compactors; a single-machine engine is the
+same deployment placed on one machine.
 """
 
 from __future__ import annotations
@@ -51,78 +52,47 @@ class AmplificationReport:
         return self.max_tables_probed
 
 
-def measure_lsm_tree(tree) -> AmplificationReport:
-    """Amplification of an :class:`~repro.lsm.tree.LSMTree`, whatever
-    its compaction policy."""
-    stats = tree.stats
-    entries_flushed = stats.flushes * tree.config.memtable_entries
-    entries_rewritten = sum(e.stats.entries_out for e in stats.compactions)
-    entries_stored = tree.manifest.total_entries()
-    live_keys = sum(1 for __ in tree.scan())
-    # Worst case probes: every table of an overlapping level, one per
-    # disjoint level.  For the default leveling policy (only L0
-    # overlapping) this is the classic len(L0) + depth.
-    overlapping = tree.manifest.overlapping_levels
-    max_probed = sum(
-        len(tree.manifest.level(i)) if i in overlapping else 1
-        for i in range(tree.manifest.num_levels)
-    )
-    return AmplificationReport(
-        user_entries=stats.puts + stats.deletes,
-        entries_flushed=entries_flushed,
-        entries_rewritten=entries_rewritten,
-        entries_stored=entries_stored,
-        live_keys=live_keys,
-        max_tables_probed=max_probed,
+def _max_probes(manifest) -> int:
+    """Worst-case tables a point lookup searches in ``manifest``: every
+    table of an overlapping level, one per disjoint level (for leveling,
+    where only L0 overlaps, the classic ``len(L0) + depth``)."""
+    overlapping = manifest.overlapping_levels
+    return sum(
+        len(manifest.level(i)) if i in overlapping else 1
+        for i in range(manifest.num_levels)
     )
 
 
 def measure_cluster(cluster) -> AmplificationReport:
-    """Aggregate amplification of a CooLSM deployment.
+    """Amplification of a CooLSM deployment, whatever its compaction
+    policy and however its nodes are placed.
 
-    User entries are the upserts accepted at the Ingestors; physical
-    writes are Ingestor flushes + minor compactions + Compactor major
-    compactions; storage spans every node's levels (Readers excluded —
-    they are replicas, not primary storage).
+    User entries are the upserts (tombstones included) accepted at the
+    Ingestors; physical writes are the entries the Ingestors flushed
+    plus every merge's output, minor and major; storage spans every
+    Ingestor's and Compactor's levels (Readers excluded — they are
+    replicas, not primary storage), and a key is live when its newest
+    stored version is not a tombstone.  A lookup searches one
+    Ingestor's levels, then one Compactor's.
     """
-    user_entries = sum(i.stats.upserts for i in cluster.ingestors)
-    entries_flushed = sum(
-        i.stats.flushes * cluster.config.memtable_entries for i in cluster.ingestors
-    )
-    # Minor compactions rewrite L0+L1 into fresh L1 runs; we approximate
-    # output entries with the tables produced (tracked via timings on the
-    # compactor side, exact on the compactor).
-    entries_rewritten = sum(
-        timing.entries_merged
-        for compactor in cluster.compactors
-        for timing in compactor.stats.compactions
-    )
-    stored = sum(
-        node.manifest.total_entries()
-        for node in [*cluster.ingestors, *cluster.compactors]
-    )
-    live = len(
-        {
-            entry.key
-            for node in [*cluster.ingestors, *cluster.compactors]
-            for level_index in range(node.manifest.num_levels)
-            for table in node.manifest.level(level_index)
-            for entry in table.entries
-            if not entry.tombstone
-        }
-    )
-    max_probed = max(
-        (
-            len(ingestor.level0) + 1 + 2  # L0 tables + L1 + L2 + L3
-            for ingestor in cluster.ingestors
-        ),
-        default=0,
-    )
+    ingestors, compactors = cluster.ingestors, cluster.compactors
+    nodes = [*ingestors, *compactors]
+    newest = {}
+    for node in nodes:
+        for level_index in range(node.manifest.num_levels):
+            for table in node.manifest.level(level_index):
+                for entry in table.entries:
+                    held = newest.get(entry.key)
+                    if held is None or entry.version > held.version:
+                        newest[entry.key] = entry
     return AmplificationReport(
-        user_entries=user_entries,
-        entries_flushed=entries_flushed,
-        entries_rewritten=entries_rewritten,
-        entries_stored=stored,
-        live_keys=live,
-        max_tables_probed=max_probed,
+        user_entries=sum(i.stats.upserts for i in ingestors),
+        entries_flushed=sum(i.stats.entries_flushed for i in ingestors),
+        entries_rewritten=sum(n.stats.entries_rewritten for n in nodes),
+        entries_stored=sum(n.manifest.total_entries() for n in nodes),
+        live_keys=sum(1 for entry in newest.values() if not entry.tombstone),
+        max_tables_probed=max(
+            (_max_probes(i.manifest) for i in ingestors), default=0
+        )
+        + max((_max_probes(c.manifest) for c in compactors), default=0),
     )

@@ -83,8 +83,7 @@ class ReadCache:
 
     Args:
         capacity: Maximum number of cached entries (> 0).
-        stats: Optionally share an external :class:`CacheStats` (the
-            tree embeds the same object in :class:`~repro.lsm.tree.TreeStats`).
+        stats: Optionally share an external :class:`CacheStats`.
     """
 
     __slots__ = ("capacity", "stats", "_entries")

@@ -9,7 +9,7 @@ Every compaction anywhere is :func:`pick_tables` (what leaves a level)
 followed by :func:`compact_step` (how it lands in the next); the rows of
 a :mod:`~repro.lsm.policy` say which ``pick`` / ``move`` each level
 boundary uses.  These are pure functions over immutable sstables; the
-caller (an ``LSMTree``, Ingestor, or Compactor) owns the yields and the
+caller (an Ingestor or a Compactor) owns the yields and the
 cost charges and applies the result atomically via a
 :class:`~repro.lsm.manifest.LevelEdit`.
 

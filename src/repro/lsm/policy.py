@@ -12,16 +12,17 @@ level holds more tables than its threshold".
 
 The rows are executed by exactly two functions,
 :func:`~repro.lsm.compaction.pick_tables` and
-:func:`~repro.lsm.compaction.compact_step`; the hosts (the standalone
-:class:`~repro.lsm.tree.LSMTree`, the Ingestor, the Compactor) own every
-yield, every cost charge and the atomic manifest swap.  Nothing in this
+:func:`~repro.lsm.compaction.compact_step`; the hosts (the Ingestor and
+the Compactor) own every yield, every cost charge and the atomic
+manifest swap.  A single-machine engine is the same two roles placed on
+one machine, so one row set per policy serves every deployment.  Nothing in this
 module merges, applies an edit or touches a manifest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvalidConfigError
 
@@ -48,21 +49,17 @@ class Step:
 
 @dataclass(frozen=True, slots=True)
 class CompactionPolicy:
-    """A named policy: its rows for the distributed tree and for a
-    standalone tree of any depth.
+    """A named policy: its rows for the four-level tree.
 
     Attributes:
         name: Canonical name, persisted in store manifests.
-        pipeline: The distributed four-level tree — row 0 the Ingestor's
-            L0→L1 minor compaction, row 1 the forward (picked at L1,
-            moved into the Compactor's L2), row 2 L2→L3.  Two rows mean
-            L3 is never populated.
-        tree: ``tree(num_levels)`` gives a standalone tree's rows.
+        pipeline: Row 0 the Ingestor's L0→L1 minor compaction, row 1
+            the forward (picked at L1, moved into the Compactor's L2),
+            row 2 L2→L3.  Two rows mean L3 is never populated.
     """
 
     name: str
     pipeline: tuple[Step, ...]
-    tree: Callable[[int], tuple[Step, ...]]
 
 
 _FOLD = Step("all", "fold")
@@ -76,8 +73,6 @@ POLICIES: dict[str, CompactionPolicy] = {
     "leveling": CompactionPolicy(
         "leveling",
         (_FOLD, Step("rotating", "merge"), Step("rotating", "merge", bottom=True)),
-        lambda n: (_FOLD,)
-        + tuple(Step("rotating", "merge", bottom=lvl + 2 == n) for lvl in range(1, n - 1)),
     ),
     # Runs stack at every level and a full level moves down whole, so an
     # entry is rewritten once per level; no merge ever covers the bottom
@@ -85,21 +80,18 @@ POLICIES: dict[str, CompactionPolicy] = {
     "tiering": CompactionPolicy(
         "tiering",
         (_TIER, Step("oldest", "stack"), _TIER),
-        lambda n: (_TIER,) * (n - 1),
     ),
     # Dostoevsky: tiering's write cost above, one leveled run at the
     # bottom where most of the data lives.
     "lazy_leveling": CompactionPolicy(
         "lazy_leveling",
         (_TIER, Step("oldest", "stack"), _BOTTOM_RUN),
-        lambda n: (_TIER,) * (n - 2) + (_BOTTOM_RUN,),
     ),
-    # The whole tree below L0 is a single leveled run (L1 standalone, L2
-    # at the Compactor); nothing deeper is ever populated.
+    # One leveled run per level below L0, and the Compactor's L2 is the
+    # bottom: L3 is never populated.
     "one_leveling": CompactionPolicy(
         "one_leveling",
         (_FOLD, Step("rotating", "merge", bottom=True)),
-        lambda n: (_BOTTOM_RUN,),
     ),
 }
 

@@ -1,5 +1,5 @@
 """The one read path over sstables: every point lookup and range scan
-in the tree, the three CooLSM roles and the single-machine baselines.
+of the three CooLSM roles, whatever machines they are placed on.
 
 The paper's read flow (Section III-C) is one sentence: memtable, then L0
 newest table first, then L1, then the Compactor's L2 and L3; Readers

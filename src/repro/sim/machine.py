@@ -4,7 +4,8 @@ The paper's instances are t2.xlarge: four cores.  Each
 :class:`Machine` exposes a core pool; every simulated compute step (a
 merge, a probe, batch encoding) acquires a core for its modelled service
 time.  This is what makes compaction *interfere* with ingestion when
-Ingestor and Compactor are colocated (the monolithic baseline), and what
+Ingestor and Compactor are placed on one machine (the monolithic
+baseline, :data:`repro.core.MONOLITH`), and what
 makes the multithreaded-client case of Figure 5 stop scaling while
 distributed clients scale.
 """

@@ -99,9 +99,6 @@ class Nemesis:
         for replica_group in getattr(cluster, "replica_groups", []):
             for replica in replica_group.replicas:
                 nodes[replica.name] = replica
-        monolith = getattr(cluster, "monolith", None)
-        if monolith is not None:
-            nodes[monolith.name] = monolith
         return cls(
             cluster.kernel,
             cluster.network,

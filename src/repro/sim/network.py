@@ -128,9 +128,9 @@ class Network:
             self._rng.random(),
             same_machine=same_machine,
         )
-        # Loopback (colocated nodes) never traverses a lossy link: TCP
-        # over loopback does not drop, so colocated deployments (e.g.
-        # the monolithic baseline) must not pay retransmit delays.
+        # Loopback (nodes placed on one machine) never traverses a lossy
+        # link: TCP over loopback does not drop, so the monolithic
+        # baseline's Ingestor-Compactor hop pays no retransmit delays.
         if not same_machine and self._drop_rng.random() < self.faults.drop_probability:
             self.stats.drops += 1
             delay += self.faults.retransmit_timeout

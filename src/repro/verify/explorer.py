@@ -38,6 +38,7 @@ from repro.chaos_events import (
     SlowMachine,
 )
 from repro.core import (
+    MONOLITH,
     ClusterSpec,
     CooLSMConfig,
     History,
@@ -604,7 +605,8 @@ def differential_run(
     compaction_policy: str | None = None,
 ) -> dict[str, object]:
     """Drive the identical sequential trace against the CooLSM cluster,
-    the monolithic baseline, and the in-memory model.
+    the monolithic baseline (the same roles on one machine), and the
+    in-memory model.
 
     Sequential execution makes every read's legal result unique (the
     last written value), so all three implementations must agree
@@ -632,9 +634,7 @@ def differential_run(
 
     def run_deployment(spec: ClusterSpec) -> list[bytes | None]:
         cluster = build_cluster(spec)
-        client = cluster.add_client(
-            colocate_with="mono-0" if spec.monolithic else "ingestor-0"
-        )
+        client = cluster.add_client(colocate_with="ingestor-0")
         results: list[bytes | None] = []
 
         def driver():
@@ -653,7 +653,7 @@ def differential_run(
     cluster_results = run_deployment(
         ClusterSpec(config=config, num_ingestors=1, num_compactors=2, seed=seed)
     )
-    mono_results = run_deployment(ClusterSpec(config=config, monolithic=True, seed=seed))
+    mono_results = run_deployment(ClusterSpec(config=config, placement=MONOLITH, seed=seed))
 
     model = SequentialModel()
     model_results: list[bytes | None] = []

@@ -1,27 +1,29 @@
-"""Tests for the simulated baseline engine nodes."""
+"""Tests for Figure 3's reference engines: the single-machine deployment
+(one Ingestor and one Compactor on one machine) in LevelDB's shape,
+under the leveled or the universal policy, paying a WAL fsync per write."""
 
 import pytest
 
-from repro.baselines.nodes import build_baseline_node
-from repro.core.client import Client
-from repro.core.keyspace import Partitioning
+from repro.bench.experiments.fig3_write_scaling import (
+    REFERENCE_POLICIES,
+    WAL_SYNC_COST,
+    reference_engine,
+)
+from repro.core import MONOLITH, ClusterSpec, build_cluster
 
 from tests.core.conftest import TINY
 
 
-def build(kind):
-    kernel, network, machine, node = build_baseline_node(kind, TINY)
-    partitioning = Partitioning.uniform(TINY.key_range, [node.name])
-    client = Client(
-        kernel, network, machine, "client-0", TINY, partitioning, [node.name]
-    )
-    return kernel, node, client
+def build(kind, config=TINY):
+    engine = reference_engine(config, REFERENCE_POLICIES[kind])
+    cluster = build_cluster(ClusterSpec(config=engine, placement=MONOLITH))
+    return cluster, cluster.add_client(colocate_with="ingestor-0")
 
 
 @pytest.mark.parametrize("kind", ["leveldb", "rocksdb"])
 class TestEngines:
     def test_write_read_roundtrip(self, kind):
-        kernel, node, client = build(kind)
+        cluster, client = build(kind)
 
         def driver():
             oracle = {}
@@ -36,26 +38,26 @@ class TestEngines:
                 misses += got != value
             return misses
 
-        assert kernel.run_process(driver()) == 0
+        assert cluster.run_process(driver()) == 0
 
     def test_write_latency_includes_sync(self, kind):
-        kernel, node, client = build(kind)
+        cluster, client = build(kind)
 
         def driver():
             yield from client.upsert(1, b"v")
 
-        kernel.run_process(driver())
+        cluster.run_process(driver())
         # One write: loopback RTT + upsert CPU + WAL fsync (~50us).
-        assert client.stats.all("write")[0] >= 50e-6
+        assert client.stats.all("write")[0] >= WAL_SYNC_COST
 
     def test_compaction_work_charged(self, kind):
-        kernel, node, client = build(kind)
+        cluster, client = build(kind)
 
         def driver():
             for i in range(3_000):
                 yield from client.upsert(i % 400, b"x%d" % i)
 
-        kernel.run_process(driver())
+        cluster.run_process(driver())
         latencies = client.stats.all("write")
         # Writes that trigger compaction are far slower than the median.
         assert max(latencies) > 10 * sorted(latencies)[len(latencies) // 2]

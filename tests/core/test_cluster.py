@@ -1,8 +1,12 @@
 """Tests for the deployment builder and the monolithic baseline."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.core import ClusterSpec, build_cluster
+import repro
+from repro.core import MONOLITH, ClusterSpec, build_cluster
 from repro.lsm.errors import InvalidConfigError
 from repro.sim.regions import Region
 
@@ -35,9 +39,17 @@ class TestBuilder:
             assert node.machine.region == Region.VIRGINIA
 
     def test_shared_ingestor_machine(self):
-        cluster = tiny_cluster(num_ingestors=3, ingestors_share_machine=True)
-        machines = {node.machine.name for node in cluster.ingestors}
-        assert len(machines) == 1
+        shared = {f"ingestor-{i}": "m-ingestors" for i in range(3)}
+        cluster = tiny_cluster(num_ingestors=3, placement=shared)
+        machines = {node.machine for node in cluster.ingestors}
+        assert [machine.name for machine in machines] == ["m-ingestors"]
+        assert {node.machine.name for node in cluster.compactors} == {
+            "m-compactor-0", "m-compactor-1"
+        }
+
+    def test_placement_names_known_nodes(self):
+        with pytest.raises(InvalidConfigError, match="ingestor-1"):
+            ClusterSpec(config=TINY, placement={"ingestor-1": "m-shared"})
 
     def test_dedicated_ingestor_machines(self):
         cluster = tiny_cluster(num_ingestors=3)
@@ -83,10 +95,18 @@ class TestBuilder:
 
 
 class TestMonolithic:
+    """The paper's baseline: one Ingestor and one Compactor on one
+    machine, sharing its cores, over loopback."""
+
     def build(self):
-        cluster = build_cluster(ClusterSpec(config=TINY, monolithic=True))
-        client = cluster.add_client(colocate_with="mono-0")
+        cluster = build_cluster(ClusterSpec(config=TINY, placement=MONOLITH))
+        client = cluster.add_client(colocate_with="ingestor-0")
         return cluster, client
+
+    def test_one_machine(self):
+        cluster, client = self.build()
+        assert list(cluster.machines) == ["m-monolith"]
+        assert cluster.compactors[0].machine is client.machine
 
     def test_write_read_roundtrip(self):
         cluster, client = self.build()
@@ -109,7 +129,10 @@ class TestMonolithic:
     def test_tree_levels_populated(self):
         cluster, client = self.build()
         cluster.run_process(fill(cluster, client, 3_000))
-        sizes = cluster.monolith.tree.manifest.level_sizes()
+        sizes = [
+            *cluster.ingestors[0].manifest.level_sizes(),
+            *cluster.compactors[0].manifest.level_sizes(),
+        ]
         assert sum(sizes) > 0
         assert sizes[2] + sizes[3] > 0  # data reached L2/L3
 
@@ -131,3 +154,22 @@ class TestMonolithic:
         dist.run_process(fill(dist, dist_client, 4_000))
         dist_mean = sum(dist_client.stats.all("write")) / 4_000
         assert dist_mean < mono_mean
+
+
+def test_upsert_is_handled_only_by_the_ingestor():
+    # One LSM engine: every deployment, the single-machine baseline
+    # included, takes writes through the Ingestor's handler.
+    root = Path(repro.__file__).parent
+    registrars = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "on"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == "upsert"
+            ):
+                registrars.add(path.relative_to(root).as_posix())
+    assert registrars == {"core/ingestor.py"}

@@ -6,11 +6,12 @@ from typing import get_type_hints
 
 import pytest
 
+from repro.core.cluster import ClusterSpec
 from repro.core.config import CooLSMConfig
+from repro.core.topology import Topology
 from repro.lsm.errors import InvalidConfigError
 from repro.lsm.sstable import SSTable
 from repro.lsm.sstable_io import decode_sstable, write_sstable
-from repro.lsm.tree import LSMConfig
 
 
 class TestPresets:
@@ -114,20 +115,11 @@ class TestNoFeatureFlags:
         hints = get_type_hints(CooLSMConfig)
         assert [name for name, hint in hints.items() if hint is bool] == []
 
-    LSM_FIELDS = (
-        "memtable_entries",
-        "sstable_entries",
-        "level_thresholds",
-        "cache_capacity",
-        "compaction_policy",
-    )
-
-    def test_lsm_config_field_names_are_pinned(self):
-        assert tuple(f.name for f in fields(LSMConfig)) == self.LSM_FIELDS
-
-    def test_lsm_config_has_no_boolean_field(self):
-        hints = get_type_hints(LSMConfig)
-        assert [name for name, hint in hints.items() if hint is bool] == []
+    def test_cluster_spec_has_no_boolean_field(self):
+        # Placement is one mapping, not a switch per deployment shape.
+        own = {f.name for f in fields(ClusterSpec)} - {f.name for f in fields(Topology)}
+        hints = get_type_hints(ClusterSpec)
+        assert [name for name in sorted(own) if hints[name] is bool] == []
 
 
 class TestOneSSTableGranularity:

@@ -57,17 +57,20 @@ def test_spares_named_last_and_not_launched(spec_cls):
     assert spec.initial_shard_map().owners() == ["ingestor-0", "ingestor-1"]
 
 
-def test_monolithic_sim_needs_no_ingestor_or_compactor():
-    assert ClusterSpec(monolithic=True, num_ingestors=0, num_compactors=0).monolithic
-
-
 def test_specs_add_only_their_own_fields():
     shared = {f.name for f in Topology.__dataclass_fields__.values()}
     assert len(shared) == 9
     live = LiveSpec.__dataclass_fields__.keys() - shared
     sim = ClusterSpec.__dataclass_fields__.keys() - shared
     assert live == {"addresses", "drain_timeout", "data_dir"}
-    assert len(sim) == 7 and "monolithic" in sim
+    assert sim == {
+        "cloud_region",
+        "ingestor_regions",
+        "reader_regions",
+        "placement",
+        "drop_probability",
+        "tolerated_failures",
+    }
 
 
 def test_nodes_are_constructed_only_by_the_topology():

@@ -6,7 +6,9 @@ policy classes' ``compact_tree`` / ``minor_plan`` / ``select_forward`` /
 ``select_l2_overflow`` and the Compactor's ``_compact_into_l2`` /
 ``_compact_l2_overflow_into_l3``, kept here as the reference — merging
 verbatim, shipping their edits through the Compactor's one update
-builder;
+builder (the standalone tree's rows, deleted with that tree, are kept
+here too, as :data:`TREE_ROWS`: the cascade differential runs them on
+the test-local :class:`~tests.lsm.reftree.RefTree`);
 (c) a structural check that no other merge site grows back in ``src/``.
 """
 
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core.compactor import L2, L3, CompactionTiming
 from repro.lsm.compaction import (
+    NEWEST_WINS,
     KeepPolicy,
     compact_step,
     major_compaction,
@@ -31,10 +34,10 @@ from repro.lsm.entry import encode_key
 from repro.lsm.manifest import LevelEdit
 from repro.lsm.policy import POLICIES, POLICY_NAMES, Step, stacked_levels
 from repro.lsm.sstable import SSTable
-from repro.lsm.tree import CompactionEvent, LSMConfig, LSMTree
 
 from tests.conftest import entry
 from tests.core.conftest import TINY, tiny_cluster
+from tests.lsm.reftree import BOTTOM, RefTree
 
 
 def table_of(keys, seqno=1, tombstone=False):
@@ -126,6 +129,19 @@ class TestPickTables:
             pick_tables(self.RUN, 1, None, "random")
 
 
+_FOLD = Step("all", "fold")
+_TIER = Step("all", "stack")
+_BOTTOM_RUN = Step("all", "merge", bottom=True)
+
+#: The deleted standalone tree's rows: policy -> rows of an n-level tree.
+TREE_ROWS = {
+    "leveling": lambda n: (_FOLD,)
+    + tuple(Step("rotating", "merge", bottom=lvl + 2 == n) for lvl in range(1, n - 1)),
+    "tiering": lambda n: (_TIER,) * (n - 1),
+    "lazy_leveling": lambda n: (_TIER,) * (n - 2) + (_BOTTOM_RUN,),
+    "one_leveling": lambda n: (_BOTTOM_RUN,),
+}
+
 #: The twelve hand-written overlapping-level sets the rows replaced:
 #: policy -> (tree_overlapping(4), ingestor_overlapping(),
 #: compactor_overlapping()).
@@ -146,14 +162,15 @@ class TestPolicyRows:
     def test_stacked_levels_reproduces_the_deleted_sets(self, name):
         policy = POLICIES[name]
         tree, ingestor, compactor = DELETED_OVERLAPPING_SETS[name]
-        assert stacked_levels(policy.tree(4), range(4)) == tree
+        assert stacked_levels(TREE_ROWS[name](4), range(4)) == tree
         assert stacked_levels(policy.pipeline, range(0, 2)) == ingestor
         assert stacked_levels(policy.pipeline, range(2, 4)) == compactor
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     @pytest.mark.parametrize("num_levels", [2, 3, 4, 6])
     def test_tree_rows_end_at_the_bottom(self, name, num_levels):
-        rows = POLICIES[name].tree(num_levels)
+        # The reference rows the cascade differential runs are well formed.
+        rows = TREE_ROWS[name](num_levels)
         assert 1 <= len(rows) <= num_levels - 1
         assert all(isinstance(row, Step) for row in rows)
         # Only a merge into the tree's last populated level may drop
@@ -363,14 +380,30 @@ REFERENCE = {
 }
 
 
-class RefTree(LSMTree):
-    """A tree whose cascade is the deleted ``compact_tree`` of its policy."""
+class OldCascadeTree(RefTree):
+    """A tree whose cascade is the deleted ``compact_tree`` of its
+    policy, reading the tree through the names those bodies used."""
 
-    def _maybe_compact(self):
-        REFERENCE[self._policy.name].compact_tree(self)
+    @property
+    def config(self):
+        return types.SimpleNamespace(
+            level_thresholds=self.thresholds,
+            num_levels=self.manifest.num_levels,
+            sstable_entries=self.sstable_entries,
+        )
+
+    @property
+    def _compaction_pointers(self):
+        return self.pointers
+
+    def _effective_keep_policy(self, bottom=False):
+        return BOTTOM if bottom else NEWEST_WINS
+
+    def cascade(self):
+        REFERENCE[self.policy].compact_tree(self)
 
     def _record_compaction(self, level, stats):
-        self.stats.compactions.append(CompactionEvent(level, stats))
+        self.compactions.append((level, stats))
 
 
 def ref_process_forward_section(self, tables):
@@ -484,24 +517,18 @@ def churn(tree, seed, ops=700):
 @pytest.mark.parametrize("thresholds", TREE_THRESHOLDS, ids=str)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_tree_cascade_matches_the_deleted_compact_tree(policy, thresholds, seed):
-    config = LSMConfig(
-        memtable_entries=8,
-        sstable_entries=4,
-        level_thresholds=thresholds,
-        compaction_policy=policy,
-    )
-    new, old = LSMTree(config), RefTree(config)
+    rows = TREE_ROWS[policy](len(thresholds))
+    new = RefTree(8, 4, thresholds, policy, rows=rows)
+    old = OldCascadeTree(8, 4, thresholds, policy, rows=rows)
     churn(new, seed)
     churn(old, seed)
-    assert new.stats.compaction_count() > 10
-    for level in range(config.num_levels):
+    assert len(new.compactions) > 10
+    for level in range(len(thresholds)):
         assert contents(new.manifest.level(level)) == contents(
             old.manifest.level(level)
         ), f"L{level}"
-    assert new._compaction_pointers == old._compaction_pointers
-    assert [(c.level, c.stats) for c in new.stats.compactions] == [
-        (c.level, c.stats) for c in old.stats.compactions
-    ]
+    assert new.pointers == old.pointers
+    assert new.compactions == old.compactions
 
 
 # -- the Ingestor's rows -----------------------------------------------
@@ -611,14 +638,7 @@ def test_compactor_matches_the_deleted_twin_functions(policy):
 # -- the zero-threshold rule -------------------------------------------
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_zero_threshold_means_every_flush_at_l0_and_unbounded_below(policy):
-    tree = LSMTree(
-        LSMConfig(
-            memtable_entries=10,
-            sstable_entries=5,
-            level_thresholds=(0, 0, 0),
-            compaction_policy=policy,
-        )
-    )
+    tree = RefTree(10, 5, (0, 0, 0), policy)
     model = {}
     for i in range(200):
         key = (i * 7) % 60
@@ -630,8 +650,8 @@ def test_zero_threshold_means_every_flush_at_l0_and_unbounded_below(policy):
             model[key] = b"v-%d" % i
         if not len(tree._memtable):  # the write just flushed
             assert tree.manifest.level(0) == []
-    assert tree.stats.flushes == 20
-    assert tree.stats.compaction_count() == 20  # every flush, L0 -> L1 only
+    assert tree.flushes == 20
+    assert len(tree.compactions) == 20  # every flush, L0 -> L1 only
     assert tree.manifest.level(1) and tree.manifest.level(2) == []
     assert {k: tree.get(k) for k in range(60)} == {k: model.get(k) for k in range(60)}
 

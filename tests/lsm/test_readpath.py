@@ -1,6 +1,6 @@
 """The one read path (`repro.lsm.readpath`): unit cases for its stop
 rule, version resolution and probe count, then a seeded differential
-against the eleven hand-rolled lookups and scans it replaced — whose
+against the hand-rolled lookups and scans it replaced — whose
 bodies are kept here, verbatim, as the reference implementations."""
 
 import random
@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import MONOLITH
 from repro.core.messages import RangeQuery, RangeQueryReply
 from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry, encode_key
@@ -15,10 +16,10 @@ from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.manifest import LevelEdit, Manifest
 from repro.lsm.readpath import level_groups, level_sources, live_pairs, lookup
 from repro.lsm.sstable import SSTable
-from repro.lsm.tree import LSMConfig, LSMTree
 
 from tests.conftest import entry
 from tests.core.conftest import TINY, tiny_cluster
+from tests.lsm.reftree import RefTree
 
 KEY = encode_key(5)
 
@@ -352,9 +353,8 @@ def old_reader_scan_pairs(self, lo, hi, limit=None):
 
 
 def old_tree_get_entry(self, key):
-    self.stats.gets += 1
     encoded = encode_key(key)
-    cache = self._cache
+    cache = None  # the test twin keeps no cache
     best = self._memtable.get(encoded)
     for table in reversed(self.manifest.level(0)):
         found = table.get(encoded, cache)
@@ -404,18 +404,6 @@ def old_tree_scan(self, lo=None, hi=None):
     for entry in dedup_newest(k_way_merge(sources)):
         if not entry.tombstone:
             yield entry.key, entry.value
-
-
-def old_monolithic_handle_range_query(self, src, request):
-    costs = self.config.costs
-    yield from self.compute(costs.read_base)
-    pairs: list[tuple[bytes, bytes]] = []
-    for key, value in old_tree_scan(self.tree, request.lo, request.hi):
-        pairs.append((key, value))
-        if request.limit is not None and len(pairs) >= request.limit:
-            break
-    yield from self.compute(len(pairs) * costs.scan_per_entry)
-    return RangeQueryReply(tuple(pairs))
 
 
 # ----------------------------------------------------------------------
@@ -543,14 +531,8 @@ class TestRolesMatchTheDeletedBodies:
 @pytest.mark.parametrize("policy", ["leveling", "tiering", "lazy_leveling", "one_leveling"])
 class TestTreeMatchesTheDeletedBodies:
     def build(self, policy):
-        config = LSMConfig(
-            memtable_entries=60,
-            sstable_entries=25,
-            level_thresholds=(3, 3, 10, 100),
-            cache_capacity=0,  # so SSTable.probes counts every block search
-            compaction_policy=policy,
-        )
-        tree = LSMTree(config)
+        # No cache, so SSTable.probes counts every block search.
+        tree = RefTree(60, 25, (3, 3, 10, 100), policy)
         rng = random.Random(23)
         for i in range(4_000):
             key = rng.randrange(700)
@@ -569,7 +551,7 @@ class TestTreeMatchesTheDeletedBodies:
             key = rng.randrange(760)
             searched = sum(t.probes for t in tables)
             entry, probes = tree.lookup(key)
-            # What the baselines charge is what was searched.
+            # What a role charges is what was searched.
             assert probes == sum(t.probes for t in tables) - searched
             assert entry == old_tree_get_entry(tree, key)
 
@@ -591,13 +573,12 @@ class TestTreeMatchesTheDeletedBodies:
 # RangeQuery.limit arrives off the wire
 # ----------------------------------------------------------------------
 def _monolith():
-    from repro.core import ClusterSpec, build_cluster
-
-    cluster = build_cluster(ClusterSpec(config=TINY, monolithic=True))
-    client = cluster.add_client()
+    """The single-machine deployment, scanned through its Ingestor."""
+    cluster = tiny_cluster(num_compactors=1, placement=MONOLITH)
+    client = cluster.add_client(colocate_with="ingestor-0")
     cluster.run_process(load(client, 0, 1_200))
     cluster.run()
-    return cluster, cluster.monolith
+    return cluster, cluster.ingestors[0]
 
 
 def _reader():
@@ -628,11 +609,3 @@ def test_range_query_limit_is_a_prefix_of_the_unlimited_answer(build):
     for limit in (0, 1, 7):
         assert ask(limit) == everything[:limit]
     assert ask(-3) == ()
-
-
-def test_monolithic_scan_matches_the_deleted_loop():
-    cluster, node = _monolith()
-    for limit in LIMITS:
-        request = RangeQuery(encode_key(100), encode_key(900), limit)
-        old = cluster.run_process(old_monolithic_handle_range_query(node, "test", request))
-        assert cluster.run_process(node._handle_range_query("test", request)) == old

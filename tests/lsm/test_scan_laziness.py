@@ -5,21 +5,19 @@ what the old materialising path returned."""
 import random
 from typing import Iterator
 
+from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry, encode_key
 from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.sstable import SSTable
-from repro.lsm.tree import LSMConfig, LSMTree
 
 from tests.conftest import entry
+from tests.lsm.reftree import RefTree
 
 
-def deep_tree(num_keys=3_000, seed=3) -> LSMTree:
-    """A tree whose data has cascaded into L1+ (cache off so probe and
+def deep_tree(num_keys=3_000, seed=3) -> RefTree:
+    """A tree whose data has cascaded into L1+ (no cache, so probe and
     open counters reflect actual table work)."""
-    config = LSMConfig(
-        memtable_entries=100, sstable_entries=50, cache_capacity=0
-    )
-    tree = LSMTree(config)
+    tree = RefTree(memtable_entries=100, sstable_entries=50)
     keys = list(range(num_keys))
     random.Random(seed).shuffle(keys)
     for key in keys:
@@ -104,15 +102,16 @@ class TestTreeScanLaziness:
         assert len(tree) == 499
 
     def test_approximate_len_upper_bounds_exact(self):
+        # Per-table entry counts alone bound the live key count.
         tree = deep_tree(num_keys=800)
-        assert tree.approximate_len() >= len(tree)
+        assert len(tree._memtable) + tree.manifest.total_entries() >= len(tree)
 
 
 # ----------------------------------------------------------------------
 # The legacy read path (pre-overhaul): the reference implementation
 # TestLegacyEquivalence compares the tree's read path against
 # ----------------------------------------------------------------------
-def legacy_get_entry(tree: LSMTree, key: bytes | str | int) -> Entry | None:
+def legacy_get_entry(tree: RefTree, key: bytes | str | int) -> Entry | None:
     """The pre-overhaul point lookup: linear probe over every table of
     every level (range-checked), no fence-index bisect, no cache."""
     encoded = encode_key(key)
@@ -138,7 +137,7 @@ def legacy_get_entry(tree: LSMTree, key: bytes | str | int) -> Entry | None:
 
 
 def legacy_scan(
-    tree: LSMTree,
+    tree: RefTree,
     lo: bytes | str | int | None = None,
     hi: bytes | str | int | None = None,
 ) -> Iterator[tuple[bytes, bytes]]:
@@ -182,11 +181,11 @@ class TestLegacyEquivalence:
             assert tree.get_entry(key) == legacy_get_entry(tree, key)
 
     def test_point_gets_identical_with_cache_warm_and_cold(self):
-        config = LSMConfig(memtable_entries=100, sstable_entries=50)
-        tree = LSMTree(config)
+        tree = RefTree(memtable_entries=100, sstable_entries=50)
         for key in range(1_000):
             tree.put(key, b"x-%d" % key)
-        cold = [tree.get_entry(k) for k in range(0, 1_000, 7)]
-        warm = [tree.get_entry(k) for k in range(0, 1_000, 7)]
+        cache = ReadCache(4_096)
+        cold = [tree.get_entry(k, cache) for k in range(0, 1_000, 7)]
+        warm = [tree.get_entry(k, cache) for k in range(0, 1_000, 7)]
         assert cold == warm
-        assert tree.stats.cache.hits > 0
+        assert cache.stats.hits > 0

@@ -362,10 +362,9 @@ def imported_modules(node: ast.AST, package: str) -> set[str]:
 
 def test_file_mutation_lives_in_three_modules():
     # The list a MemFS seam (ROADMAP item 5) has to cover: every rename,
-    # unlink, fsync and truncate in src/ goes through these modules, and
-    # the embedded tree never reaches the disk.
+    # unlink, fsync and truncate in src/ goes through these modules.
     root = Path(repro.__file__).parent
-    mutators, tree_imports, lsm_imports = set(), set(), set()
+    mutators, lsm_imports = set(), set()
     for path in root.rglob("*.py"):
         module = path.relative_to(root).as_posix()
         package = "repro." + ".".join(path.relative_to(root).parent.parts)
@@ -376,13 +375,10 @@ def test_file_mutation_lives_in_three_modules():
                     node.func.attr == "truncate"
                 ):
                     mutators.add(module)
-            if module == "lsm/tree.py" and isinstance(node, ast.Import):
-                tree_imports.update(alias.name for alias in node.names)
             if module.startswith("lsm/"):
                 # At any level: module, class or function body.
                 lsm_imports |= imported_modules(node, package)
     assert mutators == {"store/fsutil.py", "store/node_store.py", "lsm/wal.py"}
-    assert not tree_imports & {"os", "json"}
     # lsm/ reaches the store package only for its fsutil leaf: never
     # repro.store.node_store, directly or through the package's lazy names.
     store_edges = {n for n in lsm_imports if n.split(".")[:2] == ["repro", "store"]}

@@ -16,20 +16,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import ClusterSpec, CooLSMConfig, build_cluster
-from repro.lsm.amplification import measure_lsm_tree
+from repro.core import MONOLITH, ClusterSpec, CooLSMConfig, build_cluster
+from repro.lsm.amplification import measure_cluster
 from repro.lsm.entry import encode_key
 from repro.lsm.errors import CorruptionError, InvalidConfigError
 from repro.lsm.policy import POLICY_NAMES, make_policy, normalize_policy_name
-from repro.lsm.tree import LSMConfig, LSMTree
 from repro.verify import POLICY_SHAPES, differential_run, generate_schedule, run_schedule
 from repro.workloads.distributions import Zipfian
+
+from tests.lsm.reftree import RefTree
 
 POLICIES = ("leveling", "tiering", "lazy_leveling", "one_leveling")
 NON_DEFAULT = tuple(p for p in POLICIES if p != "leveling")
 
 #: Small tree: compactions every few writes in every policy.
-TREE_KW = dict(memtable_entries=16, sstable_entries=8, level_thresholds=(2, 2, 4, 8))
+TREE_KW = dict(memtable_entries=16, sstable_entries=8, thresholds=(2, 2, 4, 8))
 
 #: Small cluster config (same shape as tests/core/conftest.TINY).
 TINY = CooLSMConfig(
@@ -62,7 +63,7 @@ class TestRegistry:
         with pytest.raises(InvalidConfigError):
             CooLSMConfig(compaction_policy="fifo")
         with pytest.raises(InvalidConfigError):
-            LSMConfig(compaction_policy="fifo")
+            make_policy("fifo")
 
     def test_make_policy_round_trips(self):
         for name in POLICIES:
@@ -72,10 +73,10 @@ class TestRegistry:
 
 @pytest.mark.parametrize("policy", POLICIES)
 class TestTreeDifferential:
-    """Standalone LSMTree vs an in-memory dict, per policy."""
+    """The policy's rows over the test-local tree vs an in-memory dict."""
 
     def test_reads_match_dict_model(self, policy):
-        tree = LSMTree(LSMConfig(compaction_policy=policy, **TREE_KW))
+        tree = RefTree(policy=policy, **TREE_KW)
         rng = random.Random(1234)
         model: dict[int, bytes] = {}
         for i in range(1_500):
@@ -94,7 +95,7 @@ class TestTreeDifferential:
             assert tree.get(key) == model.get(key)
 
     def test_scan_matches_sorted_model(self, policy):
-        tree = LSMTree(LSMConfig(compaction_policy=policy, **TREE_KW))
+        tree = RefTree(policy=policy, **TREE_KW)
         rng = random.Random(99)
         model: dict[int, bytes] = {}
         for i in range(800):
@@ -196,7 +197,7 @@ class TestPolicyPersistence:
 
     def _fill(self, directory: str, policy: str) -> None:
         """Commit a filled in-memory tree's levels under ``policy``."""
-        tree = LSMTree(LSMConfig(compaction_policy=policy, **TREE_KW))
+        tree = RefTree(policy=policy, **TREE_KW)
         for i in range(300):
             tree.put(i % 50, b"d-%d" % i)
         tree.flush()
@@ -211,7 +212,7 @@ class TestPolicyPersistence:
     def test_same_policy_reopens(self, tmp_path):
         directory = str(tmp_path / "store")
         self._fill(directory, "tiering")
-        tree = LSMTree(LSMConfig(compaction_policy="tiering", **TREE_KW))
+        tree = RefTree(policy="tiering", **TREE_KW)
         with self._open(directory, "tiering") as store:
             tree.manifest.apply(store.recovered.levels_for("tree-0", "tiering"))
         assert tree.get(0) is not None
@@ -255,14 +256,21 @@ class TestPolicyPersistence:
 
 class TestTuningParity:
     """Measured write/space amplification per policy (the
-    Dostoevsky-style trade-off grid)."""
+    Dostoevsky-style trade-off grid), on the single-machine deployment."""
 
     @staticmethod
     def _drive(policy: str):
-        tree = LSMTree(LSMConfig(compaction_policy=policy, **TREE_KW))
-        for i in range(4_000):
-            tree.put(i % 300, b"v-%d" % i)
-        return measure_lsm_tree(tree)
+        config = replace(TINY, compaction_policy=policy)
+        cluster = build_cluster(ClusterSpec(config=config, placement=MONOLITH))
+        client = cluster.add_client(colocate_with="ingestor-0", record_history=False)
+
+        def driver():
+            for i in range(4_000):
+                yield from client.upsert(i % 300, b"v-%d" % i)
+
+        cluster.run_process(driver())
+        cluster.run()
+        return measure_cluster(cluster)
 
     def test_measured_ordering_matches_model(self):
         """The measured counters reproduce the headline trade-off:

@@ -9,7 +9,7 @@ reference model.
 
 from dataclasses import replace
 
-from repro.core import ClusterSpec, build_cluster
+from repro.core import MONOLITH, ClusterSpec, build_cluster
 from repro.verify import VERIFY_CONFIG, differential_run
 
 
@@ -24,15 +24,16 @@ def test_point_gets_bit_identical_with_and_without_cache():
     assert cached["model"] == uncached["model"]
 
 
-def monolith_cache(capacity: int):
+def monolith_caches(capacity: int):
     config = replace(VERIFY_CONFIG, read_cache_capacity=capacity)
-    return build_cluster(ClusterSpec(config=config, monolithic=True)).monolith.tree.cache
+    cluster = build_cluster(ClusterSpec(config=config, placement=MONOLITH))
+    return [node.read_cache for node in (*cluster.ingestors, *cluster.compactors)]
 
 
 def test_monolith_cache_follows_the_configured_capacity():
     # Otherwise the monolith rows above compare two cached runs.
-    assert monolith_cache(0) is None
-    assert monolith_cache(64).capacity == 64
+    assert monolith_caches(0) == [None, None]
+    assert [cache.capacity for cache in monolith_caches(64)] == [64, 64]
 
 
 def test_cache_equivalence_across_seeds():
