@@ -50,10 +50,6 @@ class ExperimentResult:
     def write_throughput(self) -> float:
         return throughput(self.writes.count, self.duration)
 
-    @property
-    def ops_throughput(self) -> float:
-        return throughput(self.ops, self.duration)
-
 
 def drive(cluster: Cluster, drivers: list, label: str = "") -> ExperimentResult:
     """Spawn all driver coroutines, wait for them, and collect results.

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
-from repro.lsm.cache import ReadCache
 from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, compact_step, pick_tables
 from repro.lsm.entry import Entry
 from repro.lsm.manifest import LevelEdit, Manifest
@@ -81,10 +80,6 @@ class CompactorStats:
     entries_rewritten: int = 0  # major compactions' output entries
     compactions: list[CompactionTiming] = field(default_factory=list)
 
-    def mean_compaction_time(self, level: int) -> float:
-        times = [c.duration for c in self.compactions if c.level == level]
-        return sum(times) / len(times) if times else 0.0
-
 
 class Compactor(RpcNode):
     """A CooLSM Compactor node serving one key partition.
@@ -118,12 +113,6 @@ class Compactor(RpcNode):
         # runs, tiered policies stack.
         self._policy = make_policy(config.compaction_policy)
         self.manifest = levels_manifest(self._policy)
-        # Volatile row cache over immutable sstables; wiped on crash.
-        self.read_cache: ReadCache | None = (
-            ReadCache(config.read_cache_capacity)
-            if config.read_cache_capacity > 0
-            else None
-        )
         self._merge_lock = Resource(kernel, 1)
         self._l2_pointer: bytes | None = None
         # Idempotent forwards: retried batches (lost acks) are answered
@@ -366,22 +355,12 @@ class Compactor(RpcNode):
             )
 
     # ------------------------------------------------------------------
-    # Failure model
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Fail-stop.  The read cache models volatile memory and is
-        wiped; L2/L3 and the batch-dedup table survive (durable)."""
-        super().crash()
-        if self.read_cache is not None:
-            self.read_cache.clear()
-
-    # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
     def _search(self, key: bytes, as_of: float | None) -> tuple[Entry | None, int]:
         # L2 is strictly newer than L3 for the same key.
         groups = level_groups(self.manifest, key, (L2, L3))
-        return lookup(key, groups, as_of=as_of, cache=self.read_cache)
+        return lookup(key, groups, as_of=as_of)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Point read over L2 then L3 ("starting with the corresponding

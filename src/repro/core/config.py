@@ -61,10 +61,6 @@ class CooLSMConfig:
         client_retry_budget: Attempts a client (and internal read
             fan-outs) make — cycling through alternate Ingestors or
             Readers — before giving up and raising.
-        read_cache_capacity: Entries in each node's read cache (row
-            results keyed by immutable sstable id, so cached entries
-            never go stale; see :mod:`repro.lsm.cache`).  0 disables
-            node-side caching.  Volatile state: cleared on crash.
         compaction_policy: Which :mod:`repro.lsm.policy` rows the
             Ingestors and Compactors run their compactions by.
             ``"leveling"`` (the paper's hybrid: tiering L0->L1, leveled
@@ -90,7 +86,6 @@ class CooLSMConfig:
     forward_retry_budget: int = 6
     client_timeout: float | None = None
     client_retry_budget: int = 4
-    read_cache_capacity: int = 4_096
     compaction_policy: str = "leveling"
     costs: CostModel = DEFAULT_COSTS
 
@@ -117,8 +112,6 @@ class CooLSMConfig:
             raise InvalidConfigError("retry budgets must be positive")
         if self.client_timeout is not None and self.client_timeout <= 0:
             raise InvalidConfigError("client_timeout must be positive")
-        if self.read_cache_capacity < 0:
-            raise InvalidConfigError("read_cache_capacity must be non-negative")
         from repro.lsm.policy import normalize_policy_name
 
         normalize_policy_name(self.compaction_policy)  # raises if unknown

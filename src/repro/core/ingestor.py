@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
-from repro.lsm.cache import ReadCache
 from repro.lsm.compaction import KeepPolicy, NEWEST_WINS, compact_step, pick_tables
 from repro.lsm.entry import Entry
 from repro.lsm.iterators import dedup_newest, k_way_merge
@@ -154,13 +153,6 @@ class Ingestor(RpcNode):
         # runs in L1, the default keeps it a single disjoint run.
         self.manifest = Manifest(
             2, overlapping_levels=stacked_levels(self._policy.pipeline, range(0, 2))
-        )
-        # Per-node read cache over immutable sstable rows.  Volatile:
-        # wiped on crash (it is reconstructible state, never durable).
-        self.read_cache: ReadCache | None = (
-            ReadCache(config.read_cache_capacity)
-            if config.read_cache_capacity > 0
-            else None
         )
         self._memtable = self._new_memtable()
         self._seqno = 0
@@ -648,8 +640,6 @@ class Ingestor(RpcNode):
         in-flight set, and the WAL survive (they model durable state)."""
         super().crash()
         self._memtable = self._new_memtable()
-        if self.read_cache is not None:
-            self.read_cache.clear()
 
     def _recovery_event(self):
         """The event :meth:`recover` fires; created lazily while down."""
@@ -799,7 +789,7 @@ class Ingestor(RpcNode):
             ((t for batch in self._in_flight.values() for t in batch),),
         )
         buffered = self._memtable.versions(key)
-        return lookup(key, groups, buffered, as_of, self.read_cache)
+        return lookup(key, groups, buffered, as_of)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Full read path (Section III-C): local levels, then the

@@ -179,16 +179,6 @@ class RangeQueryReply:
 
 
 @dataclass(frozen=True, slots=True)
-class NodeStats:
-    """Generic stats snapshot returned by the "stats" RPC."""
-
-    name: str
-    level_sizes: tuple[int, ...]
-    total_entries: int
-    extra: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
 class ShardMapRequest:
     """Client -> any Ingestor: fetch the node's current shard map.
 

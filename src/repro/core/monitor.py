@@ -97,7 +97,6 @@ class ClusterMonitor:
             timeline.add(
                 now, ingestor.name, "entries", ingestor.manifest.total_entries()
             )
-            self._sample_cache(now, ingestor)
         for compactor in self.cluster.compactors:
             timeline.add(now, compactor.name, "l2_tables", len(compactor.level2))
             timeline.add(now, compactor.name, "l3_tables", len(compactor.level3))
@@ -116,34 +115,14 @@ class ClusterMonitor:
                 "core_queue",
                 compactor.machine.cores.queue_length,
             )
-            self._sample_cache(now, compactor)
         for reader in self.cluster.readers:
             timeline.add(now, reader.name, "entries", reader.manifest.total_entries())
-            self._sample_cache(now, reader)
         for node in (
             *self.cluster.ingestors,
             *self.cluster.compactors,
             *self.cluster.readers,
         ):
             self._sample_transport(now, node)
-
-    def _sample_cache(self, now: float, node) -> None:
-        """Read-cache and bloom gauges for any node carrying a
-        :class:`~repro.lsm.cache.ReadCache` (soak tests assert cache
-        coherence invariants — e.g. hits never exceed lookups — from
-        these series)."""
-        cache = getattr(node, "read_cache", None)
-        if cache is None:
-            return
-        stats = cache.stats
-        timeline = self.timeline
-        timeline.add(now, node.name, "cache_size", len(cache))
-        timeline.add(now, node.name, "cache_hits", stats.hits)
-        timeline.add(now, node.name, "cache_misses", stats.misses)
-        timeline.add(now, node.name, "cache_evictions", stats.evictions)
-        timeline.add(now, node.name, "cache_hit_rate", stats.hit_rate)
-        timeline.add(now, node.name, "bloom_probes", stats.bloom_probes)
-        timeline.add(now, node.name, "bloom_negatives", stats.bloom_negatives)
 
     def _sample_transport(self, now: float, node) -> None:
         """TCP transport gauges (live runtime only — the sim fabric has

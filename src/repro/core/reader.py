@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.effects import ComputeHost, EffectKernel, Fabric
-from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry
 from repro.lsm.errors import ManifestError
 from repro.lsm.manifest import LevelEdit, Manifest
@@ -112,12 +111,6 @@ class Reader(RpcNode):
         self._policy = make_policy(config.compaction_policy)
         self._areas: dict[str, Manifest] = {}
         self.manifest = _MergedView(self._areas)
-        # Volatile row cache over immutable sstables; wiped on crash.
-        self.read_cache: ReadCache | None = (
-            ReadCache(config.read_cache_capacity)
-            if config.read_cache_capacity > 0
-            else None
-        )
         # Section III-D.3 fresh area: the latest L1 snapshot received
         # from each Ingestor (only populated when Ingestors feed Readers).
         self.fresh_area: dict[str, tuple[SSTable, ...]] = {}
@@ -330,13 +323,6 @@ class Reader(RpcNode):
         }
         self.resync(unloadable)
 
-    def crash(self) -> None:
-        """Fail-stop.  The read cache models volatile memory and is
-        wiped; the installed areas survive (durable snapshot state)."""
-        super().crash()
-        if self.read_cache is not None:
-            self.read_cache.clear()
-
     def recover(self) -> None:
         """Restart after a crash: updates cast while down were lost, so
         proactively resynchronise every source area."""
@@ -372,7 +358,7 @@ class Reader(RpcNode):
         for level in (_L2, _L3):
             for area in self._areas.values():
                 group.extend(area.tables_for_key(level, key))
-        return lookup(key, [group], as_of=as_of, cache=self.read_cache)
+        return lookup(key, [group], as_of=as_of)
 
     def _handle_read(self, src: str, request: ReadRequest):
         """Point read served purely from the local snapshot."""

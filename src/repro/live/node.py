@@ -233,8 +233,8 @@ async def serve(
     ``DRAINED`` / ``DRAIN-TIMEOUT inflight=N`` on the way out.
     """
     # One node per process: give its sstables a disjoint id range so
-    # table ids stay unique across the whole deployment (they key read
-    # caches and the Reader's seen-removals set).  Tests that wire
+    # table ids stay unique across the whole deployment (they name store
+    # files and key the Reader's seen-removals set).  Tests that wire
     # several LiveNodes into one process must NOT re-seed per node —
     # the shared in-process counter is already unique there.
     seed_table_ids(spec.node_index(name))

@@ -606,7 +606,6 @@ def _register_all() -> None:
         (12, messages.IngestorL1Update),
         (13, messages.RangeQuery),
         (14, messages.RangeQueryReply),
-        (15, messages.NodeStats),
         (16, messages.HealthPing),
         (17, messages.HealthReply),
         (18, messages.UpsertBatchRequest),

@@ -10,7 +10,6 @@ roles placed on one machine (:data:`repro.core.MONOLITH`).
 
 from .amplification import AmplificationReport, measure_cluster
 from .bloom import BloomFilter
-from .cache import MISS, CacheStats, ReadCache
 from .compaction import (
     CompactionResult,
     CompactionStats,
@@ -41,7 +40,6 @@ from .wal import WriteAheadLog, replay
 __all__ = [
     "AmplificationReport",
     "BloomFilter",
-    "CacheStats",
     "ClosedError",
     "CompactionResult",
     "CompactionStats",
@@ -53,12 +51,10 @@ __all__ = [
     "LSMError",
     "LevelEdit",
     "LevelFenceIndex",
-    "MISS",
     "Manifest",
     "ManifestError",
     "Memtable",
     "NEWEST_WINS",
-    "ReadCache",
     "SSTable",
     "SSTableReader",
     "WriteAheadLog",

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .cache import ReadCache
 from .entry import Entry
 from .iterators import k_way_merge, level_scan
 from .manifest import Manifest
@@ -43,7 +42,6 @@ def lookup(
     groups: Iterable[Iterable[SSTable]],
     buffered: Sequence[Entry] = (),
     as_of: float | None = None,
-    cache: ReadCache | None = None,
 ) -> tuple[Entry | None, int]:
     """Newest version of ``key`` visible at ``as_of`` (None = latest).
 
@@ -65,7 +63,7 @@ def lookup(
             for table in group:
                 if table.key_in_range(key) and table.bloom.might_contain(key):
                     probes += 1
-                    found.extend(_visible(table.versions(key, cache), as_of))
+                    found.extend(_visible(table.versions(key), as_of))
             if found and as_of is None:
                 break
     return max(found, key=lambda e: e.version, default=None), probes

@@ -10,18 +10,15 @@ pointers** (each block's first key, offset and length) and a **bloom
 filter** at :data:`BLOOM_FP_RATE`.  The same bytes go to disk and over
 the wire.
 
-A point lookup asks the bloom filter first, which answers "definitely
-absent" cheaply, then binary-searches the table's sorted key list.  The
-fence pointers are what a decode or a merge walks, one block at a time.
+A point lookup (:func:`~repro.lsm.readpath.lookup`) checks the key
+range and asks the bloom filter, which answers "definitely absent"
+cheaply; only then does :meth:`SSTable.versions` binary-search the
+table's sorted key list.  The fence pointers are what a decode or a
+merge walks, one block at a time.
 
 Entries within a table are sorted by ``(key, version descending)`` so a
 table may hold several versions of one key (needed when CooLSM's
 GC-horizon retains versions).  Classic tables hold one version per key.
-
-Lookups optionally go through a :class:`~repro.lsm.cache.ReadCache`:
-because tables are immutable and ``table_id`` is never reused, a cached
-``(table_id, key) -> versions`` result is valid forever, so the cache
-needs no invalidation — only eviction.
 
 Observability: each table counts how many scan cursors were actually
 opened on it (:attr:`SSTable.opens`) and how many point lookups reached
@@ -51,7 +48,6 @@ from typing import Iterator, Sequence
 from . import sstable_io  # imports this module back: names resolve at call time
 from .block import decode_entries, encode_entries
 from .bloom import BloomFilter, key_digest
-from .cache import MISS, ReadCache
 from .entry import Entry
 from .errors import CorruptionError, InvalidConfigError
 
@@ -78,11 +74,11 @@ def next_table_id() -> int:
 def seed_table_ids(namespace: int) -> None:
     """Re-base the table-id counter into a private per-process range.
 
-    Table ids must be unique across every node of a deployment (they key
-    read caches and the Reader's seen-removals set).  In the simulator
-    all nodes share one process so the plain counter suffices; in the
-    live runtime each node is its own process, so each calls this once
-    at startup with its distinct node index and draws ids from
+    Table ids must be unique across every node of a deployment (they
+    name store files and key the Reader's seen-removals set).  In the
+    simulator all nodes share one process so the plain counter suffices;
+    in the live runtime each node is its own process, so each calls this
+    once at startup with its distinct node index and draws ids from
     ``(namespace << 40) + 1`` upward — disjoint ranges, no coordination.
     """
     if not 0 <= namespace < (1 << 20):
@@ -259,38 +255,21 @@ class SSTable:
         """True if this table's key range intersects ``other``'s."""
         return self.overlaps(other.min_key, other.max_key)
 
-    def get(self, key: bytes, cache: ReadCache | None = None) -> Entry | None:
-        """Newest version of ``key`` in this table, or None.
-
-        Consults the row cache (if given), then the bloom filter, then
-        binary-searches the run's keys.
-        """
-        versions = self.versions(key, cache)
+    def get(self, key: bytes) -> Entry | None:
+        """Newest version of ``key`` in this table, or None: the key
+        range, then the bloom filter, then the key search."""
+        if not (self.key_in_range(key) and self.bloom.might_contain(key)):
+            return None
+        versions = self.versions(key)
         return versions[0] if versions else None
 
-    def versions(self, key: bytes, cache: ReadCache | None = None) -> list[Entry]:
+    def versions(self, key: bytes) -> list[Entry]:
         """All versions of ``key`` in this table, newest first.
 
-        With a cache, the ``(table_id, key) -> versions`` result —
-        including the empty "bloom false positive" outcome — is served
-        from and stored into the cache; immutability makes the cached
-        value permanently valid.
+        Only the key search: the caller has already checked the key
+        range and asked the bloom filter, as
+        :func:`~repro.lsm.readpath.lookup` does.
         """
-        if not self.key_in_range(key):
-            return []
-        if cache is not None:
-            cached = cache.get_row(self.table_id, key)
-            if cached is not MISS:
-                return list(cached)
-            cache.stats.bloom_probes += 1
-            if not self.bloom.might_contain(key):
-                cache.stats.bloom_negatives += 1
-                # Memoise the negative too: re-reads of a hot key skip
-                # even the bloom probe on tables that lack the key.
-                cache.put_row(self.table_id, key, ())
-                return []
-        elif not self.bloom.might_contain(key):
-            return []
         self.probes += 1
         idx = bisect.bisect_left(self._keys, key)
         out = []
@@ -301,8 +280,6 @@ class SSTable:
         while idx < len(self.entries) and self.entries[idx].key == key:
             out.append(self.entries[idx])
             idx += 1
-        if cache is not None:
-            cache.put_row(self.table_id, key, tuple(out))
         return out
 
     def scan(self, lo: bytes | None = None, hi: bytes | None = None) -> Iterator[Entry]:

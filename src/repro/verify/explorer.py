@@ -601,7 +601,6 @@ def differential_run(
     ops: int = 120,
     key_space: int = 16,
     config: CooLSMConfig = VERIFY_CONFIG,
-    read_cache_capacity: int | None = None,
     compaction_policy: str | None = None,
 ) -> dict[str, object]:
     """Drive the identical sequential trace against the CooLSM cluster,
@@ -627,8 +626,6 @@ def differential_run(
         else:
             trace.append(("read", key, None))
 
-    if read_cache_capacity is not None:
-        config = replace(config, read_cache_capacity=read_cache_capacity)
     if compaction_policy is not None:
         config = replace(config, compaction_policy=compaction_policy)
 

@@ -42,10 +42,6 @@ class ShrinkResult:
     def removed_ops(self) -> int:
         return len(self.original.ops) - len(self.shrunk.ops)
 
-    @property
-    def removed_faults(self) -> int:
-        return len(self.original.faults) - len(self.shrunk.faults)
-
 
 def ddmin(
     items: Sequence[T],

@@ -1,11 +1,14 @@
 """Unit tests for CooLSM configuration."""
 
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+import repro
 from repro.core.cluster import ClusterSpec
 from repro.core.config import CooLSMConfig
 from repro.core.topology import Topology
@@ -103,7 +106,6 @@ class TestNoFeatureFlags:
         "forward_retry_budget",
         "client_timeout",
         "client_retry_budget",
-        "read_cache_capacity",
         "compaction_policy",
         "costs",
     )
@@ -120,6 +122,59 @@ class TestNoFeatureFlags:
         own = {f.name for f in fields(ClusterSpec)} - {f.name for f in fields(Topology)}
         hints = get_type_hints(ClusterSpec)
         assert [name for name in sorted(own) if hints[name] is bool] == []
+
+
+#: Fields nothing reads yet, each with the open item that will.
+UNREAD_FIELDS = {
+    "l3_threshold": "ROADMAP item 19: a bound on L3 runs",
+}
+
+#: Functions whose reads of a field do not count: validating or
+#: rescaling a knob is not using it.
+NOT_A_USE = {"__post_init__", "scaled_down"}
+
+
+def _field_reads(tree: ast.AST, names: set[str]) -> set[str]:
+    """Attribute loads of ``names`` in ``tree``, outside ``NOT_A_USE``."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in NOT_A_USE:
+                return
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in names
+        ):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+class TestEveryFieldIsRead:
+    """A knob nothing reads is dead weight that every spec file and
+    preset still carries: each ``CooLSMConfig`` field must be read in
+    ``src/`` somewhere besides its validation and rescaling."""
+
+    def test_every_field_is_read_outside_validation(self):
+        names = {f.name for f in fields(CooLSMConfig)}
+        read: set[str] = set()
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            read |= _field_reads(ast.parse(path.read_text(), str(path)), names)
+        assert sorted(names - read) == sorted(UNREAD_FIELDS)
+
+    def test_the_walk_skips_validation_and_rescaling(self):
+        source = (
+            "class C:\n"
+            "    def __post_init__(self):\n        self.a\n"
+            "    def scaled_down(self):\n        self.b\n"
+            "    def use(self):\n        self.c\n"
+        )
+        assert _field_reads(ast.parse(source), {"a", "b", "c"}) == {"c"}
 
 
 class TestOneSSTableGranularity:

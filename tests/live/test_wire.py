@@ -338,7 +338,6 @@ class TestMessageRoundTrips:
             messages.RangeQuery(b"a", b"z"),
             messages.RangeQuery(b"a", b"z", limit=10),
             messages.RangeQueryReply(((b"k", b"v"), (b"k2", b"v2"))),
-            messages.NodeStats("n", (1, 2), 3, {"x": 1}),
             rpc._Request(7, "upsert", messages.UpsertRequest(b"k", b"v"), 256),
             rpc._Response(7, messages.UpsertReply(1.0, 1), None),
             rpc._Response(7, None, "boom"),

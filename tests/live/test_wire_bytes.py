@@ -55,7 +55,6 @@ SAMPLES = {
     "IngestorL1Update": messages.IngestorL1Update((_table(14, range(2)),), "ingestor-0"),
     "RangeQuery": messages.RangeQuery(b"a", b"z", limit=10),
     "RangeQueryReply": messages.RangeQueryReply(((b"k", b"v"), (b"k2", b"v2"))),
-    "NodeStats": messages.NodeStats("n", (1, 2), 3, {"x": 1, "y": [1.5, None]}),
     "HealthPing": messages.HealthPing(42),
     "HealthReply": messages.HealthReply("n", 42, 3.25, 2, {"inflight": 2, "lag": 0.5}),
     "UpsertBatchRequest": messages.UpsertBatchRequest(
@@ -88,7 +87,6 @@ DIGESTS = {
     "IngestorReadResult": "6f1068876cd6b5cbf96f36452a5148a2190bcb80caba9c6443ae0d5ba9adc707",
     "InstallShardMap": "295dfbb80ef3ea71ad8395fab9d846e90df702bd228e26b6aae6fa5c5e29a6b8",
     "InstallShardMapReply": "616ebec331de3a8522698025398caf684c01cd76e640512565215515fda23be3",
-    "NodeStats": "c3281b87e26ecfc7e1f9931eb63de647f273cf3cad7f9644c6b55e2328e56f02",
     "Phase1Reply": "80042fd75e7d78b58339d7f25dd6671d1934deec25787715ef92cb8c9b9ba61f",
     "Phase1Request": "733c7c6389c178f4b59a8832964df05f2a5663aa61b04f926d1821ffad39375a",
     "RangeQuery": "a4a88dde10ac0a8ac5f91df983578e220db4411751fe97d6c087531151e35498",

@@ -3,8 +3,7 @@ one :class:`Memtable`, one :class:`Manifest` holding the whole tree, a
 policy's rows run by ``pick_tables`` / ``compact_step`` after every
 flush, and reads through ``readpath``'s ``lookup`` / ``live_pairs``.
 Entries are stamped by a logical counter, so a tree is deterministic.
-No cache and no stats class: a test that wants a cache hands one to
-:meth:`RefTree.lookup`.  (The system's single-machine engine is the
+No stats class.  (The system's single-machine engine is the
 Ingestor and Compactor on one machine, :data:`repro.core.MONOLITH`.)
 """
 
@@ -115,7 +114,7 @@ class RefTree:
             manifest.apply(edit.add(level + 1, result.tables))
             self.compactions.append((level + 1, result.stats))
 
-    def lookup(self, key: Key, cache=None) -> tuple[Entry | None, int]:
+    def lookup(self, key: Key) -> tuple[Entry | None, int]:
         """``(newest entry or None, tables searched)``: memtable, L0
         newest table first, then each level through its fence index."""
         encoded = encode_key(key)
@@ -124,11 +123,11 @@ class RefTree:
             ([table] for table in reversed(manifest.level(0))),
             level_groups(manifest, encoded, range(1, manifest.num_levels)),
         )
-        return lookup(encoded, groups, self._memtable.versions(encoded), cache=cache)
+        return lookup(encoded, groups, self._memtable.versions(encoded))
 
-    def get_entry(self, key: Key, cache=None) -> Entry | None:
+    def get_entry(self, key: Key) -> Entry | None:
         """Newest entry for ``key``, tombstones included."""
-        return self.lookup(key, cache)[0]
+        return self.lookup(key)[0]
 
     def get(self, key: Key) -> bytes | None:
         entry = self.get_entry(key)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import MONOLITH
 from repro.core.messages import RangeQuery, RangeQueryReply
-from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry, encode_key
 from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.manifest import LevelEdit, Manifest
@@ -101,15 +100,6 @@ class TestLookup:
     def test_out_of_range_table_is_not_a_probe(self):
         assert lookup(KEY, [[table(entry(7, 1), entry(9, 1))]]) == (None, 0)
 
-    def test_cache_is_handed_through(self):
-        cache = ReadCache(64)
-        groups = [[table(entry(5, 9))], [table(entry(5, 1))]]
-        first = lookup(KEY, groups, cache=cache)
-        hits = cache.stats.hits
-        assert lookup(KEY, groups, cache=cache) == first
-        assert cache.stats.hits == hits + 1
-        assert groups[0][0].probes == 1  # the second search never reached the blocks
-
 
 def two_level_manifest(overlapping):
     manifest = Manifest(2, overlapping_levels=frozenset(overlapping))
@@ -178,9 +168,7 @@ def old_ingestor_search_local(self, key, as_of):
     for table in reversed(self.level0):
         if table.key_in_range(key) and table.bloom.might_contain(key):
             probes += 1
-            candidates.extend(
-                _ingestor_visible(table.versions(key, self.read_cache), as_of)
-            )
+            candidates.extend(_ingestor_visible(table.versions(key), as_of))
             if candidates and as_of is None:
                 break  # L0 newest-first: first hit wins
     # L1 is non-overlapping: the manifest's fence index bisects to
@@ -195,9 +183,7 @@ def old_ingestor_search_local(self, key, as_of):
     for table in search_l1 + inflight:
         if table.bloom.might_contain(key):
             probes += 1
-            candidates.extend(
-                _ingestor_visible(table.versions(key, self.read_cache), as_of)
-            )
+            candidates.extend(_ingestor_visible(table.versions(key), as_of))
     if not candidates:
         return None, probes
     return max(candidates, key=lambda e: e.version), probes
@@ -259,7 +245,7 @@ def old_compactor_search(self, key, as_of):
         for table in self.manifest.tables_for_key(level, key):
             if table.bloom.might_contain(key):
                 probes += 1
-                versions = table.versions(key, self.read_cache)
+                versions = table.versions(key)
                 if as_of is not None:
                     versions = [v for v in versions if v.timestamp <= as_of]
                 candidates.extend(versions[:1])
@@ -313,9 +299,7 @@ def old_reader_search(self, key, as_of):
     for table in fresh_tables:
         if table.key_in_range(key) and table.bloom.might_contain(key):
             probes += 1
-            candidates.extend(
-                _reader_visible(table.versions(key, self.read_cache), as_of)
-            )
+            candidates.extend(_reader_visible(table.versions(key), as_of))
     # Each area's fence index narrows the level to the tables whose
     # range contains the key (areas are overlap-tolerant, so this
     # can be more than one); resolution stays purely by version.
@@ -324,11 +308,7 @@ def old_reader_search(self, key, as_of):
             for table in area.tables_for_key(level, key):
                 if table.bloom.might_contain(key):
                     probes += 1
-                    candidates.extend(
-                        _reader_visible(
-                            table.versions(key, self.read_cache), as_of
-                        )
-                    )
+                    candidates.extend(_reader_visible(table.versions(key), as_of))
     if not candidates:
         return None, probes
     return max(candidates, key=lambda e: e.version), probes
@@ -354,10 +334,9 @@ def old_reader_scan_pairs(self, lo, hi, limit=None):
 
 def old_tree_get_entry(self, key):
     encoded = encode_key(key)
-    cache = None  # the test twin keeps no cache
     best = self._memtable.get(encoded)
     for table in reversed(self.manifest.level(0)):
-        found = table.get(encoded, cache)
+        found = table.get(encoded)
         if found is not None and (best is None or found.version > best.version):
             best = found
         if best is not None:
@@ -372,7 +351,7 @@ def old_tree_get_entry(self, key):
         # the newest across the level's runs wins.  Either way, data
         # only moves downward, so the first level with a hit is it.
         for table in self.manifest.tables_for_key(level, encoded):
-            found = table.get(encoded, cache)
+            found = table.get(encoded)
             if found is not None and (best is None or found.version > best.version):
                 best = found
         if best is not None:

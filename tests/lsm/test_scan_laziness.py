@@ -5,7 +5,6 @@ what the old materialising path returned."""
 import random
 from typing import Iterator
 
-from repro.lsm.cache import ReadCache
 from repro.lsm.entry import Entry, encode_key
 from repro.lsm.iterators import dedup_newest, k_way_merge, level_scan
 from repro.lsm.sstable import SSTable
@@ -15,8 +14,8 @@ from tests.lsm.reftree import RefTree
 
 
 def deep_tree(num_keys=3_000, seed=3) -> RefTree:
-    """A tree whose data has cascaded into L1+ (no cache, so probe and
-    open counters reflect actual table work)."""
+    """A tree whose data has cascaded into L1+ (probe and open counters
+    reflect actual table work)."""
     tree = RefTree(memtable_entries=100, sstable_entries=50)
     keys = list(range(num_keys))
     random.Random(seed).shuffle(keys)
@@ -113,7 +112,7 @@ class TestTreeScanLaziness:
 # ----------------------------------------------------------------------
 def legacy_get_entry(tree: RefTree, key: bytes | str | int) -> Entry | None:
     """The pre-overhaul point lookup: linear probe over every table of
-    every level (range-checked), no fence-index bisect, no cache."""
+    every level (range-checked), no fence-index bisect."""
     encoded = encode_key(key)
     best = tree._memtable.get(encoded)
     for table in reversed(tree.manifest.level(0)):
@@ -179,13 +178,3 @@ class TestLegacyEquivalence:
         probes = [rng.randrange(1_800) for __ in range(300)]  # includes misses
         for key in probes:
             assert tree.get_entry(key) == legacy_get_entry(tree, key)
-
-    def test_point_gets_identical_with_cache_warm_and_cold(self):
-        tree = RefTree(memtable_entries=100, sstable_entries=50)
-        for key in range(1_000):
-            tree.put(key, b"x-%d" % key)
-        cache = ReadCache(4_096)
-        cold = [tree.get_entry(k, cache) for k in range(0, 1_000, 7)]
-        warm = [tree.get_entry(k, cache) for k in range(0, 1_000, 7)]
-        assert cold == warm
-        assert cache.stats.hits > 0
